@@ -198,8 +198,14 @@ EXPERIMENTS: dict = {
 
 
 def validate_experiments(experiments=None) -> list:
-    """Resolve an experiment selection against the spec registry."""
+    """Resolve an experiment selection against the spec registry.
+
+    A single string names one experiment (``"table2"``), not a sequence
+    of one-character names.
+    """
     runnable = runnable_experiments()
+    if isinstance(experiments, str):
+        experiments = [experiments]
     chosen = list(experiments) if experiments is not None else list(runnable)
     unknown = [e for e in chosen if e not in runnable]
     if unknown:
@@ -214,11 +220,14 @@ def parse_only(only) -> list[tuple[str, str | None]]:
 
     Accepts strings (``"figure5:vortex"``, or bare ``"figure5"`` for
     every workload of one experiment) and ``(experiment, workload)``
-    tuples (``workload=None`` meaning all).  Experiment names are
+    tuples (``workload=None`` meaning all); a single string is one
+    selector, not a sequence of characters.  Experiment names are
     validated against the registry here; workload names are validated
     against the enumerated grid by :func:`select_study_cells`.
     """
     runnable = runnable_experiments()
+    if isinstance(only, str):
+        only = [only]
     pairs: list[tuple[str, str | None]] = []
     for item in only:
         if isinstance(item, str):
@@ -349,14 +358,26 @@ def run_study(
     ``only`` restricts the grid to ``EXPERIMENT:WORKLOAD`` selectors
     (see :func:`select_study_cells`) for partial reruns.
 
+    Each distinct detailed cell simulates once per study: the study
+    owns one cell memo (:func:`~repro.harness.spec.memo_key`), created
+    here and threaded through every row, so e.g. the window-256 ``CI``
+    machine that Figure 5, Tables 2-4 and Figures 8-17 all run is
+    simulated once per workload and the other rows read a copy of its
+    stats.  Failed cells are never memoized, TFR cells always simulate,
+    and two ``run_study`` calls never share results.  Under ``jobs``
+    the memo never spans worker tasks (which worker draws which row is
+    up to the pool, so a shared memo would make the simulated-cell count
+    depend on scheduling): rows dispatched one by one simulate every
+    cell, and a ``batch`` shard keeps a memo of its own.
+
     ``batch=`` (or ``REPRO_BATCH``) composes with ``jobs``: batching is
     applied *within* each worker's shard of the grid — serially that is
     one fused :func:`~repro.harness.spec.prepare_study_batch` loop over
-    every pending detailed cell of the study; under the pool each worker
-    fuses its own shard.  Rows stay byte-identical; ``batch`` and
-    ``profile`` are excluded from the checkpoint identity
-    (:data:`NON_SEMANTIC_KNOBS`), so either toggle resumes the same
-    checkpoint.
+    every pending distinct detailed cell of the study, filling the same
+    memo; under the pool each worker fuses its own shard.  Rows stay
+    byte-identical; ``batch`` and ``profile`` are excluded from the
+    checkpoint identity (:data:`NON_SEMANTIC_KNOBS`), so either toggle
+    resumes the same checkpoint.
 
     Returns ``{"results": {experiment: {workload: row-or-error}},
     "failures": [CellResult...], "resumed": int}``.
@@ -391,14 +412,15 @@ def run_study(
     if only is not None:
         chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
 
-    # Study-level batching: pre-simulate every pending detailed cell of
-    # the whole study through one fused, fault-isolated driver loop
-    # (prepare_study_batch), then let each run_spec_row consume its
-    # prepared outcome.  Checkpointed cells never re-enter the batch.
-    # Note the per-cell ``timeout_seconds`` bounds only each cell's
-    # residual (non-batched) work — inside the fused loop a runaway cell
-    # is bounded by its own ``watchdog_cycles``/``max_cycles`` guards.
-    prepared = None
+    # One cell memo per study: every row reads and fills it, so each
+    # distinct detailed cell simulates once however many artifacts
+    # share it.  Study-level batching pre-fills it with every pending
+    # distinct cell through one fused, fault-isolated driver loop
+    # (prepare_study_batch); checkpointed cells never enter the batch.
+    # The per-cell ``timeout_seconds`` bounds only each row's residual
+    # work — inside the fused loop a runaway cell is bounded by its own
+    # ``watchdog_cycles``/``max_cycles`` guards.
+    memo: dict = {}
     try:
         study_batched = batch_enabled(experiment_kwargs.get("batch"))
     except ValueError:
@@ -410,17 +432,16 @@ def run_study(
             for cell in cells
             if checkpoint is None or not checkpoint.completed(cell.key)
         ]
-        if pending_pairs:
-            prepared = prepare_study_batch(
-                pending_pairs, scale=scale, experiment_kwargs=experiment_kwargs
-            )
+        prepare_study_batch(
+            pending_pairs, memo, scale=scale, experiment_kwargs=experiment_kwargs
+        )
 
     outcomes = {}
     for cell in cells:
         result = runner.run_cell(
             cell,
             lambda exp=cell.experiment, name=cell.workload: run_spec_row(
-                exp, name, scale=scale, prepared=prepared, **experiment_kwargs
+                exp, name, scale=scale, memo=memo, **experiment_kwargs
             ).to_payload(),
         )
         outcomes[cell.key] = result

@@ -110,7 +110,10 @@ def _run_cell(
     :class:`~repro.harness.runner.CellResult`; never raises for cell
     failures — the worker-side :class:`CellRunner` degrades them.  The
     cell body is the same :func:`~repro.harness.spec.run_spec_row` the
-    serial path runs, so rows are byte-identical.
+    serial path runs, so rows are byte-identical.  Cells are handed to
+    workers dynamically, so no cell memo spans them: a memo shared by
+    whichever cells one worker happened to draw would make the number
+    of simulations depend on scheduling.
     """
     from .spec import run_spec_row
 
@@ -143,20 +146,26 @@ def _run_shard(
     """Execute one study shard inside a worker process, batch-fused.
 
     ``cell_specs`` is ``[(experiment, workload, knob_hash), ...]``.  The
-    shard's detailed cells are first pre-simulated through one fused,
-    fault-isolated driver loop (:func:`~repro.harness.spec
-    .prepare_study_batch` — one GC pause for the whole shard, workload
-    bundles derived once each); every cell then runs through the same
-    per-cell :class:`CellRunner` as :func:`_run_cell`, consuming its
-    prepared outcome.  The per-cell ``timeout_seconds`` therefore bounds
-    only each cell's residual work — inside the fused loop a runaway
-    cell is bounded by its own ``watchdog_cycles``/``max_cycles``
-    guards, and its failure degrades that cell alone.
+    shard's distinct detailed cells are first pre-simulated into a
+    shard-scoped cell memo through one fused, fault-isolated driver loop
+    (:func:`~repro.harness.spec.prepare_study_batch` — one GC pause for
+    the whole shard, workload bundles derived once each); every cell
+    then runs through the same per-cell :class:`CellRunner` as
+    :func:`_run_cell`, reading the memo.  The per-cell
+    ``timeout_seconds`` therefore bounds only each cell's residual work
+    — inside the fused loop a runaway cell is bounded by its own
+    ``watchdog_cycles``/``max_cycles`` guards, and its failure degrades
+    that cell alone.  A failed cell is not memoized, so every row that
+    needs it simulates it again, on every retry, under the row's
+    ``timeout_seconds``.  The memo lives for this shard only, so what a
+    shard simulates never depends on which worker ran it.
     """
     from .spec import prepare_study_batch, run_spec_row
 
-    prepared = prepare_study_batch(
+    memo: dict = {}
+    prepare_study_batch(
         [(experiment, workload) for experiment, workload, _ in cell_specs],
+        memo,
         scale=scale,
         experiment_kwargs=experiment_kwargs,
     )
@@ -172,7 +181,7 @@ def _run_shard(
         result = runner.run_cell(
             cell,
             lambda exp=experiment, name=workload: run_spec_row(
-                exp, name, scale=scale, prepared=prepared, **experiment_kwargs
+                exp, name, scale=scale, memo=memo, **experiment_kwargs
             ).to_payload(),
         )
         results.append(

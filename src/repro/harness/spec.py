@@ -35,6 +35,7 @@ tagged so round-trips preserve hashability and equality.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -56,6 +57,7 @@ from ..ideal.tracegen import AnnotatedTrace, annotate
 from ..machines import get_machine
 from ..workloads import WORKLOAD_NAMES, build_workload
 from .batch import batch_enabled, run_batch, run_batch_isolated
+from .runner import config_hash
 
 #: row shapes an :class:`ExperimentSpec` may fold its cells into
 SHAPES = ("grid", "map", "rows")
@@ -509,8 +511,14 @@ class SpecProfile:
 
     cells: dict[str, dict[str, Any]] = field(default_factory=dict)
 
-    def record(self, key: str, seconds: float, result: Any) -> None:
+    def record(
+        self, key: str, seconds: float, result: Any, memo: bool = False
+    ) -> None:
+        """Record one cell; ``memo=True`` marks a cell served from the
+        study's cell memo (``seconds`` is then the lookup, not a run)."""
         entry: dict[str, Any] = {"seconds": round(seconds, 4)}
+        if memo:
+            entry["memo"] = True
         if isinstance(result, CoreStats):
             from ..profiling import stage_profile
 
@@ -553,6 +561,24 @@ def _fold(spec: ExperimentSpec, workload: str, outcomes: list) -> Any:
     return data
 
 
+def memo_key(workload: str, scale: float, cell: CellSpec, machine) -> tuple | None:
+    """The study cell memo's key for one cell, or ``None`` when the cell
+    always simulates.
+
+    The key is content, never a name: ``(workload, scale,
+    config_hash(materialized CoreConfig))``.  So Figure 17's ``postdom``
+    bar, Figure 14's ``seg1`` and Figure 9's ``spec-C`` share the one
+    simulation of the registry's ``CI`` at the same window.  Only
+    detailed cells take part (ideal and functional cells never repeat in
+    the registry), and TFR cells bypass the memo because their
+    collectors must be the row's own.
+    """
+    if cell.tfr or machine.family != "detailed":
+        return None
+    config = machine.core_config(**dict(cell.machine.overrides))
+    return (workload, scale, config_hash(config))
+
+
 def _simulate_cells(
     spec: ExperimentSpec,
     workload: str,
@@ -560,7 +586,7 @@ def _simulate_cells(
     plan: list,
     batch: bool | None,
     profile: SpecProfile | None,
-    prepared: dict | None = None,
+    memo: dict | None = None,
 ) -> list:
     """Produce each planned cell's stats, serially or array-batched.
 
@@ -573,61 +599,59 @@ def _simulate_cells(
     record the batch's amortized per-cell share (the interleaved loop
     has no meaningful per-cell split).
 
-    ``prepared`` maps ``(spec.name, workload, cell.label)`` to an
-    outcome pre-simulated by :func:`prepare_study_batch`'s study-wide
-    fused loop.  A prepared ``("ok", stats, share)`` entry is consumed
-    directly (recording the amortized share); a prepared error re-raises
-    the captured exception, so the cell degrades through the runner
-    exactly as a scalar failure would.  Cells absent from ``prepared``
-    (TFR cells, non-detailed families) fall through to the usual paths.
+    ``memo`` is the study's cell memo, ``{memo_key: CoreStats}``.  A
+    cell whose key is already there gets a ``copy.copy`` of the stored
+    stats instead of a simulation, profiled with ``memo=True`` unless
+    :func:`prepare_study_batch` already profiled that cell's fused run;
+    every keyed cell that simulates successfully is stored.  Failures
+    are never stored, so a failing cell's duplicates simulate on their
+    own.
     """
     results: list = [None] * len(plan)
-    done: set[int] = set()
-    if prepared:
-        for i, (cell, machine, collectors) in enumerate(plan):
-            if collectors:
-                continue
-            entry = prepared.get((spec.name, workload, cell.label))
-            if entry is None:
-                continue
-            status, payload, share = entry
-            if status == "error":
-                raise payload
-            results[i] = payload
-            done.add(i)
-            if profile is not None:
-                profile.record(
-                    f"{spec.name}/{workload}/{cell.label}", share, payload
-                )
-    batched: list[int] = []
+    keys = [
+        None if memo is None else memo_key(workload, bundle.scale, cell, machine)
+        for cell, machine, _ in plan
+    ]
+
+    def label(i: int) -> str:
+        return f"{spec.name}/{workload}/{plan[i][0].label}"
+
+    def from_memo(i: int) -> bool:
+        if keys[i] is None or keys[i] not in memo:
+            return False
+        t0 = time.perf_counter()
+        results[i] = copy.copy(memo[keys[i]])
+        if profile is not None and label(i) not in profile.cells:
+            profile.record(label(i), time.perf_counter() - t0, results[i], memo=True)
+        return True
+
+    def store(i: int) -> None:
+        if keys[i] is not None:
+            memo[keys[i]] = results[i]
+
     if batch_enabled(batch):
         batched = [
             i
             for i, (_, machine, _) in enumerate(plan)
-            if i not in done and machine.family == "detailed"
+            if machine.family == "detailed" and not from_memo(i)
         ]
-    if batched:
-        procs = [
-            plan[i][1].processor(
-                bundle, dict(plan[i][0].machine.overrides), plan[i][2]
-            )
-            for i in batched
-        ]
-        t0 = time.perf_counter() if profile is not None else 0.0
-        stats = run_batch(procs)
-        for i, stat in zip(batched, stats):
-            results[i] = stat
-        if profile is not None:
-            share = (time.perf_counter() - t0) / len(procs)
-            for i in batched:
-                profile.record(
-                    f"{spec.name}/{workload}/{plan[i][0].label}",
-                    share,
-                    results[i],
+        if batched:
+            procs = [
+                plan[i][1].processor(
+                    bundle, dict(plan[i][0].machine.overrides), plan[i][2]
                 )
-    skip = done | set(batched)
+                for i in batched
+            ]
+            t0 = time.perf_counter() if profile is not None else 0.0
+            stats = run_batch(procs)
+            share = (time.perf_counter() - t0) / len(procs)
+            for i, stat in zip(batched, stats):
+                results[i] = stat
+                store(i)
+                if profile is not None:
+                    profile.record(label(i), share, stat)
     for i, (cell, machine, collectors) in enumerate(plan):
-        if i in skip:
+        if results[i] is not None or from_memo(i):
             continue
         t0 = time.perf_counter() if profile is not None else 0.0
         result = machine.simulate(
@@ -636,50 +660,50 @@ def _simulate_cells(
             tfr_collectors=collectors,
         )
         if profile is not None:
-            profile.record(
-                f"{spec.name}/{workload}/{cell.label}",
-                time.perf_counter() - t0,
-                result,
-            )
+            profile.record(label(i), time.perf_counter() - t0, result)
         results[i] = result
+        store(i)
     return results
 
 
 def prepare_study_batch(
     pairs,
+    memo: dict,
     scale: float | None = None,
     experiment_kwargs: dict | None = None,
-) -> dict:
-    """Pre-simulate every detailed cell of a study shard in one batch.
+) -> None:
+    """Pre-simulate a study shard's distinct detailed cells into ``memo``.
 
     ``pairs`` is the shard's pending ``(experiment, workload)`` rows;
     ``experiment_kwargs`` is exactly what the study threads into
     :func:`run_spec_row` (``cells=``/builder params are honoured,
-    ``batch=``/``profile=`` are execution strategy and ignored here).
-    Spec resolution mirrors ``run_spec_row`` — derived views resolve to
-    their base spec with default knobs, so a study running e.g. both
-    figure5 and figure6 simulates the shared base cells *once* (the
-    prepared map deduplicates by ``(spec, workload, label)``).
+    ``batch=`` is execution strategy and ignored here).  Spec resolution
+    mirrors ``run_spec_row`` — derived views resolve to their base spec
+    with default knobs.
 
-    All collected processors advance through one fused
+    Every cell :func:`memo_key` keys and ``memo`` does not yet hold is
+    collected once per key, so a cell shared by several artifacts (the
+    window-256 ``CI`` machine, say) simulates once.  All collected
+    processors advance through one fused
     :func:`~repro.harness.batch.run_batch_isolated` loop — the whole
-    shard shares a single GC pause and driver frame, and each workload
-    bundle is derived once per shard via the artifact cache.  Returns
-    ``{(spec_name, workload, label): (status, payload, share_seconds)}``
-    for :func:`run_spec_row`'s ``prepared=`` parameter, where ``share``
-    is the batch's amortized per-cell wall clock.  TFR cells are left
-    out (their collectors must be the ones the row's metric extractor
-    reads), as is any row whose planning fails — those cells simply run
-    scalar, degrading through the per-cell runner as before.
+    shard shares a single GC pause and driver frame — and each success
+    is stored in ``memo`` for :func:`run_spec_row`'s ``memo=``
+    parameter.  A ``profile=`` in ``experiment_kwargs`` records the
+    batch's amortized per-cell share under the first cell that claimed
+    each key; the rows' memo reads then leave that entry alone.
+
+    Failed cells are not stored.  Every row that needs one simulates it
+    again, on every runner retry, under the row's ``timeout_seconds`` —
+    so a cell that hangs rather than fails fast may come back as a
+    ``CellTimeout`` instead of the fused loop's error.  A row whose
+    planning fails likewise runs scalar and degrades per cell.
     """
     kwargs = dict(experiment_kwargs or {})
     kwargs.pop("batch", None)
-    kwargs.pop("profile", None)
+    profile = kwargs.pop("profile", None)
     labels = kwargs.pop("cells", None)
-    prepared: dict = {}
     procs: list = []
-    keys: list = []
-    claimed: set = set()
+    claims: dict = {}  # memo key -> profile label of the claiming cell
     for experiment, workload in dict.fromkeys(pairs):
         try:
             spec = select_cells(resolve_spec(experiment, kwargs), labels)
@@ -687,37 +711,37 @@ def prepare_study_batch(
                 spec = resolve_spec(spec.derives)
             if spec.needs != "bundle":
                 continue
-            plan = [
-                cell
-                for cell in spec.cells
-                if not cell.tfr
-                and cell.machine.resolve().family == "detailed"
-                and (spec.name, workload, cell.label) not in claimed
-            ]
+            row_scale = spec.default_scale if scale is None else scale
+            plan: dict = {}
+            for cell in spec.cells:
+                machine = cell.machine.resolve()
+                key = memo_key(workload, row_scale, cell, machine)
+                if key is not None and key not in memo and key not in claims:
+                    plan.setdefault(key, (cell, machine))
             if not plan:
                 continue
-            row_scale = spec.default_scale if scale is None else scale
             bundle = _load_for(spec, workload, row_scale)
-            for cell in plan:
-                procs.append(
-                    cell.machine.resolve().processor(
-                        bundle, dict(cell.machine.overrides), ()
-                    )
-                )
-                keys.append((spec.name, workload, cell.label))
-                claimed.add(keys[-1])
+            row_procs = [
+                machine.processor(bundle, dict(cell.machine.overrides), ())
+                for cell, machine in plan.values()
+            ]
         except Exception:
             # Planning failure (bogus workload, bad knobs...): leave the
             # row to the scalar path, which degrades it per cell.
             continue
+        procs.extend(row_procs)
+        for key, (cell, _) in plan.items():
+            claims[key] = f"{spec.name}/{workload}/{cell.label}"
     if not procs:
-        return prepared
+        return
     t0 = time.perf_counter()
     outcomes = run_batch_isolated(procs)
     share = (time.perf_counter() - t0) / len(procs)
-    for key, (status, payload) in zip(keys, outcomes):
-        prepared[key] = (status, payload, share)
-    return prepared
+    for (key, label), (status, payload) in zip(claims.items(), outcomes):
+        if status == "ok":
+            memo[key] = payload
+            if profile is not None:
+                profile.record(label, share, payload)
 
 
 def run_spec_row(
@@ -727,7 +751,7 @@ def run_spec_row(
     profile: SpecProfile | None = None,
     cells=None,
     batch: bool | None = None,
-    prepared: dict | None = None,
+    memo: dict | None = None,
     **params,
 ) -> CellRow:
     """Execute every cell of one spec for one workload.
@@ -738,10 +762,11 @@ def run_spec_row(
     subset of the spec's cells by label (see :func:`select_cells`);
     ``batch`` routes the row's detailed-family cells through the
     array-batched driver (default: the ``REPRO_BATCH`` environment
-    variable), with byte-identical rows either way.  ``prepared``
-    consumes study-level pre-simulated outcomes from
-    :func:`prepare_study_batch` (the study runners thread it; direct
-    callers normally leave it unset).
+    variable), with byte-identical rows either way.  ``memo`` is the
+    study's cell memo (see :func:`memo_key`): the study runners create
+    one per study and thread it through every row, so each distinct
+    detailed cell simulates once per study; direct callers normally
+    leave it unset and every cell simulates.
     """
     spec = select_cells(resolve_spec(name_or_spec, params), cells)
     if spec.derives is not None:
@@ -751,7 +776,7 @@ def run_spec_row(
             scale=scale,
             profile=profile,
             batch=batch,
-            prepared=prepared,
+            memo=memo,
         )
         data = TRANSFORMS[spec.transform](base.data)
         return CellRow(experiment=spec.name, workload=workload, data=data)
@@ -767,7 +792,7 @@ def run_spec_row(
         for cell in spec.cells
     ]
     results = _simulate_cells(
-        spec, workload, bundle, plan, batch, profile, prepared
+        spec, workload, bundle, plan, batch, profile, memo
     )
     outcomes = []
     for (cell, machine, collectors), result in zip(plan, results):
@@ -976,6 +1001,7 @@ __all__ = [
     "get_spec",
     "load_bundle",
     "load_program_bundle",
+    "memo_key",
     "metric",
     "percent_improvement",
     "prepare_study_batch",

@@ -19,26 +19,40 @@ Builders are parameterized by their artifact's sweep knobs (``windows``,
 windows=...)`` re-materializes the entry through its builder, and the
 chosen knobs are recorded on the spec's ``params`` for provenance.
 
-Figure → registry mapping (see also DESIGN.md):
+Figure → registry mapping (see also DESIGN.md).  The last column lists
+the cells that materialize the same ``CoreConfig`` as a Figure 5 cell;
+within one study the cell memo (:func:`repro.harness.spec.memo_key`)
+simulates each such group once per workload, whichever artifact runs
+first, and serves the others a copy of its stats.  ``CI256`` and
+``BASE256`` are Figure 5's ``CI/w256`` and ``BASE/w256``:
 
-========  =====  =========  ==============================================
-artifact  shape  transform  machines (registry names)
-========  =====  =========  ==============================================
-Table 1   rows   —          functional
-Figure 3  grid   —          ideal/* × window
-Figure 5  grid   —          BASE, CI, CI-I × window
-Figure 6  (derived from Figure 5 via ``ci_over_base``)
-Table 2   rows   —          CI
-Table 3   rows   —          CI
-Table 4   rows   —          BASE + CI
-Figure 8  map    —          CI × preemption
-Figure 9  map    —          CI × completion model (× HFM)
-Figure 10 map    —          CI + TFR collectors
-Figure 12 map    —          CI × oracle global history
-Figure 13 map    —          BASE + CI × repredict mode
-Figure 14 map    —          BASE + CI × segment size
-Figure 17 map    pct_vs_base  BASE + CI/<heuristic>... + CI
-========  =====  =========  ==============================================
+=========  =====  ===========  =============================  ==========================
+artifact   shape  transform    machines (registry names)      cells sharing a simulation
+=========  =====  ===========  =============================  ==========================
+Table 1    rows   —            functional                     — (functional: no memo)
+Figure 3   grid   —            ideal/* × window               — (ideal: no memo)
+Figure 5   grid   —            BASE, CI, CI-I × window        ``CI/w256`` = CI256,
+                                                              ``BASE/w256`` = BASE256
+Figure 6   (derived from Figure 5 via ``ci_over_base``)
+Table 2    rows   —            CI                             ``CI`` = CI256
+Table 3    rows   —            CI                             ``CI`` = CI256
+Table 4    rows   —            BASE + CI                      ``BASE`` = BASE256,
+                                                              ``CI`` = CI256
+Figure 8   map    —            CI × preemption                ``optimal`` = CI256
+Figure 9   map    —            CI × completion model (× HFM)  ``spec-C`` = CI256
+Figure 10  map    —            CI + TFR collectors            — (TFR cells bypass the memo)
+Figure 12  map    —            CI × oracle global history     ``timing`` = CI256
+Figure 13  map    —            BASE + CI × repredict mode     ``base`` = BASE256,
+                                                              ``CI`` = CI256
+Figure 14  map    —            BASE + CI × segment size       ``base`` = BASE256,
+                                                              ``seg1`` = CI256
+Figure 17  map    pct_vs_base  BASE + CI/<heuristic>... + CI  ``base`` = BASE256,
+                                                              ``postdom`` = CI256
+=========  =====  ===========  =============================  ==========================
+
+The 42 detailed cells per workload therefore run 28 distinct
+configurations plus Figure 10's TFR cell: a full study simulates 29
+cells per workload.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 byte-identical wiring through the spec engine, and study-level fusion."""
 
 import gc
+import time
 
 import pytest
 
@@ -10,12 +11,14 @@ from repro.errors import SimulationHang
 from repro.harness import load_bundle, run_study
 from repro.harness.batch import batch_enabled, run_batch, run_batch_isolated
 from repro.harness.experiments import study_cells
+from repro.harness.runner import CellRunner, RunnerConfig
 from repro.harness.spec import (
     SpecProfile,
     prepare_study_batch,
     run_spec,
     run_spec_row,
 )
+from repro.machines import get_machine
 
 SCALE = 0.02
 
@@ -127,48 +130,123 @@ class TestRunBatchIsolated:
         assert run_batch_isolated([]) == []
 
 
+def _prepare(pairs, **experiment_kwargs):
+    memo = {}
+    prepare_study_batch(
+        pairs, memo, scale=SCALE, experiment_kwargs=experiment_kwargs
+    )
+    return memo
+
+
 class TestStudyBatchPrepare:
     def test_prepared_rows_match_scalar(self):
-        prepared = prepare_study_batch([("figure5", "go")], scale=SCALE)
-        assert prepared  # every detailed figure5 cell pre-simulated
-        assert all(key[0] == "figure5" and key[1] == "go" for key in prepared)
-        row = run_spec_row("figure5", "go", scale=SCALE, prepared=prepared)
+        memo = _prepare([("figure5", "go")])
+        assert len(memo) == 9  # every detailed figure5 cell pre-simulated
+        assert all(key[:2] == ("go", SCALE) for key in memo)
+        row = run_spec_row("figure5", "go", scale=SCALE, memo=memo)
         assert row == run_spec_row("figure5", "go", scale=SCALE)
 
     def test_derived_spec_shares_base_cells(self):
         # figure6 derives from figure5: preparing both plans the base
-        # cells once, and the one map serves both rows.
-        prepared = prepare_study_batch(
-            [("figure5", "go"), ("figure6", "go")], scale=SCALE
-        )
-        assert all(key[0] == "figure5" for key in prepared)
-        derived = run_spec_row("figure6", "go", scale=SCALE, prepared=prepared)
+        # cells once, and the one memo serves both rows.
+        memo = _prepare([("figure5", "go"), ("figure6", "go")])
+        assert len(memo) == 9
+        derived = run_spec_row("figure6", "go", scale=SCALE, memo=memo)
         assert derived == run_spec_row("figure6", "go", scale=SCALE)
 
+    def test_shared_cells_prepared_once(self):
+        # table2's CI@256 is figure5's CI/w256; table4 adds nothing new.
+        memo = {}
+        prepare_study_batch([("figure5", "go")], memo, scale=SCALE)
+        before = dict(memo)
+        prepare_study_batch(
+            [("table2", "go"), ("table4", "go")], memo, scale=SCALE
+        )
+        assert memo == before
+
     def test_program_only_specs_left_to_scalar_path(self):
-        assert prepare_study_batch([("table1", "go")], scale=SCALE) == {}
+        assert _prepare([("table1", "go")]) == {}
 
     def test_bogus_workload_left_to_scalar_path(self):
-        assert (
-            prepare_study_batch([("figure5", "no-such-workload")], scale=SCALE)
-            == {}
-        )
+        assert _prepare([("figure5", "no-such-workload")]) == {}
 
     def test_prepared_profile_records_every_cell(self):
-        prepared = prepare_study_batch([("figure5", "go")], scale=SCALE)
         prepared_prof, scalar_prof = SpecProfile(), SpecProfile()
+        memo = _prepare([("figure5", "go")], profile=prepared_prof)
+        fused = dict(prepared_prof.cells)
+        assert len(fused) == len(memo) == 9
         run_spec_row(
-            "figure5", "go", scale=SCALE, prepared=prepared, profile=prepared_prof
+            "figure5", "go", scale=SCALE, memo=memo, profile=prepared_prof
         )
         run_spec_row("figure5", "go", scale=SCALE, profile=scalar_prof)
         assert set(prepared_prof.cells) == set(scalar_prof.cells)
+        # the row's memo reads keep the fused loop's real-simulation entry
+        assert {key: prepared_prof.cells[key] for key in fused} == fused
+        assert not any(e.get("memo") for e in prepared_prof.cells.values())
+        assert not any(e.get("memo") for e in scalar_prof.cells.values())
 
-    def test_prepared_error_reraises_for_the_cell(self):
-        prepared = prepare_study_batch([("figure5", "go")], scale=SCALE)
-        key = next(iter(prepared))
-        prepared[key] = ("error", SimulationHang("injected"), 0.0)
+    def test_prepared_error_reraises_for_the_cell(self, monkeypatch):
+        # A cell that failed inside the fused loop is not memoized: its
+        # row simulates it again, and that run's error is the cell's.
+        import repro.harness.spec as spec_module
+
+        def first_fails(procs):
+            outcomes = run_batch_isolated(procs)
+            outcomes[0] = ("error", SimulationHang("fused"))
+            return outcomes
+
+        monkeypatch.setattr(spec_module, "run_batch_isolated", first_fails)
+        memo = _prepare([("figure5", "go")])
+        assert len(memo) == 8
+
+        def hang(self):
+            raise SimulationHang("injected")
+
+        monkeypatch.setattr(Processor, "run", hang)
         with pytest.raises(SimulationHang, match="injected"):
-            run_spec_row("figure5", "go", scale=SCALE, prepared=prepared)
+            run_spec_row("figure5", "go", scale=SCALE, memo=memo)
+
+    def test_hung_fused_cell_times_out_in_every_row(self, monkeypatch):
+        # BASE@256 fails in the fused loop, then hangs when its rows
+        # simulate it again: each row, on each attempt, runs it under the
+        # row's timeout, so the rows report CellTimeout, not the fused
+        # loop's SimulationHang.
+        import repro.harness.spec as spec_module
+
+        base = get_machine("BASE").core_config(window_size=256)
+
+        def base_fails(procs):
+            rest = iter(run_batch_isolated([p for p in procs if p.config != base]))
+            return [
+                ("error", SimulationHang("fused")) if p.config == base else next(rest)
+                for p in procs
+            ]
+
+        hung = []
+        original = Processor.start
+
+        def hang_on_base(self):
+            if self.config == base:
+                hung.append(self.config)
+                time.sleep(5)
+            return original(self)
+
+        monkeypatch.setattr(spec_module, "run_batch_isolated", base_fails)
+        monkeypatch.setattr(Processor, "start", hang_on_base)
+        runner = CellRunner(
+            RunnerConfig(timeout_seconds=0.2, max_attempts=2, backoff_seconds=0)
+        )
+        study = run_study(
+            experiments=["table4", "figure13"],
+            scale=SCALE,
+            names=("go",),
+            runner=runner,
+            batch=True,
+        )
+        assert len(hung) == 2 * 2  # two rows, two attempts each
+        for exp in ("table4", "figure13"):
+            row = study["results"][exp]["go"]
+            assert row["error_type"] == "CellTimeout"
 
 
 class TestStudyLevelBatching:

@@ -80,6 +80,11 @@ class TestRegistryCompleteness:
         with pytest.raises(ConfigError, match="figure99"):
             validate_experiments(["figure5", "figure99"])
 
+    def test_validate_experiments_takes_a_bare_string(self):
+        assert validate_experiments("table2") == ["table2"]
+        with pytest.raises(ConfigError, match="'figure99'"):
+            validate_experiments("figure99")
+
     def test_unknown_spec_rejected(self):
         with pytest.raises(ConfigError, match="figure99"):
             get_spec("figure99")
@@ -226,6 +231,21 @@ class TestStudySelection:
             ("table2", None),
             ("table4", None),
         ]
+
+    def test_parse_only_takes_a_bare_string(self):
+        assert parse_only("table2") == [("table2", None)]
+        assert parse_only("figure5:go") == [("figure5", "go")]
+        with pytest.raises(ConfigError, match="selector 'figure99'"):
+            parse_only("figure99")
+
+    def test_run_study_takes_bare_string_selections(self):
+        for kwargs in (
+            dict(experiments="table2"),
+            dict(experiments=["table1", "table2"], only="table2"),
+        ):
+            out = run_study(scale=SCALE, names=("go",), **kwargs)
+            assert out["failures"] == []
+            assert list(out["results"]) == ["table2"]
 
     def test_parse_only_rejects_unknown_experiment(self):
         with pytest.raises(ConfigError, match="figure99"):
