@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Run a study grid in parallel and benchmark it against the serial path.
+"""Run a study grid in parallel and check it against the serial path.
 
-Fans the experiments × workloads grid across worker processes (the
-tentpole of the harness scaling layer), verifies the rows are
-byte-identical to a serial run, and writes a ``BENCH_parallel.json``
-report with the measured wall-clock speedup.
+Fans the experiments × workloads grid across worker processes, checks
+the rows are identical to a serial run's, and prints how many
+distinct detailed cells the pool's cells-first wave simulated.  Timing
+claims go through the performance ledger (``ledger/run.py``), not this
+script.
 
 Usage:
     python parallel_study.py --jobs 4
@@ -75,8 +76,6 @@ def main(argv=None) -> int:
         "--skip-serial", action="store_true",
         help="run only the parallel study (no baseline, no identity check)",
     )
-    parser.add_argument("--report", type=Path, default=Path("BENCH_parallel.json"),
-                        help="where to write the benchmark report")
     parser.add_argument(
         "--list", action="store_true",
         help="enumerate registered specs/cells and exit",
@@ -106,14 +105,6 @@ def main(argv=None) -> int:
     print(f"grid: {len(chosen)} experiments x {len(names)} workloads "
           f"{shown}, scale {args.scale}, jobs {jobs}")
 
-    report = {
-        "experiments": chosen,
-        "workloads": list(names),
-        "scale": args.scale,
-        "cells": grid,
-        "jobs": jobs,
-    }
-
     serial_out = None
     if not args.skip_serial:
         print("serial baseline ...", flush=True)
@@ -122,8 +113,7 @@ def main(argv=None) -> int:
             experiments=chosen, scale=args.scale, names=names, jobs=1,
             only=args.only,
         )
-        report["serial_seconds"] = round(time.perf_counter() - t0, 3)
-        print(f"  {report['serial_seconds']}s, "
+        print(f"  {time.perf_counter() - t0:.3f}s, "
               f"{len(serial_out['failures'])} failed cells")
 
     print(f"parallel run (jobs={jobs}) ...", flush=True)
@@ -133,31 +123,22 @@ def main(argv=None) -> int:
         checkpoint_path=args.checkpoint, cache_dir=args.cache_dir,
         only=args.only,
     )
-    report["parallel_seconds"] = round(time.perf_counter() - t0, 3)
-    report["resumed_cells"] = parallel_out["resumed"]
-    report["failed_cells"] = len(parallel_out["failures"])
-    print(f"  {report['parallel_seconds']}s, {parallel_out['resumed']} resumed, "
+    print(f"  {time.perf_counter() - t0:.3f}s, {parallel_out['resumed']} resumed, "
           f"{len(parallel_out['failures'])} failed cells")
+    print(f"distinct detailed cells simulated by wave 1: "
+          f"{parallel_out['wave1_cells']}")
 
     if serial_out is not None:
+        # Compared as JSON: rows resumed from --checkpoint carry string
+        # window keys and lists where a fresh row has ints and tuples.
         identical = json.dumps(serial_out["results"], sort_keys=True) == json.dumps(
             parallel_out["results"], sort_keys=True
         )
-        report["rows_identical_to_serial"] = identical
-        if report["parallel_seconds"]:
-            report["speedup"] = round(
-                report["serial_seconds"] / report["parallel_seconds"], 2
-            )
-        print(f"rows identical to serial: {identical}; "
-              f"speedup {report.get('speedup', 'n/a')}x")
+        print(f"rows identical to serial: {identical}")
         if not identical:
             print("ERROR: parallel rows diverge from the serial baseline",
                   file=sys.stderr)
-            args.report.write_text(json.dumps(report, indent=2) + "\n")
             return 1
-
-    args.report.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"report written to {args.report}")
     return 0
 
 

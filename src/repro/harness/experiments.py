@@ -364,11 +364,13 @@ def run_study(
     machine that Figure 5, Tables 2-4 and Figures 8-17 all run is
     simulated once per workload and the other rows read a copy of its
     stats.  Failed cells are never memoized, TFR cells always simulate,
-    and two ``run_study`` calls never share results.  Under ``jobs``
-    the memo never spans worker tasks (which worker draws which row is
-    up to the pool, so a shared memo would make the simulated-cell count
-    depend on scheduling): rows dispatched one by one simulate every
-    cell, and a ``batch`` shard keeps a memo of its own.
+    and two ``run_study`` calls never share results.  Under ``jobs`` the
+    pool runs cells first: wave 1 simulates each distinct detailed cell
+    of the pending rows once (no retries) into a memo the parent holds,
+    then wave 2 runs the rows, each shipped the entries it needs, so the
+    simulated-cell count equals the serial path's whichever worker draws
+    which task; a cell that failed in wave 1 is simulated by its rows
+    with the usual retries.  A ``batch`` shard keeps a memo of its own.
 
     ``batch=`` (or ``REPRO_BATCH``) composes with ``jobs``: batching is
     applied *within* each worker's shard of the grid — serially that is

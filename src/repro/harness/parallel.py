@@ -1,23 +1,40 @@
 """Parallel study scheduler: fan the experiment grid across processes.
 
 The study grid (experiments × workloads) is embarrassingly parallel —
-cells share nothing but the read-only workload artifacts — yet the seed
-harness drove it serially through one process.  This module dispatches
-pending cells to a :class:`concurrent.futures.ProcessPoolExecutor`:
+cells share nothing but the read-only workload artifacts and the
+detailed cells several artifacts run alike.  This module dispatches the
+pending part of the grid to a
+:class:`concurrent.futures.ProcessPoolExecutor` in two waves:
+
+* **wave 1, cells first** — one task per *distinct* memo-keyed detailed
+  cell of the pending rows (:func:`~repro.harness.spec.plan_study_cells`),
+  plus every row that keys no cell (Table 1, Figure 3), dispatched
+  longest-first by the workload's golden-trace length (ties in plan
+  order).  Each cell runs once under the study's ``timeout_seconds``,
+  with no retries; every success seeds a parent-side cell memo, and a
+  failure or a crashed worker is simply not stored.
+* **wave 2, rows** — every remaining row, each task carrying the memo
+  entries its own keys need.  A row whose cell is missing from the memo
+  simulates it on the row path, with the usual retry and degradation.
+
+So every distinct detailed cell simulates exactly once per study,
+whichever worker draws it — the same count as the serial path — and
+rows are byte-identical to the serial run's.  Every task, cell or row,
+enters the worker through :func:`_run_cell`.
 
 * **job count** — the ``jobs`` argument, else the ``REPRO_JOBS``
   environment variable, else 1; ``"auto"`` means the CPU count.
 * **checkpoint integration** — cells already in the
   :class:`~repro.harness.runner.CheckpointStore` are satisfied *before*
-  dispatch, so a resumed study only pays for unfinished cells.  The
-  parent process is the only checkpoint writer (workers return results;
-  the parent records them), so no cross-process file locking is needed.
+  dispatch, so a resumed study only pays for unfinished rows and the
+  detailed cells they need.  The parent process is the only checkpoint
+  writer (workers return results; the parent records them), so no
+  cross-process file locking is needed.
 * **process-safe timeouts** — each worker enforces the per-cell budget
   inside its own process via
   :func:`~repro.harness.runner.call_with_timeout` (SIGALRM on the
   worker's own main thread, a thread-join deadline elsewhere).  No
-  timer ever crosses a process boundary, unlike the old
-  parent-side SIGALRM which was both main-thread-only and shared.
+  timer ever crosses a process boundary.
 * **once-per-study tracing** — before dispatch the parent derives every
   workload's golden trace and reconvergence table into a disk-backed
   :class:`~repro.harness.cache.ArtifactCache` shared with the workers
@@ -25,8 +42,9 @@ pending cells to a :class:`concurrent.futures.ProcessPoolExecutor`:
   expensive artifacts are derived exactly once per (program,
   history_bits) per study instead of once per cell per worker.
 
-Results are assembled in the same deterministic order as the serial
-path, so a parallel study returns byte-identical rows.
+A ``batch=True`` study instead sends one fused shard per worker
+(:func:`_run_shard`).  Results are assembled in the same deterministic
+order as the serial path.
 """
 
 from __future__ import annotations
@@ -41,7 +59,15 @@ from typing import Any, Callable, Sequence
 from ..errors import ConfigError
 from ..workloads import WORKLOAD_NAMES
 from .batch import batch_enabled
-from .runner import Cell, CellResult, CellRunner, CheckpointStore, Deadline, RunnerConfig
+from .runner import (
+    Cell,
+    CellResult,
+    CellRunner,
+    CheckpointStore,
+    Deadline,
+    RunnerConfig,
+    call_with_timeout,
+)
 
 _log = logging.getLogger(__name__)
 
@@ -99,24 +125,43 @@ def _init_worker(cache_dir: str | None) -> None:
 def _run_cell(
     experiment: str,
     workload: str,
-    knob_hash: str,
+    knob_hash: str | None,
     scale: float,
     experiment_kwargs: dict,
     runner_knobs: dict,
-) -> dict:
-    """Execute one cell inside a worker process.
+    memo: dict | None = None,
+    machine=None,
+):
+    """Execute one pool task inside a worker process.
 
-    Returns a plain dict (picklable) mirroring
-    :class:`~repro.harness.runner.CellResult`; never raises for cell
+    A row task returns a plain dict (picklable) mirroring
+    :class:`~repro.harness.runner.CellResult`; it never raises for cell
     failures — the worker-side :class:`CellRunner` degrades them.  The
-    cell body is the same :func:`~repro.harness.spec.run_spec_row` the
-    serial path runs, so rows are byte-identical.  Cells are handed to
-    workers dynamically, so no cell memo spans them: a memo shared by
-    whichever cells one worker happened to draw would make the number
-    of simulations depend on scheduling.
-    """
-    from .spec import run_spec_row
+    row body is the same :func:`~repro.harness.spec.run_spec_row` the
+    serial path runs, reading ``memo``, the cell-memo entries the parent
+    shipped for this row, so rows are byte-identical.
 
+    With ``machine`` (a :class:`~repro.harness.spec.MachineSpec`) the
+    task is one wave-1 detailed cell of ``experiment``'s row instead: it
+    simulates once under ``timeout_seconds``, with no retries, and
+    returns ``{"status": "ok", "value": CoreStats}`` or the error's type
+    and message (not the exception, which need not pickle).
+    """
+    from .spec import load_bundle, run_spec_row
+
+    if machine is not None:
+        try:
+            bundle = load_bundle(workload, scale)
+            stats = call_with_timeout(
+                lambda: machine.resolve().simulate(
+                    bundle, overrides=dict(machine.overrides)
+                ),
+                runner_knobs.get("timeout_seconds"),
+            )
+        except Exception as exc:
+            return {"status": "error", "error": str(exc),
+                    "error_type": type(exc).__name__}
+        return {"status": "ok", "value": stats}
     cell = Cell(
         experiment=experiment, workload=workload, config_hash=knob_hash, scale=scale
     )
@@ -124,7 +169,7 @@ def _run_cell(
     result = runner.run_cell(
         cell,
         lambda: run_spec_row(
-            experiment, workload, scale=scale, **experiment_kwargs
+            experiment, workload, scale=scale, memo=memo, **experiment_kwargs
         ).to_payload(),
     )
     return {
@@ -318,18 +363,137 @@ def map_resilient(
             for outcome in outcomes]
 
 
-def _prewarm_cache(cache, names, scale: float) -> None:
+def _prewarm_cache(cache, names, scale: float) -> dict:
     """Derive every workload's shared artifacts once, up front.
 
-    A bogus workload name must degrade as a per-cell error row (exactly
-    as it does serially), not kill the study here — so derivation
-    failures are swallowed and left for the owning cells to report.
+    Returns each workload's golden-trace length, the cells-first wave's
+    deterministic cost proxy.  A bogus workload name must degrade as a
+    per-cell error row (exactly as it does serially), not kill the study
+    here — so derivation failures are swallowed (length 0) and left for
+    the owning cells to report.
     """
+    lengths = {}
     for name in names:
         try:
-            cache.artifacts(name, scale)
+            lengths[name] = len(cache.artifacts(name, scale).golden)
         except Exception:
-            pass
+            lengths[name] = 0
+    return lengths
+
+
+def _degrade(cell: Cell, tag: str, payload) -> CellResult:
+    """The error row of a task that crashed its worker or raised."""
+    if tag == OUTCOME_CRASHED:
+        return CellResult(
+            key=cell.key,
+            status="error",
+            value=None,
+            error=payload,
+            error_type="WorkerCrash",
+            attempts=1,
+        )
+    # "error": the worker raised / result was unpicklable
+    return CellResult(
+        key=cell.key,
+        status="error",
+        value=None,
+        error=str(payload),
+        error_type=type(payload).__name__,
+        attempts=1,
+    )
+
+
+def _run_cells_first(
+    pending: list,
+    lengths: dict,
+    scale: float,
+    worker_kwargs: dict,
+    runner_knobs: dict,
+    jobs: int,
+    cache_dir: str,
+    settle: Callable[[CellResult], None],
+) -> int:
+    """Dispatch the ``pending`` rows in the two waves of the module
+    docstring, wave 1 longest-first by the workloads' golden-trace
+    ``lengths``; returns how many distinct detailed cells wave 1
+    memoized.
+    """
+    from .spec import plan_study_cells
+
+    row_keys = [
+        plan_study_cells([(cell.experiment, cell.workload)], scale, worker_kwargs)
+        for cell in pending
+    ]
+    plan: dict = {}
+    for keys in row_keys:
+        for key, planned in keys.items():
+            plan.setdefault(key, planned)
+
+    def row_task(cell: Cell, memo: dict | None) -> tuple:
+        return (
+            cell.experiment,
+            cell.workload,
+            cell.config_hash,
+            cell.scale,
+            worker_kwargs,
+            runner_knobs,
+            memo,
+        )
+
+    def settle_row(cell: Cell, outcome: tuple) -> None:
+        tag, payload = outcome
+        if tag == OUTCOME_OK:
+            settle(CellResult(**payload))
+        else:
+            settle(_degrade(cell, tag, payload))
+
+    def dispatch(tasks: list, on_result: Callable[[int, tuple], None]) -> None:
+        if tasks:
+            map_resilient(
+                _run_cell,
+                tasks,
+                jobs,
+                initializer=_init_worker,
+                initargs=(cache_dir,),
+                on_result=on_result,
+            )
+
+    # Wave 1: (cost, task, target), target a memo key or a keyless row.
+    wave1 = [
+        (
+            lengths.get(p.workload, 0),
+            (p.experiment, p.workload, None, p.scale, {}, runner_knobs, None,
+             p.machine),
+            key,
+        )
+        for key, p in plan.items()
+    ] + [
+        (lengths.get(cell.workload, 0), row_task(cell, None), cell)
+        for cell, keys in zip(pending, row_keys)
+        if not keys
+    ]
+    wave1.sort(key=lambda item: -item[0])  # stable: ties keep plan order
+    memo: dict = {}
+
+    def on_wave1(index: int, outcome: tuple) -> None:
+        target = wave1[index][2]
+        tag, payload = outcome
+        if isinstance(target, Cell):
+            settle_row(target, outcome)
+        elif tag == OUTCOME_OK and payload["status"] == "ok":
+            memo[target] = payload["value"]
+        else:
+            _log.debug("wave-1 cell %r not memoized: %r", target, payload)
+
+    dispatch([task for _, task, _ in wave1], on_wave1)
+
+    # Wave 2: every row that reads the memo, carrying its own entries.
+    wave2 = [(cell, keys) for cell, keys in zip(pending, row_keys) if keys]
+    dispatch(
+        [row_task(cell, {k: memo[k] for k in keys if k in memo}) for cell, keys in wave2],
+        lambda index, outcome: settle_row(wave2[index][0], outcome),
+    )
+    return len(memo)
 
 
 def run_study_parallel(
@@ -346,11 +510,16 @@ def run_study_parallel(
 ) -> dict:
     """Parallel twin of :func:`repro.harness.experiments.run_study`.
 
-    Same contract and same (byte-identical) rows; adds ``"jobs"`` to the
-    returned dict.  When the job count resolves to 1 (explicitly, or
-    ``"auto"`` on a single-CPU host) the grid runs through the in-process
-    serial runner instead of a one-worker pool.  ``only`` restricts the
-    grid to ``EXPERIMENT:WORKLOAD`` selectors for partial reruns.
+    Same contract and same (byte-identical) rows; adds ``"jobs"`` and
+    ``"wave1_cells"`` to the returned dict on every path.  ``wave1_cells``
+    counts the cells deduplicated by the pool's wave 1: the distinct
+    detailed cells it simulated into the study's memo.  It is 0 when no
+    wave 1 ran — a serial study, a ``batch`` study (whose shards
+    deduplicate into memos of their own) or a fully resumed one.
+    When the job count resolves to 1 (explicitly, or ``"auto"`` on a
+    single-CPU host) the grid runs through the in-process serial runner
+    instead of a one-worker pool.  ``only`` restricts the grid to
+    ``EXPERIMENT:WORKLOAD`` selectors for partial reruns.
     """
     from .cache import ArtifactCache
     from .experiments import (
@@ -384,6 +553,7 @@ def run_study_parallel(
             **experiment_kwargs,
         )
         out["jobs"] = 1
+        out["wave1_cells"] = 0
         return out
     store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
 
@@ -406,6 +576,7 @@ def run_study_parallel(
         else:
             pending.append(cell)
 
+    wave1_cells = 0
     if pending:
         runner_knobs = {
             "timeout_seconds": timeout_seconds,
@@ -428,28 +599,11 @@ def run_study_parallel(
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-study-cache-")
             shared_dir = tmpdir.name
         try:
-            cache = ArtifactCache(disk_dir=shared_dir)
-            _prewarm_cache(cache, dict.fromkeys(c.workload for c in pending), scale)
-
-            def degrade(cell: Cell, tag: str, payload) -> CellResult:
-                if tag == OUTCOME_CRASHED:
-                    return CellResult(
-                        key=cell.key,
-                        status="error",
-                        value=None,
-                        error=payload,
-                        error_type="WorkerCrash",
-                        attempts=1,
-                    )
-                # "error": the worker raised / result was unpicklable
-                return CellResult(
-                    key=cell.key,
-                    status="error",
-                    value=None,
-                    error=str(payload),
-                    error_type=type(payload).__name__,
-                    attempts=1,
-                )
+            lengths = _prewarm_cache(
+                ArtifactCache(disk_dir=shared_dir),
+                dict.fromkeys(c.workload for c in pending),
+                scale,
+            )
 
             def settle(result: CellResult) -> None:
                 if result.ok and store is not None:
@@ -484,7 +638,7 @@ def run_study_parallel(
                     else:
                         # The whole shard shared the dead/broken worker.
                         for cell in shards[index]:
-                            settle(degrade(cell, tag, payload))
+                            settle(_degrade(cell, tag, payload))
 
                 map_resilient(
                     _run_shard,
@@ -495,32 +649,9 @@ def run_study_parallel(
                     on_result=on_result,
                 )
             else:
-                tasks = [
-                    (
-                        cell.experiment,
-                        cell.workload,
-                        cell.config_hash,
-                        cell.scale,
-                        worker_kwargs,
-                        runner_knobs,
-                    )
-                    for cell in pending
-                ]
-
-                def on_result(index: int, outcome: tuple) -> None:
-                    tag, payload = outcome
-                    if tag == OUTCOME_OK:
-                        settle(CellResult(**payload))
-                    else:
-                        settle(degrade(pending[index], tag, payload))
-
-                map_resilient(
-                    _run_cell,
-                    tasks,
-                    n_jobs,
-                    initializer=_init_worker,
-                    initargs=(str(shared_dir),),
-                    on_result=on_result,
+                wave1_cells = _run_cells_first(
+                    pending, lengths, scale, worker_kwargs, runner_knobs,
+                    n_jobs, str(shared_dir), settle,
                 )
         finally:
             if tmpdir is not None:
@@ -528,6 +659,7 @@ def run_study_parallel(
 
     out = assemble_study(chosen, cells, outcomes)
     out["jobs"] = n_jobs
+    out["wave1_cells"] = wave1_cells
     return out
 
 

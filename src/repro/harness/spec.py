@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..bpred import TFRCollector
 from ..bpred.evaluate import measure_prediction
@@ -666,44 +666,44 @@ def _simulate_cells(
     return results
 
 
-def prepare_study_batch(
-    pairs,
-    memo: dict,
-    scale: float | None = None,
-    experiment_kwargs: dict | None = None,
-) -> None:
-    """Pre-simulate a study shard's distinct detailed cells into ``memo``.
+class PlannedCell(NamedTuple):
+    """One distinct memo-keyed detailed cell of a study, as planned by
+    :func:`plan_study_cells`: the workload and scale it runs at, its
+    machine, and the spec and cell label of the first row claiming it."""
 
-    ``pairs`` is the shard's pending ``(experiment, workload)`` rows;
+    workload: str
+    scale: float
+    machine: MachineSpec
+    experiment: str
+    label: str
+
+
+def plan_study_cells(
+    pairs, scale: float | None = None, experiment_kwargs: dict | None = None
+) -> dict:
+    """The distinct memo-keyed detailed cells of a study's rows.
+
+    ``pairs`` is the pending ``(experiment, workload)`` rows;
     ``experiment_kwargs`` is exactly what the study threads into
     :func:`run_spec_row` (``cells=``/builder params are honoured,
-    ``batch=`` is execution strategy and ignored here).  Spec resolution
-    mirrors ``run_spec_row`` — derived views resolve to their base spec
-    with default knobs.
+    ``batch=``/``profile=`` are execution strategy and ignored).  Spec
+    resolution mirrors ``run_spec_row`` — derived views resolve to their
+    base spec with default knobs.  Returns ``{memo_key: PlannedCell}``
+    in plan order: rows in ``pairs`` order, cells in spec order, each
+    key claimed by its first cell.  A row whose spec or cells cannot be
+    resolved is left to the row path, which degrades it per cell.
 
-    Every cell :func:`memo_key` keys and ``memo`` does not yet hold is
-    collected once per key, so a cell shared by several artifacts (the
-    window-256 ``CI`` machine, say) simulates once.  All collected
-    processors advance through one fused
-    :func:`~repro.harness.batch.run_batch_isolated` loop — the whole
-    shard shares a single GC pause and driver frame — and each success
-    is stored in ``memo`` for :func:`run_spec_row`'s ``memo=``
-    parameter.  A ``profile=`` in ``experiment_kwargs`` records the
-    batch's amortized per-cell share under the first cell that claimed
-    each key; the rows' memo reads then leave that entry alone.
-
-    Failed cells are not stored.  Every row that needs one simulates it
-    again, on every runner retry, under the row's ``timeout_seconds`` —
-    so a cell that hangs rather than fails fast may come back as a
-    ``CellTimeout`` instead of the fused loop's error.  A row whose
-    planning fails likewise runs scalar and degrades per cell.
+    The batched study path (:func:`prepare_study_batch`) and the pool's
+    cells-first wave (:func:`repro.harness.parallel.run_study_parallel`)
+    both plan through here.
     """
-    kwargs = dict(experiment_kwargs or {})
-    kwargs.pop("batch", None)
-    profile = kwargs.pop("profile", None)
-    labels = kwargs.pop("cells", None)
-    procs: list = []
-    claims: dict = {}  # memo key -> profile label of the claiming cell
+    kwargs = {
+        k: v
+        for k, v in (experiment_kwargs or {}).items()
+        if k not in ("batch", "profile", "cells")
+    }
+    labels = (experiment_kwargs or {}).get("cells")
+    plan: dict = {}
     for experiment, workload in dict.fromkeys(pairs):
         try:
             spec = select_cells(resolve_spec(experiment, kwargs), labels)
@@ -712,26 +712,58 @@ def prepare_study_batch(
             if spec.needs != "bundle":
                 continue
             row_scale = spec.default_scale if scale is None else scale
-            plan: dict = {}
             for cell in spec.cells:
-                machine = cell.machine.resolve()
-                key = memo_key(workload, row_scale, cell, machine)
-                if key is not None and key not in memo and key not in claims:
-                    plan.setdefault(key, (cell, machine))
-            if not plan:
-                continue
-            bundle = _load_for(spec, workload, row_scale)
-            row_procs = [
-                machine.processor(bundle, dict(cell.machine.overrides), ())
-                for cell, machine in plan.values()
-            ]
+                key = memo_key(workload, row_scale, cell, cell.machine.resolve())
+                if key is not None and key not in plan:
+                    plan[key] = PlannedCell(
+                        workload, row_scale, cell.machine, spec.name, cell.label
+                    )
         except Exception:
-            # Planning failure (bogus workload, bad knobs...): leave the
-            # row to the scalar path, which degrades it per cell.
+            continue  # bad knobs: the row path reports them
+    return plan
+
+
+def prepare_study_batch(
+    pairs,
+    memo: dict,
+    scale: float | None = None,
+    experiment_kwargs: dict | None = None,
+) -> None:
+    """Pre-simulate a study shard's distinct detailed cells into ``memo``.
+
+    Every cell :func:`plan_study_cells` plans for ``pairs`` and ``memo``
+    does not yet hold — so a cell shared by several artifacts (the
+    window-256 ``CI`` machine, say) once — advances through one fused
+    :func:`~repro.harness.batch.run_batch_isolated` loop: the whole
+    shard shares a single GC pause and driver frame.  Each success is
+    stored in ``memo`` for :func:`run_spec_row`'s ``memo=`` parameter.
+    A ``profile=`` in ``experiment_kwargs`` records the batch's
+    amortized per-cell share under the first cell that claimed each
+    key; the rows' memo reads then leave that entry alone.
+
+    Failed cells are not stored.  Every row that needs one simulates it
+    again, on every runner retry, under the row's ``timeout_seconds`` —
+    so a cell that hangs rather than fails fast may come back as a
+    ``CellTimeout`` instead of the fused loop's error.  A cell whose
+    workload or processor cannot be built is likewise left to the rows,
+    which degrade per cell.
+    """
+    profile = (experiment_kwargs or {}).get("profile")
+    procs: list = []
+    claims: dict = {}  # memo key -> profile label of the claiming cell
+    for key, planned in plan_study_cells(pairs, scale, experiment_kwargs).items():
+        if key in memo:
             continue
-        procs.extend(row_procs)
-        for key, (cell, _) in plan.items():
-            claims[key] = f"{spec.name}/{workload}/{cell.label}"
+        try:
+            bundle = load_bundle(planned.workload, planned.scale)
+            procs.append(
+                planned.machine.resolve().processor(
+                    bundle, dict(planned.machine.overrides), ()
+                )
+            )
+        except Exception:
+            continue
+        claims[key] = f"{planned.experiment}/{planned.workload}/{planned.label}"
     if not procs:
         return
     t0 = time.perf_counter()
@@ -994,6 +1026,7 @@ __all__ = [
     "CellSpec",
     "ExperimentSpec",
     "MachineSpec",
+    "PlannedCell",
     "SpecProfile",
     "WorkloadBundle",
     "assemble_rows",
@@ -1004,6 +1037,7 @@ __all__ = [
     "memo_key",
     "metric",
     "percent_improvement",
+    "plan_study_cells",
     "prepare_study_batch",
     "register_spec",
     "resolve_spec",
