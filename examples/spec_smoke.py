@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Spec-engine smoke check: run_spec cells vs the seed golden pickles.
 
-Runs one detailed-core cell (Figure 5, CI @ window 256) and one
-idealized cell (Figure 3, oracle @ window 256) through the declarative
-spec engine and diffs the produced IPC against
+Runs one detailed-core cell (Figure 5, CI @ window 256) and the
+idealized cells of every golden workload (Figure 3, all six models @
+window 256: the oracle, nWR, WR, FD and base paths) through the
+declarative spec engine and diffs the produced IPC against
 ``tests/goldens/equivalence.pkl`` — the statistics captured from the
 seed implementation.  Any drift between "what the registry entry runs"
 and "what the paper artifact ran" fails loudly.
 
 Usage:  python examples/spec_smoke.py [workload]
+
+``workload`` picks the detailed cell's kernel (default ``compress``);
+the idealized cells always cover every workload with ideal goldens.
 """
 
 from __future__ import annotations
@@ -57,20 +61,23 @@ def main(argv=None) -> int:
         )
     )
 
+    ideal_workloads = sorted({key[1] for key in goldens if key[0] == "ideal"})
     ideal = run_spec(
         "figure3",
         scale=SCALE,
-        names=(workload,),
+        names=tuple(ideal_workloads),
         windows=(WINDOW,),
-        models=(IdealModel.ORACLE,),
+        models=tuple(IdealModel),
     )
-    checks.append(
-        (
-            f"figure3/{workload}/oracle/w{WINDOW}",
-            ideal[workload]["oracle"][WINDOW],
-            golden_ipc(goldens, ("ideal", workload, "oracle")),
-        )
-    )
+    for name in ideal_workloads:
+        for model in IdealModel:
+            checks.append(
+                (
+                    f"figure3/{name}/{model.value}/w{WINDOW}",
+                    ideal[name][model.value][WINDOW],
+                    golden_ipc(goldens, ("ideal", name, model.value)),
+                )
+            )
 
     failed = False
     for label, current, expected in checks:

@@ -11,8 +11,9 @@ failure classes:
 * :class:`ExecutionLimitExceeded` — architectural execution ran past
   its dynamic-instruction budget (a golden trace is never silently
   truncated).
-* :class:`SimulationHang` — the detailed core stopped making forward
-  progress (watchdog livelock) or exceeded its cycle budget.
+* :class:`SimulationHang` — a cycle-level simulator stopped making
+  forward progress (detailed-core watchdog livelock) or exceeded its
+  cycle budget (detailed core or ideal scheduler).
 * :class:`CosimulationError` — retired state diverged from the
   architectural golden trace: a simulator bug, never a statistic.
 * :class:`HarnessError` / :class:`CellTimeout` / :class:`CheckpointError`
@@ -166,11 +167,13 @@ class DiagnosedError(ReproError):
 
 
 class SimulationHang(DiagnosedError):
-    """The detailed core stopped retiring instructions.
+    """A cycle-level simulator stopped retiring instructions in time.
 
-    ``kind`` distinguishes a forward-progress watchdog trip
-    (``"livelock"``: no retirement for ``watchdog_cycles`` cycles) from
-    the blunt overall cycle budget (``"cycle-limit"``).
+    ``kind`` distinguishes the detailed core's forward-progress watchdog
+    trip (``"livelock"``: no retirement for ``watchdog_cycles`` cycles)
+    from the blunt overall cycle budget (``"cycle-limit"``), which both
+    the detailed core and the ideal scheduler enforce.  The ideal
+    scheduler raises it without a :class:`MachineSnapshot`.
     """
 
     def __init__(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..errors import ConfigError
 from ..isa import Op
 from ..isa.instructions import NUM_OPCODES
 
@@ -71,6 +72,62 @@ class IdealConfig:
 
     def wrong_path_limit(self) -> int:
         return self.wrong_path_cap if self.wrong_path_cap is not None else self.window_size
+
+    def validate(self) -> "IdealConfig":
+        """Reject knob values the scheduler cannot run.
+
+        Raises :class:`~repro.errors.ConfigError` naming the offending
+        knob; returns ``self`` so call sites can chain.  Run by
+        ``IdealScheduler.__init__``, so a zero window or width fails at
+        once instead of spinning toward the cycle cap.
+        """
+        def require(cond: bool, message: str) -> None:
+            if not cond:
+                raise ConfigError(f"invalid IdealConfig: {message}")
+
+        def count(value, minimum: int) -> bool:
+            return (
+                isinstance(value, int)
+                and not isinstance(value, bool)
+                and value >= minimum
+            )
+
+        require(
+            count(self.window_size, 1),
+            f"window_size must be a positive integer, got {self.window_size!r}",
+        )
+        require(
+            count(self.width, 1),
+            f"width must be a positive integer, got {self.width!r}",
+        )
+        require(
+            count(self.frontend_stages, 0),
+            f"frontend_stages must be a non-negative integer, "
+            f"got {self.frontend_stages!r}",
+        )
+        require(
+            self.wrong_path_cap is None or count(self.wrong_path_cap, 0),
+            f"wrong_path_cap must be None or a non-negative integer, "
+            f"got {self.wrong_path_cap!r}",
+        )
+        require(
+            isinstance(self.latencies, dict),
+            f"latencies must be a dict of op class -> cycles, "
+            f"got {self.latencies!r}",
+        )
+        missing = [cls for cls in DEFAULT_LATENCIES if cls not in self.latencies]
+        require(not missing, f"latencies is missing op classes {missing}")
+        unknown = [cls for cls in self.latencies if cls not in DEFAULT_LATENCIES]
+        require(
+            not unknown,
+            f"latencies has unknown op classes {unknown}; "
+            f"known: {list(DEFAULT_LATENCIES)}",
+        )
+        # The complete phase runs before issue, so a 0-cycle op would be
+        # filed under a cycle that has already completed.
+        bad = {cls: lat for cls, lat in self.latencies.items() if not count(lat, 1)}
+        require(not bad, f"latencies must be integers >= 1 cycle, got {bad!r}")
+        return self
 
 
 def _latency_class(op: Op) -> str:

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.ideal import IdealConfig, IdealModel, annotate, simulate
+import repro.machines
+from repro.errors import ConfigError, SimulationHang
+from repro.fuzz.oracle import run_oracle
+from repro.ideal import (
+    DEFAULT_LATENCIES,
+    IdealConfig,
+    IdealModel,
+    IdealScheduler,
+    annotate,
+    simulate,
+)
 from repro.isa import assemble
 from repro.workloads import build_workload
 
@@ -151,3 +161,60 @@ class TestModelProperties:
         assert config.wrong_path_limit() == 128
         config = IdealConfig(window_size=128, wrong_path_cap=50)
         assert config.wrong_path_limit() == 50
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs,knob",
+        [
+            ({"window_size": 0}, "window_size"),
+            ({"window_size": 64.5}, "window_size"),
+            ({"width": 0}, "width"),
+            ({"frontend_stages": -5}, "frontend_stages"),
+            ({"wrong_path_cap": -1}, "wrong_path_cap"),
+            ({"latencies": {"int": 1}}, "latencies"),
+            ({"latencies": {**DEFAULT_LATENCIES, "mul": 0}}, "latencies"),
+            ({"latencies": {**DEFAULT_LATENCIES, "fp": 4}}, "latencies"),
+        ],
+        ids=[
+            "window-zero", "window-float", "width-zero", "frontend-negative",
+            "wrong-path-cap-negative", "latency-missing-class",
+            "latency-zero", "latency-unknown-class",
+        ],
+    )
+    def test_rejects_bad_knob_naming_it(self, diamond_trace, kwargs, knob):
+        with pytest.raises(ConfigError, match=knob):
+            IdealConfig(**kwargs).validate()
+        with pytest.raises(ConfigError, match=knob):
+            IdealScheduler(diamond_trace, IdealModel.BASE, IdealConfig(**kwargs))
+
+    def test_default_and_edge_configs_are_valid(self):
+        config = IdealConfig()
+        assert config.validate() is config
+        IdealConfig(window_size=1, width=1, frontend_stages=0, wrong_path_cap=0).validate()
+
+    def test_simulate_rejects_config_plus_keywords(self, diamond_trace):
+        with pytest.raises(ConfigError, match="window_size"):
+            simulate(diamond_trace, IdealModel.BASE, IdealConfig(), window_size=512)
+
+    def test_simulate_keywords_alone_configure_the_run(self, diamond_trace):
+        result = simulate(diamond_trace, IdealModel.BASE, window_size=32)
+        assert result.window_size == 32
+
+
+class TestCycleLimit:
+    def test_overrun_raises_cycle_limit_hang(self, go_trace):
+        scheduler = IdealScheduler(go_trace, IdealModel.BASE, IdealConfig())
+        with pytest.raises(SimulationHang, match="exceeded 5 cycles") as info:
+            scheduler.run(max_cycles=5)
+        assert info.value.kind == "cycle-limit"
+
+    def test_fuzz_oracle_classifies_ideal_overrun_as_hang(self, monkeypatch):
+        def overrun(trace, model, config):
+            return IdealScheduler(trace, model, config).run(max_cycles=5)
+
+        monkeypatch.setattr(repro.machines, "simulate_ideal", overrun)
+        report = run_oracle(assemble(DIAMOND_LOOP), machines=("ideal/base",))
+        [divergence] = report.divergences
+        assert divergence.kind == "hang"
+        assert divergence.detail.startswith("cycle-limit:")
