@@ -1,8 +1,8 @@
 """Machine-invariant sanitizer for the detailed core (``REPRO_SANITIZE=1``).
 
 The detailed simulator maintains several redundant views of the same
-machine state: the ROB's doubly-linked list and its sorted order index,
-the fetch-frontier rename map and the commit-side map overlaid with the
+machine state: the ROB's doubly-linked list and its order keys and
+count, the fetch-frontier rename map and the commit-side map overlaid with the
 window's destination tags, the LSQ's store set and its unresolved
 subset.  A bug (or an injected fault) that breaks one view surfaces
 cycles later as a statistic drift or an unrelated cosimulation mismatch
@@ -16,10 +16,10 @@ Checked invariants, by ``SanitizerError.structure``:
 * ``rob-links`` — the linked window walks head→tail consistently
   (``prev``/``next`` columns agree), every linked slot is alive in the
   pool's state column, orders strictly increase, and the walk length
-  matches ``rob.count``.
-* ``order-index`` — ``rob._alive_orders`` is exactly the sorted orders
-  of the linked slots (the O(log n) position index the golden-trace
-  matching depends on).
+  matches ``rob.count``.  That is everything ``rob.index_of`` (the
+  golden-trace instance matching) reads: it recounts a position from
+  the links and ``count``, so there is no separate position index to
+  audit.
 * ``rename-map`` — with no recovery contexts active, the frontier map
   must equal the commit-side map overlaid with the window's destination
   tags, register by register.
@@ -50,7 +50,6 @@ from ..errors import SanitizerError
 #: structures checked, in check order (stable for tests/docs)
 STRUCTURES = (
     "rob-links",
-    "order-index",
     "broadcast-network",
     "rename-map",
     "commit-order",
@@ -84,7 +83,6 @@ class MachineSanitizer:
         """Run every invariant check once; raises on the first failure."""
         self.checks_run += 1
         linked = self._check_rob_links(proc)
-        self._check_order_index(proc, linked)
         # Broadcast before rename-map: a shared tag corrupts both views,
         # and the single-writer rule is the more precise localization.
         self._check_broadcast(proc, linked)
@@ -150,22 +148,6 @@ class MachineSanitizer:
                 f"linked window holds {len(linked)} slots but count={rob.count}",
             )
         return linked
-
-    def _check_order_index(self, proc, linked: list) -> None:
-        order_col = proc.pool.order
-        expected = [order_col[h] for h in linked]
-        actual = proc.rob._alive_orders
-        if list(actual) != expected:
-            self._fail(
-                proc, "order-index",
-                f"_alive_orders diverged from the window: index has "
-                f"{len(actual)} entries, walk has {len(expected)}"
-                + (
-                    ""
-                    if len(actual) != len(expected)
-                    else "; same length but different keys"
-                ),
-            )
 
     def _check_rename_map(self, proc, linked: list) -> None:
         if proc.contexts:

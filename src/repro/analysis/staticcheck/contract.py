@@ -267,12 +267,13 @@ def check_scheme_routines(
                     f"{scheme.name} placement must not reference "
                     f"{forbidden} (other scheme's rewrite)",
                 )
-    # The v2 fused append fast path must stay renumber-free too.
-    append = methods.get("append")
-    if append is not None and "_renumber" in _names_referenced(append):
+    # The dispatch path keys v2 tail appends inline: it must stay
+    # renumber-free too (v1 reaches _renumber only through _place_v1).
+    claim = methods.get("claim")
+    if claim is not None and "_renumber" in _names_referenced(claim):
         _diag(
-            report, file, append.lineno, "ReorderBuffer.append",
-            "append (v2 fast path) must not reference _renumber",
+            report, file, claim.lineno, "ReorderBuffer.claim",
+            "claim (v2 tail-append fast path) must not reference _renumber",
         )
 
 

@@ -459,17 +459,14 @@ SOURCE_SUPPRESSIONS: tuple[SourceSuppression, ...] = (
         reason=(
             "window bookkeeping: retire removes nodes and the sequencer "
             "allocates/squashes after complete and retire walked the "
-            "window; occupancy counters, segment liveness and the alive-"
-            "order index intentionally reflect start-of-phase state to "
-            "each earlier phase"
+            "window; occupancy counters and segment liveness "
+            "intentionally reflect start-of-phase state to each earlier "
+            "phase"
         ),
         symbols=(
-            "ReorderBuffer._alive_orders",
             "ReorderBuffer.count",
             "ReorderBuffer.segments_allocated",
             "Segment.live",
-            "OrderIndex._buf",
-            "OrderIndex._n",
         ),
     ),
     SourceSuppression(

@@ -24,26 +24,20 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 #: canonical atlas label -> concrete classes whose instances carry the
-#: family's state at runtime (OrderIndex dispatches to backend classes
+#: family's state at runtime (InstrPool dispatches to backend classes
 #: in ``__new__``; the stage mixins never instantiate).
 def _target_classes() -> dict[str, tuple[type, ...]]:
     from repro.core.lsq import LoadStoreQueue
     from repro.core.processor import Processor
     from repro.core.regfile import PhysReg
     from repro.core.rob import ReorderBuffer, Segment
-    from repro.core.soa import (
-        CompletionWheel,
-        InstrPool,
-        _ArrayOrderIndex,
-        _NumpyOrderIndex,
-    )
+    from repro.core.soa import CompletionWheel, InstrPool
     from repro.core.stages.sequencer import _Context
 
     return {
         "CompletionWheel": (CompletionWheel,),
         "InstrPool": (InstrPool,),
         "LoadStoreQueue": (LoadStoreQueue,),
-        "OrderIndex": (_ArrayOrderIndex, _NumpyOrderIndex),
         "PhysReg": (PhysReg,),
         "Processor": (Processor,),
         "ReorderBuffer": (ReorderBuffer,),

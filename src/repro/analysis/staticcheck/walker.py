@@ -7,11 +7,11 @@ contract) share:
 * a **class index** — every class, its declared instance fields
   (``__slots__`` plus ``self.X = ...`` assignments in ``__init__``),
   and its *family*: stage mixins merge into the :class:`Processor`
-  facade and ``OrderIndex`` backends merge into their base, both derived
+  facade and ``InstrPool`` backends merge into their base, both derived
   from the AST base-class lists rather than hardcoded.
 * an **access index** — every attribute read / write / container
   mutation whose receiver resolves to one of the tracked model classes
-  (``InstrPool``, ``ReorderBuffer``/``OrderIndex``, ``LoadStoreQueue``,
+  (``InstrPool``, ``ReorderBuffer``, ``LoadStoreQueue``,
   ``Processor``, ``_Context``, ``PhysReg``, ``Segment``,
   ``CompletionWheel``), attributed to the defining method.  Columnar
   ``InstrPool`` state is accessed both directly (``pool.order[h]``) and
@@ -42,7 +42,6 @@ TRACKED_CLASSES = (
     "CompletionWheel",
     "InstrPool",
     "LoadStoreQueue",
-    "OrderIndex",
     "PhysReg",
     "Processor",
     "ReorderBuffer",
@@ -55,7 +54,6 @@ TRACKED_CLASSES = (
 #: ``list:T`` / ``dict:T`` marking containers whose elements are ``T``.
 FIELD_TYPES: dict[tuple[str, str], str] = {
     ("ReorderBuffer", "pool"): "InstrPool",
-    ("ReorderBuffer", "_alive_orders"): "OrderIndex",
     ("LoadStoreQueue", "pool"): "InstrPool",
     ("Processor", "pool"): "InstrPool",
     ("Processor", "rob"): "ReorderBuffer",
@@ -72,8 +70,6 @@ FIELD_TYPES: dict[tuple[str, str], str] = {
 #: known return types of tracked-class methods (``list:T`` = container)
 RETURN_TYPES: dict[tuple[str, str], str] = {
     ("ReorderBuffer", "alloc_into"): "Segment",
-    ("ReorderBuffer", "append"): "Segment",
-    ("ReorderBuffer", "insert_after"): "Segment",
     ("Processor", "_active_context"): "_Context",
     ("Processor", "_map_after"): "list:PhysReg",
 }
@@ -246,7 +242,7 @@ class RepoIndex:
           methods run over the tracked class's state (``Processor``'s
           stage mixins).
         * A class whose base is tracked is a backend/specialization and
-          merges into the base (``OrderIndex``'s numpy/stdlib columns).
+          merges into the base (``InstrPool``'s numpy/stdlib columns).
         """
         for name in self.classes:
             self.family[name] = name

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from ..ideal.models import DEFAULT_LATENCIES
+from ..ideal.models import DEFAULT_LATENCIES, is_count, latency_problem
 
 
 #: ROB order-key schemes (see :mod:`repro.core.rob`): ``v1`` is the
@@ -193,17 +193,17 @@ class CoreConfig:
             if not cond:
                 raise ConfigError(f"invalid CoreConfig: {message}")
 
-        require(
-            isinstance(self.window_size, int) and self.window_size >= 1,
-            f"window_size must be a positive integer, got {self.window_size!r}",
-        )
-        require(
-            isinstance(self.width, int) and self.width >= 1,
-            f"width must be a positive integer, got {self.width!r}",
-        )
-        require(
-            isinstance(self.segment_size, int) and self.segment_size >= 1,
-            f"segment_size must be a positive integer, got {self.segment_size!r}",
+        def positive(*knobs: str) -> None:
+            for knob in knobs:
+                value = getattr(self, knob)
+                require(
+                    is_count(value, 1),
+                    f"{knob} must be a positive integer, got {value!r}",
+                )
+
+        positive(
+            "window_size", "width", "segment_size",
+            "max_cycles", "watchdog_cycles", "sanitize_stride",
         )
         require(
             self.window_size % self.segment_size == 0,
@@ -234,15 +234,16 @@ class CoreConfig:
             "is ReconvPolicy.NONE",
         )
         require(
-            1 <= self.predictor_index_bits <= 30,
+            is_count(self.predictor_index_bits, 1)
+            and self.predictor_index_bits <= 30,
             f"predictor_index_bits must be in [1, 30], "
             f"got {self.predictor_index_bits!r}",
         )
         if not self.perfect_cache:
-            require(
-                self.cache_size_bytes >= 1 and self.cache_assoc >= 1,
-                f"cache geometry must be positive, got size_bytes="
-                f"{self.cache_size_bytes!r} assoc={self.cache_assoc!r}",
+            # The cache knobs are read only when the cache is modeled.
+            positive(
+                "cache_size_bytes", "cache_assoc",
+                "cache_hit_latency", "cache_miss_latency",
             )
             line_bytes = 4 * 8  # line_words * WORD_BYTES (memsys defaults)
             sets = self.cache_size_bytes // (line_bytes * self.cache_assoc)
@@ -252,34 +253,8 @@ class CoreConfig:
                 f"{self.cache_assoc} yields {sets} sets; the set count "
                 "must be a positive power of two",
             )
-            require(
-                self.cache_hit_latency >= 1 and self.cache_miss_latency >= 1,
-                f"cache latencies must be >= 1 cycle, got hit="
-                f"{self.cache_hit_latency!r} miss={self.cache_miss_latency!r}",
-            )
-        bad_latencies = {
-            op: lat
-            for op, lat in self.latencies.items()
-            if not isinstance(lat, int) or lat < 1
-        }
-        require(
-            not bad_latencies,
-            f"operation latencies must be integers >= 1, got {bad_latencies!r}",
-        )
-        require(
-            isinstance(self.max_cycles, int) and self.max_cycles >= 1,
-            f"max_cycles must be a positive integer, got {self.max_cycles!r}",
-        )
-        require(
-            isinstance(self.watchdog_cycles, int) and self.watchdog_cycles >= 1,
-            f"watchdog_cycles must be a positive integer, "
-            f"got {self.watchdog_cycles!r}",
-        )
-        require(
-            isinstance(self.sanitize_stride, int) and self.sanitize_stride >= 1,
-            f"sanitize_stride must be a positive integer, "
-            f"got {self.sanitize_stride!r}",
-        )
+        problem = latency_problem(self.latencies)
+        require(problem is None, problem)
         require(
             self.order_scheme is None or self.order_scheme in ORDER_SCHEMES,
             f"order_scheme must be None or one of {ORDER_SCHEMES}, "

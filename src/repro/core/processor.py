@@ -266,9 +266,9 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
 
         Counts alive instructions from the window head (the paper's own
         instance-matching approach, with the same instance-mismatch
-        caveats it describes in Appendix A.3.1).  Served by the ROB's
-        incrementally maintained position index rather than a per-call
-        head-to-slot scan."""
+        caveats it describes in Appendix A.3.1).  ``ReorderBuffer.index_of``
+        recounts the position from the links, walking from whichever
+        window end is nearer."""
         return self.retired_count + self.rob.index_of(h)
 
     def _golden_entry_for(self, h: int):

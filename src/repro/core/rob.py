@@ -21,11 +21,11 @@ pool's ``order`` column, maintained under one of two schemes
   dispatches — per fetch cycle at the paper's width.
 * ``v2`` — renumber-free: tail appends (the hot path) take strictly
   monotonic sequence numbers spaced ``_SPACING`` apart, so keys are
-  never rewritten and the order-index insert collapses to an append.
-  Mid-window restart inserts take a low-biased step into the local gap
-  (``lo + max(1, gap/256)``), leaving room for the right-chaining
-  dispatch order of a restart sequence; only a pathologically nested
-  restart chain can exhaust a gap, falling back to one full respace.
+  never rewritten.  Mid-window restart inserts take a low-biased step
+  into the local gap (``lo + max(1, gap/256)``), leaving room for the
+  right-chaining dispatch order of a restart sequence; only a
+  pathologically nested restart chain can exhaust a gap, falling back
+  to one full respace.
 
 Both schemes yield the same architectural results — keys order the same
 instructions the same way — but the ready heap captures key *values* at
@@ -38,6 +38,17 @@ cascade into timing statistics, while the retired stream stays pinned by
 cosimulation (see ``repro.core.stats``).  Each scheme is pinned by its
 own golden generation (``tests/goldens/``).
 
+A slot's window *position* (``index_of``, the golden-trace instance
+matching of Appendix A.3.1) is not stored anywhere: it is recounted
+from the links by walking toward whichever boundary is nearer.  Only
+that matching asks for a position, far less often than instructions
+are dispatched and unlinked, and a sorted position index would have to
+be updated on every dispatch and every unlink.
+
+Dispatch and unlink are one call each: :meth:`ReorderBuffer.claim`
+takes a slot off the pool's free list, resets it, links it and keys it;
+:meth:`ReorderBuffer.remove` unlinks it and returns it to the free list.
+
 Segmentation (Appendix A.4) is modeled for capacity: instructions are
 allocated into segments of ``segment_size`` entries; a partially used or
 partially squashed segment still occupies ``segment_size`` window slots,
@@ -47,8 +58,9 @@ has retired or been squashed.
 
 from __future__ import annotations
 
+from ..errors import PoolExhausted
 from .config import resolve_order_scheme
-from .soa import HEAD, TAIL, InstrPool, OrderIndex
+from .soa import HEAD, REF_SHIFT, TAIL, InstrPool
 
 _SPACING = 1 << 16
 
@@ -107,14 +119,6 @@ class ReorderBuffer:
             self._place = self._place_v1
         self.count = 0  # live instructions
         self.segments_allocated = 0
-        #: sorted order keys of every linked (alive) instruction — the
-        #: incremental position index behind :meth:`index_of`, kept as a
-        #: dense int64 column (:class:`repro.core.soa.OrderIndex`).
-        #: Orders are unique under both schemes (a gap is respaced before
-        #: it collapses), so one bisect recovers a slot's window position
-        #: in O(log n) instead of the O(window) head-to-node scan the
-        #: golden-trace matching paid per branch completion.
-        self._alive_orders = OrderIndex(window_size, backend=soa_backend)
 
     # ------------------------------------------------------------------
     # capacity
@@ -138,143 +142,164 @@ class ReorderBuffer:
         return segment
 
     # ------------------------------------------------------------------
-    # list structure
+    # order keys
 
     def _renumber(self) -> None:
-        pool = self.pool
-        order_col = pool.order
-        next_col = pool.next
+        order_col = self.pool.order
+        next_col = self.pool.next
         order = 0
         h = HEAD
-        linked = -2  # exclude both boundary slots from the count
         while h != NO_LINK:
             order_col[h] = order
             order += _SPACING
             h = next_col[h]
-            linked += 1
-        self._alive_orders.renumber(linked, _SPACING)
 
-    def _place_v1(self, h: int, after: int) -> None:
-        pool = self.pool
-        prev_col = pool.prev
-        next_col = pool.next
-        order_col = pool.order
-        succ = next_col[after]
-        prev_col[h] = after
-        next_col[h] = succ
-        next_col[after] = h
-        prev_col[succ] = h
+    def _place_v1(self, h: int, after: int, succ: int) -> None:
+        """v1 key for slot ``h``, already linked between ``after`` and
+        ``succ``: the midpoint of its neighbours' keys."""
+        order_col = self.pool.order
         # NOTE: the ready heap captures ``order[h]`` in its sort keys
         # at push time — renumber *timing* is observable through
         # stale-key tie-breaks, and the v1 golden gate pins it.  Keys and
         # renumber points must stay exactly the seed's under this scheme.
         lo, hi = order_col[after], order_col[succ]
         if hi - lo < 2:
-            # Renumbering rebuilds the position index with ``h``
-            # already linked; its midpoint order equals the renumbered
-            # one, so the index entry is already correct.
+            # ``h`` is already linked, so the renumber keys it too (at
+            # the midpoint of its renumbered neighbours).
             self._renumber()
-            lo, hi = order_col[after], order_col[succ]
-            order_col[h] = (lo + hi) // 2
             return
-        order = (lo + hi) // 2
-        order_col[h] = order
-        self._alive_orders.insert(order)
+        order_col[h] = (lo + hi) // 2
 
     def _respace(self) -> None:
         """v2 fallback: respace every key after a restart-chain gap
         collapse (the caller's slot is already linked, so it gets its
-        key here and the index refill already covers it)."""
-        pool = self.pool
-        order_col = pool.order
-        next_col = pool.next
+        key here)."""
+        order_col = self.pool.order
+        next_col = self.pool.next
         order = 0
         h = HEAD
-        linked = -1  # exclude the head boundary; the tail keeps _V2_TAIL
         while h != TAIL:
             order_col[h] = order
             order += _SPACING
             h = next_col[h]
-            linked += 1
         self._next_order = order
-        self._alive_orders.renumber(linked, _SPACING)
 
-    def _place_v2(self, h: int, after: int) -> None:
-        pool = self.pool
-        prev_col = pool.prev
-        next_col = pool.next
-        order_col = pool.order
-        succ = next_col[after]
-        prev_col[h] = after
-        next_col[h] = succ
-        next_col[after] = h
-        prev_col[succ] = h
-        if succ == TAIL:
-            # Hot path: frontier dispatch appends take the next sequence
-            # number — no gap math, no renumber, and the order index
-            # extends by one tail write.
-            order_col[h] = order = self._next_order
-            self._next_order = order + _SPACING
-            self._alive_orders.append(order)
-            return
-        # Restart insert: step a small fraction into the gap so the
-        # right-chaining dispatch order of a restart sequence (each
-        # instruction inserted after the previous one) fits hundreds of
-        # entries before the gap thins.  Only deeply nested restart
-        # chains can exhaust one, and then a single respace restores
-        # full spacing everywhere.
+    def _place_v2(self, h: int, after: int, succ: int) -> None:
+        """v2 key for a restart insert: slot ``h``, already linked
+        between ``after`` and ``succ``, steps a small fraction into the
+        gap.  (Tail appends take the next sequence number in
+        :meth:`claim` and never get here.)"""
+        order_col = self.pool.order
+        # The low bias leaves room for the right-chaining dispatch order
+        # of a restart sequence (each instruction inserted after the
+        # previous one): hundreds of entries fit before the gap thins.
+        # Only deeply nested restart chains can exhaust one, and then a
+        # single respace restores full spacing everywhere.
         lo, hi = order_col[after], order_col[succ]
         gap = hi - lo
         if gap < 2:
             self._respace()
             return
-        order = lo + ((gap >> 8) or 1)
-        order_col[h] = order
-        self._alive_orders.insert(order)
+        order_col[h] = lo + ((gap >> 8) or 1)
 
-    def insert_after(self, after: int, h: int, segment: Segment | None) -> Segment | None:
-        """Link slot ``h`` after ``after``; returns the segment used."""
-        self._place(h, after)
+    # ------------------------------------------------------------------
+    # list structure: the one dispatch and the one unlink path
+
+    def claim(
+        self,
+        uid: int,
+        pc: int,
+        instr,
+        cycle: int,
+        after: int | None,
+        segment: Segment | None,
+    ) -> int:
+        """Claim a free pool slot for a dispatched instruction, link it
+        after slot ``after`` (``None``: at the window tail), key it, and
+        return its handle.
+
+        Stamps identity (``uid``, ``ref``, ``pc``, ``instr``,
+        ``dispatch_cycle``) and resets every execution/control column.
+        The rename-tag columns (``src1_tag``, ``src2_tag``,
+        ``dest_arch``, ``prev_tag``, ``dest_tag``) are *not* reset:
+        dispatch writes all five for every instruction.  The segment the
+        slot occupies (``None`` unless ``segment_size > 1``) is left in
+        the ``segment`` column for the caller to carry forward.  Raises
+        :class:`~repro.errors.PoolExhausted` when no slot is free.
+        """
+        pool = self.pool
+        try:
+            h = pool._free.pop()
+        except IndexError:
+            raise PoolExhausted(
+                "instruction pool exhausted — a retired or squashed slot "
+                "was never freed",
+                capacity=pool.capacity,
+                live=pool.live,
+            ) from None
+        pool.allocated_total += 1
+        pool.uid[h] = uid
+        pool.ref[h] = (uid << REF_SHIFT) | h
+        pool.pc[h] = pc
+        pool.instr[h] = instr
+        pool.dispatch_cycle[h] = cycle
+        pool.state[h] = 0
+        pool.issue_count[h] = 0
+        pool.value[h] = None
+        pool.addr[h] = None
+        pool.prev_addr[h] = None
+        pool.store_value[h] = None
+        pool.fwd_store[h] = None
+        pool.src1_version[h] = -1
+        pool.src2_version[h] = -1
+        pool.predicted_taken[h] = False
+        pool.predicted_next_pc[h] = 0
+        pool.history_used[h] = 0
+        pool.ras_snapshot[h] = None
+        pool.current_taken[h] = False
+        pool.current_next_pc[h] = 0
+        pool.outcome_taken[h] = False
+        pool.outcome_next_pc[h] = 0
+        pool.first_issue_cycle[h] = -1
+        pool.value_final_cycle[h] = -1
+
+        prev_col = pool.prev
+        next_col = pool.next
+        if after is None:
+            after = prev_col[TAIL]
+        succ = next_col[after]
+        prev_col[h] = after
+        next_col[h] = succ
+        next_col[after] = h
+        prev_col[succ] = h
+        if succ == TAIL and self._v2:
+            # v2 frontier dispatch: the next sequence number — no gap
+            # math, never a respace.
+            pool.order[h] = order = self._next_order
+            self._next_order = order + _SPACING
+        else:
+            self._place(h, after, succ)
         self.count += 1
         if self.segment_size == 1:
             # One slot per instruction: capacity accounting is exactly
             # ``count``, so allocating a Segment per dispatch would be
-            # pure bookkeeping overhead (the segment column stays None
-            # and ``remove`` skips it).
-            return None
-        segment = self.alloc_into(segment)
-        self.pool.segment[h] = segment
-        segment.live += 1
-        return segment
-
-    def append(self, h: int, segment: Segment | None) -> Segment | None:
-        pool = self.pool
-        if not self._v2:
-            return self.insert_after(pool.prev[TAIL], h, segment)
-        # v2 frontier-dispatch fast path: a tail append is one link splice,
-        # one monotonic key and one index tail write, fused here to spare
-        # the insert_after/_place call frames on the hottest loop in the
-        # simulator (one call per fetched instruction).
-        prev_col = pool.prev
-        next_col = pool.next
-        prev = prev_col[TAIL]
-        prev_col[h] = prev
-        next_col[h] = TAIL
-        next_col[prev] = h
-        prev_col[TAIL] = h
-        pool.order[h] = order = self._next_order
-        self._next_order = order + _SPACING
-        self._alive_orders.append(order)
-        self.count += 1
-        if self.segment_size == 1:
-            return None
-        segment = self.alloc_into(segment)
-        pool.segment[h] = segment
-        segment.live += 1
-        return segment
+            # pure bookkeeping overhead (``remove`` skips the column).
+            pool.segment[h] = None
+        else:
+            segment = self.alloc_into(segment)
+            segment.live += 1
+            pool.segment[h] = segment
+        return h
 
     def remove(self, h: int) -> None:
-        """Unlink a dead slot, release its window slot, recycle it."""
+        """Unlink a dead slot, release its window slot, and return it to
+        the pool's free list.
+
+        The slot's ``uid``, ``ref`` and dead ``state`` bits survive
+        until it is claimed again, so stale heap/wheel references
+        validate (and skip) against them; its columns are reset by
+        :meth:`claim`, not here.
+        """
         pool = self.pool
         prev_col = pool.prev
         next_col = pool.next
@@ -287,8 +312,7 @@ class ReorderBuffer:
             if segment.live == 0:
                 self.segments_allocated -= 1
         self.count -= 1
-        self._alive_orders.remove(pool.order[h])
-        pool.free(h)
+        pool._free.append(h)
 
     #: Unlink a retired instruction — same slot accounting as ``remove``,
     #: aliased rather than delegated (one call frame per retirement).
@@ -319,9 +343,27 @@ class ReorderBuffer:
 
     def index_of(self, h: int) -> int:
         """Window position of a linked slot: the number of alive
-        instructions logically older than it (O(log n) via the
-        incrementally maintained order index)."""
-        return self._alive_orders.position(self.pool.order[h])
+        instructions logically older than it.
+
+        Walks the links from ``h`` toward both boundaries in lockstep and
+        stops at whichever is reached first: ``k`` ``prev`` steps to the
+        head mean position ``k``; ``k`` ``next`` steps to the tail mean
+        position ``count - 1 - k``.  The cost is the distance to the
+        nearer end, and ``count`` must be current (it is, from the moment
+        :meth:`claim` returns).
+        """
+        prev_col = self.pool.prev
+        next_col = self.pool.next
+        back = fwd = h
+        steps = 0
+        while True:
+            back = prev_col[back]
+            if back == HEAD:
+                return steps
+            fwd = next_col[fwd]
+            if fwd == TAIL:
+                return self.count - 1 - steps
+            steps += 1
 
     def precedes(self, a: int, b: int) -> bool:
         """True if slot ``a`` is logically older than slot ``b``."""

@@ -9,11 +9,6 @@ preallocated columns rather than per-instruction Python objects:
   in-flight instruction is just an integer *handle* indexing them.
   Slots are recycled through a free list on retire/squash; handles 0
   and 1 are the window's permanent head/tail boundary slots.
-* :class:`OrderIndex` — the ROB's sorted order-key column (the position
-  index behind ``index_of`` and the sanitizer's ``order-index`` audit)
-  as a preallocated ``int64`` array.  Inserts and removes are C-speed
-  block moves, and a renumber refills the whole column with one
-  vectorized ``arange`` instead of a per-entry list rebuild.
 * :class:`CompletionWheel` — the completion-event schedule as a
   preallocated ring of slot lists indexed by ``cycle & mask``.  Packed
   slot references and reissue tokens live in two parallel lists per
@@ -22,7 +17,7 @@ preallocated columns rather than per-instruction Python objects:
 
 Two interchangeable backends implement the integer columns: ``numpy``
 (preferred when importable) and a pure-stdlib ``array('q')`` fallback,
-selected per structure by the ``REPRO_SOA`` environment variable
+selected per pool by the ``REPRO_SOA`` environment variable
 (``numpy`` | ``fallback``; unset auto-selects by column capacity — see
 :func:`resolve_backend`).  Both
 backends are semantically identical — the golden equivalence suite runs
@@ -39,16 +34,16 @@ Deliberately *not* columnar (measured, not assumed):
   directly;
 * the LSQ's unresolved-store subset stays a keyed dict — its entries'
   order keys would go stale on a ROB renumber, and the subset is
-  near-empty in steady state.
+  near-empty in steady state;
+* window positions are not stored at all — ``ReorderBuffer.index_of``
+  recounts one from the links on demand, which is cheaper than keeping
+  a sorted order-key column current on every dispatch and unlink.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left, insort
-
-from ..errors import PoolExhausted
 
 try:  # optional dependency: the stdlib fallback is always available
     import numpy as _np
@@ -58,13 +53,10 @@ except ImportError:  # pragma: no cover - exercised via REPRO_SOA=fallback
 #: backends accepted by ``REPRO_SOA`` / :func:`resolve_backend`
 BACKENDS = ("numpy", "fallback")
 
-_MIN_CAPACITY = 64
-
 #: capacity below which auto-selection prefers the stdlib column: numpy's
-#: per-element calls (searchsorted, scalar boxing on compare/assign) cost
-#: more than they save until the column is large enough for its C block
-#: moves and vectorized renumber to amortize them (measured: ~30% slower
-#: at the paper's 256-entry window, ahead by ~4k entries)
+#: per-element scalar boxing on compare/assign costs more than it saves
+#: until the columns are large (measured: ~30% slower at the paper's
+#: 256-entry window, ahead by ~4k entries)
 NUMPY_MIN_CAPACITY = 4096
 
 
@@ -96,195 +88,6 @@ def resolve_backend(name: str | None = None, capacity: int | None = None) -> str
     if name == "numpy" and _np is None:
         raise ValueError("REPRO_SOA=numpy but numpy is not importable")
     return name
-
-
-class OrderIndex:
-    """Sorted ``int64`` column of the window's order keys.
-
-    Supports the exact surface the ROB, the sanitizer and the
-    fault-injection layer use: sorted insert/remove by value,
-    ``bisect_left`` position lookup, full renumber, and list-like
-    indexing (``len``/``[]``/iteration) so audits and injected faults
-    see one flat integer column.  ``OrderIndex(capacity, backend)``
-    builds the backend-specific subclass; both subclasses are
-    semantically identical and golden-gated.
-    """
-
-    __slots__ = ("_buf", "_n")
-
-    backend = "abstract"
-
-    def __new__(cls, capacity: int = _MIN_CAPACITY, backend: str | None = None):
-        if cls is OrderIndex:
-            resolved = resolve_backend(backend, capacity)
-            cls = _NumpyOrderIndex if resolved == "numpy" else _ArrayOrderIndex
-        return object.__new__(cls)
-
-    def __init__(self, capacity: int = _MIN_CAPACITY, backend: str | None = None):
-        self._buf = self._alloc(max(int(capacity), _MIN_CAPACITY))
-        self._n = 0
-
-    # ------------------------------------------------------------------
-    # sequence surface (sanitizer audits, fault injectors)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.tolist()[i]
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError("OrderIndex index out of range")
-        return self._buf[i]
-
-    def __setitem__(self, i, value) -> None:
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError("OrderIndex index out of range")
-        self._buf[i] = value
-
-    def __iter__(self):
-        buf = self._buf
-        for i in range(self._n):
-            yield buf[i]
-
-    def tolist(self) -> list[int]:
-        return list(self._buf[: self._n])
-
-    def __repr__(self) -> str:  # debugging aid
-        return f"OrderIndex({self.tolist()!r}, backend={self.backend!r})"
-
-    # ------------------------------------------------------------------
-    # sorted-column operations
-
-    def _grow(self) -> None:
-        fresh = self._alloc(2 * len(self._buf))
-        fresh[: self._n] = self._buf[: self._n]
-        self._buf = fresh
-
-    def insert(self, order: int) -> None:
-        n = self._n
-        if n == len(self._buf):
-            self._grow()
-        buf = self._buf
-        if n and buf[n - 1] < order:  # append fast path (frontier fetch)
-            buf[n] = order
-        else:
-            i = self.position(order)
-            buf[i + 1 : n + 1] = buf[i:n]  # overlap-safe in both backends
-            buf[i] = order
-        self._n = n + 1
-
-    def append(self, order: int) -> None:
-        """Extend the column with a key larger than every current entry.
-
-        The v2 order scheme's dispatch path: tail appends carry strictly
-        monotonic keys, so the sorted invariant holds by construction and
-        neither the bisect nor the tail-comparison of :meth:`insert` is
-        needed.
-        """
-        n = self._n
-        if n == len(self._buf):
-            self._grow()
-        self._buf[n] = order
-        self._n = n + 1
-
-    def remove(self, order: int) -> None:
-        n = self._n
-        i = self.position(order)
-        buf = self._buf
-        buf[i : n - 1] = buf[i + 1 : n]
-        self._n = n - 1
-
-    def renumber(self, count: int, spacing: int) -> None:
-        """Refill the column with ``spacing * (1..count)`` — the key
-        layout a ROB renumber assigns — in one bulk write."""
-        while count > len(self._buf):
-            self._grow()
-        self._refill(count, spacing)
-        self._n = count
-
-    def rebuild(self, orders) -> None:
-        """Replace the column's contents with ``orders`` (already sorted)."""
-        orders = list(orders)
-        while len(orders) > len(self._buf):
-            self._grow()
-        self._assign(orders)
-        self._n = len(orders)
-
-
-def _refill_template(spacing: int, count: int, _cache={}):
-    """Shared, lazily grown ``spacing * (1..n)`` template: a renumber
-    refill becomes one block copy instead of materializing a fresh
-    range per renumber (renumbers fire every ~16 appends)."""
-    template = _cache.get(spacing)
-    if template is None or len(template) < count:
-        size = max(count, 2 * len(template) if template is not None else 256)
-        template = array("q", range(spacing, (size + 1) * spacing, spacing))
-        _cache[spacing] = template
-    return template
-
-
-class _ArrayOrderIndex(OrderIndex):
-    """Stdlib ``array('q')`` column — no dependencies, and the faster
-    choice at paper-scale window sizes."""
-
-    __slots__ = ()
-
-    backend = "fallback"
-
-    @staticmethod
-    def _alloc(capacity: int):
-        return array("q", bytes(8 * capacity))
-
-    def position(self, order: int) -> int:
-        """``bisect_left`` of ``order`` in the column."""
-        return bisect_left(self._buf, order, 0, self._n)
-
-    def remove(self, order: int) -> None:
-        # Same as the base implementation with the position() frame
-        # inlined — removal runs once per retired or squashed instruction.
-        n = self._n
-        buf = self._buf
-        i = bisect_left(buf, order, 0, n)
-        buf[i : n - 1] = buf[i + 1 : n]
-        self._n = n - 1
-
-    def _refill(self, count: int, spacing: int) -> None:
-        self._buf[:count] = _refill_template(spacing, count)[:count]
-
-    def _assign(self, orders: list) -> None:
-        self._buf[: len(orders)] = array("q", orders)
-
-
-class _NumpyOrderIndex(OrderIndex):
-    """numpy ``int64`` column — vectorized renumber/refill, preferred for
-    large windows."""
-
-    __slots__ = ()
-
-    backend = "numpy"
-
-    @staticmethod
-    def _alloc(capacity: int):
-        return _np.empty(capacity, dtype=_np.int64)
-
-    def position(self, order: int) -> int:
-        """``bisect_left`` of ``order`` in the column."""
-        return int(_np.searchsorted(self._buf[: self._n], order))
-
-    def _refill(self, count: int, spacing: int) -> None:
-        template = _refill_template(spacing, count)
-        self._buf[:count] = _np.frombuffer(template, dtype=_np.int64, count=count)
-
-    def _assign(self, orders: list) -> None:
-        self._buf[: len(orders)] = orders
-
-    def tolist(self) -> list[int]:
-        return self._buf[: self._n].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -331,27 +134,31 @@ class InstrPool:
     """Preallocated columnar store of every in-flight instruction.
 
     One column per ``DynInstr`` field of the historical object model; an
-    instruction is an integer handle, allocated by :meth:`alloc` and
-    recycled through a free list by :meth:`free` when the ROB unlinks it
-    at retire/squash.  Handles :data:`HEAD` and :data:`TAIL` are the
-    window's permanent boundary slots and are never allocated.
+    instruction is an integer handle into them.  The owning
+    :class:`~repro.core.rob.ReorderBuffer` claims a slot off the LIFO
+    free list ``_free`` at dispatch (``ReorderBuffer.claim``) and pushes
+    it back when it unlinks the slot at retire/squash
+    (``ReorderBuffer.remove``) — one call each, so the slot claim and the
+    link (or the unlink and the free) never cost two frames.  Handles
+    :data:`HEAD` and :data:`TAIL` are the window's permanent boundary
+    slots and are never claimed.
 
     Columns split by type, deliberately:
 
     * **backend-typed int columns** (``uid``, ``order``, ``prev``,
       ``next``, ``state``) — the link/ordering/liveness state every
       hot-path check touches, held as ``array('q')`` or numpy ``int64``
-      per :func:`resolve_backend` (same capacity-aware auto-selection as
-      :class:`OrderIndex`).
+      per :func:`resolve_backend` (capacity-aware auto-selection).
     * **plain-list columns** (tags, values, addresses, control state) —
       these hold Python objects or feed statistics/serialization, where
       a numpy scalar (``np.int64``) leaking out would break JSON
       checkpoints and identity checks.
 
     A freed slot keeps its ``uid`` and dead ``state`` bits until the
-    slot is reallocated, so stale references held by the ready heap or
+    slot is claimed again, so stale references held by the ready heap or
     the completion wheel validate (and skip) exactly like the historical
-    dead-node checks; :meth:`alloc` resets every stateful column.
+    dead-node checks.  The claim resets every stateful column except the
+    five rename-tag columns, which dispatch writes for every instruction.
     """
 
     __slots__ = (
@@ -468,65 +275,6 @@ class InstrPool:
         """Number of currently allocated (not freed) real slots."""
         return (self.capacity - 2) - len(self._free)
 
-    def alloc(self, uid: int, pc: int, instr, cycle: int) -> int:
-        """Claim a slot for a newly dispatched instruction.
-
-        Resets every stateful column and stamps identity (``uid``,
-        ``ref``, ``pc``, ``instr``, ``dispatch_cycle``); the caller
-        links the slot and assigns its order key.  Raises
-        :class:`~repro.errors.PoolExhausted` when no slot is free.
-        """
-        free = self._free
-        if not free:
-            raise PoolExhausted(
-                "instruction pool exhausted — a retired or squashed slot "
-                "was never freed",
-                capacity=self.capacity,
-                live=self.live,
-            )
-        h = free.pop()
-        self.allocated_total += 1
-        self.uid[h] = uid
-        self.ref[h] = (uid << REF_SHIFT) | h
-        self.pc[h] = pc
-        self.instr[h] = instr
-        self.dispatch_cycle[h] = cycle
-        self.state[h] = 0
-        self.segment[h] = None
-        self.src1_tag[h] = None
-        self.src2_tag[h] = None
-        self.dest_tag[h] = None
-        self.dest_arch[h] = None
-        self.prev_tag[h] = None
-        self.issue_count[h] = 0
-        self.value[h] = None
-        self.addr[h] = None
-        self.prev_addr[h] = None
-        self.store_value[h] = None
-        self.fwd_store[h] = None
-        self.src1_version[h] = -1
-        self.src2_version[h] = -1
-        self.predicted_taken[h] = False
-        self.predicted_next_pc[h] = 0
-        self.history_used[h] = 0
-        self.ras_snapshot[h] = None
-        self.current_taken[h] = False
-        self.current_next_pc[h] = 0
-        self.outcome_taken[h] = False
-        self.outcome_next_pc[h] = 0
-        self.first_issue_cycle[h] = -1
-        self.value_final_cycle[h] = -1
-        return h
-
-    def free(self, h: int) -> None:
-        """Recycle an unlinked slot.
-
-        The slot's ``uid``, ``ref`` and dead ``state`` bits survive
-        until reallocation so stale heap/wheel references validate
-        against them; columns are reset at :meth:`alloc`, not here.
-        """
-        self._free.append(h)
-
     def is_alive(self, h: int) -> bool:
         """Liveness of a slot (false for retired/squashed/freed)."""
         return not self.state[h] & ST_DEAD
@@ -619,7 +367,6 @@ __all__ = [
     "CompletionWheel",
     "HEAD",
     "InstrPool",
-    "OrderIndex",
     "REF_MASK",
     "REF_SHIFT",
     "ST_COMPLETED",

@@ -61,14 +61,29 @@ class BackendStage:
     # issue & execute
 
     def _issue_phase(self) -> None:
+        """Issue up to ``width`` eligible instructions and execute each
+        (the execute step is inlined: this loop is its only caller)."""
+        ready = self._ready
+        cycle = self.cycle
+        if not ready or ready[0][0] > cycle:
+            return
         budget = self.config.width
         issued = 0
-        ready = self._ready
         pop = heapq.heappop
         pool = self.pool
         state = pool.state
         uids = pool.uid
-        cycle = self.cycle
+        refs = pool.ref
+        issue_count = pool.issue_count
+        first_issue_cycle = pool.first_issue_cycle
+        instrs = pool.instr
+        src1_tag = pool.src1_tag
+        src2_tag = pool.src2_tag
+        values = pool.value
+        lat = self._lat
+        wheel_mask = self._wheel_mask
+        wheel_nodes = self._wheel_nodes
+        wheel_tokens = self._wheel_tokens
         while ready and budget > 0:
             eligible, _, uid, h = ready[0]
             if eligible > cycle:
@@ -79,68 +94,69 @@ class BackendStage:
                 # instruction; the current occupant's own in_ready flag
                 # must not be touched.
                 continue
-            state[h] &= ~ST_IN_READY
-            if state[h] & ST_DEAD:
+            s = state[h] & ~ST_IN_READY
+            if s & ST_DEAD:
+                state[h] = s
                 continue
-            self._execute(h)
             budget -= 1
             issued += 1
-        if issued:
-            self.stats.stage_issue_cycles += 1
 
-    def _execute(self, h: int) -> None:
-        self.stats.issues_total += 1
-        pool = self.pool
-        token = pool.issue_count[h] + 1
-        pool.issue_count[h] = token
-        if pool.first_issue_cycle[h] < 0:
-            pool.first_issue_cycle[h] = self.cycle
-        state = pool.state
-        s = state[h]
-        if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
-            s |= ST_REISSUED_MP
-        state[h] = s | ST_INFLIGHT
-        instr = pool.instr[h]
-        t1, t2 = pool.src1_tag[h], pool.src2_tag[h]
-        if t1 is not None:
-            a = t1.value
-            pool.src1_version[h] = t1.version
-        else:
-            a = 0
-        if t2 is not None:
-            b = t2.value
-            pool.src2_version[h] = t2.version
-        else:
-            b = 0
-        # Dispatch straight to the shared raw kernels (single semantic
-        # definition in repro.isa.instructions) — the ExecResult wrapper
-        # evaluate() builds per call is pure allocation on this path.
-        opcode = instr.opcode
-        if instr.f_mem:
-            addr = effective_addr(instr, a)
-            if instr.f_load:
-                pool.addr[h] = addr
-                latency = 1 + self.cache.access(addr)
+            # -- execute ------------------------------------------------
+            token = issue_count[h] + 1
+            issue_count[h] = token
+            if first_issue_cycle[h] < 0:
+                first_issue_cycle[h] = cycle
+            if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
+                s |= ST_REISSUED_MP
+            state[h] = s | ST_INFLIGHT
+            instr = instrs[h]
+            t1 = src1_tag[h]
+            t2 = src2_tag[h]
+            if t1 is not None:
+                a = t1.value
+                pool.src1_version[h] = t1.version
             else:
-                pool.prev_addr[h] = pool.addr[h]
-                pool.addr[h] = addr
-                pool.store_value[h] = b
-                latency = self._lat[opcode]
-        elif instr.f_control:
-            taken, next_pc, value = CONTROL_KERNELS[opcode](instr, pool.pc[h], a, b)
-            pool.outcome_taken[h] = taken
-            pool.outcome_next_pc[h] = next_pc
-            pool.value[h] = value  # call link address
-            latency = self._lat[opcode]
-        else:
-            pool.value[h] = VALUE_KERNELS[opcode](instr, a, b)
-            latency = self._lat[opcode]
-        # Inlined CompletionWheel.schedule: every latency comes from the
-        # table the wheel was sized over at construction, so the horizon
-        # guard cannot fire on this path.
-        slot = (self.cycle + latency) & self._wheel_mask
-        self._wheel_nodes[slot].append(pool.ref[h])
-        self._wheel_tokens[slot].append(token)
+                a = 0
+            if t2 is not None:
+                b = t2.value
+                pool.src2_version[h] = t2.version
+            else:
+                b = 0
+            # Straight to the per-opcode kernels (the single definition
+            # of instruction semantics, repro.isa.instructions) — the
+            # ExecResult wrapper evaluate() builds is pure allocation
+            # on this path.
+            opcode = instr.opcode
+            if instr.f_mem:
+                addr = effective_addr(instr, a)
+                if instr.f_load:
+                    pool.addr[h] = addr
+                    latency = 1 + self.cache.access(addr)
+                else:
+                    pool.prev_addr[h] = pool.addr[h]
+                    pool.addr[h] = addr
+                    pool.store_value[h] = b
+                    latency = lat[opcode]
+            elif instr.f_control:
+                taken, next_pc, value = CONTROL_KERNELS[opcode](
+                    instr, pool.pc[h], a, b
+                )
+                pool.outcome_taken[h] = taken
+                pool.outcome_next_pc[h] = next_pc
+                values[h] = value  # call link address
+                latency = lat[opcode]
+            else:
+                values[h] = VALUE_KERNELS[opcode](instr, a, b)
+                latency = lat[opcode]
+            # Inlined CompletionWheel.schedule: every latency comes from
+            # the table the wheel was sized over at construction, so the
+            # horizon guard cannot fire on this path.
+            slot = (cycle + latency) & wheel_mask
+            wheel_nodes[slot].append(refs[h])
+            wheel_tokens[slot].append(token)
+        if issued:
+            self.stats.issues_total += issued
+            self.stats.stage_issue_cycles += 1
 
     # ==================================================================
     # completion

@@ -80,33 +80,44 @@ class SequencerStage:
         uid = self.uid_counter
         self.uid_counter = uid + 1
         cycle = self.cycle
-        h = pool.alloc(uid, pc, instr, cycle)
-
         if ctx.phase == "frontier":
-            ctx.segment = self.rob.append(h, ctx.segment)
+            h = self.rob.claim(uid, pc, instr, cycle, None, ctx.segment)
         else:
-            ctx.segment = self.rob.insert_after(ctx.insert_point, h, ctx.segment)
+            h = self.rob.claim(
+                uid, pc, instr, cycle, ctx.insert_point, ctx.segment
+            )
             ctx.insert_point = h
             ctx.inserted += 1
+        ctx.segment = pool.segment[h]
         self.stats.fetched += 1
         self._map_epoch += 1
 
+        # Rename.  All five tag columns are written for every instruction
+        # (None where unused): the claim leaves them to dispatch.
         rmap = ctx.rmap
         node_ref = pool.ref[h]
-        t1 = t2 = None
         if instr.reads_rs1:
-            pool.src1_tag[h] = t1 = rmap[instr.rs1]
+            t1 = rmap[instr.rs1]
             t1.consumers.append(node_ref)
+        else:
+            t1 = None
         if instr.reads_rs2:
-            pool.src2_tag[h] = t2 = rmap[instr.rs2]
+            t2 = rmap[instr.rs2]
             t2.consumers.append(node_ref)
+        else:
+            t2 = None
+        pool.src1_tag[h] = t1
+        pool.src2_tag[h] = t2
         dest = instr.dest_reg
+        pool.dest_arch[h] = dest
         if dest is not None:
-            pool.dest_arch[h] = dest
             pool.prev_tag[h] = rmap[dest]
             tag = PhysReg(node_ref)
             rmap[dest] = tag
             pool.dest_tag[h] = tag
+        else:
+            pool.prev_tag[h] = None
+            pool.dest_tag[h] = None
 
         if instr.f_mem:
             self.lsq.add(h)

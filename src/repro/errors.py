@@ -209,7 +209,7 @@ class PoolExhausted(ReproError):
 
 class SanitizerError(DiagnosedError):
     """A machine-invariant check failed: an internal simulator structure
-    (ROB links, order index, rename map, broadcast network, LSQ) is
+    (ROB links, rename map, broadcast network, LSQ) is
     corrupt.  ``structure`` names the faulted structure so a failure is
     localized to the subsystem that broke, instead of surfacing cycles
     later as a statistic drift or an unrelated cosimulation mismatch.

@@ -58,6 +58,40 @@ DEFAULT_LATENCIES = {
 }
 
 
+def is_count(value, minimum: int) -> bool:
+    """True for a genuine integer ``>= minimum`` (``bool`` is rejected:
+    ``True`` is an int to Python but never a meaningful knob value)."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+    )
+
+
+def latency_problem(latencies) -> str | None:
+    """Why ``latencies`` is not a valid op-class latency table, or None.
+
+    The one latency check behind both ``IdealConfig.validate`` and
+    ``CoreConfig.validate``: a dict keyed by exactly the op classes of
+    :data:`DEFAULT_LATENCIES`, each an integer of at least one cycle.
+    The complete phase runs before issue in both simulators, so a
+    0-cycle op would be filed under a cycle that has already completed.
+    """
+    if not isinstance(latencies, dict):
+        return f"latencies must be a dict of op class -> cycles, got {latencies!r}"
+    missing = [cls for cls in DEFAULT_LATENCIES if cls not in latencies]
+    if missing:
+        return f"latencies is missing op classes {missing}"
+    unknown = [cls for cls in latencies if cls not in DEFAULT_LATENCIES]
+    if unknown:
+        return (
+            f"latencies has unknown op classes {unknown}; "
+            f"known: {list(DEFAULT_LATENCIES)}"
+        )
+    bad = {cls: lat for cls, lat in latencies.items() if not is_count(lat, 1)}
+    if bad:
+        return f"latencies must be integers >= 1 cycle, got {bad!r}"
+    return None
+
+
 @dataclass
 class IdealConfig:
     """Hardware constraints for the idealized study (paper Section 2.2)."""
@@ -85,48 +119,26 @@ class IdealConfig:
             if not cond:
                 raise ConfigError(f"invalid IdealConfig: {message}")
 
-        def count(value, minimum: int) -> bool:
-            return (
-                isinstance(value, int)
-                and not isinstance(value, bool)
-                and value >= minimum
-            )
-
         require(
-            count(self.window_size, 1),
+            is_count(self.window_size, 1),
             f"window_size must be a positive integer, got {self.window_size!r}",
         )
         require(
-            count(self.width, 1),
+            is_count(self.width, 1),
             f"width must be a positive integer, got {self.width!r}",
         )
         require(
-            count(self.frontend_stages, 0),
+            is_count(self.frontend_stages, 0),
             f"frontend_stages must be a non-negative integer, "
             f"got {self.frontend_stages!r}",
         )
         require(
-            self.wrong_path_cap is None or count(self.wrong_path_cap, 0),
+            self.wrong_path_cap is None or is_count(self.wrong_path_cap, 0),
             f"wrong_path_cap must be None or a non-negative integer, "
             f"got {self.wrong_path_cap!r}",
         )
-        require(
-            isinstance(self.latencies, dict),
-            f"latencies must be a dict of op class -> cycles, "
-            f"got {self.latencies!r}",
-        )
-        missing = [cls for cls in DEFAULT_LATENCIES if cls not in self.latencies]
-        require(not missing, f"latencies is missing op classes {missing}")
-        unknown = [cls for cls in self.latencies if cls not in DEFAULT_LATENCIES]
-        require(
-            not unknown,
-            f"latencies has unknown op classes {unknown}; "
-            f"known: {list(DEFAULT_LATENCIES)}",
-        )
-        # The complete phase runs before issue, so a 0-cycle op would be
-        # filed under a cycle that has already completed.
-        bad = {cls: lat for cls, lat in self.latencies.items() if not count(lat, 1)}
-        require(not bad, f"latencies must be integers >= 1 cycle, got {bad!r}")
+        problem = latency_problem(self.latencies)
+        require(problem is None, problem)
         return self
 
 

@@ -8,9 +8,11 @@ program counter advances by 1 per instruction, and data memory is
 word-addressed.
 
 The module is deliberately free of any simulator state: the single-step
-semantics live in :func:`evaluate`, which both the functional simulator
-and the out-of-order core call, so there is exactly one definition of
-what each opcode does.
+semantics live in one kernel per opcode (``VALUE_KERNELS`` /
+``CONTROL_KERNELS`` plus :func:`effective_addr`).  The out-of-order
+core calls the kernels directly and :func:`evaluate` — the functional
+simulator's entry point — wraps them, so there is exactly one
+definition of what each opcode does.
 """
 
 from __future__ import annotations
@@ -221,108 +223,180 @@ class ExecResult:
     halted: bool = False
 
 
-def _alu(op: Op, a: int, b: int) -> int:
-    if op in (Op.ADD, Op.ADDI, Op.LI):
-        return to_signed(a + b)
-    if op is Op.SUB:
-        return to_signed(a - b)
-    if op is Op.MUL:
-        return to_signed(a * b)
-    if op in (Op.DIV, Op.REM):
-        if b == 0:
-            return -1 if op is Op.DIV else a
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        if op is Op.DIV:
-            return to_signed(q)
-        return to_signed(a - q * b)
-    if op in (Op.AND, Op.ANDI):
-        return to_signed(a & b)
-    if op in (Op.OR, Op.ORI):
-        return to_signed(a | b)
-    if op in (Op.XOR, Op.XORI):
-        return to_signed(a ^ b)
-    if op in (Op.SLL, Op.SLLI):
-        return to_signed(a << (b & 63))
-    if op in (Op.SRL, Op.SRLI):
-        return to_signed((a & _WORD_MASK) >> (b & 63))
-    if op in (Op.SLT, Op.SLTI):
-        return 1 if a < b else 0
-    raise ValueError(f"not an ALU op: {op}")
-
-
 NUM_OPCODES = max(op.value for op in Op) + 1
+
+# ----------------------------------------------------------------------
+# per-opcode kernels: the single definition of instruction semantics
+#
+# Each kernel computes its opcode's result directly, wrapping to signed
+# 64 bits with the branch-free ``((x + 2^63) & (2^64 - 1)) - 2^63`` (equal
+# to :func:`to_signed`).  The wrap constants are bound as default
+# arguments so the hot path reads locals, not globals.  Signed division
+# truncates toward zero; division by zero is defined (DIV gives -1, REM
+# gives the dividend) so wrong-path execution never traps.
+
+
+def _add(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((a + b + _s) & _m) - _s
+
+
+def _sub(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((a - b + _s) & _m) - _s
+
+
+def _mul(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((a * b + _s) & _m) - _s
+
+
+def _div(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    if b == 0:
+        return -1
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return ((q + _s) & _m) - _s
+
+
+def _rem(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    if b == 0:
+        return a
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return ((a - q * b + _s) & _m) - _s
+
+
+def _and(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a & b) + _s) & _m) - _s
+
+
+def _or(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a | b) + _s) & _m) - _s
+
+
+def _xor(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a ^ b) + _s) & _m) - _s
+
+
+def _sll(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a << (b & 63)) + _s) & _m) - _s
+
+
+def _srl(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((((a & _m) >> (b & 63)) + _s) & _m) - _s
+
+
+def _slt(instr, a, b):
+    return 1 if a < b else 0
+
+
+def _addi(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((a + instr.imm + _s) & _m) - _s
+
+
+def _andi(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a & instr.imm) + _s) & _m) - _s
+
+
+def _ori(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a | instr.imm) + _s) & _m) - _s
+
+
+def _xori(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a ^ instr.imm) + _s) & _m) - _s
+
+
+def _slli(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return (((a << (instr.imm & 63)) + _s) & _m) - _s
+
+
+def _srli(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((((a & _m) >> (instr.imm & 63)) + _s) & _m) - _s
+
+
+def _slti(instr, a, b):
+    return 1 if a < instr.imm else 0
+
+
+def _li(instr, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return ((instr.imm + _s) & _m) - _s
+
+
+def _nothing(instr, a, b):
+    return None
+
+
+def _beq(instr, pc, a, b):
+    if a == b:
+        return True, instr.target, None
+    return False, pc + 1, None
+
+
+def _bne(instr, pc, a, b):
+    if a != b:
+        return True, instr.target, None
+    return False, pc + 1, None
+
+
+def _blt(instr, pc, a, b):
+    if a < b:
+        return True, instr.target, None
+    return False, pc + 1, None
+
+
+def _bge(instr, pc, a, b):
+    if a >= b:
+        return True, instr.target, None
+    return False, pc + 1, None
+
+
+def _jump(instr, pc, a, b):
+    return True, instr.target, None
+
+
+def _call(instr, pc, a, b):
+    return True, instr.target, pc + 1
+
+
+def _jr(instr, pc, a, b, _s=_SIGN_BIT, _m=_WORD_MASK):
+    return True, ((a + _s) & _m) - _s, None
 
 
 def effective_addr(instr: Instruction, a: int) -> int:
     """Effective address of a memory instruction given its base value."""
-    return to_signed(a + instr.imm)
+    return ((a + instr.imm + _SIGN_BIT) & _WORD_MASK) - _SIGN_BIT
 
 
 def _make_raw_tables() -> tuple[list, list]:
-    """Build the allocation-free per-opcode kernels.
+    """Index the per-opcode kernels by dense opcode.
 
     ``VALUE_KERNELS[opcode](instr, a, b)`` returns the register result of
     a non-memory, non-control instruction (None for NOP/HALT);
     ``CONTROL_KERNELS[opcode](instr, pc, a, b)`` returns
     ``(taken, next_pc, value)`` for a control instruction (``value`` is
-    the call link address, else None).  The out-of-order core's execute
-    stage reads these directly so its hot loop allocates no result
+    the call link address, else None).  The out-of-order core's issue
+    stage calls these directly so its hot loop allocates no result
     object per issued instruction; :func:`evaluate`'s ``ExecResult``
-    handlers are rebuilt on top of the same kernels, keeping a single
-    definition of every opcode's semantics (``_alu`` remains the one
-    arithmetic definition)."""
-
-    def alu_rr(op: Op):
-        def kernel(instr, a, b, _op=op):
-            return _alu(_op, a, b)
-
-        return kernel
-
-    def alu_ri(op: Op):
-        def kernel(instr, a, b, _op=op):
-            return _alu(_op, a, instr.imm)
-
-        return kernel
-
-    def li(instr, a, b):
-        return to_signed(instr.imm)
-
-    def nothing(instr, a, b):
-        return None
-
-    def branch(cmp):
-        def kernel(instr, pc, a, b, _cmp=cmp):
-            taken = _cmp(a, b)
-            return taken, (instr.target if taken else pc + 1), None
-
-        return kernel
-
-    def jump(instr, pc, a, b):
-        return True, instr.target, None
-
-    def call(instr, pc, a, b):
-        return True, instr.target, pc + 1
-
-    def jr(instr, pc, a, b):
-        return True, to_signed(a), None
-
+    handlers wrap the same kernels, so each opcode's semantics has one
+    definition."""
+    value_kernels = {
+        Op.ADD: _add, Op.SUB: _sub, Op.MUL: _mul, Op.DIV: _div,
+        Op.REM: _rem, Op.AND: _and, Op.OR: _or, Op.XOR: _xor,
+        Op.SLL: _sll, Op.SRL: _srl, Op.SLT: _slt,
+        Op.ADDI: _addi, Op.ANDI: _andi, Op.ORI: _ori, Op.XORI: _xori,
+        Op.SLLI: _slli, Op.SRLI: _srli, Op.SLTI: _slti, Op.LI: _li,
+        Op.NOP: _nothing, Op.HALT: _nothing,
+    }
+    control_kernels = {
+        Op.BEQ: _beq, Op.BNE: _bne, Op.BLT: _blt, Op.BGE: _bge,
+        Op.JUMP: _jump, Op.CALL: _call, Op.JR: _jr,
+    }
     values: list = [None] * NUM_OPCODES
     control: list = [None] * NUM_OPCODES
-    for op in ALU_RR_OPS:
-        values[op.value] = alu_rr(op)
-    for op in ALU_RI_OPS:
-        values[op.value] = li if op is Op.LI else alu_ri(op)
-    values[Op.NOP.value] = nothing
-    values[Op.HALT.value] = nothing
-    control[Op.BEQ.value] = branch(lambda a, b: a == b)
-    control[Op.BNE.value] = branch(lambda a, b: a != b)
-    control[Op.BLT.value] = branch(lambda a, b: a < b)
-    control[Op.BGE.value] = branch(lambda a, b: a >= b)
-    control[Op.JUMP.value] = jump
-    control[Op.CALL.value] = call
-    control[Op.JR.value] = jr
+    for op, kernel in value_kernels.items():
+        values[op.value] = kernel
+    for op, kernel in control_kernels.items():
+        control[op.value] = kernel
     return values, control
 
 

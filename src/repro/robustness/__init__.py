@@ -3,8 +3,8 @@
 A correctness checker that no fault has ever tripped is untested.  This
 package corrupts live simulator state on purpose — predictor-derived
 path state, reconvergence-table entries, register values, wakeup events,
-and the structural state views (ROB links, order index, rename map,
-broadcast network, LSQ subsets) — to prove the retirement co-simulation
+and the structural state views (ROB links, rename map, broadcast
+network, LSQ subsets) — to prove the retirement co-simulation
 checker, the forward-progress watchdog and the machine-invariant
 sanitizer (``REPRO_SANITIZE=1``) actually detect each divergence class.
 """
@@ -13,7 +13,6 @@ from .faultinject import (
     DroppedWakeupFault,
     FaultInjector,
     LSQDropFault,
-    OrderIndexFault,
     PredictorStateFault,
     ROBOrderFault,
     ReconvTableFault,
@@ -27,7 +26,6 @@ __all__ = [
     "DroppedWakeupFault",
     "FaultInjector",
     "LSQDropFault",
-    "OrderIndexFault",
     "PredictorStateFault",
     "ROBOrderFault",
     "ReconvTableFault",

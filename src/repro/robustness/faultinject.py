@@ -26,8 +26,6 @@ one named invariant, so the sanitizer's localization can be asserted:
 
 * :class:`ROBOrderFault` — swaps the order keys of two adjacent window
   nodes (``sanitizer[rob-links]``).
-* :class:`OrderIndexFault` — perturbs one ``_alive_orders`` entry so
-  the O(log n) position index lies (``sanitizer[order-index]``).
 * :class:`RenameMapFault` — repoints a frontier rename-map entry at a
   stale physical register (``sanitizer[rename-map]``).
 * :class:`TagAliasFault` — makes two in-flight instructions share one
@@ -289,8 +287,7 @@ class ROBOrderFault(FaultInjector):
     """Swap the order keys of two adjacent alive window nodes.
 
     The doubly-linked list then disagrees with the logical order the
-    keys encode — age comparisons, LSQ ordering and the position index
-    all consult those keys.  Victims are taken from the window *tail* so
+    keys encode — age comparisons and LSQ ordering consult those keys.  Victims are taken from the window *tail* so
     neither retires before the next sanitizer check.  Caught by
     ``sanitizer[rob-links]`` (order keys not strictly increasing).
     """
@@ -313,33 +310,6 @@ class ROBOrderFault(FaultInjector):
         self.description = (
             f"swapped order keys of pcs {pool.pc[older]}/{pool.pc[younger]} "
             f"(uids {pool.uid[older]}/{pool.uid[younger]}) "
-            f"at cycle {proc.cycle}"
-        )
-        return True
-
-
-class OrderIndexFault(FaultInjector):
-    """Perturb one entry of the ROB's sorted ``_alive_orders`` index.
-
-    The linked list stays intact but the O(log n) position index behind
-    ``index_of`` (golden-trace instance matching) no longer mirrors it.
-    Caught by ``sanitizer[order-index]``.
-    """
-
-    kind = "order-index"
-
-    def _inject(self, proc: Processor) -> bool:
-        orders = proc.rob._alive_orders
-        if len(orders) < 2:
-            return False
-        victim = self.rng.randrange(len(orders) - 1)
-        # Stay sorted (so bisect keeps "working") but wrong: move the
-        # entry off its node's actual key without crossing a neighbour.
-        if orders[victim + 1] - orders[victim] < 2:
-            return False
-        orders[victim] += 1
-        self.description = (
-            f"bumped _alive_orders[{victim}] to {orders[victim]} "
             f"at cycle {proc.cycle}"
         )
         return True
@@ -461,7 +431,6 @@ __all__ = [
     "DroppedWakeupFault",
     "FaultInjector",
     "LSQDropFault",
-    "OrderIndexFault",
     "PredictorStateFault",
     "ROBOrderFault",
     "ReconvTableFault",

@@ -21,6 +21,7 @@ from repro.errors import (
     TransientError,
     WorkloadError,
 )
+from repro.ideal.models import DEFAULT_LATENCIES, IdealConfig
 from repro.isa import AssemblerError, assemble
 from repro.workloads import build_workload
 
@@ -140,6 +141,48 @@ class TestConfigValidation:
     def test_error_names_the_knob(self):
         with pytest.raises(ConfigError, match="segment_size"):
             CoreConfig(window_size=256, segment_size=6).validate()
+
+    # One case per knob at the integer/latency boundary: bools and
+    # non-integers used to slip through and fail deep in the run (or,
+    # for bools, run as 1).
+    @pytest.mark.parametrize(
+        "knob,value,match",
+        [
+            ("window_size", True, "window_size"),
+            ("width", True, "width"),
+            ("segment_size", 1.0, "segment_size"),
+            ("max_cycles", True, "max_cycles"),
+            ("watchdog_cycles", 5e4, "watchdog_cycles"),
+            ("sanitize_stride", True, "sanitize_stride"),
+            ("predictor_index_bits", 12.5, "predictor_index_bits"),
+            ("cache_size_bytes", 65536.0, "cache_size_bytes"),
+            ("cache_assoc", True, "cache_assoc"),
+            ("cache_hit_latency", 1.5, "cache_hit_latency"),
+            ("cache_miss_latency", False, "cache_miss_latency"),
+            ("latencies", {"int": 1}, "missing op classes"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_rejects_non_integer_knob(self, knob, value, match):
+        with pytest.raises(ConfigError, match=match):
+            CoreConfig(**{knob: value}).validate()
+
+    @pytest.mark.parametrize(
+        "latencies,match",
+        [
+            ({**DEFAULT_LATENCIES, "fpu": 4}, "unknown op classes"),
+            ({**DEFAULT_LATENCIES, "mul": 2.5}, "integers >= 1"),
+            ({**DEFAULT_LATENCIES, "div": True}, "integers >= 1"),
+            ([("int", 1)], "must be a dict"),
+        ],
+        ids=["unknown-class", "float-latency", "bool-latency", "not-a-dict"],
+    )
+    def test_latencies_must_be_exactly_the_op_classes(self, latencies, match):
+        with pytest.raises(ConfigError, match=match):
+            CoreConfig(latencies=latencies).validate()
+        # one shared check: the idealized model rejects the same tables
+        with pytest.raises(ConfigError, match=match):
+            IdealConfig(latencies=latencies).validate()
 
     def test_processor_rejects_bad_config_up_front(self):
         program = assemble("li r1, 1\nhalt")

@@ -1,7 +1,9 @@
 """InstrPool slot lifecycle: free-list recycling, exhaustion, refs.
 
-The columnar pool recycles integer handles through a LIFO free list as
-the ROB unlinks slots at retire/squash.  These tests pin the lifecycle
+The columnar pool recycles integer handles through a LIFO free list:
+``ReorderBuffer.claim`` takes a slot off it at dispatch and
+``ReorderBuffer.remove`` puts it back when it unlinks the slot at
+retire/squash.  These tests pin the lifecycle
 contract the core relies on:
 
 * the free list and the linked window partition the real slots at every
@@ -24,7 +26,6 @@ from repro.core import CoreConfig, Processor, ReconvPolicy
 from repro.core.rob import ReorderBuffer
 from repro.core.soa import (
     HEAD,
-    InstrPool,
     REF_MASK,
     ST_DEAD,
     ST_SQUASHED,
@@ -37,8 +38,19 @@ from repro.isa import Instruction, Op
 _NOP = Instruction(Op.NOP)
 
 
-def make_pool(capacity=18, backend="fallback"):
-    return InstrPool(capacity, backend=backend)
+def make_rob(window=16, backend="fallback"):
+    return ReorderBuffer(window, soa_backend=backend)
+
+
+def claim(rob, uid, pc=None, cycle=0):
+    """Dispatch one instruction at the window tail (pc = uid by default)."""
+    return rob.claim(uid, uid if pc is None else pc, _NOP, cycle, None, None)
+
+
+def squash(rob, h):
+    """Kill and unlink a slot the way the squash path does."""
+    rob.pool.state[h] |= ST_SQUASHED
+    rob.remove(h)
 
 
 # ----------------------------------------------------------------------
@@ -46,33 +58,34 @@ def make_pool(capacity=18, backend="fallback"):
 
 
 def test_lifo_recycling_reuses_most_recent_slot():
-    pool = make_pool()
-    a = pool.alloc(0, 0, _NOP, 0)
-    b = pool.alloc(1, 1, _NOP, 0)
-    pool.free(a)
-    pool.free(b)
+    rob = make_rob()
+    a = claim(rob, 0)
+    b = claim(rob, 1)
+    squash(rob, a)
+    squash(rob, b)
     # LIFO: the most recently freed slot comes back first (cache-warm)
-    assert pool.alloc(2, 2, _NOP, 0) == b
-    assert pool.alloc(3, 3, _NOP, 0) == a
+    assert claim(rob, 2) == b
+    assert claim(rob, 3) == a
 
 
 def test_live_tracks_alloc_free_waves():
-    pool = make_pool(34)
+    rob = make_rob(32)
+    pool = rob.pool
     assert pool.live == 0
-    handles = [pool.alloc(u, u, _NOP, 0) for u in range(32)]
+    handles = [claim(rob, u) for u in range(32)]
     assert pool.live == 32
     for h in handles[10:30]:  # a deep squash wave
-        pool.free(h)
+        squash(rob, h)
     assert pool.live == 12
-    redispatched = [pool.alloc(100 + i, 0, _NOP, 1) for i in range(20)]
+    redispatched = [claim(rob, 100 + i, pc=0, cycle=1) for i in range(20)]
     assert pool.live == 32
     assert set(redispatched) == set(handles[10:30])
     assert pool.allocated_total == 52
 
 
 def test_boundary_slots_never_enter_the_free_list():
-    pool = make_pool(8)
-    seen = {pool.alloc(u, u, _NOP, 0) for u in range(6)}
+    rob = make_rob(6)
+    seen = {claim(rob, u) for u in range(6)}
     assert HEAD not in seen and TAIL not in seen
     assert seen == set(range(2, 8))
 
@@ -80,19 +93,14 @@ def test_boundary_slots_never_enter_the_free_list():
 def test_rob_remove_returns_slot_to_the_pool():
     rob = ReorderBuffer(16)
     pool = rob.pool
-    handles = []
-    seg = None
-    for uid in range(16):
-        h = pool.alloc(uid, uid, _NOP, 0)
-        seg = rob.append(h, seg)
-        handles.append(h)
+    handles = [claim(rob, uid) for uid in range(16)]
     assert pool.live == rob.count == 16
     for h in handles[4:12]:  # squash the middle of the window
         rob.remove(h)
     assert pool.live == rob.count == 8
     # dispatch can refill the window entirely from recycled slots
     for uid in range(100, 108):
-        rob.append(pool.alloc(uid, uid, _NOP, 1), None)
+        claim(rob, uid, cycle=1)
     assert pool.live == rob.count == 16
 
 
@@ -103,29 +111,29 @@ def test_rob_remove_returns_slot_to_the_pool():
 @pytest.mark.parametrize("backend", ("fallback", "numpy"))
 def test_exhaustion_raises_structured_error(backend):
     try:
-        pool = make_pool(6, backend=backend)
+        rob = make_rob(4, backend=backend)
     except ValueError:
         pytest.skip("backend unavailable")
-    for uid in range(4):
-        pool.alloc(uid, uid, _NOP, 0)
+    handles = [claim(rob, uid) for uid in range(4)]
+    # the ROB's capacity check is dispatch's job; the claim itself must
+    # still fail loudly when the free list is empty
     with pytest.raises(PoolExhausted) as err:
-        pool.alloc(4, 4, _NOP, 0)
+        claim(rob, 4)
     assert not isinstance(err.value, IndexError)
     assert err.value.capacity == 6
     assert err.value.live == 4
-    # freeing a slot makes alloc work again
-    pool.free(2)
-    assert pool.alloc(5, 5, _NOP, 0) == 2
+    # unlinking a slot makes the claim work again
+    rob.remove(handles[0])
+    assert claim(rob, 5) == handles[0] == 2
 
 
 def test_full_window_never_exhausts_the_pool():
     """The pool holds window_size + 2 slots, so a full ROB still has a
     free slot count of zero — but dispatch is gated by ``rob.full``
-    before alloc, so exhaustion is unreachable in a healthy machine."""
+    before the claim, so exhaustion is unreachable in a healthy machine."""
     rob = ReorderBuffer(8)
-    seg = None
     for uid in range(8):
-        seg = rob.append(rob.pool.alloc(uid, uid, _NOP, 0), seg)
+        claim(rob, uid)
     assert rob.full
     assert rob.pool.live == 8
     assert len(rob.pool._free) == 0
@@ -136,12 +144,12 @@ def test_full_window_never_exhausts_the_pool():
 
 
 def test_uid_and_ref_survive_free_until_realloc():
-    pool = make_pool()
-    h = pool.alloc(7, 3, _NOP, 0)
+    rob = make_rob()
+    pool = rob.pool
+    h = claim(rob, 7, pc=3)
     ref = pool.ref[h]
-    pool.state[h] |= ST_SQUASHED
-    pool.free(h)
-    # dead bits and identity survive the free
+    squash(rob, h)
+    # dead bits and identity survive the unlink
     assert pool.uid[h] == 7
     assert pool.state[h] & ST_DEAD
     assert pool.valid_ref(ref)  # still addresses the (dead) tenant
@@ -149,36 +157,36 @@ def test_uid_and_ref_survive_free_until_realloc():
 
 
 def test_recycle_invalidates_stale_refs_and_bumps_uid():
-    pool = make_pool()
-    h = pool.alloc(7, 3, _NOP, 0)
+    rob = make_rob()
+    pool = rob.pool
+    h = claim(rob, 7, pc=3)
     stale = pool.ref[h]
-    pool.state[h] |= ST_SQUASHED
-    pool.free(h)
-    h2 = pool.alloc(8, 4, _NOP, 1)
+    squash(rob, h)
+    h2 = claim(rob, 8, pc=4, cycle=1)
     assert h2 == h  # recycled slot
     assert pool.uid[h] == 8
     assert not pool.valid_ref(stale)  # old ref no longer matches
     assert pool.valid_ref(pool.ref[h])
     assert (stale & REF_MASK) == h  # same slot, different tenant
-    assert pool.is_alive(h)  # alloc cleared the dead bits
+    assert pool.is_alive(h)  # the claim cleared the dead bits
 
 
 def test_uids_monotonic_across_heavy_recycling():
     """A machine-shaped churn: uids assigned by the sequencer only grow,
     even as handles cycle through the free list repeatedly."""
-    pool = make_pool(10)
+    rob = make_rob(8)
+    pool = rob.pool
     uid = 0
     seen_per_handle: dict[int, list[int]] = {}
     live: list[int] = []
     for wave in range(50):
         while pool.live < 8:
-            h = pool.alloc(uid, uid, _NOP, wave)
+            h = claim(rob, uid, cycle=wave)
             seen_per_handle.setdefault(h, []).append(uid)
             live.append(h)
             uid += 1
         for h in live[-4:]:
-            pool.state[h] |= ST_SQUASHED
-            pool.free(h)
+            squash(rob, h)
         del live[-4:]
     for h, uids in seen_per_handle.items():
         assert uids == sorted(uids), f"handle {h} saw non-monotonic uids"

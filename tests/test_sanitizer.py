@@ -9,7 +9,6 @@ from repro.core import CoreConfig, CoreStats, GoldenTrace, Processor, ReconvPoli
 from repro.errors import ConfigError, SanitizerError
 from repro.robustness import (
     LSQDropFault,
-    OrderIndexFault,
     PredictorStateFault,
     RegisterValueFault,
     ROBOrderFault,
@@ -97,7 +96,6 @@ class TestFaultLocalization:
 
     CASES = [
         (ROBOrderFault, "rob-links"),
-        (OrderIndexFault, "order-index"),
         (TagAliasFault, "broadcast-network"),
         (RenameMapFault, "rename-map"),
         (LSQDropFault, "lsq"),
@@ -138,7 +136,7 @@ class TestFaultLocalization:
         # sanitizer is the *localization*, so just document that the
         # structure name is only available with it on.
         program, golden, table = bundle
-        fault = OrderIndexFault(seed=0, trigger_retired=40)
+        fault = ROBOrderFault(seed=0, trigger_retired=40)
         cfg = CoreConfig(window_size=128, sanitize=False)
         try:
             run_with_fault(program, cfg, fault, golden, table)

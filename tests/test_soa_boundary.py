@@ -1,26 +1,25 @@
-"""OrderIndex backend parity at the capacity-aware selection boundary.
+"""InstrPool backend parity at the capacity-aware selection boundary.
 
 ``resolve_backend`` auto-picks numpy only at or above
-``NUMPY_MIN_CAPACITY`` (~4k), where its block moves amortize; below,
-the stdlib ``array`` column wins.  The two backends must be bit-for-bit
+``NUMPY_MIN_CAPACITY`` (~4k), where it pays off; below, the stdlib
+``array`` columns win.  The two backends must be bit-for-bit
 interchangeable *especially* around that switch point — a capacity-
 dependent behavioral difference would make window size silently change
-simulation results.  These tests drive identical insert / append /
-remove / renumber / rebuild sequences through both backends at
-capacities straddling the boundary (crossing the internal ``_grow``
-doubling as they go) and require identical state at every step, plus
-the selection rules themselves under both ``REPRO_SOA`` overrides.
+simulation results.  These tests drive identical claim / link / unlink
+churn through reorder buffers on both pool backends at capacities
+straddling the boundary and require identical column state, plus the
+selection rules themselves under both ``REPRO_SOA`` overrides.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.rob import ReorderBuffer
 from repro.core.soa import (
     BACKENDS,
     NUMPY_MIN_CAPACITY,
     InstrPool,
-    OrderIndex,
     ST_COMPLETED,
     ST_SQUASHED,
     resolve_backend,
@@ -58,18 +57,19 @@ def test_auto_selection_boundary():
 
 @needs_numpy
 def test_constructor_dispatches_on_capacity():
-    assert OrderIndex(NUMPY_MIN_CAPACITY - 1).backend == "fallback"
-    assert OrderIndex(NUMPY_MIN_CAPACITY).backend == "numpy"
+    # the ROB's pool holds the window plus the two boundary slots
+    assert ReorderBuffer(NUMPY_MIN_CAPACITY - 3).pool.backend == "fallback"
+    assert ReorderBuffer(NUMPY_MIN_CAPACITY - 2).pool.backend == "numpy"
 
 
 def test_env_override_beats_capacity(monkeypatch):
     monkeypatch.setenv("REPRO_SOA", "fallback")
-    assert OrderIndex(1 << 15).backend == "fallback"
+    assert InstrPool(1 << 15).backend == "fallback"
     monkeypatch.setenv("REPRO_SOA", "array")  # documented alias
-    assert OrderIndex(1 << 15).backend == "fallback"
+    assert InstrPool(1 << 15).backend == "fallback"
     if HAVE_NUMPY:
         monkeypatch.setenv("REPRO_SOA", "numpy")
-        assert OrderIndex(8).backend == "numpy"
+        assert InstrPool(8).backend == "numpy"
 
 
 def test_unknown_backend_rejected(monkeypatch):
@@ -77,7 +77,7 @@ def test_unknown_backend_rejected(monkeypatch):
         resolve_backend("valarray")
     monkeypatch.setenv("REPRO_SOA", "valarray")
     with pytest.raises(ValueError, match="unknown SoA backend"):
-        OrderIndex(16)
+        InstrPool(16)
 
 
 def test_backends_registry_is_exactly_the_two_columns():
@@ -85,85 +85,22 @@ def test_backends_registry_is_exactly_the_two_columns():
 
 
 # ----------------------------------------------------------------------
-# operational parity across the boundary
-
-
-def _drive(index: OrderIndex, size: int) -> list[list[int]]:
-    """One deterministic op sequence; returns state snapshots per phase.
-
-    ``size`` is chosen to cross the initial capacity (and one ``_grow``
-    doubling) for every capacity under test.
-    """
-    snapshots = []
-    # tail appends with monotonic keys (v2 dispatch path), crossing _grow
-    for i in range(size):
-        index.append(16 * (i + 1))
-    snapshots.append(index.tolist())
-    # midpoint inserts between existing keys (v1 placement path)
-    for i in range(0, size, 7):
-        index.insert(16 * (i + 1) - 8)
-    snapshots.append(index.tolist())
-    # removes by value, every 5th surviving entry (retire/squash path)
-    for value in index.tolist()[::5]:
-        index.remove(value)
-    snapshots.append(index.tolist())
-    # position probes on hits and misses
-    probes = [index.position(v) for v in (8, 16, 24, 16 * size // 2, 16 * size + 1)]
-    snapshots.append(probes)
-    # bulk renumber to the canonical spacing*(1..n) layout
-    index.renumber(len(index), 64)
-    snapshots.append(index.tolist())
-    # rebuild from an explicit sorted list
-    index.rebuild(range(3, 3 * (size // 2), 3))
-    snapshots.append(index.tolist())
-    return snapshots
-
-
-@needs_numpy
-@pytest.mark.parametrize(
-    "capacity",
-    [NUMPY_MIN_CAPACITY - 1, NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1],
-)
-def test_backend_parity_at_boundary(capacity):
-    size = NUMPY_MIN_CAPACITY + 128  # crosses every tested capacity
-    a = OrderIndex(capacity, backend="fallback")
-    b = OrderIndex(capacity, backend="numpy")
-    assert a.backend == "fallback" and b.backend == "numpy"
-    for phase, (got_a, got_b) in enumerate(zip(_drive(a, size), _drive(b, size))):
-        assert list(got_a) == list(got_b), f"phase {phase} diverged at capacity {capacity}"
-    assert len(a) == len(b)
-    assert a.tolist() == b.tolist()
-
-
-@needs_numpy
-def test_parity_under_env_overrides(monkeypatch):
-    """The same sequence through env-dispatched columns, both overrides."""
-    results = {}
-    for name in ("fallback", "numpy"):
-        monkeypatch.setenv("REPRO_SOA", name)
-        index = OrderIndex(NUMPY_MIN_CAPACITY)
-        assert index.backend == name
-        results[name] = _drive(index, 600)
-    for phase, (got_a, got_b) in enumerate(
-        zip(results["fallback"], results["numpy"])
-    ):
-        assert list(got_a) == list(got_b), f"phase {phase} diverged"
-
-
-# ----------------------------------------------------------------------
-# InstrPool parity across the same boundary
+# InstrPool parity across the boundary
 
 _NOP = Instruction(Op.NOP)
 
 
-def _drive_pool(pool: InstrPool, count: int) -> list:
-    """Deterministic alloc/mutate/free churn; returns state snapshots."""
+def _drive_pool(rob: ReorderBuffer, count: int) -> list:
+    """Deterministic claim/mutate/unlink churn through the ROB's one
+    dispatch and one unlink path; returns state snapshots."""
+    pool = rob.pool
     snapshots = []
     handles = []
     uid = 0
     for _ in range(count):
-        h = pool.alloc(uid, uid * 4, _NOP, uid % 17)
-        pool.order[h] = (uid + 1) << 4
+        # every 7th dispatch is a restart-style insert after an older slot
+        after = handles[len(handles) // 2] if uid % 7 == 6 else None
+        h = rob.claim(uid, uid * 4, _NOP, uid % 17, after, None)
         pool.state[h] = ST_COMPLETED if uid % 3 else 0
         handles.append(h)
         uid += 1
@@ -172,14 +109,16 @@ def _drive_pool(pool: InstrPool, count: int) -> list:
         victims = handles[len(handles) // 4 : len(handles) // 2 : 2 + wave]
         for h in victims:
             pool.state[h] |= ST_SQUASHED
-            pool.free(h)
+            rob.remove(h)
+            handles.remove(h)
         for _ in victims:
-            h = pool.alloc(uid, uid * 4, _NOP, uid % 17)
-            pool.order[h] = (uid + 1) << 4
+            handles.append(rob.claim(uid, uid * 4, _NOP, uid % 17, None, None))
             uid += 1
     snapshots.append([int(v) for v in pool.uid])
     snapshots.append([int(v) for v in pool.order])
     snapshots.append([int(v) for v in pool.state])
+    snapshots.append([int(v) for v in pool.prev])
+    snapshots.append([int(v) for v in pool.next])
     snapshots.append(list(pool.ref))
     snapshots.append((pool.live, pool.allocated_total, sorted(pool._free)))
     return snapshots
@@ -197,17 +136,33 @@ def test_instr_pool_auto_selection_matches_order_index():
     [NUMPY_MIN_CAPACITY - 1, NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1],
 )
 def test_instr_pool_backend_parity_at_boundary(capacity):
-    """Identical alloc/free/column churn through both pool backends at
+    """Identical claim/unlink/column churn through both pool backends at
     capacities straddling the numpy switch point must leave identical
     column state — window size must never change simulation results."""
-    a = InstrPool(capacity, backend="fallback")
-    b = InstrPool(capacity, backend="numpy")
-    assert a.backend == "fallback" and b.backend == "numpy"
-    count = capacity - 2  # fill to the brim, then churn
+    window = capacity - 2
+    a = ReorderBuffer(window, soa_backend="fallback")
+    b = ReorderBuffer(window, soa_backend="numpy")
+    assert a.pool.backend == "fallback" and b.pool.backend == "numpy"
+    # fill to the brim, then churn
     for phase, (got_a, got_b) in enumerate(
-        zip(_drive_pool(a, count), _drive_pool(b, count))
+        zip(_drive_pool(a, window), _drive_pool(b, window))
     ):
         assert got_a == got_b, f"phase {phase} diverged at capacity {capacity}"
+
+
+@needs_numpy
+def test_parity_under_env_overrides(monkeypatch):
+    """The same churn through env-dispatched pools, both overrides."""
+    results = {}
+    for name in ("fallback", "numpy"):
+        monkeypatch.setenv("REPRO_SOA", name)
+        rob = ReorderBuffer(600)
+        assert rob.pool.backend == name
+        results[name] = _drive_pool(rob, 600)
+    for phase, (got_a, got_b) in enumerate(
+        zip(results["fallback"], results["numpy"])
+    ):
+        assert got_a == got_b, f"phase {phase} diverged"
 
 
 @needs_numpy
@@ -216,20 +171,3 @@ def test_instr_pool_env_override(monkeypatch):
     assert InstrPool(NUMPY_MIN_CAPACITY).backend == "fallback"
     monkeypatch.setenv("REPRO_SOA", "numpy")
     assert InstrPool(8).backend == "numpy"
-
-
-def test_sequence_surface_parity_small():
-    """len/getitem/iter/slice surface on the stdlib column (always
-    available), pinned so both backends share one expected answer."""
-    index = OrderIndex(8, backend="fallback")
-    for value in (10, 30, 20, 40):
-        index.insert(value)
-    assert len(index) == 4
-    assert index.tolist() == [10, 20, 30, 40]
-    assert list(index) == [10, 20, 30, 40]
-    assert index[0] == 10 and index[-1] == 40
-    assert index[1:3] == [20, 30]
-    with pytest.raises(IndexError):
-        index[4]
-    index[1] = 21
-    assert index.tolist() == [10, 21, 30, 40]

@@ -180,8 +180,8 @@ def test_family_merging(index):
         "Processor", "SequencerStage", "BackendStage", "RecoveryStage",
         "RetireStage",
     }
-    assert {c.name for c in index.family_members("OrderIndex")} == {
-        "OrderIndex", "_NumpyOrderIndex", "_ArrayOrderIndex",
+    assert {c.name for c in index.family_members("InstrPool")} == {
+        "InstrPool", "_NumpyInstrPool", "_ArrayInstrPool",
     }
 
 
@@ -231,7 +231,7 @@ def test_committed_atlas_matches_regeneration(atlas):
 
 def test_atlas_covers_all_tracked_classes(atlas):
     assert set(atlas["meta"]["classes"]) <= set(TRACKED_CLASSES)
-    for cls in ("InstrPool", "ReorderBuffer", "OrderIndex", "LoadStoreQueue",
+    for cls in ("InstrPool", "ReorderBuffer", "LoadStoreQueue",
                 "Processor", "_Context"):
         assert cls in atlas["classes"], cls
     table = format_atlas(atlas)
