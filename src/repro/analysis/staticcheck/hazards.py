@@ -510,6 +510,20 @@ SOURCE_SUPPRESSIONS: tuple[SourceSuppression, ...] = (
     SourceSuppression(
         rule="same-cycle-war",
         reason=(
+            "branch-gate event counters: retire and the sequencer bump "
+            "them (squashed oldest branch, dropped unresolved store) "
+            "after the complete phase compared them; the change is seen "
+            "by the next cycle's complete phase, which is the first "
+            "point a pending branch could be retried anyway"
+        ),
+        symbols=(
+            "LoadStoreQueue.unresolved_shrinks",
+            "Processor._oldest_gate_events",
+        ),
+    ),
+    SourceSuppression(
+        rule="same-cycle-war",
+        reason=(
             "fetch-context state: the sequencer phase owns context "
             "mutation and runs last; complete/retire only inspect "
             "contexts for recovery and repair, observing the pre-fetch "

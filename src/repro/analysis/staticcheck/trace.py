@@ -24,8 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 #: canonical atlas label -> concrete classes whose instances carry the
-#: family's state at runtime (InstrPool dispatches to backend classes
-#: in ``__new__``; the stage mixins never instantiate).
+#: family's state at runtime (the stage mixins never instantiate).
 def _target_classes() -> dict[str, tuple[type, ...]]:
     from repro.core.lsq import LoadStoreQueue
     from repro.core.processor import Processor

@@ -7,8 +7,8 @@ contract) share:
 * a **class index** — every class, its declared instance fields
   (``__slots__`` plus ``self.X = ...`` assignments in ``__init__``),
   and its *family*: stage mixins merge into the :class:`Processor`
-  facade and ``InstrPool`` backends merge into their base, both derived
-  from the AST base-class lists rather than hardcoded.
+  facade and any subclass of a tracked class merges into its base, both
+  derived from the AST base-class lists rather than hardcoded.
 * an **access index** — every attribute read / write / container
   mutation whose receiver resolves to one of the tracked model classes
   (``InstrPool``, ``ReorderBuffer``, ``LoadStoreQueue``,
@@ -241,8 +241,9 @@ class RepoIndex:
         * A tracked class's bases defined in this repo are mixins: their
           methods run over the tracked class's state (``Processor``'s
           stage mixins).
-        * A class whose base is tracked is a backend/specialization and
-          merges into the base (``InstrPool``'s numpy/stdlib columns).
+        * A class whose base is tracked is a specialization and merges
+          into the base (none today: ``InstrPool`` has a single
+          plain-list implementation).
         """
         for name in self.classes:
             self.family[name] = name

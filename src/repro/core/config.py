@@ -205,6 +205,21 @@ class CoreConfig:
             "window_size", "width", "segment_size",
             "max_cycles", "watchdog_cycles", "sanitize_stride",
         )
+        # Boolean knobs are read by truthiness, so a string such as
+        # "no" would silently turn one on.
+        for knob in (
+            "hide_false_mispredictions", "instant_redispatch",
+            "oracle_global_history", "perfect_cache", "strict_commit",
+        ):
+            value = getattr(self, knob)
+            require(
+                isinstance(value, bool),
+                f"{knob} must be a bool, got {value!r}",
+            )
+        require(
+            self.sanitize is None or isinstance(self.sanitize, bool),
+            f"sanitize must be None or a bool, got {self.sanitize!r}",
+        )
         require(
             self.window_size % self.segment_size == 0,
             f"window_size ({self.window_size}) must be a multiple of "

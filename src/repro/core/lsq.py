@@ -33,6 +33,11 @@ class LoadStoreQueue:
         #: :meth:`store_resolved` so the branch-completion gate scans the
         #: (usually tiny) unresolved subset, not every store in flight
         self._unresolved_stores: dict[int, int] = {}
+        #: monotonic count of removals from the unresolved subset — the
+        #: only LSQ event that can open a store-gated branch-completion
+        #: gate, so the completion phase retries pending branches only
+        #: when it moved
+        self.unresolved_shrinks = 0
 
     # ------------------------------------------------------------------
     def add(self, h: int) -> None:
@@ -52,11 +57,13 @@ class LoadStoreQueue:
         uid = pool.uid[h]
         self._stores.pop(uid, None)
         self._loads.pop(uid, None)
-        self._unresolved_stores.pop(uid, None)
+        if self._unresolved_stores.pop(uid, None) is not None:
+            self.unresolved_shrinks += 1
 
     def store_resolved(self, h: int) -> None:
         """The store completed: its address is now known."""
-        self._unresolved_stores.pop(self.pool.uid[h], None)
+        if self._unresolved_stores.pop(self.pool.uid[h], None) is not None:
+            self.unresolved_shrinks += 1
 
     # ------------------------------------------------------------------
     def forward_source(self, load: int) -> int | None:

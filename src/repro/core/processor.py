@@ -170,6 +170,20 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self._oldest_gate: int | None = None
         self._oldest_gate_valid = True
 
+        # Pending-branch retries: a gated branch can only complete after
+        # an event that opens a gate — the oldest-gate cache invalidated
+        # (its branch completed or was squashed; counted here) or the
+        # LSQ's unresolved-store subset shrinking (counted by the LSQ).
+        # The completion phase sweeps the pending list only when the
+        # counters its gates consult moved since the last sweep; a
+        # skipped sweep would only have retried branches whose gates
+        # were all still closed.  The false-misprediction oracle's delay
+        # depends on repredicts and window positions, which are not gate
+        # events, so under it every cycle sweeps.
+        self._oldest_gate_events = 0
+        self._swept_events = 0
+        self._sweep_always = cfg.hide_false_mispredictions
+
         # Rename-map memoization: _map_after results are valid until the
         # window contents (or the commit-side map) change; the epoch
         # stamps both.  Nested recoveries and the sequencer reactivation
@@ -222,7 +236,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         else:
             pool = self.pool
             head_age = self.cycle - pool.dispatch_cycle[head]
-            s = int(pool.state[head])
+            s = pool.state[head]
             flags = []
             flags.append("completed" if s & ST_COMPLETED else "incomplete")
             if s & ST_IN_READY:

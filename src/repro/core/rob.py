@@ -91,7 +91,6 @@ class ReorderBuffer:
         self,
         window_size: int,
         segment_size: int = 1,
-        soa_backend: str | None = None,
         order_scheme: str | None = None,
     ):
         if window_size % segment_size:
@@ -102,7 +101,7 @@ class ReorderBuffer:
         #: the columnar instruction store: exactly the window plus the
         #: two boundary slots, since every slot is freed the moment it
         #: is unlinked at retire/squash
-        self.pool = InstrPool(window_size + 2, backend=soa_backend)
+        self.pool = InstrPool(window_size + 2)
         pool = self.pool
         pool.next[HEAD] = TAIL
         pool.prev[TAIL] = HEAD

@@ -15,15 +15,6 @@ preallocated columns rather than per-instruction Python objects:
   slot (structure of arrays, not an array of tuples), so scheduling an
   event allocates nothing.
 
-Two interchangeable backends implement the integer columns: ``numpy``
-(preferred when importable) and a pure-stdlib ``array('q')`` fallback,
-selected per pool by the ``REPRO_SOA`` environment variable
-(``numpy`` | ``fallback``; unset auto-selects by column capacity — see
-:func:`resolve_backend`).  Both
-backends are semantically identical — the golden equivalence suite runs
-the 18 committed cells through each and requires byte-identical
-statistics.
-
 Deliberately *not* columnar (measured, not assumed):
 
 * the ready list stays a ``heapq`` of ``(eligible, order, uid, handle)``
@@ -37,58 +28,21 @@ Deliberately *not* columnar (measured, not assumed):
   near-empty in steady state;
 * window positions are not stored at all — ``ReorderBuffer.index_of``
   recounts one from the links on demand, which is cheaper than keeping
-  a sorted order-key column current on every dispatch and unlink.
+  a sorted order-key column current on every dispatch and unlink;
+* every column is a plain ``list``, not a typed ``array('q')`` or numpy
+  ``int64`` buffer — CPython 3.11 specializes ``list`` subscripts in
+  the interpreter but not those of other sequences, and a typed buffer
+  boxes a fresh ``int`` on every read of a large value (order keys,
+  uids).  A read and a write of one 258-slot column cost ~28 ns from a
+  list, ~93 ns from ``array('q')`` and ~190 ns from numpy (Intel Xeon,
+  CPython 3.11).  Over the detailed cells of a paper study, list
+  columns cut core time ~13% against ``array('q')``; at windows of
+  4096 and 8192, where numpy had been auto-selected, CI ran in less
+  than half the time with lists.  No input measured favours a typed
+  column.
 """
 
 from __future__ import annotations
-
-import os
-from array import array
-
-try:  # optional dependency: the stdlib fallback is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_SOA=fallback
-    _np = None
-
-#: backends accepted by ``REPRO_SOA`` / :func:`resolve_backend`
-BACKENDS = ("numpy", "fallback")
-
-#: capacity below which auto-selection prefers the stdlib column: numpy's
-#: per-element scalar boxing on compare/assign costs more than it saves
-#: until the columns are large (measured: ~30% slower at the paper's
-#: 256-entry window, ahead by ~4k entries)
-NUMPY_MIN_CAPACITY = 4096
-
-
-def resolve_backend(name: str | None = None, capacity: int | None = None) -> str:
-    """Resolve a backend name (or the ``REPRO_SOA`` env var) to one of
-    :data:`BACKENDS`.
-
-    An explicit name (argument or environment) always wins.  Unset picks
-    numpy only when it is importable *and* the column is large enough to
-    profit (:data:`NUMPY_MIN_CAPACITY`); paper-scale windows go to the
-    stdlib column, which is faster there.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_SOA", "") or None
-    if name is None:
-        if _np is None:
-            return "fallback"
-        if capacity is not None and capacity < NUMPY_MIN_CAPACITY:
-            return "fallback"
-        return "numpy"
-    name = name.lower()
-    if name == "array":  # accepted alias for the stdlib backend
-        name = "fallback"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown SoA backend {name!r}; expected one of {BACKENDS} "
-            "(REPRO_SOA)"
-        )
-    if name == "numpy" and _np is None:
-        raise ValueError("REPRO_SOA=numpy but numpy is not importable")
-    return name
-
 
 # ----------------------------------------------------------------------
 # the columnar instruction pool
@@ -143,16 +97,12 @@ class InstrPool:
     :data:`HEAD` and :data:`TAIL` are the window's permanent boundary
     slots and are never claimed.
 
-    Columns split by type, deliberately:
-
-    * **backend-typed int columns** (``uid``, ``order``, ``prev``,
-      ``next``, ``state``) — the link/ordering/liveness state every
-      hot-path check touches, held as ``array('q')`` or numpy ``int64``
-      per :func:`resolve_backend` (capacity-aware auto-selection).
-    * **plain-list columns** (tags, values, addresses, control state) —
-      these hold Python objects or feed statistics/serialization, where
-      a numpy scalar (``np.int64``) leaking out would break JSON
-      checkpoints and identity checks.
+    Every column is a plain ``list`` (see the module docstring for the
+    measurement): the link/ordering/liveness columns (``uid``,
+    ``order``, ``prev``, ``next``, ``state``) that every hot-path check
+    touches, and the tag, value, address and control-state columns,
+    which also hold Python objects and feed statistics and JSON
+    checkpoints as plain ints.
 
     A freed slot keeps its ``uid`` and dead ``state`` bits until the
     slot is claimed again, so stale references held by the ready heap or
@@ -164,13 +114,13 @@ class InstrPool:
     __slots__ = (
         "capacity",
         "allocated_total",
-        # backend-typed int columns
+        # link / ordering / liveness columns
         "uid",
         "order",
         "prev",
         "next",
         "state",
-        # identity / payload columns (plain lists)
+        # identity / payload columns
         "ref",
         "pc",
         "instr",
@@ -205,31 +155,19 @@ class InstrPool:
         "_free",
     )
 
-    backend = "abstract"
-
-    def __new__(cls, capacity: int, backend: str | None = None):
-        if cls is InstrPool:
-            resolved = resolve_backend(backend, capacity)
-            cls = _NumpyInstrPool if resolved == "numpy" else _ArrayInstrPool
-        return object.__new__(cls)
-
-    def __init__(self, capacity: int, backend: str | None = None):
+    def __init__(self, capacity: int):
         capacity = int(capacity)
         if capacity < 3:
             raise ValueError("InstrPool needs the two boundary slots plus one")
         self.capacity = capacity
         self.allocated_total = 0
-        alloc = self._alloc_int_col
-        self.uid = alloc(capacity)
-        self.order = alloc(capacity)
-        self.prev = alloc(capacity)
-        self.next = alloc(capacity)
-        self.state = alloc(capacity)
-        for col in (self.uid, self.order, self.prev, self.next):
-            col[0 : capacity] = self._int_fill(-1, capacity)
+        self.uid = [-1] * capacity
+        self.order = [-1] * capacity
+        self.prev = [-1] * capacity
+        self.next = [-1] * capacity
         # Unallocated slots read as dead, so an accidentally retained
         # handle behaves like a squashed instruction, never a live one.
-        self.state[0:capacity] = self._int_fill(ST_SQUASHED, capacity)
+        self.state = [ST_SQUASHED] * capacity
         self.ref = [-1] * capacity
         none_col = [None] * capacity
         self.pc = [-1] * capacity
@@ -287,40 +225,7 @@ class InstrPool:
         """Diagnostic rendering of a slot (sanitizer/injector messages)."""
         instr = self.instr[h]
         op = instr.op.name if instr is not None else "?"
-        return f"<{int(self.uid[h])}:{self.pc[h]}:{op}>"
-
-
-class _ArrayInstrPool(InstrPool):
-    """Stdlib ``array('q')`` int columns — no dependencies, and the
-    faster choice at paper-scale window sizes."""
-
-    __slots__ = ()
-
-    backend = "fallback"
-
-    @staticmethod
-    def _alloc_int_col(capacity: int):
-        return array("q", bytes(8 * capacity))
-
-    @staticmethod
-    def _int_fill(value: int, count: int):
-        return array("q", [value]) * count
-
-
-class _NumpyInstrPool(InstrPool):
-    """numpy ``int64`` int columns — preferred for large pools."""
-
-    __slots__ = ()
-
-    backend = "numpy"
-
-    @staticmethod
-    def _alloc_int_col(capacity: int):
-        return _np.zeros(capacity, dtype=_np.int64)
-
-    @staticmethod
-    def _int_fill(value: int, count: int):
-        return _np.full(count, value, dtype=_np.int64)
+        return f"<{self.uid[h]}:{self.pc[h]}:{op}>"
 
 
 class CompletionWheel:
@@ -363,7 +268,6 @@ class CompletionWheel:
 
 
 __all__ = [
-    "BACKENDS",
     "CompletionWheel",
     "HEAD",
     "InstrPool",
@@ -381,5 +285,4 @@ __all__ = [
     "ST_RETIRE_GATE",
     "ST_SQUASHED",
     "TAIL",
-    "resolve_backend",
 ]

@@ -6,7 +6,10 @@ consumers — reissuing any whose inputs changed (selective reissue),
 including loads squashed by stores.  Branch completion is gated by the
 configured completion model (Appendix A.2): in-order models consult the
 event-maintained oldest-incomplete-branch cache, store-gated models the
-LSQ's unresolved-store subset.
+LSQ's unresolved-store subset.  A branch whose gate is closed waits in a
+pending list that the completion phase retries only after an event that
+can open a gate: the cached oldest branch completing or being squashed,
+or the unresolved-store subset shrinking.
 
 All instruction state lives in the columnar pool: the ready heap carries
 pure int tuples ``(eligible, order, uid, handle)`` — the uid in the
@@ -178,14 +181,27 @@ class BackendStage:
             refs_due.clear()
             tokens.clear()
         if self._pending_branches:
-            still_pending: list[tuple[int, int]] = []
-            for ref, token in self._pending_branches:
-                h = ref & REF_MASK
-                if refs[h] != ref or state[h] & ST_DEAD or token != issue_count[h]:
-                    continue
-                if not self._try_complete_branch(h):
-                    still_pending.append((ref, token))
-            self._pending_branches = still_pending
+            # Retry gated branches only after a gate-opening event (see
+            # ``_oldest_gate_events`` in the Processor constructor).
+            events = 0
+            if self._gate_in_order:
+                events = self._oldest_gate_events
+            if self._gate_stores:
+                events += self.lsq.unresolved_shrinks
+            if events != self._swept_events or self._sweep_always:
+                self._swept_events = events
+                still_pending: list[tuple[int, int]] = []
+                for ref, token in self._pending_branches:
+                    h = ref & REF_MASK
+                    if (
+                        refs[h] != ref
+                        or state[h] & ST_DEAD
+                        or token != issue_count[h]
+                    ):
+                        continue
+                    if not self._try_complete_branch(h):
+                        still_pending.append((ref, token))
+                self._pending_branches = still_pending
         if self._any_completed:
             self.stats.stage_complete_cycles += 1
             self._any_completed = False
@@ -362,6 +378,7 @@ class BackendStage:
         self._incomplete_branches.pop(pool.uid[h], None)
         if self._oldest_gate == h:
             self._oldest_gate_valid = False
+            self._oldest_gate_events += 1
         if pool.dest_tag[h] is not None:  # calls write the link register
             self._broadcast(h)
         if mismatch:

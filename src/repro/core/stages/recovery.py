@@ -331,6 +331,7 @@ class RecoveryStage:
         ):
             if self._oldest_gate == h:
                 self._oldest_gate_valid = False
+                self._oldest_gate_events += 1
 
     def _prune_contexts(self) -> None:
         """Drop contexts invalidated by a squash.

@@ -7,8 +7,7 @@ different workloads or configurations — through one Python-level loop,
 advancing each by one cycle per round.  Round-robin interleaving does
 not change any machine's result: processors share no mutable state, so
 the statistics of a batched run are byte-identical to running each
-machine serially (the golden equivalence suite enforces this for both
-SoA backends).
+machine serially (the golden equivalence suite enforces this).
 
 What batching buys is driver-level, not semantic: one shared loop frame
 amortizes per-run overhead, and the garbage collector is paused for the

@@ -383,10 +383,12 @@ class LSQDropFault(FaultInjector):
 
     The branch-completion gate and load-ahead logic scan only that
     subset, so the machine believes the store's address is resolved and
-    lets younger loads and branches proceed against it.  The victim has
-    not issued, so it cannot complete (and legitimately leave the
-    subset) before the next sanitizer check.  Caught by
-    ``sanitizer[lsq]``.
+    lets younger loads and branches proceed against it.  The drop goes
+    through :meth:`~repro.core.lsq.LoadStoreQueue.store_resolved`, the
+    LSQ's own removal path, so pending branches are retried just as
+    after a real resolution.  The victim has not issued, so it cannot
+    complete (and legitimately leave the subset) before the next
+    sanitizer check.  Caught by ``sanitizer[lsq]``.
     """
 
     kind = "lsq-drop"
@@ -399,7 +401,10 @@ class LSQDropFault(FaultInjector):
                 not state[h] & (ST_COMPLETED | ST_INFLIGHT)
                 and pool.issue_count[h] == 0
             ):
-                del proc.lsq._unresolved_stores[uid]
+                # Through the LSQ's own removal path, so the
+                # unresolved-subset shrink counter moves exactly as a
+                # real resolution would move it.
+                proc.lsq.store_resolved(h)
                 self.description = (
                     f"dropped store pc {pool.pc[h]} (uid {uid}) from the "
                     f"unresolved subset at cycle {proc.cycle}"

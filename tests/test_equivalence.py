@@ -26,8 +26,8 @@ across generations (asserted below) and are gated once.
 
 The detailed cells are additionally replayed through the array-batched
 driver (all three machines of a workload interleaved cycle-by-cycle in
-one :func:`repro.harness.batch.run_batch` loop) under *both* SoA
-backends — the batched kernel must hit the same goldens, byte for byte.
+one :func:`repro.harness.batch.run_batch` loop) — the batched kernel
+must hit the same goldens, byte for byte.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import ORDER_SCHEMES, CoreConfig, Processor, ReconvPolicy
-from repro.core.soa import BACKENDS
 from repro.harness.batch import run_batch
 from repro.harness.experiments import load_bundle, run_core
 from repro.ideal.models import IdealConfig, IdealModel
@@ -106,15 +105,9 @@ def test_core_stats_match_goldens(goldens, bundles, scheme, workload, machine):
 
 
 @pytest.mark.parametrize("scheme", ORDER_SCHEMES)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_batched_core_row_matches_goldens(
-    goldens, bundles, scheme, workload, backend, monkeypatch
-):
-    """One interleaved batch per workload, per SoA backend, vs goldens."""
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_SOA", backend)
+def test_batched_core_row_matches_goldens(goldens, bundles, scheme, workload):
+    """One interleaved batch per workload vs goldens."""
     bundle = bundles[workload]
     names = sorted(CORE_MACHINES)
     processors = [
@@ -130,7 +123,7 @@ def test_batched_core_row_matches_goldens(
         _assert_matches(
             goldens[scheme][("core", workload, name)],
             dataclasses.asdict(stats),
-            f"{workload}/{name} batched/{backend} ({scheme})",
+            f"{workload}/{name} batched ({scheme})",
         )
 
 

@@ -167,6 +167,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             CoreConfig(**{knob: value}).validate()
 
+    # One case per boolean knob: the core reads them by truthiness, so a
+    # string such as "no" or "off" used to turn the knob on silently.
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("hide_false_mispredictions", "no"),
+            ("instant_redispatch", "no"),
+            ("oracle_global_history", "no"),
+            ("perfect_cache", "no"),
+            ("strict_commit", "no"),
+            ("sanitize", "off"),
+        ],
+    )
+    def test_rejects_non_bool_knob(self, knob, value):
+        with pytest.raises(ConfigError, match=knob):
+            CoreConfig(**{knob: value}).validate()
+
+    def test_sanitize_accepts_none_and_bools(self):
+        for value in (None, True, False):
+            CoreConfig(sanitize=value).validate()
+
     @pytest.mark.parametrize(
         "latencies,match",
         [

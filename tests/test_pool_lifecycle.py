@@ -38,8 +38,8 @@ from repro.isa import Instruction, Op
 _NOP = Instruction(Op.NOP)
 
 
-def make_rob(window=16, backend="fallback"):
-    return ReorderBuffer(window, soa_backend=backend)
+def make_rob(window=16):
+    return ReorderBuffer(window)
 
 
 def claim(rob, uid, pc=None, cycle=0):
@@ -108,12 +108,8 @@ def test_rob_remove_returns_slot_to_the_pool():
 # exhaustion
 
 
-@pytest.mark.parametrize("backend", ("fallback", "numpy"))
-def test_exhaustion_raises_structured_error(backend):
-    try:
-        rob = make_rob(4, backend=backend)
-    except ValueError:
-        pytest.skip("backend unavailable")
+def test_exhaustion_raises_structured_error():
+    rob = make_rob(4)
     handles = [claim(rob, uid) for uid in range(4)]
     # the ROB's capacity check is dispatch's job; the claim itself must
     # still fail loudly when the free list is empty

@@ -1,100 +1,43 @@
-"""InstrPool backend parity at the capacity-aware selection boundary.
+"""InstrPool / ReorderBuffer churn across pool capacities.
 
-``resolve_backend`` auto-picks numpy only at or above
-``NUMPY_MIN_CAPACITY`` (~4k), where it pays off; below, the stdlib
-``array`` columns win.  The two backends must be bit-for-bit
-interchangeable *especially* around that switch point — a capacity-
-dependent behavioral difference would make window size silently change
-simulation results.  These tests drive identical claim / link / unlink
-churn through reorder buffers on both pool backends at capacities
-straddling the boundary and require identical column state, plus the
-selection rules themselves under both ``REPRO_SOA`` overrides.
+A pool's capacity is the window plus the two boundary slots, and the
+free list hands out handles from the bottom up, so the same dispatch /
+restart-insert / squash-and-recycle churn must leave the same window —
+same handles, links, order keys, states and refs — whatever the
+capacity, as long as the churn fits.  A capacity-dependent behavioral
+difference would make window size silently change simulation results.
+These tests drive identical churn through reorder buffers at a
+paper-scale window and at large capacities (around 4k slots and
+beyond) and require identical column state over the slots the churn
+touched, plus the free-list / window partition at the end.  The pool has
+one implementation, plain-list columns, so the package must not need
+numpy either: the last test checks that in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.rob import ReorderBuffer
-from repro.core.soa import (
-    BACKENDS,
-    NUMPY_MIN_CAPACITY,
-    InstrPool,
-    ST_COMPLETED,
-    ST_SQUASHED,
-    resolve_backend,
-)
+from repro.core.soa import TAIL, ST_COMPLETED, ST_SQUASHED
 from repro.isa import Instruction, Op
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-
-
-@pytest.fixture(autouse=True)
-def clear_soa_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SOA", raising=False)
-
-
-# ----------------------------------------------------------------------
-# selection rules
-
-
-def test_auto_selection_boundary():
-    for capacity in (1, 256, NUMPY_MIN_CAPACITY - 1):
-        assert resolve_backend(None, capacity) == "fallback", capacity
-    expected = "numpy" if HAVE_NUMPY else "fallback"
-    for capacity in (NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1, 1 << 20):
-        assert resolve_backend(None, capacity) == expected, capacity
-    # no capacity hint: prefer numpy when importable
-    assert resolve_backend(None, None) == expected
-
-
-@needs_numpy
-def test_constructor_dispatches_on_capacity():
-    # the ROB's pool holds the window plus the two boundary slots
-    assert ReorderBuffer(NUMPY_MIN_CAPACITY - 3).pool.backend == "fallback"
-    assert ReorderBuffer(NUMPY_MIN_CAPACITY - 2).pool.backend == "numpy"
-
-
-def test_env_override_beats_capacity(monkeypatch):
-    monkeypatch.setenv("REPRO_SOA", "fallback")
-    assert InstrPool(1 << 15).backend == "fallback"
-    monkeypatch.setenv("REPRO_SOA", "array")  # documented alias
-    assert InstrPool(1 << 15).backend == "fallback"
-    if HAVE_NUMPY:
-        monkeypatch.setenv("REPRO_SOA", "numpy")
-        assert InstrPool(8).backend == "numpy"
-
-
-def test_unknown_backend_rejected(monkeypatch):
-    with pytest.raises(ValueError, match="unknown SoA backend"):
-        resolve_backend("valarray")
-    monkeypatch.setenv("REPRO_SOA", "valarray")
-    with pytest.raises(ValueError, match="unknown SoA backend"):
-        InstrPool(16)
-
-
-def test_backends_registry_is_exactly_the_two_columns():
-    assert BACKENDS == ("numpy", "fallback")
-
-
-# ----------------------------------------------------------------------
-# InstrPool parity across the boundary
-
 _NOP = Instruction(Op.NOP)
+
+#: dispatches per churn run: fits the 256-entry reference window
+CHURN = 250
 
 
 def _drive_pool(rob: ReorderBuffer, count: int) -> list:
     """Deterministic claim/mutate/unlink churn through the ROB's one
-    dispatch and one unlink path; returns state snapshots."""
+    dispatch and one unlink path; returns state snapshots of the slots
+    the churn can have touched."""
     pool = rob.pool
-    snapshots = []
     handles = []
     uid = 0
     for _ in range(count):
@@ -114,60 +57,78 @@ def _drive_pool(rob: ReorderBuffer, count: int) -> list:
         for _ in victims:
             handles.append(rob.claim(uid, uid * 4, _NOP, uid % 17, None, None))
             uid += 1
-    snapshots.append([int(v) for v in pool.uid])
-    snapshots.append([int(v) for v in pool.order])
-    snapshots.append([int(v) for v in pool.state])
-    snapshots.append([int(v) for v in pool.prev])
-    snapshots.append([int(v) for v in pool.next])
-    snapshots.append(list(pool.ref))
-    snapshots.append((pool.live, pool.allocated_total, sorted(pool._free)))
-    return snapshots
+    touched = count + 2
+    return [
+        pool.uid[:touched],
+        pool.order[:touched],
+        pool.state[:touched],
+        pool.prev[:touched],
+        pool.next[:touched],
+        pool.ref[:touched],
+        list(rob.iter_all()),
+        (pool.live, pool.allocated_total),
+    ]
 
 
-def test_instr_pool_auto_selection_matches_order_index():
-    assert InstrPool(NUMPY_MIN_CAPACITY - 1).backend == "fallback"
-    expected = "numpy" if HAVE_NUMPY else "fallback"
-    assert InstrPool(NUMPY_MIN_CAPACITY).backend == expected
+def _assert_partition(rob: ReorderBuffer) -> None:
+    """Linked window and free list partition the real slots exactly."""
+    pool = rob.pool
+    linked = list(rob.iter_all())
+    assert len(linked) == rob.count == pool.live
+    assert sorted(linked + pool._free) == list(range(TAIL + 1, pool.capacity))
 
 
-@needs_numpy
-@pytest.mark.parametrize(
-    "capacity",
-    [NUMPY_MIN_CAPACITY - 1, NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1],
-)
-def test_instr_pool_backend_parity_at_boundary(capacity):
-    """Identical claim/unlink/column churn through both pool backends at
-    capacities straddling the numpy switch point must leave identical
-    column state — window size must never change simulation results."""
-    window = capacity - 2
-    a = ReorderBuffer(window, soa_backend="fallback")
-    b = ReorderBuffer(window, soa_backend="numpy")
-    assert a.pool.backend == "fallback" and b.pool.backend == "numpy"
-    # fill to the brim, then churn
-    for phase, (got_a, got_b) in enumerate(
-        zip(_drive_pool(a, window), _drive_pool(b, window))
-    ):
-        assert got_a == got_b, f"phase {phase} diverged at capacity {capacity}"
+@pytest.mark.parametrize("capacity", [4095, 4096, 4097, 8192])
+def test_churn_is_capacity_independent(capacity):
+    reference = ReorderBuffer(256)
+    expected = _drive_pool(reference, CHURN)
+    _assert_partition(reference)
+    rob = ReorderBuffer(capacity - 2)  # the window plus two boundary slots
+    assert rob.pool.capacity == capacity
+    for phase, (got, want) in enumerate(zip(_drive_pool(rob, CHURN), expected)):
+        assert got == want, f"phase {phase} diverged at capacity {capacity}"
+    _assert_partition(rob)
 
 
-@needs_numpy
-def test_parity_under_env_overrides(monkeypatch):
-    """The same churn through env-dispatched pools, both overrides."""
-    results = {}
-    for name in ("fallback", "numpy"):
-        monkeypatch.setenv("REPRO_SOA", name)
-        rob = ReorderBuffer(600)
-        assert rob.pool.backend == name
-        results[name] = _drive_pool(rob, 600)
-    for phase, (got_a, got_b) in enumerate(
-        zip(results["fallback"], results["numpy"])
-    ):
-        assert got_a == got_b, f"phase {phase} diverged"
+def test_full_window_churn_at_large_capacity():
+    """Fill a large window to the brim, then churn: the pool never
+    exhausts and the partition holds."""
+    window = 4094
+    rob = ReorderBuffer(window)
+    _drive_pool(rob, window)
+    assert rob.full and not rob.pool._free
+    _assert_partition(rob)
 
 
-@needs_numpy
-def test_instr_pool_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SOA", "array")
-    assert InstrPool(NUMPY_MIN_CAPACITY).backend == "fallback"
-    monkeypatch.setenv("REPRO_SOA", "numpy")
-    assert InstrPool(8).backend == "numpy"
+def test_columns_are_plain_lists():
+    pool = ReorderBuffer(64).pool
+    for name in ("uid", "order", "prev", "next", "state", "ref", "pc"):
+        assert type(getattr(pool, name)) is list, name
+
+
+def test_simulation_never_imports_numpy():
+    """The pool has one stdlib implementation: importing the package and
+    running a detailed cell must not load numpy (checked in a fresh
+    interpreter, since this test process may have imported it)."""
+    script = (
+        "import sys\n"
+        "from repro.harness.experiments import load_bundle, run_core\n"
+        "from repro.machines import get_machine\n"
+        "stats = run_core(load_bundle('go', 0.02), "
+        "get_machine('BASE').core_config(window_size=64))\n"
+        "assert stats.retired > 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

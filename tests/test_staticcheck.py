@@ -181,7 +181,7 @@ def test_family_merging(index):
         "RetireStage",
     }
     assert {c.name for c in index.family_members("InstrPool")} == {
-        "InstrPool", "_NumpyInstrPool", "_ArrayInstrPool",
+        "InstrPool",
     }
 
 
