@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Spec-engine smoke check: run_spec cells vs the seed golden pickles.
+"""Spec-engine smoke check: run_spec cells vs the golden pickle.
 
 Runs one detailed-core cell (Figure 5, CI @ window 256) and the
 idealized cells of every golden workload (Figure 3, all six models @
 window 256: the oracle, nWR, WR, FD and base paths) through the
 declarative spec engine and diffs the produced IPC against
-``tests/goldens/equivalence.pkl`` — the statistics captured from the
-seed implementation.  Any drift between "what the registry entry runs"
-and "what the paper artifact ran" fails loudly.
+``tests/goldens/equivalence_v2.pkl`` — the statistics the golden
+equivalence suite (``tests/test_equivalence.py``) pins.  Any drift
+between "what the registry entry runs" and "what the paper artifact
+ran" fails loudly.
 
 Usage:  python examples/spec_smoke.py [workload]
 
@@ -27,10 +28,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.harness import run_spec  # noqa: E402
 from repro.ideal.models import IdealModel  # noqa: E402
 
-#: the goldens were captured at this operating point (see core_bench.py)
+#: the goldens were captured at this operating point (see test_equivalence.py)
 SCALE = 0.12
 WINDOW = 256
-GOLDEN_PATH = REPO_ROOT / "tests" / "goldens" / "equivalence.pkl"
+GOLDEN_PATH = REPO_ROOT / "tests" / "goldens" / "equivalence_v2.pkl"
 
 
 def golden_ipc(goldens: dict, key: tuple) -> float:
@@ -86,9 +87,9 @@ def main(argv=None) -> int:
         status = "ok " if ok else "FAIL"
         print(f"{status} {label}: run_spec={current:.6f} golden={expected:.6f}")
     if failed:
-        print("spec engine diverged from the seed goldens", file=sys.stderr)
+        print("spec engine diverged from the goldens", file=sys.stderr)
         return 1
-    print(f"spec smoke: {len(checks)} cells match the seed goldens exactly")
+    print(f"spec smoke: {len(checks)} cells match the goldens exactly")
     return 0
 
 

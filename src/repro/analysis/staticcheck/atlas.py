@@ -40,9 +40,7 @@ ATLAS_MODULE_SCOPE = ("core",)
 #: them; :data:`PHASE_ORDER` encodes that order for the hazard lint.
 PHASE_ROOTS: dict[str, str] = {
     "Processor.__init__": "construct",
-    "Processor.start": "facade",
     "Processor.step": "facade",
-    "Processor.finish": "facade",
     "Processor.run": "facade",
     "Processor.snapshot": "facade",
     "Processor._complete_phase": "complete",

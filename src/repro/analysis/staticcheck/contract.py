@@ -12,12 +12,8 @@ running it:
   components are the pool's ``order`` and ``uid`` columns subscripted
   by the handle riding in the payload slot (directly as
   ``pool.order[h]`` or through a local alias ``orders = pool.order``);
-* each order scheme's placement routine must reach its declared
-  rewrite routine and must not reference the other scheme's;
-* the spec's mirror constants must equal their authoritative
-  definitions (``repro.core.stats`` frozensets; the cascade tolerance
-  is parsed out of ``examples/core_bench.py``'s AST so the analysis
-  never imports example scripts).
+* the ROB's placement routine must reach the declared rewrite
+  routine (its gap-exhaustion fallback).
 
 All findings use rule ``arbitration-contract`` at error severity —
 an arbitration drift is never just a warning.
@@ -218,7 +214,7 @@ def _check_push_key(
 
 
 # ----------------------------------------------------------------------
-# scheme placement-routine discipline
+# placement-routine discipline
 
 
 def _names_referenced(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -231,7 +227,7 @@ def _names_referenced(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     return out
 
 
-def check_scheme_routines(
+def check_placement_routine(
     index: RepoIndex, report: LintReport, contract: ArbitrationContract = CONTRACT
 ) -> None:
     rob = index.classes.get("ReorderBuffer")
@@ -245,98 +241,16 @@ def check_scheme_routines(
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     file = _file_of(index, rob.module)
-    for scheme in contract.schemes:
-        placement = methods.get(scheme.placement_routine)
-        if placement is None:
-            _diag(report, file, 1, f"ReorderBuffer.{scheme.placement_routine}",
-                  f"{scheme.name} placement routine missing")
-            continue
-        refs = _names_referenced(placement)
-        if scheme.rewrite_routine not in refs:
-            _diag(
-                report, file, placement.lineno,
-                f"ReorderBuffer.{scheme.placement_routine}",
-                f"{scheme.name} placement must fall back to "
-                f"{scheme.rewrite_routine} on gap exhaustion",
-            )
-        for forbidden in scheme.forbidden_routines:
-            if forbidden in refs:
-                _diag(
-                    report, file, placement.lineno,
-                    f"ReorderBuffer.{scheme.placement_routine}",
-                    f"{scheme.name} placement must not reference "
-                    f"{forbidden} (other scheme's rewrite)",
-                )
-    # The dispatch path keys v2 tail appends inline: it must stay
-    # renumber-free too (v1 reaches _renumber only through _place_v1).
-    claim = methods.get("claim")
-    if claim is not None and "_renumber" in _names_referenced(claim):
+    symbol = f"ReorderBuffer.{contract.placement_routine}"
+    placement = methods.get(contract.placement_routine)
+    if placement is None:
+        _diag(report, file, 1, symbol, "placement routine missing")
+    elif contract.rewrite_routine not in _names_referenced(placement):
         _diag(
-            report, file, claim.lineno, "ReorderBuffer.claim",
-            "claim (v2 tail-append fast path) must not reference _renumber",
+            report, file, placement.lineno, symbol,
+            f"placement must fall back to {contract.rewrite_routine} on "
+            "gap exhaustion",
         )
-
-
-# ----------------------------------------------------------------------
-# mirror-constant cross-checks
-
-
-def check_mirror_constants(
-    index: RepoIndex, report: LintReport, contract: ArbitrationContract = CONTRACT
-) -> None:
-    from repro.core.stats import (
-        ORDER_SCHEME_INVARIANT_FIELDS,
-        TIEBREAK_SENSITIVE_FIELDS,
-    )
-
-    spec_file = "src/repro/analysis/arbitration.py"
-    if tuple(sorted(ORDER_SCHEME_INVARIANT_FIELDS)) != tuple(
-        sorted(contract.invariant_fields)
-    ):
-        _diag(
-            report, spec_file, 1, "CONTRACT.invariant_fields",
-            f"spec says {sorted(contract.invariant_fields)} but "
-            f"repro.core.stats.ORDER_SCHEME_INVARIANT_FIELDS is "
-            f"{sorted(ORDER_SCHEME_INVARIANT_FIELDS)}",
-        )
-    if tuple(sorted(TIEBREAK_SENSITIVE_FIELDS)) != tuple(
-        sorted(contract.tiebreak_sensitive)
-    ):
-        _diag(
-            report, spec_file, 1, "CONTRACT.tiebreak_sensitive",
-            f"spec mirror of TIEBREAK_SENSITIVE_FIELDS is out of date",
-        )
-    bench = _bench_tolerance(index)
-    if bench is None:
-        _diag(
-            report, "examples/core_bench.py", 1, "CYCLES_CASCADE_TOLERANCE",
-            "could not find CYCLES_CASCADE_TOLERANCE constant in "
-            "examples/core_bench.py",
-        )
-    elif bench != contract.cycles_tolerance:
-        _diag(
-            report, spec_file, 1, "CONTRACT.cycles_tolerance",
-            f"spec says {contract.cycles_tolerance} but "
-            f"examples/core_bench.py declares {bench}",
-        )
-
-
-def _bench_tolerance(index: RepoIndex) -> float | None:
-    """Parse CYCLES_CASCADE_TOLERANCE from the bench script's AST."""
-    path = index.root.parent.parent / "examples" / "core_bench.py"
-    if not path.exists():
-        return None
-    tree = ast.parse(path.read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                if (
-                    isinstance(tgt, ast.Name)
-                    and tgt.id == "CYCLES_CASCADE_TOLERANCE"
-                    and isinstance(node.value, ast.Constant)
-                ):
-                    return float(node.value.value)
-    return None
 
 
 def _file_of(index: RepoIndex, module: str) -> str:
@@ -361,8 +275,7 @@ def check_contract(
         index = RepoIndex(source_root())
     report = LintReport(program_name="arbitration-contract")
     check_heap_sites(index, report, contract)
-    check_scheme_routines(index, report, contract)
-    check_mirror_constants(index, report, contract)
+    check_placement_routine(index, report, contract)
     report.diagnostics.sort(key=lambda d: (d.file, d.line, d.symbol))
     return report
 
@@ -370,6 +283,5 @@ def check_contract(
 __all__ = [
     "check_contract",
     "check_heap_sites",
-    "check_mirror_constants",
-    "check_scheme_routines",
+    "check_placement_routine",
 ]

@@ -2,13 +2,11 @@
 
 from ..errors import CosimulationError, MachineSnapshot, SimulationHang
 from .config import (
-    ORDER_SCHEMES,
     CompletionModel,
     CoreConfig,
     Preemption,
     ReconvPolicy,
     RepredictMode,
-    resolve_order_scheme,
 )
 from .golden import GoldenTrace
 from .lsq import LoadStoreQueue
@@ -16,16 +14,9 @@ from .processor import Processor, simulate_core
 from .regfile import PhysReg, RenameMap
 from .rob import ReorderBuffer, Segment
 from .soa import InstrPool
-from .stats import (
-    CoreStats,
-    ORDER_SCHEME_INVARIANT_FIELDS,
-    TIEBREAK_SENSITIVE_FIELDS,
-)
+from .stats import CoreStats
 
 __all__ = [
-    "ORDER_SCHEMES",
-    "ORDER_SCHEME_INVARIANT_FIELDS",
-    "TIEBREAK_SENSITIVE_FIELDS",
     "CompletionModel",
     "CoreConfig",
     "CoreStats",
@@ -43,6 +34,5 @@ __all__ = [
     "RepredictMode",
     "Segment",
     "SimulationHang",
-    "resolve_order_scheme",
     "simulate_core",
 ]

@@ -23,39 +23,6 @@ from ..errors import ConfigError
 from ..ideal.models import DEFAULT_LATENCIES, is_count, latency_problem
 
 
-#: ROB order-key schemes (see :mod:`repro.core.rob`): ``v1`` is the
-#: seed's midpoint/renumber discipline, ``v2`` the renumber-free dense
-#: sequence introduced with the second golden generation.
-ORDER_SCHEMES = ("v1", "v2")
-
-#: scheme used when neither ``CoreConfig.order_scheme`` nor the
-#: ``REPRO_ORDER`` environment variable picks one
-DEFAULT_ORDER_SCHEME = "v2"
-
-
-def resolve_order_scheme(scheme: str | None = None) -> str:
-    """Resolve an order-scheme knob: explicit argument wins, else the
-    ``REPRO_ORDER`` environment variable, else :data:`DEFAULT_ORDER_SCHEME`.
-
-    The two schemes are architecturally equivalent (the differential
-    oracle enforces it) but produce different ready-heap tie-breaks, so
-    each has its own golden generation — selection must be loud and
-    deterministic, hence unknown values raise instead of falling back.
-    """
-    source = "order_scheme"
-    if scheme is None:
-        source = "REPRO_ORDER"
-        scheme = os.environ.get("REPRO_ORDER", "").strip().lower() or None
-    if scheme is None:
-        return DEFAULT_ORDER_SCHEME
-    if scheme not in ORDER_SCHEMES:
-        raise ConfigError(
-            f"{source}={scheme!r} is not an order scheme; "
-            f"choose from {ORDER_SCHEMES}"
-        )
-    return scheme
-
-
 class CompletionModel(enum.Enum):
     """When a branch may complete and trigger recovery (Appendix A.2.1)."""
 
@@ -163,16 +130,6 @@ class CoreConfig:
     #: cycles between sanitizer checks; 1 checks every cycle (used by
     #: the fault-injection tests to localize corruption immediately)
     sanitize_stride: int = 64
-    #: ROB order-key scheme: "v1" (seed midpoint/renumber) or "v2"
-    #: (renumber-free dense sequence); None defers to the REPRO_ORDER
-    #: environment variable, else DEFAULT_ORDER_SCHEME.  The schemes are
-    #: architecturally equivalent but tie-break-visible, so each is
-    #: gated by its own golden generation (tests/goldens/).
-    order_scheme: str | None = None
-
-    def resolved_order_scheme(self) -> str:
-        """Resolve the order-scheme knob against ``REPRO_ORDER``."""
-        return resolve_order_scheme(self.order_scheme)
 
     def sanitize_enabled(self) -> bool:
         """Resolve the sanitizer knob against ``REPRO_SANITIZE``."""
@@ -270,11 +227,6 @@ class CoreConfig:
             )
         problem = latency_problem(self.latencies)
         require(problem is None, problem)
-        require(
-            self.order_scheme is None or self.order_scheme in ORDER_SCHEMES,
-            f"order_scheme must be None or one of {ORDER_SCHEMES}, "
-            f"got {self.order_scheme!r}",
-        )
         require(
             not self.strict_commit
             or self.reconv_policy in (ReconvPolicy.POSTDOM, ReconvPolicy.NONE),

@@ -94,9 +94,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self.tfr_collectors = tfr_collectors
 
         self.frontend = FrontEnd(index_bits=cfg.predictor_index_bits)
-        self.rob = ReorderBuffer(
-            cfg.window_size, cfg.segment_size, order_scheme=cfg.order_scheme
-        )
+        self.rob = ReorderBuffer(cfg.window_size, cfg.segment_size)
         #: the columnar instruction store backing every in-window
         #: instruction; stage mixins address instructions as pool handles
         self.pool = self.rob.pool
@@ -196,7 +194,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self._any_completed = False
         self._any_recovered = False
 
-        # Resumable-loop state latched by start(); declared here so the
+        # Cycle-loop state latched by run(); declared here so the
         # facade's attribute surface is complete after construction (the
         # staticcheck undeclared-attribute rule audits exactly this).
         self._max_cycles = self.config.max_cycles
@@ -294,19 +292,9 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
     # ==================================================================
     # the cycle loop: explicit stage wiring
     #
-    # The loop is resumable — ``start()`` latches the budget/watchdog
-    # state, ``step()`` advances exactly one cycle, ``finish()`` seals
-    # the statistics — so a batch driver (:mod:`repro.harness.batch`)
-    # can interleave cycles of independent machines.  ``run()`` is the
-    # serial driver over the same three calls; cycle ordering within a
-    # step is byte-identical to the historical monolithic loop.
-
-    def start(self) -> None:
-        """Latch the cycle budget and forward-progress watchdog state."""
-        self._max_cycles = self.config.max_cycles
-        self._watchdog = self.config.watchdog_cycles
-        self._last_retired = self.retired_count
-        self._last_progress_cycle = self.cycle
+    # ``run()`` latches the budget/watchdog state, calls ``step()`` until
+    # the machine halts and seals the statistics; ``step()`` advances
+    # exactly one cycle.
 
     def step(self) -> bool:
         """Advance one cycle; False once the machine has halted."""
@@ -345,16 +333,16 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self.cycle += 1
         return True
 
-    def finish(self) -> CoreStats:
-        """Seal and return the statistics after the machine halts."""
-        self.stats.cycles = self.cycle + 1
-        return self.stats
-
     def run(self) -> CoreStats:
-        self.start()
+        """Run to completion and return the sealed statistics."""
+        self._max_cycles = self.config.max_cycles
+        self._watchdog = self.config.watchdog_cycles
+        self._last_retired = self.retired_count
+        self._last_progress_cycle = self.cycle
         while self.step():
             pass
-        return self.finish()
+        self.stats.cycles = self.cycle + 1
+        return self.stats
 
 
 def simulate_core(

@@ -11,32 +11,15 @@ pool's permanent :data:`~repro.core.soa.HEAD` /
 (and no uninitialized-``Instruction`` hack to fabricate them).
 
 Logical order between any two entries is decided by integer keys in the
-pool's ``order`` column, maintained under one of two schemes
-(``CoreConfig(order_scheme=...)`` / ``REPRO_ORDER``):
-
-* ``v1`` — the seed's midpoint discipline: every insert (including tail
-  appends) takes the midpoint of its neighbours' keys, and a full-window
-  renumber respaces everything when a gap is exhausted.  Because appends
-  halve the gap to the tail boundary, a renumber fires every ~16
-  dispatches — per fetch cycle at the paper's width.
-* ``v2`` — renumber-free: tail appends (the hot path) take strictly
-  monotonic sequence numbers spaced ``_SPACING`` apart, so keys are
-  never rewritten.  Mid-window restart inserts take a low-biased step
-  into the local gap (``lo + max(1, gap/256)``), leaving room for the
-  right-chaining dispatch order of a restart sequence; only a
-  pathologically nested restart chain can exhaust a gap, falling back
-  to one full respace.
-
-Both schemes yield the same architectural results — keys order the same
-instructions the same way — but the ready heap captures key *values* at
-push time, and a v1 renumber can rewrite keys between push and pop, so
-same-cycle issue arbitration differs between schemes (v1 compares keys
-from mixed numbering epochs; v2 keys are stable).  On most cells the
-shift is confined to issue accounting; on recovery-heavy cells the
-reordered completion of same-cycle branches can reorder recoveries and
-cascade into timing statistics, while the retired stream stays pinned by
-cosimulation (see ``repro.core.stats``).  Each scheme is pinned by its
-own golden generation (``tests/goldens/``).
+pool's ``order`` column.  Tail appends (the hot path) take strictly
+monotonic sequence numbers spaced ``_SPACING`` apart, so their keys are
+never rewritten.  Mid-window restart inserts take a low-biased step into
+the local gap (``lo + max(1, gap/256)``), leaving room for the
+right-chaining dispatch order of a restart sequence; only a
+pathologically nested restart chain can exhaust a gap, falling back to
+one full respace.  The ready heap captures key *values* at push time,
+so key stability makes same-cycle issue arbitration depend only on
+logical order.  The detailed goldens (``tests/goldens/``) pin it.
 
 A slot's window *position* (``index_of``, the golden-trace instance
 matching of Appendix A.3.1) is not stored anywhere: it is recounted
@@ -59,16 +42,15 @@ has retired or been squashed.
 from __future__ import annotations
 
 from ..errors import PoolExhausted
-from .config import resolve_order_scheme
 from .soa import HEAD, REF_SHIFT, TAIL, InstrPool
 
 _SPACING = 1 << 16
 
-#: v2 tail-boundary key: far above any reachable sequence number (a run
+#: tail-boundary key: far above any reachable sequence number (a run
 #: would need ~2^46 dispatches to approach it), so the youngest real
 #: instruction always has a huge gap to the boundary and appends never
 #: trigger gap maintenance.
-_V2_TAIL = 1 << 62
+_TAIL_ORDER = 1 << 62
 
 #: "no link" value of the pool's ``prev``/``next`` columns (outward
 #: sides of the boundary slots only — every linked slot has real links)
@@ -87,17 +69,11 @@ class Segment:
 class ReorderBuffer:
     """Linked window over pool handles, with order keys and segments."""
 
-    def __init__(
-        self,
-        window_size: int,
-        segment_size: int = 1,
-        order_scheme: str | None = None,
-    ):
+    def __init__(self, window_size: int, segment_size: int = 1):
         if window_size % segment_size:
             raise ValueError("window_size must be a multiple of segment_size")
         self.window_size = window_size
         self.segment_size = segment_size
-        self.order_scheme = resolve_order_scheme(order_scheme)
         #: the columnar instruction store: exactly the window plus the
         #: two boundary slots, since every slot is freed the moment it
         #: is unlinked at retire/squash
@@ -108,14 +84,8 @@ class ReorderBuffer:
         pool.prev[HEAD] = NO_LINK
         pool.next[TAIL] = NO_LINK
         pool.order[HEAD] = 0
-        self._v2 = self.order_scheme == "v2"
-        if self._v2:
-            pool.order[TAIL] = _V2_TAIL
-            self._next_order = _SPACING  # next tail-append sequence number
-            self._place = self._place_v2
-        else:
-            pool.order[TAIL] = 2 * _SPACING
-            self._place = self._place_v1
+        pool.order[TAIL] = _TAIL_ORDER
+        self._next_order = _SPACING  # next tail-append sequence number
         self.count = 0  # live instructions
         self.segments_allocated = 0
 
@@ -143,36 +113,9 @@ class ReorderBuffer:
     # ------------------------------------------------------------------
     # order keys
 
-    def _renumber(self) -> None:
-        order_col = self.pool.order
-        next_col = self.pool.next
-        order = 0
-        h = HEAD
-        while h != NO_LINK:
-            order_col[h] = order
-            order += _SPACING
-            h = next_col[h]
-
-    def _place_v1(self, h: int, after: int, succ: int) -> None:
-        """v1 key for slot ``h``, already linked between ``after`` and
-        ``succ``: the midpoint of its neighbours' keys."""
-        order_col = self.pool.order
-        # NOTE: the ready heap captures ``order[h]`` in its sort keys
-        # at push time — renumber *timing* is observable through
-        # stale-key tie-breaks, and the v1 golden gate pins it.  Keys and
-        # renumber points must stay exactly the seed's under this scheme.
-        lo, hi = order_col[after], order_col[succ]
-        if hi - lo < 2:
-            # ``h`` is already linked, so the renumber keys it too (at
-            # the midpoint of its renumbered neighbours).
-            self._renumber()
-            return
-        order_col[h] = (lo + hi) // 2
-
     def _respace(self) -> None:
-        """v2 fallback: respace every key after a restart-chain gap
-        collapse (the caller's slot is already linked, so it gets its
-        key here)."""
+        """Respace every key after a restart-chain gap collapse (the
+        caller's slot is already linked, so it gets its key here)."""
         order_col = self.pool.order
         next_col = self.pool.next
         order = 0
@@ -183,11 +126,11 @@ class ReorderBuffer:
             h = next_col[h]
         self._next_order = order
 
-    def _place_v2(self, h: int, after: int, succ: int) -> None:
-        """v2 key for a restart insert: slot ``h``, already linked
-        between ``after`` and ``succ``, steps a small fraction into the
-        gap.  (Tail appends take the next sequence number in
-        :meth:`claim` and never get here.)"""
+    def _place(self, h: int, after: int, succ: int) -> None:
+        """Key a restart insert: slot ``h``, already linked between
+        ``after`` and ``succ``, steps a small fraction into the gap.
+        (Tail appends take the next sequence number in :meth:`claim`
+        and never get here.)"""
         order_col = self.pool.order
         # The low bias leaves room for the right-chaining dispatch order
         # of a restart sequence (each instruction inserted after the
@@ -271,9 +214,9 @@ class ReorderBuffer:
         next_col[h] = succ
         next_col[after] = h
         prev_col[succ] = h
-        if succ == TAIL and self._v2:
-            # v2 frontier dispatch: the next sequence number — no gap
-            # math, never a respace.
+        if succ == TAIL:
+            # Frontier dispatch: the next sequence number — no gap math,
+            # never a respace.
             pool.order[h] = order = self._next_order
             self._next_order = order + _SPACING
         else:

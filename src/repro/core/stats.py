@@ -11,45 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: :class:`CoreStats` fields legitimately sensitive to ready-heap
-#: tie-break order.  The ready heap snapshots each entry's order key at
-#: push time; under v1 (midpoint/renumber) a renumber can rewrite keys
-#: between push and pop, so entries that became eligible in the same
-#: cycle compare keys minted under different numbering epochs, while v2
-#: (renumber-free) keys are stable — the schemes are therefore two
-#: different same-cycle issue-arbitration policies.  First-order, that
-#: reorders issue events (the Table 4 issue/reissue counters) and shifts
-#: the per-cycle stage-activity diagnostics (which never feed a paper
-#: statistic).  On the committed golden workloads and the fuzz corpus the
-#: v1->v2 shift is *confined* to this set, and the golden-structure and
-#: oracle tests pin that.  On recovery-heavy cells beyond that corpus
-#: (observed: gcc under CI-I) the shifted completion order of same-cycle
-#: branches can reorder recoveries and cascade into the remaining timing
-#: statistics — which is why the benchmark's cross-scheme gate enforces
-#: :data:`ORDER_SCHEME_INVARIANT_FIELDS` exactly and bounds the cycle
-#: shift, rather than pretending full confinement holds universally.
-TIEBREAK_SENSITIVE_FIELDS = frozenset(
-    (
-        "issues_total",
-        "issues_of_retired",
-        "reissues_register",
-        "reissues_memory",
-        "stage_fetch_cycles",
-        "stage_dispatch_cycles",
-        "stage_issue_cycles",
-        "stage_complete_cycles",
-        "stage_recover_cycles",
-        "stage_retire_cycles",
-    )
-)
-
-#: Fields that must be *identical* across ROB order schemes on any
-#: workload: they count the architecturally retired instruction stream,
-#: which retirement-time cosimulation pins to the golden trace regardless
-#: of issue arbitration.  A scheme divergence here is a simulator bug,
-#: never a tie-break artifact.
-ORDER_SCHEME_INVARIANT_FIELDS = frozenset(("retired", "branch_events"))
-
 
 @dataclass
 class CoreStats:
@@ -97,8 +58,8 @@ class CoreStats:
     # Cycle accounting (perf profiling layer) --------------------------
     # Cycles in which each pipeline stage did any work; a cycle can count
     # toward several stages.  These are diagnostics for the profiling
-    # layer (repro.profiling / examples/core_bench.py) and never feed a
-    # paper statistic.
+    # layer (repro.profiling and the ledger's stage metrics) and never
+    # feed a paper statistic.
     stage_fetch_cycles: int = 0  # >=1 instruction fetched by the frontier
     stage_dispatch_cycles: int = 0  # >=1 instruction dispatched (any context)
     stage_issue_cycles: int = 0  # >=1 instruction issued to execute

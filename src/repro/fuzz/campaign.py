@@ -47,14 +47,14 @@ from ..harness.runner import (
     RunnerConfig,
     config_hash,
 )
-from ..machines import MACHINES, get_machine
+from ..machines import MACHINES
 from .mutants import mutant_machine
 
 # NOTE: repro.workloads.families builds its family tables from
 # repro.fuzz.generator at import time, so importing it here at module
 # level would close an import cycle through the repro.fuzz package
 # __init__; every use below imports it inside the function instead.
-from .oracle import run_oracle
+from .oracle import check_overrides, run_oracle
 from .shrink import divergence_predicate, shrink_program
 
 _log = logging.getLogger(__name__)
@@ -100,8 +100,9 @@ class CampaignConfig:
             raise ConfigError(f"campaign seed must be an int, got {self.seed!r}")
         if self.cases < 1:
             raise ConfigError(f"cases must be >= 1, got {self.cases!r}")
-        for name in self.machines or ():
-            get_machine(name)
+        # Bad overrides would fail every detailed machine on every case,
+        # and the campaign would shrink and save each as a reproducer.
+        check_overrides(self.machine_names(), dict(self.overrides))
         from ..workloads.families import get_family
 
         for name in self.families or ():

@@ -41,7 +41,6 @@ from ..errors import (
 )
 from ..functional import run as run_functional
 from ..functional.state import ArchState
-from ..harness.batch import run_batch
 from ..harness.spec import WorkloadBundle
 from ..isa import NUM_REGS, Program
 from ..machines import MACHINES, get_machine
@@ -206,10 +205,7 @@ def _run_detailed(name: str, machine, bundle, ref: ArchState, overrides):
         bundle.golden,
         bundle.reconv,
     )
-    if machine.kernel == "batched":
-        stats = run_batch([processor])[0]
-    else:
-        stats = processor.run()
+    stats = processor.run()
     regs = [processor.retired_map[index].value for index in range(NUM_REGS)]
     divergences = _compare_arch_state(name, regs, processor.committed_mem, ref)
     return stats, divergences
@@ -245,6 +241,17 @@ def _run_mutant_subject(name: str, program: Program, ref_trace, ref: ArchState, 
     return trace, divergences
 
 
+def check_overrides(machines, overrides: dict | None) -> None:
+    """Materialize and validate ``overrides`` on every detailed machine
+    in ``machines``: an unknown machine, an unknown knob or an
+    out-of-range value raises :class:`~repro.errors.ConfigError` here
+    instead of surfacing as a per-machine crash divergence."""
+    for name in machines:
+        machine = get_machine(name)
+        if machine.family == "detailed":
+            machine.core_config(**(overrides or {})).validate()
+
+
 def run_oracle(
     program: Program,
     machines: tuple[str, ...] | None = None,
@@ -261,8 +268,7 @@ def run_oracle(
     tighter ``watchdog_cycles`` for fuzz-sized programs).
     """
     chosen = tuple(machines) if machines is not None else tuple(MACHINES)
-    for name in chosen:
-        get_machine(name)  # reject unknown names before any work
+    check_overrides(chosen, overrides)  # reject bad input before any work
     ref_trace, ref_state = _reference_state(program, max_steps)
     if bundle is None:
         bundle = program_bundle(program)
@@ -338,6 +344,7 @@ __all__ = [
     "KINDS",
     "Divergence",
     "OracleReport",
+    "check_overrides",
     "program_bundle",
     "run_oracle",
 ]

@@ -21,14 +21,12 @@ from ..errors import ConfigError
 from ..ideal.models import IdealModel
 from ..machines import HEURISTIC_POLICIES, detailed_machines
 from ..workloads import WORKLOAD_NAMES
-from .batch import batch_enabled
 from .spec import (
     CellRow,
     WorkloadBundle,
     derive,
     load_bundle,
     percent_improvement as _percent_improvement,  # noqa: F401  (legacy name)
-    prepare_study_batch,
     run_spec,
     run_spec_row,
     runnable_experiments,
@@ -275,11 +273,11 @@ def select_study_cells(cells, only):
 
 
 #: experiment kwargs that choose an execution strategy without touching
-#: row content; excluded from the checkpoint config hash so toggling
-#: ``REPRO_BATCH``/``batch=`` or attaching a profile composes with
-#: checkpoint resume (and with ``REPRO_JOBS`` — the parallel path reuses
-#: the same enumeration) instead of silently re-running every cell
-NON_SEMANTIC_KNOBS = ("batch", "profile")
+#: row content; excluded from the checkpoint config hash so attaching a
+#: profile composes with checkpoint resume (and with ``REPRO_JOBS`` — the
+#: parallel path reuses the same enumeration) instead of silently
+#: re-running every cell
+NON_SEMANTIC_KNOBS = ("profile",)
 
 
 def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
@@ -288,8 +286,8 @@ def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
     Serial and parallel execution share this enumeration, so a
     checkpoint written by one is resumable by the other; the config hash
     covers only row-semantic knobs (see :data:`NON_SEMANTIC_KNOBS`), so
-    batched, profiled and scalar runs of the same study share one
-    checkpoint identity.
+    profiled and plain runs of the same study share one checkpoint
+    identity.
     """
     from .runner import Cell, config_hash
 
@@ -370,15 +368,8 @@ def run_study(
     then wave 2 runs the rows, each shipped the entries it needs, so the
     simulated-cell count equals the serial path's whichever worker draws
     which task; a cell that failed in wave 1 is simulated by its rows
-    with the usual retries.  A ``batch`` shard keeps a memo of its own.
-
-    ``batch=`` (or ``REPRO_BATCH``) composes with ``jobs``: batching is
-    applied *within* each worker's shard of the grid — serially that is
-    one fused :func:`~repro.harness.spec.prepare_study_batch` loop over
-    every pending distinct detailed cell of the study, filling the same
-    memo; under the pool each worker fuses its own shard.  Rows stay
-    byte-identical; ``batch`` and ``profile`` are excluded from the
-    checkpoint identity (:data:`NON_SEMANTIC_KNOBS`), so either toggle
+    with the usual retries.  ``profile`` is excluded from the
+    checkpoint identity (:data:`NON_SEMANTIC_KNOBS`), so attaching one
     resumes the same checkpoint.
 
     Returns ``{"results": {experiment: {workload: row-or-error}},
@@ -416,27 +407,8 @@ def run_study(
 
     # One cell memo per study: every row reads and fills it, so each
     # distinct detailed cell simulates once however many artifacts
-    # share it.  Study-level batching pre-fills it with every pending
-    # distinct cell through one fused, fault-isolated driver loop
-    # (prepare_study_batch); checkpointed cells never enter the batch.
-    # The per-cell ``timeout_seconds`` bounds only each row's residual
-    # work — inside the fused loop a runaway cell is bounded by its own
-    # ``watchdog_cycles``/``max_cycles`` guards.
+    # share it.
     memo: dict = {}
-    try:
-        study_batched = batch_enabled(experiment_kwargs.get("batch"))
-    except ValueError:
-        study_batched = False  # per-cell runs report the bad knob
-    if study_batched:
-        checkpoint = getattr(runner, "checkpoint", None)
-        pending_pairs = [
-            (cell.experiment, cell.workload)
-            for cell in cells
-            if checkpoint is None or not checkpoint.completed(cell.key)
-        ]
-        prepare_study_batch(
-            pending_pairs, memo, scale=scale, experiment_kwargs=experiment_kwargs
-        )
 
     outcomes = {}
     for cell in cells:

@@ -42,9 +42,8 @@ enters the worker through :func:`_run_cell`.
   expensive artifacts are derived exactly once per (program,
   history_bits) per study instead of once per cell per worker.
 
-A ``batch=True`` study instead sends one fused shard per worker
-(:func:`_run_shard`).  Results are assembled in the same deterministic
-order as the serial path.
+Results are assembled in the same deterministic order as the serial
+path.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
 from ..workloads import WORKLOAD_NAMES
-from .batch import batch_enabled
 from .runner import (
     Cell,
     CellResult,
@@ -180,66 +178,6 @@ def _run_cell(
         "error_type": result.error_type,
         "attempts": result.attempts,
     }
-
-
-def _run_shard(
-    cell_specs: list,
-    scale: float,
-    experiment_kwargs: dict,
-    runner_knobs: dict,
-) -> list[dict]:
-    """Execute one study shard inside a worker process, batch-fused.
-
-    ``cell_specs`` is ``[(experiment, workload, knob_hash), ...]``.  The
-    shard's distinct detailed cells are first pre-simulated into a
-    shard-scoped cell memo through one fused, fault-isolated driver loop
-    (:func:`~repro.harness.spec.prepare_study_batch` — one GC pause for
-    the whole shard, workload bundles derived once each); every cell
-    then runs through the same per-cell :class:`CellRunner` as
-    :func:`_run_cell`, reading the memo.  The per-cell
-    ``timeout_seconds`` therefore bounds only each cell's residual work
-    — inside the fused loop a runaway cell is bounded by its own
-    ``watchdog_cycles``/``max_cycles`` guards, and its failure degrades
-    that cell alone.  A failed cell is not memoized, so every row that
-    needs it simulates it again, on every retry, under the row's
-    ``timeout_seconds``.  The memo lives for this shard only, so what a
-    shard simulates never depends on which worker ran it.
-    """
-    from .spec import prepare_study_batch, run_spec_row
-
-    memo: dict = {}
-    prepare_study_batch(
-        [(experiment, workload) for experiment, workload, _ in cell_specs],
-        memo,
-        scale=scale,
-        experiment_kwargs=experiment_kwargs,
-    )
-    runner = CellRunner(RunnerConfig(checkpoint_path=None, **runner_knobs))
-    results = []
-    for experiment, workload, knob_hash in cell_specs:
-        cell = Cell(
-            experiment=experiment,
-            workload=workload,
-            config_hash=knob_hash,
-            scale=scale,
-        )
-        result = runner.run_cell(
-            cell,
-            lambda exp=experiment, name=workload: run_spec_row(
-                exp, name, scale=scale, memo=memo, **experiment_kwargs
-            ).to_payload(),
-        )
-        results.append(
-            {
-                "key": result.key,
-                "status": result.status,
-                "value": result.value,
-                "error": result.error,
-                "error_type": result.error_type,
-                "attempts": result.attempts,
-            }
-        )
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -514,8 +452,7 @@ def run_study_parallel(
     ``"wave1_cells"`` to the returned dict on every path.  ``wave1_cells``
     counts the cells deduplicated by the pool's wave 1: the distinct
     detailed cells it simulated into the study's memo.  It is 0 when no
-    wave 1 ran — a serial study, a ``batch`` study (whose shards
-    deduplicate into memos of their own) or a fully resumed one.
+    wave 1 ran — a serial study or a fully resumed one.
     When the job count resolves to 1 (explicitly, or ``"auto"`` on a
     single-CPU host) the grid runs through the in-process serial runner
     instead of a one-worker pool.  ``only`` restricts the grid to
@@ -589,10 +526,6 @@ def run_study_parallel(
         worker_kwargs = {
             k: v for k, v in experiment_kwargs.items() if k != "profile"
         }
-        try:
-            study_batched = batch_enabled(experiment_kwargs.get("batch"))
-        except ValueError:
-            study_batched = False  # per-cell runs report the bad knob
         tmpdir = None
         shared_dir = cache_dir
         if shared_dir is None:
@@ -610,49 +543,10 @@ def run_study_parallel(
                     store.record(result.key, result.value)
                 outcomes[result.key] = result
 
-            if study_batched:
-                # Study-level batching: one task per worker shard, each
-                # fusing all its detailed cells into a single driver
-                # loop (see _run_shard).  Round-robin sharding keeps
-                # per-shard load balanced across experiments.
-                shards = [
-                    shard
-                    for shard in (pending[i::n_jobs] for i in range(n_jobs))
-                    if shard
-                ]
-                tasks = [
-                    (
-                        [(c.experiment, c.workload, c.config_hash) for c in shard],
-                        scale,
-                        worker_kwargs,
-                        runner_knobs,
-                    )
-                    for shard in shards
-                ]
-
-                def on_result(index: int, outcome: tuple) -> None:
-                    tag, payload = outcome
-                    if tag == OUTCOME_OK:
-                        for item in payload:
-                            settle(CellResult(**item))
-                    else:
-                        # The whole shard shared the dead/broken worker.
-                        for cell in shards[index]:
-                            settle(_degrade(cell, tag, payload))
-
-                map_resilient(
-                    _run_shard,
-                    tasks,
-                    n_jobs,
-                    initializer=_init_worker,
-                    initargs=(str(shared_dir),),
-                    on_result=on_result,
-                )
-            else:
-                wave1_cells = _run_cells_first(
-                    pending, lengths, scale, worker_kwargs, runner_knobs,
-                    n_jobs, str(shared_dir), settle,
-                )
+            wave1_cells = _run_cells_first(
+                pending, lengths, scale, worker_kwargs, runner_knobs,
+                n_jobs, str(shared_dir), settle,
+            )
         finally:
             if tmpdir is not None:
                 tmpdir.cleanup()

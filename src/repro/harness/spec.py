@@ -56,7 +56,6 @@ from ..ideal.models import IdealModel
 from ..ideal.tracegen import AnnotatedTrace, annotate
 from ..machines import get_machine
 from ..workloads import WORKLOAD_NAMES, build_workload
-from .batch import batch_enabled, run_batch, run_batch_isolated
 from .runner import config_hash
 
 #: row shapes an :class:`ExperimentSpec` may fold its cells into
@@ -584,85 +583,44 @@ def _simulate_cells(
     workload: str,
     bundle,
     plan: list,
-    batch: bool | None,
     profile: SpecProfile | None,
     memo: dict | None = None,
 ) -> list:
-    """Produce each planned cell's stats, serially or array-batched.
+    """Produce each planned cell's stats, in spec order.
 
     ``plan`` is ``[(cell, machine, collectors), ...]`` in spec order.
-    When batching is enabled (``batch=`` argument, else ``REPRO_BATCH``)
-    every detailed-family cell of the row advances through one
-    :func:`~repro.harness.batch.run_batch` driver loop; other families
-    run serially as before.  Results are byte-identical either way —
-    only wall clock changes — so profile entries for batched cells
-    record the batch's amortized per-cell share (the interleaved loop
-    has no meaningful per-cell split).
 
     ``memo`` is the study's cell memo, ``{memo_key: CoreStats}``.  A
     cell whose key is already there gets a ``copy.copy`` of the stored
     stats instead of a simulation, profiled with ``memo=True`` unless
-    :func:`prepare_study_batch` already profiled that cell's fused run;
-    every keyed cell that simulates successfully is stored.  Failures
-    are never stored, so a failing cell's duplicates simulate on their
-    own.
+    the profile already holds that label (a derived view re-reading its
+    base row keeps the base's simulated entry); every keyed cell that
+    simulates successfully is stored.  Failures are never stored, so a
+    failing cell's duplicates simulate on their own.
     """
-    results: list = [None] * len(plan)
     keys = [
         None if memo is None else memo_key(workload, bundle.scale, cell, machine)
         for cell, machine, _ in plan
     ]
-
-    def label(i: int) -> str:
-        return f"{spec.name}/{workload}/{plan[i][0].label}"
-
-    def from_memo(i: int) -> bool:
-        if keys[i] is None or keys[i] not in memo:
-            return False
-        t0 = time.perf_counter()
-        results[i] = copy.copy(memo[keys[i]])
-        if profile is not None and label(i) not in profile.cells:
-            profile.record(label(i), time.perf_counter() - t0, results[i], memo=True)
-        return True
-
-    def store(i: int) -> None:
-        if keys[i] is not None:
-            memo[keys[i]] = results[i]
-
-    if batch_enabled(batch):
-        batched = [
-            i
-            for i, (_, machine, _) in enumerate(plan)
-            if machine.family == "detailed" and not from_memo(i)
-        ]
-        if batched:
-            procs = [
-                plan[i][1].processor(
-                    bundle, dict(plan[i][0].machine.overrides), plan[i][2]
-                )
-                for i in batched
-            ]
-            t0 = time.perf_counter() if profile is not None else 0.0
-            stats = run_batch(procs)
-            share = (time.perf_counter() - t0) / len(procs)
-            for i, stat in zip(batched, stats):
-                results[i] = stat
-                store(i)
-                if profile is not None:
-                    profile.record(label(i), share, stat)
-    for i, (cell, machine, collectors) in enumerate(plan):
-        if results[i] is not None or from_memo(i):
-            continue
+    results: list = []
+    for (cell, machine, collectors), key in zip(plan, keys):
+        label = f"{spec.name}/{workload}/{cell.label}"
         t0 = time.perf_counter() if profile is not None else 0.0
-        result = machine.simulate(
-            bundle,
-            overrides=dict(cell.machine.overrides),
-            tfr_collectors=collectors,
-        )
-        if profile is not None:
-            profile.record(label(i), time.perf_counter() - t0, result)
-        results[i] = result
-        store(i)
+        if key is not None and key in memo:
+            result = copy.copy(memo[key])
+            if profile is not None and label not in profile.cells:
+                profile.record(label, time.perf_counter() - t0, result, memo=True)
+        else:
+            result = machine.simulate(
+                bundle,
+                overrides=dict(cell.machine.overrides),
+                tfr_collectors=collectors,
+            )
+            if profile is not None:
+                profile.record(label, time.perf_counter() - t0, result)
+            if key is not None:
+                memo[key] = result
+        results.append(result)
     return results
 
 
@@ -686,21 +644,21 @@ def plan_study_cells(
     ``pairs`` is the pending ``(experiment, workload)`` rows;
     ``experiment_kwargs`` is exactly what the study threads into
     :func:`run_spec_row` (``cells=``/builder params are honoured,
-    ``batch=``/``profile=`` are execution strategy and ignored).  Spec
+    ``profile=`` is execution strategy and ignored).  Spec
     resolution mirrors ``run_spec_row`` — derived views resolve to their
     base spec with default knobs.  Returns ``{memo_key: PlannedCell}``
     in plan order: rows in ``pairs`` order, cells in spec order, each
     key claimed by its first cell.  A row whose spec or cells cannot be
     resolved is left to the row path, which degrades it per cell.
 
-    The batched study path (:func:`prepare_study_batch`) and the pool's
-    cells-first wave (:func:`repro.harness.parallel.run_study_parallel`)
-    both plan through here.
+    The pool's cells-first wave
+    (:func:`repro.harness.parallel.run_study_parallel`) plans through
+    here.
     """
     kwargs = {
         k: v
         for k, v in (experiment_kwargs or {}).items()
-        if k not in ("batch", "profile", "cells")
+        if k not in ("profile", "cells")
     }
     labels = (experiment_kwargs or {}).get("cells")
     plan: dict = {}
@@ -723,66 +681,12 @@ def plan_study_cells(
     return plan
 
 
-def prepare_study_batch(
-    pairs,
-    memo: dict,
-    scale: float | None = None,
-    experiment_kwargs: dict | None = None,
-) -> None:
-    """Pre-simulate a study shard's distinct detailed cells into ``memo``.
-
-    Every cell :func:`plan_study_cells` plans for ``pairs`` and ``memo``
-    does not yet hold — so a cell shared by several artifacts (the
-    window-256 ``CI`` machine, say) once — advances through one fused
-    :func:`~repro.harness.batch.run_batch_isolated` loop: the whole
-    shard shares a single GC pause and driver frame.  Each success is
-    stored in ``memo`` for :func:`run_spec_row`'s ``memo=`` parameter.
-    A ``profile=`` in ``experiment_kwargs`` records the batch's
-    amortized per-cell share under the first cell that claimed each
-    key; the rows' memo reads then leave that entry alone.
-
-    Failed cells are not stored.  Every row that needs one simulates it
-    again, on every runner retry, under the row's ``timeout_seconds`` —
-    so a cell that hangs rather than fails fast may come back as a
-    ``CellTimeout`` instead of the fused loop's error.  A cell whose
-    workload or processor cannot be built is likewise left to the rows,
-    which degrade per cell.
-    """
-    profile = (experiment_kwargs or {}).get("profile")
-    procs: list = []
-    claims: dict = {}  # memo key -> profile label of the claiming cell
-    for key, planned in plan_study_cells(pairs, scale, experiment_kwargs).items():
-        if key in memo:
-            continue
-        try:
-            bundle = load_bundle(planned.workload, planned.scale)
-            procs.append(
-                planned.machine.resolve().processor(
-                    bundle, dict(planned.machine.overrides), ()
-                )
-            )
-        except Exception:
-            continue
-        claims[key] = f"{planned.experiment}/{planned.workload}/{planned.label}"
-    if not procs:
-        return
-    t0 = time.perf_counter()
-    outcomes = run_batch_isolated(procs)
-    share = (time.perf_counter() - t0) / len(procs)
-    for (key, label), (status, payload) in zip(claims.items(), outcomes):
-        if status == "ok":
-            memo[key] = payload
-            if profile is not None:
-                profile.record(label, share, payload)
-
-
 def run_spec_row(
     name_or_spec,
     workload: str,
     scale: float | None = None,
     profile: SpecProfile | None = None,
     cells=None,
-    batch: bool | None = None,
     memo: dict | None = None,
     **params,
 ) -> CellRow:
@@ -791,10 +695,8 @@ def run_spec_row(
     This is the unit the fault-isolated study runners (serial and
     parallel) schedule, checkpoint and resume; the returned
     :class:`CellRow` is the uniform row schema.  ``cells`` selects a
-    subset of the spec's cells by label (see :func:`select_cells`);
-    ``batch`` routes the row's detailed-family cells through the
-    array-batched driver (default: the ``REPRO_BATCH`` environment
-    variable), with byte-identical rows either way.  ``memo`` is the
+    subset of the spec's cells by label (see :func:`select_cells`).
+    ``memo`` is the
     study's cell memo (see :func:`memo_key`): the study runners create
     one per study and thread it through every row, so each distinct
     detailed cell simulates once per study; direct callers normally
@@ -807,7 +709,6 @@ def run_spec_row(
             workload,
             scale=scale,
             profile=profile,
-            batch=batch,
             memo=memo,
         )
         data = TRANSFORMS[spec.transform](base.data)
@@ -823,9 +724,7 @@ def run_spec_row(
         )
         for cell in spec.cells
     ]
-    results = _simulate_cells(
-        spec, workload, bundle, plan, batch, profile, memo
-    )
+    results = _simulate_cells(spec, workload, bundle, plan, profile, memo)
     outcomes = []
     for (cell, machine, collectors), result in zip(plan, results):
         ctx = CellContext(
@@ -856,7 +755,6 @@ def run_spec(
     names=None,
     profile: SpecProfile | None = None,
     cells=None,
-    batch: bool | None = None,
     **params,
 ) -> Any:
     """Run one registered artifact end to end.
@@ -866,21 +764,17 @@ def run_spec(
     engine), so formatters, benchmarks and checkpoints see identical
     rows.  ``names`` selects workloads; ``cells`` selects cells by label
     (:func:`select_cells`); builder knobs (``windows=...``,
-    ``segments=...``) re-materialize the spec through its builder;
-    ``batch`` (default: ``REPRO_BATCH``) array-batches each row's
-    detailed cells with byte-identical results.
+    ``segments=...``) re-materialize the spec through its builder.
     """
     spec = select_cells(resolve_spec(name_or_spec, params), cells)
     if spec.derives is not None:
         base_spec = resolve_spec(spec.derives)
-        base = run_spec(
-            base_spec, scale=scale, names=names, profile=profile, batch=batch
-        )
+        base = run_spec(base_spec, scale=scale, names=names, profile=profile)
         return derive(spec, base)
     if names is None:
         names = spec.workloads
     rows = [
-        run_spec_row(spec, workload, scale=scale, profile=profile, batch=batch)
+        run_spec_row(spec, workload, scale=scale, profile=profile)
         for workload in names
     ]
     return assemble_rows(spec, rows)
@@ -1038,7 +932,6 @@ __all__ = [
     "metric",
     "percent_improvement",
     "plan_study_cells",
-    "prepare_study_batch",
     "register_spec",
     "resolve_spec",
     "run_spec",

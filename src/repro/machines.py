@@ -35,7 +35,7 @@ runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .core import CoreConfig, Processor, ReconvPolicy
@@ -50,12 +50,6 @@ FAMILIES = ("detailed", "ideal", "functional")
 #: prefix under which the six ideal models are registered
 IDEAL_PREFIX = "ideal/"
 
-#: suffix under which the array-batched detailed variants are registered
-BATCH_SUFFIX = "@batch"
-
-#: suffix under which the legacy-order-scheme variants are registered
-ORDER_V1_SUFFIX = "@v1"
-
 
 @dataclass(frozen=True)
 class Machine:
@@ -68,10 +62,6 @@ class Machine:
     knobs: tuple[tuple[str, Any], ...] = ()
     #: the idealized model, for family "ideal"
     model: IdealModel | None = None
-    #: cycle-loop driver for family "detailed": "scalar" runs the
-    #: processor's own loop, "batched" routes through the batch driver
-    #: (:mod:`repro.harness.batch`) — statistics are byte-identical
-    kernel: str = "scalar"
 
     # -- configuration materialization ---------------------------------
 
@@ -82,7 +72,7 @@ class Machine:
                 f"machine {self.name!r} is {self.family}; only detailed "
                 "machines materialize a CoreConfig"
             )
-        return CoreConfig(**{**dict(self.knobs), **overrides})
+        return CoreConfig(**self._knobs(CoreConfig, overrides))
 
     def ideal_config(self, **overrides) -> IdealConfig:
         """Materialize the idealized-study configuration for one cell."""
@@ -91,25 +81,21 @@ class Machine:
                 f"machine {self.name!r} is {self.family}; only ideal "
                 "machines materialize an IdealConfig"
             )
-        return IdealConfig(**{**dict(self.knobs), **overrides})
+        return IdealConfig(**self._knobs(IdealConfig, overrides))
+
+    def _knobs(self, config_class, overrides: dict) -> dict:
+        """The base knobs with ``overrides`` layered on top, rejecting
+        any name ``config_class`` does not declare."""
+        knobs = {**dict(self.knobs), **overrides}
+        unknown = sorted(set(knobs) - {f.name for f in fields(config_class)})
+        if unknown:
+            raise ConfigError(
+                f"machine {self.name!r}: unknown {config_class.__name__} "
+                f"knob(s) {unknown!r}"
+            )
+        return knobs
 
     # -- simulation ----------------------------------------------------
-
-    def processor(self, bundle, overrides=None, tfr_collectors: tuple = ()):
-        """Build this machine's (unrun) detailed-core processor.
-
-        This is the unit the batch driver steps: :func:`repro.harness
-        .spec.run_spec_row` collects one per detailed cell and advances
-        them together through :func:`repro.harness.batch.run_batch`.
-        """
-        overrides = dict(overrides) if overrides else {}
-        return Processor(
-            bundle.program,
-            self.core_config(**overrides),
-            bundle.golden,
-            bundle.reconv,
-            tfr_collectors=tfr_collectors,
-        )
 
     def simulate(self, bundle, overrides=None, tfr_collectors: tuple = ()):
         """Run this machine over a prepared workload bundle.
@@ -123,14 +109,13 @@ class Machine:
         """
         overrides = dict(overrides) if overrides else {}
         if self.family == "detailed":
-            proc = self.processor(bundle, overrides, tfr_collectors)
-            if self.kernel == "batched":
-                # Local import: the harness consumes this registry
-                # everywhere else; only the batched kernel flows back in.
-                from .harness.batch import run_batch
-
-                return run_batch([proc])[0]
-            return proc.run()
+            return Processor(
+                bundle.program,
+                self.core_config(**overrides),
+                bundle.golden,
+                bundle.reconv,
+                tfr_collectors=tfr_collectors,
+            ).run()
         if tfr_collectors:
             raise ConfigError(
                 f"machine {self.name!r} is {self.family}; TFR collectors "
@@ -230,55 +215,6 @@ MACHINES: dict[str, Machine] = {
 DETAILED_MACHINE_NAMES = ("BASE", "CI", "CI-I")
 
 
-def _batched(machine: Machine) -> Machine:
-    return replace(
-        machine,
-        name=machine.name + BATCH_SUFFIX,
-        description=machine.description + " (array-batched cycle driver)",
-        kernel="batched",
-    )
-
-
-def _order_v1(machine: Machine) -> Machine:
-    return replace(
-        machine,
-        name=machine.name + ORDER_V1_SUFFIX,
-        description=machine.description
-        + " (legacy v1 midpoint/renumber order scheme)",
-        knobs=tuple(sorted((*machine.knobs, ("order_scheme", "v1")))),
-    )
-
-
-# Register the array-batched variants of the Figure 5 machines.  They
-# are first-class registry entries so the differential-fuzzing oracle
-# (which defaults to every machine) and the golden equivalence suite
-# exercise the batched driver on the same cells as the scalar one.
-for _name in DETAILED_MACHINE_NAMES:
-    _variant = _batched(MACHINES[_name])
-    MACHINES[_variant.name] = _variant
-del _name, _variant
-
-#: the array-batched twins of the Figure 5 machines
-BATCHED_MACHINE_NAMES = tuple(
-    name + BATCH_SUFFIX for name in DETAILED_MACHINE_NAMES
-)
-
-# Register the legacy-order-scheme twins of the Figure 5 machines.
-# The default scheme is v2, so without these the every-machine fuzz
-# campaigns would stop differentially covering the v1 key discipline
-# the moment the default flipped; as registry entries they keep v1
-# oracle-checked against the functional reference on every campaign.
-for _name in DETAILED_MACHINE_NAMES:
-    _variant = _order_v1(MACHINES[_name])
-    MACHINES[_variant.name] = _variant
-del _name, _variant
-
-#: the legacy (v1) order-scheme twins of the Figure 5 machines
-ORDER_V1_MACHINE_NAMES = tuple(
-    name + ORDER_V1_SUFFIX for name in DETAILED_MACHINE_NAMES
-)
-
-
 def get_machine(name: str) -> Machine:
     """Look up a registry machine, rejecting unknown names loudly."""
     try:
@@ -292,16 +228,6 @@ def get_machine(name: str) -> Machine:
 def ideal_machine(model: IdealModel) -> Machine:
     """The registry entry for one idealized model."""
     return MACHINES[f"{IDEAL_PREFIX}{model.value}"]
-
-
-def batched_machine(name: str) -> Machine:
-    """The array-batched twin of one detailed machine."""
-    return get_machine(name + BATCH_SUFFIX)
-
-
-def order_v1_machine(name: str) -> Machine:
-    """The legacy-order-scheme twin of one detailed machine."""
-    return get_machine(name + ORDER_V1_SUFFIX)
 
 
 def heuristic_machine(policy: ReconvPolicy) -> Machine:
@@ -329,20 +255,14 @@ def detailed_machines() -> dict[str, CoreConfig]:
 
 
 __all__ = [
-    "BATCHED_MACHINE_NAMES",
-    "BATCH_SUFFIX",
     "DETAILED_MACHINE_NAMES",
     "FAMILIES",
     "HEURISTIC_POLICIES",
     "IDEAL_PREFIX",
     "MACHINES",
-    "ORDER_V1_MACHINE_NAMES",
-    "ORDER_V1_SUFFIX",
     "Machine",
-    "batched_machine",
     "detailed_machines",
     "get_machine",
     "heuristic_machine",
     "ideal_machine",
-    "order_v1_machine",
 ]

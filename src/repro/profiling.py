@@ -10,8 +10,8 @@ Two complementary views of where a simulated cell spends its time:
 * **host time** — :func:`profile_callable` wraps a cell in
   :mod:`cProfile` and renders the hot functions, answering where the
   *simulator* (not the simulated machine) burns host CPU.  This is the
-  instrument behind ``examples/core_bench.py --profile`` and the view
-  that drove the hot-loop optimization work.
+  view that drove the hot-loop optimization work; end-to-end and
+  per-layer timings come from the ledger (``ledger/``).
 
 Neither view feeds a paper statistic; both are diagnostics.
 """

@@ -9,19 +9,12 @@ globals the stages bind — no permanent hot-path hooks), which verifies:
 
 * every pushed entry has the declared key composition, captured from
   the payload node at push time;
-* under v2, captured keys still equal the node's live ``order`` at pop
-  time and ``_respace`` never fires (the keys-stable clause);
-* under v1, a stale pop (captured ``order`` differs from live) only
-  ever happens when a ``_renumber`` epoch intervened between push and
-  pop (the staleness clause);
-* across schemes, the invariant stats are identical and total cycles
-  agree within the contract's tolerance, on every golden cell and
-  corpus reproducer.
+* captured keys still equal the node's live ``order`` at pop time and
+  ``_respace`` never fires (the keys-stable clause).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq as real_heapq
 from pathlib import Path
 
@@ -66,12 +59,11 @@ class HeapRecorder:
         self.pops = 0
         self.stale_pops = 0
         self.dead_pops = 0
-        self.renumbers = 0
         self.respaces = 0
         self.violations: list[str] = []
         #: the live machine's instruction pool (set by the install hook)
         self.pool = None
-        #: rewrite-epoch counter; bumped by _renumber/_respace wrappers
+        #: rewrite-epoch counter; bumped by the _respace wrapper
         self.epoch = 0
         #: id(entry) -> (epoch at push, entry) — the entry ref keeps the
         #: id unique for as long as the record exists
@@ -107,7 +99,7 @@ class HeapRecorder:
             if pushed_epoch == self.epoch:
                 self.violations.append(
                     f"stale pop (key order {entry[1]}, live {pool.order[h]}) "
-                    f"with no renumber/respace between push and pop"
+                    f"with no respace between push and pop"
                 )
         return entry
 
@@ -116,17 +108,11 @@ class HeapRecorder:
         monkeypatch.setattr(sequencer_mod, "heappush", self.heappush)
         recorder = self
         orig_init = ReorderBuffer.__init__
-        orig_renumber = ReorderBuffer._renumber
         orig_respace = ReorderBuffer._respace
 
         def init(self, *args, **kwargs):
             orig_init(self, *args, **kwargs)
             recorder.pool = self.pool
-
-        def renumber(self):
-            recorder.renumbers += 1
-            recorder.epoch += 1
-            return orig_renumber(self)
 
         def respace(self):
             recorder.respaces += 1
@@ -134,41 +120,18 @@ class HeapRecorder:
             return orig_respace(self)
 
         monkeypatch.setattr(ReorderBuffer, "__init__", init)
-        monkeypatch.setattr(ReorderBuffer, "_renumber", renumber)
         monkeypatch.setattr(ReorderBuffer, "_respace", respace)
 
 
-def _check_scheme_clauses(recorder: HeapRecorder, scheme: str, what: str) -> None:
-    assert not recorder.violations, f"{what} ({scheme}): {recorder.violations[:5]}"
-    assert recorder.pops > 0, f"{what} ({scheme}): heap never popped"
-    if scheme == "v2":
-        assert recorder.respaces == 0, (
-            f"{what} (v2): _respace fired {recorder.respaces}x — the "
-            f"never-expected fallback ran; the keys-stable clause is void"
-        )
-        assert recorder.renumbers == 0, f"{what} (v2): _renumber must not run"
-        assert recorder.stale_pops == 0, (
-            f"{what} (v2): {recorder.stale_pops} stale pops without rewrites"
-        )
-    else:
-        assert recorder.respaces == 0, f"{what} (v1): _respace is v2-only"
-        # stale pops are legal under v1 — but only across a renumber,
-        # which heappop already enforced via recorder.violations.
-
-
-def _assert_cross_scheme(stats_by_scheme: dict, what: str) -> None:
-    v1 = dataclasses.asdict(stats_by_scheme["v1"])
-    v2 = dataclasses.asdict(stats_by_scheme["v2"])
-    for field in CONTRACT.invariant_fields:
-        assert v1[field] == v2[field], (
-            f"{what}: scheme-variant architectural stat {field}: "
-            f"v1={v1[field]!r} v2={v2[field]!r}"
-        )
-    drift = abs(v1["cycles"] - v2["cycles"]) / max(v1["cycles"], 1)
-    assert drift <= CONTRACT.cycles_tolerance, (
-        f"{what}: cycles drift {drift:.2%} exceeds the contract's "
-        f"{CONTRACT.cycles_tolerance:.0%} bound (v1={v1['cycles']}, "
-        f"v2={v2['cycles']})"
+def _check_clauses(recorder: HeapRecorder, what: str) -> None:
+    assert not recorder.violations, f"{what}: {recorder.violations[:5]}"
+    assert recorder.pops > 0, f"{what}: heap never popped"
+    assert recorder.respaces == 0, (
+        f"{what}: _respace fired {recorder.respaces}x — the "
+        f"never-expected fallback ran; the keys-stable clause is void"
+    )
+    assert recorder.stale_pops == 0, (
+        f"{what}: {recorder.stale_pops} stale pops without rewrites"
     )
 
 
@@ -181,46 +144,31 @@ def bundles():
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_golden_cells_obey_contract(bundles, workload, machine, monkeypatch):
     """Instrumented tie-break logging over the 6 core golden cells."""
-    stats_by_scheme = {}
-    for scheme in ("v1", "v2"):
-        recorder = HeapRecorder()
-        with pytest.MonkeyPatch.context() as mp:
-            recorder.install(mp)
-            stats = run_core(
-                bundles[workload],
-                CoreConfig(order_scheme=scheme, **CORE_MACHINES[machine]),
-            )
-        _check_scheme_clauses(recorder, scheme, f"{workload}/{machine}")
-        stats_by_scheme[scheme] = stats
-    _assert_cross_scheme(stats_by_scheme, f"{workload}/{machine}")
+    recorder = HeapRecorder()
+    recorder.install(monkeypatch)
+    run_core(bundles[workload], CoreConfig(**CORE_MACHINES[machine]))
+    _check_clauses(recorder, f"{workload}/{machine}")
 
 
 def test_corpus_obeys_contract():
-    """The committed fuzz reproducers under both schemes, instrumented.
+    """The committed fuzz reproducers, instrumented.
 
     Reproducers are minimized divergence cases — precisely the programs
-    that historically stressed squash/redispatch, where v1 renumbering
-    and heap-key staleness concentrate.
+    that historically stressed squash/redispatch, where restart inserts
+    concentrate.
     """
     reproducers = load_corpus(CORPUS_DIR)
     assert reproducers, "committed corpus is empty"
-    config_base = dict(window_size=256, reconv_policy=ReconvPolicy.POSTDOM)
+    config = CoreConfig(window_size=256, reconv_policy=ReconvPolicy.POSTDOM)
     for rep in reproducers:
         bundle = program_bundle(rep.program())
-        stats_by_scheme = {}
-        for scheme in ("v1", "v2"):
-            recorder = HeapRecorder()
-            with pytest.MonkeyPatch.context() as mp:
-                recorder.install(mp)
-                processor = Processor(
-                    bundle.program,
-                    CoreConfig(order_scheme=scheme, **config_base),
-                    bundle.golden,
-                    bundle.reconv,
-                )
-                stats_by_scheme[scheme] = processor.run()
-            _check_scheme_clauses(recorder, scheme, rep.name)
-        _assert_cross_scheme(stats_by_scheme, rep.name)
+        recorder = HeapRecorder()
+        with pytest.MonkeyPatch.context() as mp:
+            recorder.install(mp)
+            Processor(
+                bundle.program, config, bundle.golden, bundle.reconv
+            ).run()
+        _check_clauses(recorder, rep.name)
 
 
 def test_contract_static_checks_are_clean():
@@ -232,7 +180,7 @@ def test_contract_static_checks_are_clean():
 
 
 def test_static_checker_detects_contract_drift():
-    """Tampered specs must fail: wrong site, wrong tolerance."""
+    """Tampered specs must fail: wrong site, wrong rewrite routine."""
     from dataclasses import replace
 
     from repro.analysis.arbitration import HeapSiteSpec
@@ -250,14 +198,15 @@ def test_static_checker_detects_contract_drift():
     assert any("undeclared ready-heap pop" in m for m in messages)
     assert any("not found" in m for m in messages)
 
-    loosened = replace(CONTRACT, cycles_tolerance=0.5)
-    report = check_contract(index, loosened)
+    wrong_rewrite = replace(CONTRACT, rewrite_routine="_rekey_all")
+    report = check_contract(index, wrong_rewrite)
     assert any(
-        d.symbol == "CONTRACT.cycles_tolerance" for d in report.errors()
+        d.symbol == "ReorderBuffer._place" and "_rekey_all" in d.message
+        for d in report.errors()
     ), report.format()
 
-    weakened = replace(CONTRACT, invariant_fields=("retired",))
-    report = check_contract(index, weakened)
+    missing = replace(CONTRACT, placement_routine="_place_midpoint")
+    report = check_contract(index, missing)
     assert any(
-        d.symbol == "CONTRACT.invariant_fields" for d in report.errors()
+        "placement routine missing" in d.message for d in report.errors()
     ), report.format()

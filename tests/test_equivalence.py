@@ -1,53 +1,29 @@
 """Golden equivalence suite: every simulator optimization must
-reproduce a committed golden generation's statistics bit-for-bit.
+reproduce the committed golden statistics bit-for-bit.
 
-Two golden generations exist, one per ROB order scheme:
+``tests/goldens/equivalence_v2.pkl`` holds 18 cells: 2 workloads x
+{BASE, CI, CI-I} detailed cores at window 256, plus the 6 idealized
+models.  Every golden key is compared exactly — no tolerances.  Re-mint
+it only for a change that is meant to move these statistics::
 
-* ``tests/goldens/equivalence.pkl`` — the **v1** generation, produced by
-  the seed (pre-optimization) implementation under the midpoint/renumber
-  order-key discipline.  It is never regenerated.
-* ``tests/goldens/equivalence_v2.pkl`` — the **v2** generation, minted
-  by ``examples/mint_goldens.py`` under the renumber-free dense order
-  scheme after the differential oracle showed that on the golden
-  workloads the v1->v2 stats shift is confined to the ready-heap
-  tie-break-sensitive counters (architectural state, retired counts and
-  accounting invariants identical; see
-  ``test_order_scheme_divergence_is_tiebreak_only``).  Beyond the
-  golden/fuzz corpus the schemes are distinct same-cycle arbitration
-  policies and recovery-heavy cells can cascade into timing statistics
-  — ``ORDER_SCHEME_INVARIANT_FIELDS`` in :mod:`repro.core.stats`
-  documents what must still agree, and ``examples/core_bench.py``
-  gates it.
-
-Every core cell runs under *both* schemes against its matching
-generation — no tolerances, every golden key compared exactly.  The
-idealized models never touch the ROB, so their cells must be identical
-across generations (asserted below) and are gated once.
-
-The detailed cells are additionally replayed through the array-batched
-driver (all three machines of a workload interleaved cycle-by-cycle in
-one :func:`repro.harness.batch.run_batch` loop) — the batched kernel
-must hit the same goldens, byte for byte.
+    PYTHONPATH=src python tests/test_equivalence.py --mint
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.core import ORDER_SCHEMES, CoreConfig, Processor, ReconvPolicy
-from repro.harness.batch import run_batch
+from repro.core import CoreConfig, ReconvPolicy
 from repro.harness.experiments import load_bundle, run_core
 from repro.ideal.models import IdealConfig, IdealModel
 from repro.ideal.scheduler import simulate
 
-GOLDEN_PATHS = {
-    "v1": Path(__file__).parent / "goldens" / "equivalence.pkl",
-    "v2": Path(__file__).parent / "goldens" / "equivalence_v2.pkl",
-}
+GOLDEN_PATH = Path(__file__).parent / "goldens" / "equivalence_v2.pkl"
 WORKLOADS = ("compress", "go")
 SCALE = 0.12
 
@@ -61,20 +37,11 @@ CORE_MACHINES = {
     ),
 }
 
-#: stats a scheme change may legitimately move: issue-order tie-breaks
-#: reorder same-cycle-eligible instructions, shifting issue accounting
-#: and the per-cycle stage-activity diagnostics.  Everything else must
-#: be identical across generations (canonical set: repro.core.stats).
-from repro.core import TIEBREAK_SENSITIVE_FIELDS as TIEBREAK_SENSITIVE
-
 
 @pytest.fixture(scope="module")
 def goldens():
-    loaded = {}
-    for scheme, path in GOLDEN_PATHS.items():
-        with path.open("rb") as f:
-            loaded[scheme] = pickle.load(f)
-    return loaded
+    with GOLDEN_PATH.open("rb") as f:
+        return pickle.load(f)
 
 
 @pytest.fixture(scope="module")
@@ -88,51 +55,12 @@ def _assert_matches(golden: dict, current: dict, what: str) -> None:
         for key in golden
         if current.get(key) != golden[key]
     }
-    assert not mismatches, f"{what} diverged from its golden generation: {mismatches}"
+    assert not mismatches, f"{what} diverged from its golden: {mismatches}"
 
 
-@pytest.mark.parametrize("scheme", ORDER_SCHEMES)
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("machine", sorted(CORE_MACHINES))
-def test_core_stats_match_goldens(goldens, bundles, scheme, workload, machine):
-    config = CoreConfig(order_scheme=scheme, **CORE_MACHINES[machine])
-    stats = run_core(bundles[workload], config)
-    _assert_matches(
-        goldens[scheme][("core", workload, machine)],
-        dataclasses.asdict(stats),
-        f"{workload}/{machine} ({scheme})",
-    )
-
-
-@pytest.mark.parametrize("scheme", ORDER_SCHEMES)
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_batched_core_row_matches_goldens(goldens, bundles, scheme, workload):
-    """One interleaved batch per workload vs goldens."""
-    bundle = bundles[workload]
-    names = sorted(CORE_MACHINES)
-    processors = [
-        Processor(
-            bundle.program,
-            CoreConfig(order_scheme=scheme, **CORE_MACHINES[name]),
-            bundle.golden,
-            bundle.reconv,
-        )
-        for name in names
-    ]
-    for name, stats in zip(names, run_batch(processors)):
-        _assert_matches(
-            goldens[scheme][("core", workload, name)],
-            dataclasses.asdict(stats),
-            f"{workload}/{name} batched ({scheme})",
-        )
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("model", list(IdealModel), ids=lambda m: m.value)
-def test_ideal_stats_match_seed(goldens, bundles, workload, model):
-    golden = goldens["v1"][("ideal", workload, model.value)]
-    r = simulate(bundles[workload].annotated(), model, IdealConfig(window_size=256))
-    current = {
+def ideal_fields(bundle, model: IdealModel) -> dict:
+    r = simulate(bundle.annotated(), model, IdealConfig(window_size=256))
+    return {
         "cycles": r.cycles,
         "retired": r.retired,
         "fetched_wrong_path": r.fetched_wrong_path,
@@ -140,37 +68,57 @@ def test_ideal_stats_match_seed(goldens, bundles, workload, model):
         "selective_squashes": r.selective_squashes,
         "detections": r.detections,
     }
-    assert current == golden, (
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("machine", sorted(CORE_MACHINES))
+def test_core_stats_match_goldens(goldens, bundles, workload, machine):
+    stats = run_core(bundles[workload], CoreConfig(**CORE_MACHINES[machine]))
+    _assert_matches(
+        goldens[("core", workload, machine)],
+        dataclasses.asdict(stats),
+        f"{workload}/{machine}",
+    )
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("model", list(IdealModel), ids=lambda m: m.value)
+def test_ideal_stats_match_seed(goldens, bundles, workload, model):
+    golden = goldens[("ideal", workload, model.value)]
+    assert ideal_fields(bundles[workload], model) == golden, (
         f"{workload}/{model.value} diverged from the seed implementation"
     )
 
 
-def test_golden_generations_share_structure(goldens):
-    """Both pickles cover the same 18 cells, the ideal cells (no ROB)
-    are identical across generations, and the core cells differ only in
-    tie-break-sensitive issue accounting."""
-    v1, v2 = goldens["v1"], goldens["v2"]
-    assert set(v1) == set(v2)
-    for key in v1:
-        kind = key[0]
-        if kind == "ideal":
-            assert v1[key] == v2[key], f"ideal cell {key} must be scheme-independent"
-            continue
-        shared = set(v1[key]) & set(v2[key])
-        moved = {f for f in shared if v1[key][f] != v2[key][f]}
-        assert moved <= TIEBREAK_SENSITIVE, (
-            f"core cell {key}: fields {sorted(moved - TIEBREAK_SENSITIVE)} "
-            "moved between golden generations but are not tie-break-sensitive"
-        )
-
-
-def test_default_scheme_hits_v2_goldens(goldens, bundles, monkeypatch):
-    """With no knob and no REPRO_ORDER, a stock CoreConfig must land on
-    the v2 generation — the default gate and the default scheme agree."""
-    monkeypatch.delenv("REPRO_ORDER", raising=False)
+def test_retired_env_knobs_do_not_change_results(goldens, bundles, monkeypatch):
+    """``REPRO_ORDER`` and ``REPRO_BATCH`` once selected another ROB
+    order scheme and cycle driver; the core has one of each now, so
+    setting them must leave a golden cell untouched."""
+    monkeypatch.setenv("REPRO_ORDER", "v1")
+    monkeypatch.setenv("REPRO_BATCH", "1")
     stats = run_core(bundles["go"], CoreConfig(**CORE_MACHINES["BASE"]))
     _assert_matches(
-        goldens["v2"][("core", "go", "BASE")],
+        goldens[("core", "go", "BASE")],
         dataclasses.asdict(stats),
-        "go/BASE (default scheme)",
+        "go/BASE (REPRO_ORDER=v1, REPRO_BATCH=1)",
     )
+
+
+def mint() -> None:
+    cells: dict = {}
+    for workload in WORKLOADS:
+        bundle = load_bundle(workload, SCALE)
+        for machine in sorted(CORE_MACHINES):
+            stats = run_core(bundle, CoreConfig(**CORE_MACHINES[machine]))
+            cells[("core", workload, machine)] = dataclasses.asdict(stats)
+        for model in IdealModel:
+            cells[("ideal", workload, model.value)] = ideal_fields(bundle, model)
+    with GOLDEN_PATH.open("wb") as f:
+        pickle.dump(cells, f)
+    print(f"wrote {len(cells)} cells to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--mint"]:
+        raise SystemExit(__doc__)
+    mint()

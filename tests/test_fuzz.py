@@ -124,10 +124,28 @@ class TestOracle:
         assert report.golden_length > 0
         assert set(report.summaries) == set(FAST_MACHINES)
 
+    def test_full_registry_clean_on_generated_program(self):
+        program = generate_program(GenConfig(seed=7, size=60, branch_density=0.4,
+                                             loop_nesting=2, loop_trips=3,
+                                             aliasing=0.5, chain_depth=3))
+        report = run_oracle(program, overrides={"watchdog_cycles": 20_000})
+        assert report.ok, report.describe()
+
     def test_unknown_machine_rejected_before_work(self):
         program = generate_program(GenConfig(seed=4, **SMALL))
         with pytest.raises(ConfigError):
             run_oracle(program, machines=("no-such-machine",))
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [({"bogus": 1}, "'bogus'"), ({"window_size": 0}, "window_size")],
+        ids=["unknown", "out-of-range"],
+    )
+    def test_bad_overrides_rejected_before_work(self, overrides, match):
+        program = generate_program(GenConfig(seed=4, **SMALL))
+        with pytest.raises(ConfigError, match=match):
+            run_oracle(program, machines=("BASE", "functional"),
+                       overrides=overrides)
 
     def test_mutant_is_caught(self):
         # seed 0 with the SMALL shape triggers the alu-xor mutant
@@ -190,6 +208,22 @@ class TestCampaign:
                         jobs=1, checkpoint_path=str(tmp_path / "ckpt.json"))
         defaults.update(kwargs)
         return CampaignConfig(**defaults)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [((("bogus", 1),), "'bogus'"), ((("window_size", 0),), "window_size")],
+        ids=["unknown", "out-of-range"],
+    )
+    def test_bad_overrides_rejected_by_validate(self, tmp_path, overrides, match):
+        # A bad knob would fail every detailed machine on every case;
+        # it must not reach the oracle as a stream of "crash" findings.
+        cfg = self.config(tmp_path, machines=("BASE", "functional"),
+                          overrides=overrides)
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=match):
+            run_campaign(cfg)
+        assert not (tmp_path / "ckpt.json").exists()
 
     def test_clean_campaign(self, tmp_path):
         report = run_campaign(self.config(tmp_path))
@@ -285,81 +319,6 @@ class TestCorpusFormat:
         assert load_corpus(tmp_path / "nope") == []
 
 
-class TestOrderSchemeConfinement:
-    """The sanctioned v1->v2 semantic break, oracle-validated: under
-    either ROB order scheme every registry machine stays divergence-free
-    against the functional reference, and whatever shifts between the
-    schemes is confined to ready-heap tie-break-sensitive issue
-    accounting — architectural state, retired counts, cycles and the
-    stats invariants are identical."""
-
-    #: the only stats a scheme flip may move (canonical set in
-    #: repro.core.stats, also pinned by tests/test_equivalence.py)
-    from repro.core import TIEBREAK_SENSITIVE_FIELDS as TIEBREAK_SENSITIVE
-
-    @pytest.fixture(scope="class")
-    def program(self):
-        return generate_program(GenConfig(seed=7, size=60, branch_density=0.4,
-                                          loop_nesting=2, loop_trips=3,
-                                          aliasing=0.5, chain_depth=3))
-
-    def test_full_registry_clean_under_both_schemes(self, program):
-        reports = {}
-        for scheme in ("v1", "v2"):
-            report = run_oracle(
-                program,
-                overrides={"order_scheme": scheme,
-                           "watchdog_cycles": 20_000},
-            )
-            assert not report.divergences, (
-                f"scheme {scheme}: {report.describe()}"
-            )
-            reports[scheme] = report
-        # the oracle summaries carry ipc/retired/cycles/recoveries —
-        # none is tie-break-sensitive, so the schemes must agree exactly
-        assert reports["v1"].summaries == reports["v2"].summaries
-        assert reports["v1"].golden_length == reports["v2"].golden_length
-
-    def test_detailed_stats_shift_is_tiebreak_only(self, program):
-        import dataclasses
-
-        from repro.fuzz.oracle import program_bundle
-        from repro.machines import MACHINES
-
-        bundle = program_bundle(program)
-        for name in ("BASE", "CI", "CI-I"):
-            per_scheme = [
-                dataclasses.asdict(
-                    MACHINES[name].simulate(
-                        bundle, overrides={"order_scheme": scheme}
-                    )
-                )
-                for scheme in ("v1", "v2")
-            ]
-            moved = {
-                k for k in per_scheme[0] if per_scheme[0][k] != per_scheme[1][k]
-            }
-            assert moved <= self.TIEBREAK_SENSITIVE, (
-                f"{name}: non-tie-break stats moved across schemes: "
-                f"{sorted(moved - self.TIEBREAK_SENSITIVE)}"
-            )
-
-    @pytest.mark.parametrize("scheme", ("v1", "v2"))
-    def test_corpus_replays_clean_under_scheme(self, scheme):
-        for repro in load_corpus(CORPUS_DIR):
-            machines = ("BASE", "CI", "BASE@batch", "CI@batch", "functional")
-            report = run_oracle(
-                repro.program(),
-                machines=machines,
-                overrides={"order_scheme": scheme,
-                           "watchdog_cycles": 20_000},
-                max_steps=500_000,
-            )
-            assert not report.divergences, (
-                f"{repro.name} under {scheme}: {report.describe()}"
-            )
-
-
 class TestCommittedCorpusReplay:
     """The regression corpus in tests/corpus/: every committed
     reproducer must still (a) run clean on real machines and (b) make
@@ -378,7 +337,7 @@ class TestCommittedCorpusReplay:
     )
     def test_replay(self, repro):
         program = repro.program()
-        machines = ("BASE", "CI", "BASE@batch", "CI@batch", "functional")
+        machines = ("BASE", "CI", "functional")
         report = run_oracle(
             program,
             machines=machines,
@@ -387,31 +346,9 @@ class TestCommittedCorpusReplay:
             max_steps=500_000,
         )
         kinds = report.kinds()
-        # real machines stay clean (through both cycle drivers) ...
+        # real machines stay clean ...
         for machine in machines:
             assert machine not in kinds, report.describe()
         # ... and the planted bug still diverges exactly as recorded
         for mutant, kind in repro.signature.items():
             assert kinds.get(mutant) == kind, report.describe()
-
-    @pytest.mark.parametrize(
-        "repro", load_corpus(CORPUS_DIR), ids=lambda r: r.name
-    )
-    def test_batched_kernel_matches_scalar_on_corpus(self, repro):
-        """Every committed reproducer yields byte-identical detailed
-        stats through the scalar and array-batched cycle drivers."""
-        import dataclasses
-
-        from repro.fuzz.oracle import program_bundle
-        from repro.machines import batched_machine, get_machine
-
-        bundle = program_bundle(repro.program())
-        overrides = {"watchdog_cycles": 20_000}
-        for name in ("BASE", "CI"):
-            scalar = get_machine(name).simulate(bundle, overrides=overrides)
-            batched = batched_machine(name).simulate(
-                bundle, overrides=overrides
-            )
-            assert dataclasses.asdict(scalar) == dataclasses.asdict(
-                batched
-            ), f"{repro.name}/{name}: batched kernel diverged from scalar"

@@ -12,12 +12,9 @@ from repro.errors import ConfigError
 from repro.harness import load_bundle
 from repro.ideal import IdealConfig, IdealModel, simulate
 from repro.machines import (
-    BATCHED_MACHINE_NAMES,
-    BATCH_SUFFIX,
     DETAILED_MACHINE_NAMES,
     HEURISTIC_POLICIES,
     MACHINES,
-    batched_machine,
     detailed_machines,
     get_machine,
     heuristic_machine,
@@ -52,33 +49,11 @@ class TestRegistryContents:
     def test_postdom_heuristic_is_the_canonical_ci(self):
         assert heuristic_machine(ReconvPolicy.POSTDOM) is MACHINES["CI"]
 
-    def test_batched_variants_registered(self):
-        assert BATCHED_MACHINE_NAMES == tuple(
-            name + BATCH_SUFFIX for name in DETAILED_MACHINE_NAMES
-        )
-        for name in DETAILED_MACHINE_NAMES:
-            scalar, batched = MACHINES[name], batched_machine(name)
-            assert scalar.kernel == "scalar"
-            assert batched.kernel == "batched"
-            assert batched.family == "detailed"
-            assert batched.knobs == scalar.knobs  # same machine model
-
-    def test_order_v1_variants_registered(self):
-        from repro.machines import ORDER_V1_MACHINE_NAMES, ORDER_V1_SUFFIX
-        from repro.machines import order_v1_machine
-
-        assert ORDER_V1_MACHINE_NAMES == tuple(
-            name + ORDER_V1_SUFFIX for name in DETAILED_MACHINE_NAMES
-        )
-        for name in DETAILED_MACHINE_NAMES:
-            legacy = order_v1_machine(name)
-            assert legacy.family == "detailed"
-            assert legacy.core_config().order_scheme == "v1"
-            # same machine model, only the order scheme pinned
-            base_knobs = dict(MACHINES[name].knobs)
-            legacy_knobs = dict(legacy.knobs)
-            assert legacy_knobs.pop("order_scheme") == "v1"
-            assert legacy_knobs == base_knobs
+    def test_registry_is_the_canonical_machines(self):
+        # BASE, CI, CI-I, seven CI/<heuristic>, six ideal models and the
+        # functional reference: one entry per machine model, no twins.
+        assert len(MACHINES) == 17
+        assert not [name for name in MACHINES if "@" in name]
 
     def test_functional_machine_registered(self):
         assert MACHINES["functional"].family == "functional"
@@ -114,6 +89,12 @@ class TestConfigMaterialization:
         with pytest.raises(ConfigError, match="detailed"):
             get_machine("BASE").ideal_config()
 
+    def test_unknown_knobs_rejected(self):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            get_machine("BASE").core_config(bogus=1)
+        with pytest.raises(ConfigError, match="'bogus'"):
+            ideal_machine(IdealModel.ORACLE).ideal_config(bogus=1)
+
     def test_ideal_config_materializes_overrides(self):
         config = ideal_machine(IdealModel.ORACLE).ideal_config(window_size=64)
         assert config == IdealConfig(window_size=64)
@@ -131,13 +112,6 @@ class TestUniformSimulate:
             bundle.reconv,
         ).run()
         assert via_registry == direct
-
-    def test_batched_variant_matches_scalar(self, bundle):
-        scalar = get_machine("CI").simulate(bundle, overrides={"window_size": 128})
-        batched = batched_machine("CI").simulate(
-            bundle, overrides={"window_size": 128}
-        )
-        assert scalar == batched
 
     def test_ideal_matches_direct_scheduler(self, bundle):
         via_registry = ideal_machine(IdealModel.WR_FD).simulate(

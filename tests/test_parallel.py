@@ -70,50 +70,6 @@ class TestParallelEquivalence:
         assert len(out["failures"]) == 1
 
 
-class TestShardedBatching:
-    """``batch=`` under the pool fuses each worker's shard of the grid
-    (one task per shard) and stays byte-identical to the serial run."""
-
-    def test_sharded_batch_matches_serial_scalar(self):
-        serial = run_study(
-            experiments=["figure5"], scale=SCALE, names=NAMES
-        )
-        sharded = run_study_parallel(
-            experiments=["figure5"], scale=SCALE, names=NAMES, jobs=2,
-            batch=True,
-        )
-        assert sharded["jobs"] == 2
-        assert serial["failures"] == [] and sharded["failures"] == []
-        assert json.dumps(sharded["results"], sort_keys=True) == json.dumps(
-            serial["results"], sort_keys=True
-        )
-
-    def test_shard_cells_degrade_individually(self):
-        out = run_study_parallel(
-            experiments=["figure5"], scale=SCALE,
-            names=("go", "not-a-benchmark"), jobs=2, batch=True,
-        )
-        assert "error" not in out["results"]["figure5"]["go"]
-        bad = out["results"]["figure5"]["not-a-benchmark"]
-        assert bad["error_type"] == "WorkloadError"
-        assert len(out["failures"]) == 1
-
-    def test_sharded_batch_resumes_scalar_checkpoint(self, tmp_path):
-        path = tmp_path / "study.json"
-        serial = run_study(
-            experiments=["figure5"], scale=SCALE, names=NAMES,
-            checkpoint_path=path,
-        )
-        sharded = run_study_parallel(
-            experiments=["figure5"], scale=SCALE, names=NAMES, jobs=2,
-            batch=True, checkpoint_path=path,
-        )
-        assert sharded["resumed"] == len(NAMES)
-        assert json.dumps(sharded["results"], sort_keys=True) == json.dumps(
-            serial["results"], sort_keys=True
-        )
-
-
 class TestParallelResume:
     def test_killed_study_resumes_without_resimulating(self, tmp_path, monkeypatch):
         path = tmp_path / "study.json"

@@ -1,15 +1,14 @@
-"""Reorder buffer structure tests: linked window, order keys, order-scheme
-knob resolution, and segments — all over pool handles."""
+"""Reorder buffer structure tests: linked window, order keys and
+segments — all over pool handles."""
 
 import pytest
 import random
 
 from hypothesis import given, strategies as st
 
-from repro.core import ORDER_SCHEMES, CoreConfig, ReorderBuffer, resolve_order_scheme
-from repro.core.rob import _SPACING, _V2_TAIL
+from repro.core import ReorderBuffer
+from repro.core.rob import _SPACING, _TAIL_ORDER
 from repro.core.soa import TAIL
-from repro.errors import ConfigError
 from repro.isa import Instruction, Op
 
 _NOP = Instruction(Op.NOP)
@@ -38,6 +37,19 @@ def assert_positions(rob):
     assert [rob.index_of(h) for h in walk] == list(range(len(walk)))
 
 
+def count_respaces(rob, monkeypatch):
+    """Record the live count at every ``_respace`` of ``rob``."""
+    respaces = []
+    original = rob._respace
+
+    def counted():
+        respaces.append(rob.count)
+        original()
+
+    monkeypatch.setattr(rob, "_respace", counted)
+    return respaces
+
+
 def assert_orders_consistent(rob):
     orders = window_orders(rob)
     assert orders == sorted(orders)
@@ -45,46 +57,9 @@ def assert_orders_consistent(rob):
     assert_positions(rob)
 
 
-class TestOrderSchemeKnob:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORDER", "v1")
-        assert resolve_order_scheme("v2") == "v2"
-        monkeypatch.setenv("REPRO_ORDER", "v2")
-        assert resolve_order_scheme("v1") == "v1"
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORDER", "v1")
-        assert resolve_order_scheme() == "v1"
-        assert ReorderBuffer(16).order_scheme == "v1"
-
-    def test_unset_defaults_to_v2(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ORDER", raising=False)
-        assert resolve_order_scheme() == "v2"
-        assert ReorderBuffer(16).order_scheme == "v2"
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORDER", "sideways")
-        with pytest.raises(ConfigError, match="REPRO_ORDER"):
-            resolve_order_scheme()
-
-    def test_garbage_argument_rejected(self):
-        with pytest.raises(ConfigError, match="order_scheme"):
-            resolve_order_scheme("v3")
-
-    def test_core_config_carries_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORDER", "v2")
-        assert CoreConfig(order_scheme="v1").resolved_order_scheme() == "v1"
-        monkeypatch.delenv("REPRO_ORDER", raising=False)
-        assert CoreConfig().resolved_order_scheme() == "v2"
-
-    def test_core_config_validates_the_knob(self):
-        with pytest.raises(ConfigError, match="order_scheme"):
-            CoreConfig(order_scheme="v3").validate()
-
-
 class TestV2Scheme:
     def test_appends_are_monotonic_and_never_rewritten(self, monkeypatch):
-        rob = ReorderBuffer(64, order_scheme="v2")
+        rob = ReorderBuffer(64)
         monkeypatch.setattr(
             rob, "_respace",
             lambda: pytest.fail("append path must never trigger a respace"),
@@ -96,13 +71,13 @@ class TestV2Scheme:
         assert assigned == [(i + 1) * _SPACING for i in range(64)]
         # keys were assigned once and never touched again
         assert window_orders(rob) == assigned
-        assert rob.pool.order[TAIL] == _V2_TAIL
+        assert rob.pool.order[TAIL] == _TAIL_ORDER
 
     def test_restart_chain_fits_one_gap(self, monkeypatch):
         """A right-chained restart sequence (each instruction inserted
         after the previous one, the sequencer's dispatch pattern) fits
         hundreds of entries in one inter-key gap without a respace."""
-        rob = ReorderBuffer(4096, order_scheme="v2")
+        rob = ReorderBuffer(4096)
         a = dispatch(rob, 0)
         dispatch(rob, 1)
         monkeypatch.setattr(
@@ -119,13 +94,13 @@ class TestV2Scheme:
         """Left-chained dense insertion (adversarial, not a dispatch
         pattern) exhausts gaps; the respace fallback keeps the order
         keys sorted, unique, and mirrored by the index."""
-        rob = ReorderBuffer(4096, order_scheme="v2")
+        rob = ReorderBuffer(4096)
         first = dispatch(rob, 0)
         dispatch(rob, 1)
         for uid in range(2, 202):
             dispatch(rob, uid, after=first)
         assert_orders_consistent(rob)
-        assert rob.pool.order[TAIL] == _V2_TAIL
+        assert rob.pool.order[TAIL] == _TAIL_ORDER
         # the tail-append sequence resumes above every live key
         h = dispatch(rob, 999)
         order_col = rob.pool.order
@@ -134,7 +109,7 @@ class TestV2Scheme:
         )
 
     def test_append_after_remove_stays_monotonic(self):
-        rob = ReorderBuffer(16, order_scheme="v2")
+        rob = ReorderBuffer(16)
         handles = [dispatch(rob, u) for u in range(8)]
         keep_order = rob.pool.order[handles[3]]
         for h in handles[4:]:
@@ -166,9 +141,9 @@ class TestLinkedList:
         assert window_uids(rob) == [0, 2]
         assert rob.count == 2
 
-    @pytest.mark.parametrize("scheme", ORDER_SCHEMES)
-    def test_order_keys_survive_dense_insertion(self, scheme):
-        rob = ReorderBuffer(4096, order_scheme=scheme)
+    def test_order_keys_survive_dense_insertion(self, monkeypatch):
+        rob = ReorderBuffer(4096)
+        respaces = count_respaces(rob, monkeypatch)
         first = dispatch(rob, 0)
         for uid in range(1, 200):
             dispatch(rob, uid, after=first)  # always right after first
@@ -177,11 +152,11 @@ class TestLinkedList:
         orders = window_orders(rob)
         assert orders == sorted(orders)
         assert len(set(orders)) == len(orders)
+        assert respaces, "dense insertion never exhausted a gap"
 
-    @pytest.mark.parametrize("scheme", ORDER_SCHEMES)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=120))
-    def test_random_ops_keep_order_consistent(self, scheme, ops):
-        rob = ReorderBuffer(4096, order_scheme=scheme)
+    def test_random_ops_keep_order_consistent(self, ops):
+        rob = ReorderBuffer(4096)
         live = []  # (uid, handle) pairs mirroring the window
         uid = 0
         for op in ops:
@@ -202,7 +177,7 @@ class TestLinkedList:
 class TestIndexOfParity:
     """``index_of`` recounts a position from the links; it must agree
     with a brute-force head walk after every structural change —
-    including the ones that rewrite keys (a v1 renumber, a v2 respace)."""
+    including a respace, which rewrites every key."""
 
     @staticmethod
     def _churn(rob, rng, steps):
@@ -214,7 +189,7 @@ class TestIndexOfParity:
                 dispatch(rob, uid)  # frontier append
             elif roll < 0.6:
                 # left-chained insert after the head: exhausts the gap
-                # below the head's successor (v2 respace, v1 renumber)
+                # below the head's successor (a respace)
                 dispatch(rob, uid, after=walk[0])
             elif roll < 0.8:
                 dispatch(rob, uid, after=rng.choice(walk))  # restart insert
@@ -224,21 +199,12 @@ class TestIndexOfParity:
             uid += 1
             assert_positions(rob)
 
-    @pytest.mark.parametrize("scheme", ORDER_SCHEMES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_parity_through_key_rewrites(self, monkeypatch, scheme, seed):
-        rob = ReorderBuffer(512, order_scheme=scheme)
-        rewrites = []
-        rewrite = "_renumber" if scheme == "v1" else "_respace"
-        original = getattr(rob, rewrite)
-
-        def counted():
-            rewrites.append(rob.count)
-            original()
-
-        monkeypatch.setattr(rob, rewrite, counted)
+    def test_parity_through_key_rewrites(self, monkeypatch, seed):
+        rob = ReorderBuffer(512)
+        respaces = count_respaces(rob, monkeypatch)
         self._churn(rob, random.Random(seed), 600)
-        assert rewrites, f"the churn never exercised a {scheme} {rewrite}"
+        assert respaces, "the churn never exercised a respace"
 
     def test_single_and_empty_window(self):
         rob = ReorderBuffer(4)

@@ -261,6 +261,15 @@ class TestStudySelection:
             ("table2", "compress"),
         ]
 
+    def test_checkpoint_identity_ignores_execution_knobs(self):
+        base = study_cells(["figure5"], ("go",), SCALE, {})
+        profiled = study_cells(
+            ["figure5"], ("go",), SCALE, {"profile": SpecProfile()}
+        )
+        semantic = study_cells(["figure5"], ("go",), SCALE, {"windows": (64,)})
+        assert [c.key for c in profiled] == [c.key for c in base]
+        assert [c.key for c in semantic] != [c.key for c in base]
+
     def test_select_study_cells_rejects_unmatched_selector(self):
         cells = study_cells(["figure5"], ("go",), SCALE, {})
         with pytest.raises(ConfigError, match="matched no study cells"):

@@ -1,6 +1,6 @@
 """The study-scoped cell memo: each distinct detailed cell simulates once
-per ``run_study`` call — serial, batched or on the pool, whichever worker
-draws it — with rows identical to unmemoized runs."""
+per ``run_study`` call — serial or on the pool, whichever worker draws
+it — with rows identical to unmemoized runs."""
 
 import json
 import multiprocessing
@@ -29,8 +29,8 @@ SCALE = 0.01
 DETAILED_CELLS = 42
 #: distinct materialized CoreConfigs among them, plus Figure 10's TFR
 #: cell, which always simulates: the ``Processor.run`` count of every
-#: execution mode (serial, ``batch``, and ``jobs`` through the pool's
-#: cells-first wave)
+#: execution mode (serial, and ``jobs`` through the pool's cells-first
+#: wave)
 DISTINCT_RUNS = 28 + 1
 
 
@@ -96,26 +96,9 @@ class TestStudyMemo:
         assert study["failures"] == []
         assert len(run_counter) == DISTINCT_RUNS < DETAILED_CELLS
 
-    def test_batched_study_runs_each_distinct_cell_once(self, monkeypatch):
-        # The fused driver steps processors without Processor.run, but
-        # every simulation, fused or not, starts exactly once.
-        started = []
-        original = Processor.start
-
-        def counted(self):
-            started.append(self.config)
-            return original(self)
-
-        monkeypatch.setattr(Processor, "start", counted)
-        assert _study(batch=True)["failures"] == []
-        assert len(started) == DISTINCT_RUNS
-
-    @pytest.mark.parametrize("knobs", [{}, {"batch": True}])
-    def test_profile_marks_memo_hits(self, knobs):
-        # Batched, the fused loop profiles each distinct cell's share
-        # once; the rows' copies of it are the hits.
+    def test_profile_marks_memo_hits(self):
         profile = SpecProfile()
-        _study(profile=profile, **knobs)
+        _study(profile=profile)
         detailed = {
             key: entry
             for key, entry in profile.cells.items()
@@ -149,12 +132,9 @@ class TestStudyMemo:
         _study(experiments=["table2", "table3"])
         assert len(run_counter) == 2
 
-    @pytest.mark.parametrize(
-        "knobs", [{"jobs": 2}, {"batch": True}, {"jobs": 2, "batch": True}]
-    )
-    def test_execution_modes_are_byte_identical(self, knobs):
+    def test_execution_modes_are_byte_identical(self):
         serial = _study()
-        other = _study(**knobs)
+        other = _study(jobs=2)
         assert other["failures"] == []
         assert other["results"] == serial["results"]
         assert json.dumps(other["results"], sort_keys=True) == json.dumps(
