@@ -28,10 +28,15 @@ import sys
 import time
 from pathlib import Path
 
-from repro.harness import run_study
-from repro.harness.experiments import EXPERIMENTS, parse_only, validate_experiments
-from repro.harness.parallel import resolve_jobs, run_study_parallel
-from repro.harness.spec import get_spec, spec_names
+from repro.harness import (
+    get_spec,
+    parse_only,
+    resolve_jobs,
+    run_study,
+    runnable_experiments,
+    spec_names,
+    validate_experiments,
+)
 from repro.workloads import WORKLOAD_NAMES
 
 
@@ -60,7 +65,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--experiments", nargs="+", default=["figure3", "figure5"],
-        metavar="EXP", help=f"experiments to run (from {sorted(EXPERIMENTS)})",
+        metavar="EXP", help=f"experiments to run (from {sorted(runnable_experiments())})",
     )
     parser.add_argument(
         "--names", nargs="+", default=list(WORKLOAD_NAMES), metavar="WORKLOAD",
@@ -118,7 +123,7 @@ def main(argv=None) -> int:
 
     print(f"parallel run (jobs={jobs}) ...", flush=True)
     t0 = time.perf_counter()
-    parallel_out = run_study_parallel(
+    parallel_out = run_study(
         experiments=chosen, scale=args.scale, names=names, jobs=jobs,
         checkpoint_path=args.checkpoint, cache_dir=args.cache_dir,
         only=args.only,

@@ -236,7 +236,7 @@ def _case_worker(
     runner_knobs: dict,
 ) -> dict:
     """Worker-side wrapper: timeout + retry inside the worker process."""
-    runner = CellRunner(RunnerConfig(checkpoint_path=None, **runner_knobs))
+    runner = CellRunner(RunnerConfig(**runner_knobs))
     result = runner.run_cell(
         key,
         lambda: run_case(

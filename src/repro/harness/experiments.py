@@ -1,198 +1,51 @@
-"""Legacy experiment entrypoints: thin shims over the spec registry.
+"""The fault-isolated study: experiments × workloads, one row per cell.
 
-Historically this module held one hand-rolled loop per paper table and
-figure.  Those artifacts are now declarative entries in
-:mod:`repro.harness.specs`, executed by the generic engine in
-:mod:`repro.harness.spec`; every ``run_*`` function below delegates to
-:func:`~repro.harness.spec.run_spec` and returns byte-identical rows, so
-existing callers (benchmarks, examples, tests) are unaffected.
-
-The fault-isolated study path lives here too: :func:`run_study` runs a
-cross-product of registered experiments × workloads, one
-:class:`~repro.harness.spec.CellRow` per cell, with per-cell timeout,
-retry, checkpoint resume and optional process fan-out
-(:mod:`repro.harness.parallel`).
+:func:`run_study` runs a cross-product of registered experiments
+(:mod:`repro.harness.specs`) × workloads, one
+:func:`~repro.harness.spec.run_spec_row` per (experiment, workload)
+cell, with per-cell timeout, retry, checkpoint resume and optional
+process fan-out (:mod:`repro.harness.parallel`).  A single artifact is
+:func:`~repro.harness.spec.run_spec`; a derived view over computed
+rows is :func:`~repro.harness.spec.derive`.
 """
 
 from __future__ import annotations
 
 from ..core import CoreConfig, CoreStats, Processor
 from ..errors import ConfigError
-from ..ideal.models import IdealModel
-from ..machines import HEURISTIC_POLICIES, detailed_machines
+from ..machines import HEURISTIC_POLICIES
 from ..workloads import WORKLOAD_NAMES
 from .spec import (
     CellRow,
     WorkloadBundle,
-    derive,
     load_bundle,
-    percent_improvement as _percent_improvement,  # noqa: F401  (legacy name)
-    run_spec,
+    resolve_spec,
     run_spec_row,
     runnable_experiments,
+    select_cells,
 )
 from .specs import COMPLETION_CONFIGS, DETAILED_WINDOWS, IDEAL_WINDOWS
 
 __all__ = [
     "COMPLETION_CONFIGS",
     "DETAILED_WINDOWS",
-    "EXPERIMENTS",
     "HEURISTIC_POLICIES",
     "IDEAL_WINDOWS",
-    "NON_SEMANTIC_KNOBS",
     "WorkloadBundle",
     "assemble_study",
     "load_bundle",
-    "load_bundles",
     "parse_only",
     "run_core",
-    "run_figure3",
-    "run_figure5",
-    "run_figure6",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
-    "run_figure12",
-    "run_figure13",
-    "run_figure14",
-    "run_figure17",
     "run_study",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
     "select_study_cells",
     "study_cells",
     "validate_experiments",
 ]
 
 
-def load_bundles(scale: float, names=WORKLOAD_NAMES) -> list[WorkloadBundle]:
-    return [load_bundle(name, scale) for name in names]
-
-
 def run_core(bundle: WorkloadBundle, config: CoreConfig) -> CoreStats:
     """One detailed-machine simulation over a prepared bundle."""
     return Processor(bundle.program, config, bundle.golden, bundle.reconv).run()
-
-
-def _detailed_machines() -> dict[str, CoreConfig]:
-    """BASE / CI / CI-I configs (now sourced from the machine registry)."""
-    return detailed_machines()
-
-
-# ----------------------------------------------------------------------
-# Per-artifact shims (signatures preserved; rows byte-identical)
-
-
-def run_table1(scale: float = 1.0, names=WORKLOAD_NAMES) -> list[dict]:
-    return run_spec("table1", scale=scale, names=names)
-
-
-def run_figure3(
-    scale: float = 0.4,
-    windows=IDEAL_WINDOWS,
-    models=tuple(IdealModel),
-    names=WORKLOAD_NAMES,
-) -> dict:
-    """IPC[workload][model][window] for the Section 2 idealized study."""
-    return run_spec(
-        "figure3",
-        scale=scale,
-        names=names,
-        windows=tuple(windows),
-        models=tuple(models),
-    )
-
-
-def run_figure5(
-    scale: float = 0.12, windows=DETAILED_WINDOWS, names=WORKLOAD_NAMES
-) -> dict:
-    """IPC[workload][machine][window] for BASE, CI and CI-I."""
-    return run_spec("figure5", scale=scale, names=names, windows=tuple(windows))
-
-
-def run_figure6(figure5: dict) -> dict:
-    """Percent IPC improvement of CI over BASE, from figure-5 data."""
-    return derive("figure6", figure5)
-
-
-def run_table2(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> list[dict]:
-    return run_spec("table2", scale=scale, names=names, window=window)
-
-
-def run_table3(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> list[dict]:
-    return run_spec("table3", scale=scale, names=names, window=window)
-
-
-def run_table4(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> list[dict]:
-    return run_spec("table4", scale=scale, names=names, window=window)
-
-
-def run_figure8(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure8", scale=scale, names=names, window=window)
-
-
-def run_figure9(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure9", scale=scale, names=names, window=window)
-
-
-def run_figure10(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    """Coverage curves per workload and scheme (static / dynamic pc / xor)."""
-    return run_spec("figure10", scale=scale, names=names, window=window)
-
-
-def run_figure12(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure12", scale=scale, names=names, window=window)
-
-
-def run_figure13(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure13", scale=scale, names=names, window=window)
-
-
-def run_figure14(
-    scale: float = 0.12, window: int = 256, segments=(1, 4, 16), names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec(
-        "figure14",
-        scale=scale,
-        names=names,
-        window=window,
-        segments=tuple(segments),
-    )
-
-
-def run_figure17(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    """Percent IPC improvement over BASE per reconvergence policy."""
-    return run_spec("figure17", scale=scale, names=names, window=window)
-
-
-# ----------------------------------------------------------------------
-# Fault-isolated full study (robustness layer)
-
-#: every independently runnable experiment (figure 6 derives from 5),
-#: in registry order — kept as a name->callable map for compatibility
-EXPERIMENTS: dict = {
-    name: globals()[f"run_{name}"] for name in runnable_experiments()
-}
 
 
 def validate_experiments(experiments=None) -> list:
@@ -272,31 +125,17 @@ def select_study_cells(cells, only):
     return selected
 
 
-#: experiment kwargs that choose an execution strategy without touching
-#: row content; excluded from the checkpoint config hash so attaching a
-#: profile composes with checkpoint resume (and with ``REPRO_JOBS`` — the
-#: parallel path reuses the same enumeration) instead of silently
-#: re-running every cell
-NON_SEMANTIC_KNOBS = ("profile",)
-
-
 def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
     """Enumerate the study grid as Cells, in deterministic order.
 
-    Serial and parallel execution share this enumeration, so a
-    checkpoint written by one is resumable by the other; the config hash
-    covers only row-semantic knobs (see :data:`NON_SEMANTIC_KNOBS`), so
-    profiled and plain runs of the same study share one checkpoint
-    identity.
+    Serial and pooled execution share this enumeration, so a checkpoint
+    written by one is resumable by the other.
     """
     from .runner import Cell, config_hash
 
-    semantic = {
-        k: v for k, v in experiment_kwargs.items() if k not in NON_SEMANTIC_KNOBS
-    }
     cells = []
     for exp in chosen:
-        knob_hash = config_hash({"experiment": exp, **semantic})
+        knob_hash = config_hash({"experiment": exp, **experiment_kwargs})
         for name in names:
             cells.append(
                 Cell(experiment=exp, workload=name, config_hash=knob_hash, scale=scale)
@@ -332,7 +171,6 @@ def run_study(
     scale: float = 0.12,
     names=WORKLOAD_NAMES,
     checkpoint_path=None,
-    runner: "CellRunner | None" = None,
     jobs: "int | str | None" = None,
     cache_dir=None,
     timeout_seconds: float | None = None,
@@ -342,81 +180,105 @@ def run_study(
     """Run a cross-product of experiments × workloads fault-isolated.
 
     Each (experiment, workload) pair runs as one
-    :func:`~repro.harness.spec.run_spec_row` cell through a
-    :class:`~repro.harness.runner.CellRunner`: a crash or hang in one
-    cell becomes an error-annotated row instead of killing the study,
-    and — when ``checkpoint_path`` is given — completed cells are
-    skipped on resume after an interruption.
+    :func:`~repro.harness.spec.run_spec_row` cell: a crash or hang in
+    one cell becomes an error-annotated row instead of killing the
+    study, and — when ``checkpoint_path`` is given — completed cells are
+    recorded and skipped on resume after an interruption.  ``names`` is
+    a sequence of workloads or one bare workload name.
+    ``experiment_kwargs`` (builder knobs such as ``windows=``, and
+    ``cells=``) are checked against every chosen experiment before any
+    cell runs: an unknown knob or cell label raises
+    :class:`~repro.errors.ConfigError`.
 
     ``jobs`` (default: the ``REPRO_JOBS`` env var, else 1; ``"auto"`` =
-    CPU count) fans the grid across worker processes via
-    :func:`repro.harness.parallel.run_study_parallel`; results are
-    byte-identical to the serial run.  A caller-supplied ``runner``
-    forces the serial path (its policy cannot cross process boundaries).
-    ``only`` restricts the grid to ``EXPERIMENT:WORKLOAD`` selectors
-    (see :func:`select_study_cells`) for partial reruns.
+    CPU count) fans the pending cells across worker processes via
+    :func:`repro.harness.parallel.run_pool`, sharing artifacts through
+    ``cache_dir`` (else a temporary directory); results are
+    byte-identical to the serial run.  ``only`` restricts the grid to
+    ``EXPERIMENT:WORKLOAD`` selectors (see :func:`select_study_cells`)
+    for partial reruns.
 
     Each distinct detailed cell simulates once per study: the study
-    owns one cell memo (:func:`~repro.harness.spec.memo_key`), created
-    here and threaded through every row, so e.g. the window-256 ``CI``
-    machine that Figure 5, Tables 2-4 and Figures 8-17 all run is
-    simulated once per workload and the other rows read a copy of its
-    stats.  Failed cells are never memoized, TFR cells always simulate,
-    and two ``run_study`` calls never share results.  Under ``jobs`` the
-    pool runs cells first: wave 1 simulates each distinct detailed cell
-    of the pending rows once (no retries) into a memo the parent holds,
-    then wave 2 runs the rows, each shipped the entries it needs, so the
-    simulated-cell count equals the serial path's whichever worker draws
-    which task; a cell that failed in wave 1 is simulated by its rows
-    with the usual retries.  ``profile`` is excluded from the
-    checkpoint identity (:data:`NON_SEMANTIC_KNOBS`), so attaching one
-    resumes the same checkpoint.
+    owns one cell memo (:func:`~repro.harness.spec.memo_key`), so e.g.
+    the window-256 ``CI`` machine that Figure 5, Tables 2-4 and Figures
+    8-17 all run is simulated once per workload and the other rows read
+    a copy of its stats.  Failed cells are never memoized, TFR cells
+    always simulate, and two ``run_study`` calls never share results.
+    Under ``jobs`` the pool runs cells first: wave 1 simulates each
+    distinct detailed cell of the pending rows once (no retries) into a
+    memo the parent holds, then wave 2 runs the rows, each shipped the
+    entries it needs, so the simulated-cell count equals the serial
+    path's whichever worker draws which task; a cell that failed in wave
+    1 is simulated by its rows with the usual retries.
 
     Returns ``{"results": {experiment: {workload: row-or-error}},
-    "failures": [CellResult...], "resumed": int}``.
+    "failures": [CellResult...], "resumed": int, "jobs": int,
+    "wave1_cells": int}``; ``wave1_cells`` counts the distinct detailed
+    cells the pool's wave 1 simulated, 0 when no wave 1 ran.
     """
-    from .runner import CellRunner, RunnerConfig
+    from .parallel import resolve_jobs, run_pool
+    from .runner import CellResult, CellRunner, CheckpointStore, RunnerConfig
 
+    # 1. Validate every argument before any cell runs.
     chosen = validate_experiments(experiments)
-    if runner is None:
-        from .parallel import resolve_jobs, run_study_parallel
+    if isinstance(names, str):
+        names = (names,)
+    runner = CellRunner(RunnerConfig(timeout_seconds=timeout_seconds))
+    n_jobs = resolve_jobs(jobs)
+    knobs = {k: v for k, v in experiment_kwargs.items() if k != "cells"}
+    for exp in chosen:
+        select_cells(resolve_spec(exp, knobs), experiment_kwargs.get("cells"))
 
-        if resolve_jobs(jobs) > 1:
-            return run_study_parallel(
-                experiments=chosen,
-                scale=scale,
-                names=names,
-                checkpoint_path=checkpoint_path,
-                jobs=jobs,
-                cache_dir=cache_dir,
-                timeout_seconds=timeout_seconds,
-                only=only,
-                **experiment_kwargs,
-            )
-        runner = CellRunner(
-            RunnerConfig(
-                checkpoint_path=checkpoint_path, timeout_seconds=timeout_seconds
-            )
-        )
-
+    # 2. Enumerate the grid and apply ``only``.
     cells = select_study_cells(
         study_cells(chosen, names, scale, experiment_kwargs), only
     )
     if only is not None:
         chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
 
-    # One cell memo per study: every row reads and fills it, so each
-    # distinct detailed cell simulates once however many artifacts
-    # share it.
-    memo: dict = {}
-
-    outcomes = {}
+    # 3. Satisfy finished cells from the checkpoint.
+    store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
+    outcomes: dict = {}
+    pending = []
     for cell in cells:
-        result = runner.run_cell(
-            cell,
-            lambda exp=cell.experiment, name=cell.workload: run_spec_row(
-                exp, name, scale=scale, memo=memo, **experiment_kwargs
-            ).to_payload(),
+        if store is not None and store.completed(cell.key):
+            outcomes[cell.key] = CellResult(
+                key=cell.key,
+                status="ok",
+                value=store.value(cell.key),
+                attempts=0,
+                resumed=True,
+            )
+        else:
+            pending.append(cell)
+
+    def settle(result: CellResult) -> None:
+        if result.ok and store is not None:
+            store.record(result.key, result.value)
+        outcomes[result.key] = result
+
+    # 4. Run the pending cells, in-process or on the pool.
+    wave1_cells = 0
+    if n_jobs == 1:
+        # One cell memo per study: every row reads and fills it, so each
+        # distinct detailed cell simulates once however many artifacts
+        # share it.
+        memo: dict = {}
+        for cell in pending:
+            settle(runner.run_cell(
+                cell,
+                lambda exp=cell.experiment, name=cell.workload: run_spec_row(
+                    exp, name, scale=scale, memo=memo, **experiment_kwargs
+                ).to_payload(),
+            ))
+    elif pending:
+        wave1_cells = run_pool(
+            pending, scale, experiment_kwargs, timeout_seconds, n_jobs,
+            cache_dir, settle,
         )
-        outcomes[cell.key] = result
-    return assemble_study(chosen, cells, outcomes)
+
+    # 5. Assemble.
+    out = assemble_study(chosen, cells, outcomes)
+    out["jobs"] = n_jobs
+    out["wave1_cells"] = wave1_cells
+    return out

@@ -2,8 +2,9 @@
 
 The study grid (experiments × workloads) is embarrassingly parallel —
 cells share nothing but the read-only workload artifacts and the
-detailed cells several artifacts run alike.  This module dispatches the
-pending part of the grid to a
+detailed cells several artifacts run alike.  With ``jobs`` > 1,
+:func:`repro.harness.experiments.run_study` hands the pending part of
+the grid to :func:`run_pool`, which dispatches it to a
 :class:`concurrent.futures.ProcessPoolExecutor` in two waves:
 
 * **wave 1, cells first** — one task per *distinct* memo-keyed detailed
@@ -24,12 +25,11 @@ enters the worker through :func:`_run_cell`.
 
 * **job count** — the ``jobs`` argument, else the ``REPRO_JOBS``
   environment variable, else 1; ``"auto"`` means the CPU count.
-* **checkpoint integration** — cells already in the
-  :class:`~repro.harness.runner.CheckpointStore` are satisfied *before*
-  dispatch, so a resumed study only pays for unfinished rows and the
-  detailed cells they need.  The parent process is the only checkpoint
-  writer (workers return results; the parent records them), so no
-  cross-process file locking is needed.
+* **checkpoint integration** — ``run_study`` satisfies checkpointed
+  cells *before* dispatch, so a resumed study only pays for unfinished
+  rows and the detailed cells they need.  The parent process is the
+  only checkpoint writer (workers return results; the parent records
+  them), so no cross-process file locking is needed.
 * **process-safe timeouts** — each worker enforces the per-cell budget
   inside its own process via
   :func:`~repro.harness.runner.call_with_timeout` (SIGALRM on the
@@ -56,12 +56,10 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
-from ..workloads import WORKLOAD_NAMES
 from .runner import (
     Cell,
     CellResult,
     CellRunner,
-    CheckpointStore,
     Deadline,
     RunnerConfig,
     call_with_timeout,
@@ -163,7 +161,7 @@ def _run_cell(
     cell = Cell(
         experiment=experiment, workload=workload, config_hash=knob_hash, scale=scale
     )
-    runner = CellRunner(RunnerConfig(checkpoint_path=None, **runner_knobs))
+    runner = CellRunner(RunnerConfig(**runner_knobs))
     result = runner.run_cell(
         cell,
         lambda: run_spec_row(
@@ -345,7 +343,7 @@ def _run_cells_first(
     pending: list,
     lengths: dict,
     scale: float,
-    worker_kwargs: dict,
+    experiment_kwargs: dict,
     runner_knobs: dict,
     jobs: int,
     cache_dir: str,
@@ -359,7 +357,7 @@ def _run_cells_first(
     from .spec import plan_study_cells
 
     row_keys = [
-        plan_study_cells([(cell.experiment, cell.workload)], scale, worker_kwargs)
+        plan_study_cells([(cell.experiment, cell.workload)], scale, experiment_kwargs)
         for cell in pending
     ]
     plan: dict = {}
@@ -373,7 +371,7 @@ def _run_cells_first(
             cell.workload,
             cell.config_hash,
             cell.scale,
-            worker_kwargs,
+            experiment_kwargs,
             runner_knobs,
             memo,
         )
@@ -434,127 +432,42 @@ def _run_cells_first(
     return len(memo)
 
 
-def run_study_parallel(
-    experiments=None,
-    scale: float = 0.12,
-    names=WORKLOAD_NAMES,
-    checkpoint_path=None,
-    jobs: int | str | None = None,
-    cache_dir=None,
-    timeout_seconds: float | None = None,
-    max_attempts: int = 3,
-    only=None,
-    **experiment_kwargs,
-) -> dict:
-    """Parallel twin of :func:`repro.harness.experiments.run_study`.
+def run_pool(
+    pending: list,
+    scale: float,
+    experiment_kwargs: dict,
+    timeout_seconds: float | None,
+    jobs: int,
+    cache_dir,
+    settle: Callable[[CellResult], None],
+) -> int:
+    """Run a study's ``pending`` rows on a ``jobs``-worker pool.
 
-    Same contract and same (byte-identical) rows; adds ``"jobs"`` and
-    ``"wave1_cells"`` to the returned dict on every path.  ``wave1_cells``
-    counts the cells deduplicated by the pool's wave 1: the distinct
-    detailed cells it simulated into the study's memo.  It is 0 when no
-    wave 1 ran — a serial study or a fully resumed one.
-    When the job count resolves to 1 (explicitly, or ``"auto"`` on a
-    single-CPU host) the grid runs through the in-process serial runner
-    instead of a one-worker pool.  ``only`` restricts the grid to
-    ``EXPERIMENT:WORKLOAD`` selectors for partial reruns.
+    The parent first derives every pending workload's artifacts into the
+    shared disk cache (``cache_dir``, else a temporary directory removed
+    afterwards), then dispatches the two waves; each row's
+    :class:`~repro.harness.runner.CellResult` goes to ``settle`` as it
+    lands.  Returns how many distinct detailed cells wave 1 memoized.
     """
     from .cache import ArtifactCache
-    from .experiments import (
-        assemble_study,
-        run_study,
-        select_study_cells,
-        study_cells,
-        validate_experiments,
-    )
 
-    chosen = validate_experiments(experiments)
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs == 1:
-        _log.info(
-            "study resolved to 1 job: running serially in-process "
-            "(no pool dispatch)"
+    tmpdir = None
+    if cache_dir is None:
+        tmpdir = tempfile.TemporaryDirectory(prefix="repro-study-cache-")
+        cache_dir = tmpdir.name
+    try:
+        lengths = _prewarm_cache(
+            ArtifactCache(disk_dir=cache_dir),
+            dict.fromkeys(c.workload for c in pending),
+            scale,
         )
-        serial_runner = CellRunner(
-            RunnerConfig(
-                checkpoint_path=checkpoint_path,
-                timeout_seconds=timeout_seconds,
-                max_attempts=max_attempts,
-            )
+        return _run_cells_first(
+            pending, lengths, scale, experiment_kwargs,
+            {"timeout_seconds": timeout_seconds}, jobs, str(cache_dir), settle,
         )
-        out = run_study(
-            experiments=chosen,
-            scale=scale,
-            names=names,
-            runner=serial_runner,
-            only=only,
-            **experiment_kwargs,
-        )
-        out["jobs"] = 1
-        out["wave1_cells"] = 0
-        return out
-    store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
-
-    cells = select_study_cells(
-        study_cells(chosen, names, scale, experiment_kwargs), only
-    )
-    if only is not None:
-        chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
-    outcomes: dict[str, CellResult] = {}
-    pending: list[Cell] = []
-    for cell in cells:
-        if store is not None and store.completed(cell.key):
-            outcomes[cell.key] = CellResult(
-                key=cell.key,
-                status="ok",
-                value=store.value(cell.key),
-                attempts=0,
-                resumed=True,
-            )
-        else:
-            pending.append(cell)
-
-    wave1_cells = 0
-    if pending:
-        runner_knobs = {
-            "timeout_seconds": timeout_seconds,
-            "max_attempts": max_attempts,
-        }
-        # A SpecProfile cannot aggregate across process boundaries (each
-        # worker would record into its own pickled copy, silently thrown
-        # away on return), so it is stripped from worker dispatch: under
-        # the pool the parent's profile intentionally stays empty.
-        worker_kwargs = {
-            k: v for k, v in experiment_kwargs.items() if k != "profile"
-        }
-        tmpdir = None
-        shared_dir = cache_dir
-        if shared_dir is None:
-            tmpdir = tempfile.TemporaryDirectory(prefix="repro-study-cache-")
-            shared_dir = tmpdir.name
-        try:
-            lengths = _prewarm_cache(
-                ArtifactCache(disk_dir=shared_dir),
-                dict.fromkeys(c.workload for c in pending),
-                scale,
-            )
-
-            def settle(result: CellResult) -> None:
-                if result.ok and store is not None:
-                    store.record(result.key, result.value)
-                outcomes[result.key] = result
-
-            wave1_cells = _run_cells_first(
-                pending, lengths, scale, worker_kwargs, runner_knobs,
-                n_jobs, str(shared_dir), settle,
-            )
-        finally:
-            if tmpdir is not None:
-                tmpdir.cleanup()
-
-    out = assemble_study(chosen, cells, outcomes)
-    out["jobs"] = n_jobs
-    out["wave1_cells"] = wave1_cells
-    return out
+    finally:
+        if tmpdir is not None:
+            tmpdir.cleanup()
 
 
-__all__ = ["map_resilient", "resolve_jobs", "run_study_parallel"]
+__all__ = ["map_resilient", "resolve_jobs", "run_pool"]

@@ -12,13 +12,14 @@ loses every completed result.  This module executes each cell through a
   (:class:`~repro.errors.TransientError`, timeouts) are retried up to
   ``max_attempts`` times; deterministic failures are not retried;
 * **graceful degradation** — a permanently failing cell becomes an
-  error-annotated :class:`CellResult` instead of aborting the study;
-* **resumable runs** — completed cells are recorded in a JSON
-  :class:`CheckpointStore` keyed by (experiment, workload, config hash,
-  scale); re-running an interrupted study skips them.
+  error-annotated :class:`CellResult` instead of aborting the study.
 
-Checkpointed values round-trip through JSON, so cell functions must
-return JSON-serialisable data (the spec engine's
+Resumable runs are the caller's part: a study records each finished
+cell in a JSON :class:`CheckpointStore` keyed by (experiment, workload,
+config hash, scale) and skips the recorded cells when it re-runs (see
+:func:`repro.harness.experiments.run_study`).  Checkpointed values
+round-trip through JSON, so cell functions must return
+JSON-serialisable data (the spec engine's
 :meth:`~repro.harness.spec.CellRow.to_payload` dicts are; note JSON
 turns integer dict keys into strings).
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import CellTimeout, CheckpointError, TransientError
+from ..errors import CellTimeout, CheckpointError, ConfigError, TransientError
 
 #: Version 1 stored each experiment runner's raw return value
 #: (``{workload: data}`` dicts / one-row lists).  Version 2 stores the
@@ -142,20 +143,19 @@ class RunnerConfig:
     backoff_seconds: float = 0.5  # first retry delay; doubles per attempt
     backoff_factor: float = 2.0
     timeout_seconds: float | None = None  # per-cell wall clock; None = off
-    checkpoint_path: str | Path | None = None
     #: exception types worth retrying; anything else degrades immediately
     retryable: tuple[type, ...] = (TransientError, CellTimeout)
 
     def validate(self) -> "RunnerConfig":
         if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
+            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
         if self.backoff_seconds < 0 or self.backoff_factor < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"backoff must be non-negative with factor >= 1, got "
                 f"{self.backoff_seconds!r} / {self.backoff_factor!r}"
             )
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"timeout_seconds must be positive or None, "
                 f"got {self.timeout_seconds!r}"
             )
@@ -360,29 +360,16 @@ def call_with_timeout(fn: Callable[[], Any], timeout_seconds: float | None) -> A
 
 
 class CellRunner:
-    """Executes cells with timeout, retry/backoff, degradation and resume."""
+    """Executes cells with timeout, retry/backoff and degradation."""
 
     def __init__(self, config: RunnerConfig | None = None, sleep=time.sleep):
         self.config = (config or RunnerConfig()).validate()
         self._sleep = sleep
-        self.checkpoint: CheckpointStore | None = (
-            CheckpointStore(self.config.checkpoint_path)
-            if self.config.checkpoint_path is not None
-            else None
-        )
-
-    # ------------------------------------------------------------------
 
     def run_cell(self, cell: Cell | str, fn: Callable[[], Any]) -> CellResult:
         """Run one cell to a :class:`CellResult`; never raises for cell
-        failures (only for checkpoint-store corruption)."""
+        failures."""
         key = cell.key if isinstance(cell, Cell) else cell
-        if self.checkpoint is not None and self.checkpoint.completed(key):
-            return CellResult(
-                key=key, status="ok", value=self.checkpoint.value(key),
-                attempts=0, resumed=True,
-            )
-
         cfg = self.config
         delay = cfg.backoff_seconds
         failure: BaseException | None = None
@@ -398,8 +385,6 @@ class CellRunner:
             except Exception as exc:  # deterministic failure: no retry
                 failure = exc
                 break
-            if self.checkpoint is not None:
-                self.checkpoint.record(key, value)
             return CellResult(key=key, status="ok", value=value, attempts=attempt)
         return CellResult(
             key=key,
@@ -408,12 +393,6 @@ class CellRunner:
             error_type=type(failure).__name__,
             attempts=attempt,
         )
-
-    def run_cells(
-        self, cells: list[tuple[Cell, Callable[[], Any]]]
-    ) -> list[CellResult]:
-        """Run every cell, isolating failures; the study always finishes."""
-        return [self.run_cell(cell, fn) for cell, fn in cells]
 
 
 def run_protected(

@@ -11,7 +11,7 @@ hand-rolled runner function:
   metric to extract from its stats, and where the value lands in the
   artifact's row shape (``group``/``key``).
 * :class:`ExperimentSpec` — one paper figure or table: its cells, the
-  row shape that folds cell values into the legacy result structure,
+  row shape that folds cell values into the artifact's result structure,
   an optional derived transform (e.g. Figure 6 is a percent-improvement
   view over Figure 5), and the default scale.
 
@@ -19,12 +19,9 @@ Specs register via :func:`register_spec` (the entries live in
 :mod:`repro.harness.specs`); one generic :func:`run_spec` engine
 executes any entry.  Workload artifacts come through the
 content-addressed cache (:func:`load_bundle`), per-workload rows are the
-uniform :class:`CellRow` schema consumed by the study runners,
-checkpoints and table formatters, and an optional :class:`SpecProfile`
-collects per-cell wall clock plus the detailed core's stage-cycle
-counters.  The fault-isolated/parallel study paths
-(:func:`repro.harness.experiments.run_study`,
-:func:`repro.harness.parallel.run_study_parallel`) execute
+uniform :class:`CellRow` schema consumed by the study runner,
+checkpoints and table formatters.  The fault-isolated study
+(:func:`repro.harness.experiments.run_study`, serial or pooled) executes
 ``run_spec_row`` per (experiment, workload) cell, so checkpoint resume
 and process fan-out compose with every registered spec automatically.
 
@@ -36,7 +33,6 @@ tagged so round-trips preserve hashability and equality.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
 
@@ -45,7 +41,6 @@ from ..bpred.evaluate import measure_prediction
 from ..cfg import ReconvergenceTable
 from ..core import (
     CompletionModel,
-    CoreStats,
     GoldenTrace,
     Preemption,
     ReconvPolicy,
@@ -500,36 +495,6 @@ def select_cells(spec: ExperimentSpec, labels) -> ExperimentSpec:
 
 
 # ======================================================================
-# Profiling integration
-
-
-@dataclass
-class SpecProfile:
-    """Per-cell wall clock (and detailed-core stage counters) for one or
-    more :func:`run_spec` calls; pass as ``profile=``."""
-
-    cells: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-    def record(
-        self, key: str, seconds: float, result: Any, memo: bool = False
-    ) -> None:
-        """Record one cell; ``memo=True`` marks a cell served from the
-        study's cell memo (``seconds`` is then the lookup, not a run)."""
-        entry: dict[str, Any] = {"seconds": round(seconds, 4)}
-        if memo:
-            entry["memo"] = True
-        if isinstance(result, CoreStats):
-            from ..profiling import stage_profile
-
-            entry["stage_cycles"] = stage_profile(result).counters()
-        self.cells[key] = entry
-
-    @property
-    def total_seconds(self) -> float:
-        return round(sum(c["seconds"] for c in self.cells.values()), 4)
-
-
-# ======================================================================
 # The engine
 
 
@@ -579,11 +544,9 @@ def memo_key(workload: str, scale: float, cell: CellSpec, machine) -> tuple | No
 
 
 def _simulate_cells(
-    spec: ExperimentSpec,
     workload: str,
     bundle,
     plan: list,
-    profile: SpecProfile | None,
     memo: dict | None = None,
 ) -> list:
     """Produce each planned cell's stats, in spec order.
@@ -592,10 +555,8 @@ def _simulate_cells(
 
     ``memo`` is the study's cell memo, ``{memo_key: CoreStats}``.  A
     cell whose key is already there gets a ``copy.copy`` of the stored
-    stats instead of a simulation, profiled with ``memo=True`` unless
-    the profile already holds that label (a derived view re-reading its
-    base row keeps the base's simulated entry); every keyed cell that
-    simulates successfully is stored.  Failures are never stored, so a
+    stats instead of a simulation; every keyed cell that simulates
+    successfully is stored.  Failures are never stored, so a
     failing cell's duplicates simulate on their own.
     """
     keys = [
@@ -604,20 +565,14 @@ def _simulate_cells(
     ]
     results: list = []
     for (cell, machine, collectors), key in zip(plan, keys):
-        label = f"{spec.name}/{workload}/{cell.label}"
-        t0 = time.perf_counter() if profile is not None else 0.0
         if key is not None and key in memo:
             result = copy.copy(memo[key])
-            if profile is not None and label not in profile.cells:
-                profile.record(label, time.perf_counter() - t0, result, memo=True)
         else:
             result = machine.simulate(
                 bundle,
                 overrides=dict(cell.machine.overrides),
                 tfr_collectors=collectors,
             )
-            if profile is not None:
-                profile.record(label, time.perf_counter() - t0, result)
             if key is not None:
                 memo[key] = result
         results.append(result)
@@ -643,22 +598,19 @@ def plan_study_cells(
 
     ``pairs`` is the pending ``(experiment, workload)`` rows;
     ``experiment_kwargs`` is exactly what the study threads into
-    :func:`run_spec_row` (``cells=``/builder params are honoured,
-    ``profile=`` is execution strategy and ignored).  Spec
+    :func:`run_spec_row` (``cells=`` and builder params).  Spec
     resolution mirrors ``run_spec_row`` — derived views resolve to their
     base spec with default knobs.  Returns ``{memo_key: PlannedCell}``
     in plan order: rows in ``pairs`` order, cells in spec order, each
-    key claimed by its first cell.  A row whose spec or cells cannot be
-    resolved is left to the row path, which degrades it per cell.
+    key claimed by its first cell.  A row whose spec, cells or overrides
+    cannot be resolved is left to the row path, which degrades it per
+    cell.
 
-    The pool's cells-first wave
-    (:func:`repro.harness.parallel.run_study_parallel`) plans through
-    here.
+    The pool's cells-first wave (:func:`repro.harness.parallel.run_pool`)
+    plans through here.
     """
     kwargs = {
-        k: v
-        for k, v in (experiment_kwargs or {}).items()
-        if k not in ("profile", "cells")
+        k: v for k, v in (experiment_kwargs or {}).items() if k != "cells"
     }
     labels = (experiment_kwargs or {}).get("cells")
     plan: dict = {}
@@ -677,7 +629,7 @@ def plan_study_cells(
                         workload, row_scale, cell.machine, spec.name, cell.label
                     )
         except Exception:
-            continue  # bad knobs: the row path reports them
+            continue  # the row path reports it
     return plan
 
 
@@ -685,20 +637,18 @@ def run_spec_row(
     name_or_spec,
     workload: str,
     scale: float | None = None,
-    profile: SpecProfile | None = None,
     cells=None,
     memo: dict | None = None,
     **params,
 ) -> CellRow:
     """Execute every cell of one spec for one workload.
 
-    This is the unit the fault-isolated study runners (serial and
-    parallel) schedule, checkpoint and resume; the returned
+    This is the unit the fault-isolated study (serial or pooled)
+    schedules, checkpoints and resumes; the returned
     :class:`CellRow` is the uniform row schema.  ``cells`` selects a
     subset of the spec's cells by label (see :func:`select_cells`).
-    ``memo`` is the
-    study's cell memo (see :func:`memo_key`): the study runners create
-    one per study and thread it through every row, so each distinct
+    ``memo`` is the study's cell memo (see :func:`memo_key`): the study
+    creates one and threads it through every row, so each distinct
     detailed cell simulates once per study; direct callers normally
     leave it unset and every cell simulates.
     """
@@ -708,7 +658,6 @@ def run_spec_row(
             spec.derives,
             workload,
             scale=scale,
-            profile=profile,
             memo=memo,
         )
         data = TRANSFORMS[spec.transform](base.data)
@@ -724,7 +673,7 @@ def run_spec_row(
         )
         for cell in spec.cells
     ]
-    results = _simulate_cells(spec, workload, bundle, plan, profile, memo)
+    results = _simulate_cells(workload, bundle, plan, memo)
     outcomes = []
     for (cell, machine, collectors), result in zip(plan, results):
         ctx = CellContext(
@@ -743,7 +692,7 @@ def run_spec_row(
 
 
 def assemble_rows(spec: ExperimentSpec, rows: list[CellRow]) -> Any:
-    """Fold per-workload rows into the artifact's legacy result shape."""
+    """Fold per-workload rows into the artifact's result shape."""
     if spec.shape == "rows":
         return [row.data for row in rows]
     return {row.workload: row.data for row in rows}
@@ -753,30 +702,28 @@ def run_spec(
     name_or_spec,
     scale: float | None = None,
     names=None,
-    profile: SpecProfile | None = None,
     cells=None,
     **params,
 ) -> Any:
     """Run one registered artifact end to end.
 
-    Returns exactly the structure the legacy ``run_figureN`` /
-    ``run_tableN`` functions returned (they are now shims over this
-    engine), so formatters, benchmarks and checkpoints see identical
-    rows.  ``names`` selects workloads; ``cells`` selects cells by label
-    (:func:`select_cells`); builder knobs (``windows=...``,
-    ``segments=...``) re-materialize the spec through its builder.
+    Returns the artifact's result shape (:func:`assemble_rows`): a list
+    of rows for tables, ``{workload: data}`` for figures.  ``names``
+    selects workloads (a sequence, or one bare workload name); ``cells``
+    selects cells by label (:func:`select_cells`); builder knobs
+    (``windows=...``, ``segments=...``) re-materialize the spec through
+    its builder.
     """
     spec = select_cells(resolve_spec(name_or_spec, params), cells)
     if spec.derives is not None:
         base_spec = resolve_spec(spec.derives)
-        base = run_spec(base_spec, scale=scale, names=names, profile=profile)
+        base = run_spec(base_spec, scale=scale, names=names)
         return derive(spec, base)
     if names is None:
         names = spec.workloads
-    rows = [
-        run_spec_row(spec, workload, scale=scale, profile=profile)
-        for workload in names
-    ]
+    elif isinstance(names, str):
+        names = (names,)
+    rows = [run_spec_row(spec, workload, scale=scale) for workload in names]
     return assemble_rows(spec, rows)
 
 
@@ -921,7 +868,6 @@ __all__ = [
     "ExperimentSpec",
     "MachineSpec",
     "PlannedCell",
-    "SpecProfile",
     "WorkloadBundle",
     "assemble_rows",
     "derive",

@@ -4,15 +4,12 @@ Each entry below is one artifact from *A Study of Control Independence
 in Superscalar Processors* (HPCA 1999), declared as data: which machines
 run, at which knob settings, which metric is read from each cell, and
 how the cells fold into the artifact's row shape.  The generic engine in
-:mod:`repro.harness.spec` executes any of them; the legacy
-``run_figureN`` / ``run_tableN`` functions in
-:mod:`repro.harness.experiments` are thin shims over these entries and
-produce byte-identical rows.
+:mod:`repro.harness.spec` executes any of them (``run_spec(name)``).
 
 Registration order is paper order (Table 1, Figure 3, Figure 5,
 Figure 6, Tables 2-4, Figures 8-17); the runnable subset (Figure 6 is a
-derived view over Figure 5) matches the historical ``EXPERIMENTS``
-order, so study checkpoints enumerate cells identically.
+derived view over Figure 5) is the default study order, so study
+checkpoints enumerate cells identically.
 
 Builders are parameterized by their artifact's sweep knobs (``windows``,
 ``window``, ``segments``, ``models``); calling ``run_spec(name,

@@ -4,7 +4,7 @@ The paper evaluates two simulator families over a shared set of machine
 models: the *detailed* execution-driven core (Sections 3-4: BASE, CI,
 CI-I) and the six *idealized* models of Section 2 (oracle, nWR-nFD,
 nWR-FD, WR-nFD, WR-FD, base).  Before this module those configurations
-were re-built by hand at every call site — ``_detailed_machines()`` in
+were re-built by hand at every call site — a BASE/CI/CI-I helper in
 the harness, inline ``CoreConfig`` construction per figure, and copies
 in the examples — so adding a machine variant meant editing all of them.
 
@@ -244,8 +244,7 @@ def heuristic_machine(policy: ReconvPolicy) -> Machine:
 def detailed_machines() -> dict[str, CoreConfig]:
     """The BASE / CI / CI-I configurations, materialized.
 
-    This is the single source of truth behind the harness's historical
-    ``_detailed_machines()`` helper and the machine matrices in
+    This is the single source of truth behind the machine matrices in
     ``examples/``; each call returns fresh ``CoreConfig`` instances so
     callers may layer their own overrides.
     """

@@ -255,7 +255,7 @@ class TestStatsZeroDenominators:
         assert stats.avg_removed == 3.0
 
     def test_figure6_survives_zero_base_ipc(self):
-        from repro.harness.experiments import run_figure6
+        from repro.harness import derive
 
         figure5 = {"go": {"BASE": {128: 0.0}, "CI": {128: 1.5}, "CI-I": {128: 1.6}}}
-        assert run_figure6(figure5) == {"go": {128: 0.0}}
+        assert derive("figure6", figure5) == {"go": {128: 0.0}}

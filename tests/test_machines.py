@@ -65,7 +65,7 @@ class TestRegistryContents:
 
 class TestConfigMaterialization:
     def test_detailed_machines_match_legacy_configs(self):
-        # The configs _detailed_machines() used to hand-build.
+        # The configs the harness used to hand-build.
         legacy = {
             "BASE": CoreConfig(reconv_policy=ReconvPolicy.NONE),
             "CI": CoreConfig(reconv_policy=ReconvPolicy.POSTDOM),

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness import run_study
-from repro.harness.parallel import map_resilient, resolve_jobs, run_study_parallel
+from repro.harness.parallel import map_resilient, resolve_jobs
 
 # Small but non-trivial grid: two experiments x two workloads.
 EXPS = ["table1"]
@@ -58,10 +58,10 @@ class TestParallelEquivalence:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError, match="figure99"):
-            run_study_parallel(experiments=["figure99"], scale=SCALE, names=NAMES)
+            run_study(experiments=["figure99"], scale=SCALE, names=NAMES, jobs=2)
 
     def test_bad_workload_degrades_to_error_row(self):
-        out = run_study_parallel(
+        out = run_study(
             experiments=EXPS, scale=SCALE, names=("go", "not-a-benchmark"), jobs=2
         )
         assert "error" not in out["results"]["table1"]["go"]
@@ -74,7 +74,7 @@ class TestParallelResume:
     def test_killed_study_resumes_without_resimulating(self, tmp_path, monkeypatch):
         path = tmp_path / "study.json"
         # "Kill" a study half-way: only one workload's cells completed.
-        first = run_study_parallel(
+        first = run_study(
             experiments=EXPS, scale=SCALE, names=("go",), jobs=2,
             checkpoint_path=path,
         )
@@ -82,7 +82,7 @@ class TestParallelResume:
 
         # Resume over the full grid: the finished cell must be served
         # from the checkpoint, the missing one dispatched.
-        second = run_study_parallel(
+        second = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -96,7 +96,7 @@ class TestParallelResume:
             raise AssertionError("a completed study must not dispatch workers")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
-        third = run_study_parallel(
+        third = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -108,7 +108,7 @@ class TestParallelResume:
         serial = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, checkpoint_path=path
         )
-        parallel = run_study_parallel(
+        parallel = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -214,7 +214,7 @@ class TestWorkerCrashRecovery:
                 sys.modules[__name__], "_REAL_RUN_CELL", parallel_mod._run_cell
             )
             patch.setattr(parallel_mod, "_run_cell", _kill_run_cell)
-            first = run_study_parallel(
+            first = run_study(
                 experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
                 checkpoint_path=path,
             )
@@ -228,7 +228,7 @@ class TestWorkerCrashRecovery:
 
         # Resuming without the killer completes only the crashed cells;
         # checkpointed survivors are not re-executed.
-        second = run_study_parallel(
+        second = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -241,7 +241,7 @@ class TestWorkerCrashRecovery:
 class TestSharedCacheDir:
     def test_study_populates_and_reuses_cache_dir(self, tmp_path):
         cache_dir = tmp_path / "artifacts"
-        run_study_parallel(
+        run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2, cache_dir=cache_dir
         )
         entries = list(cache_dir.glob("*.pkl"))
@@ -250,7 +250,7 @@ class TestSharedCacheDir:
         mtimes = {p: p.stat().st_mtime_ns for p in entries}
 
         # A second study over the same grid reuses the entries untouched.
-        run_study_parallel(
+        run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2, cache_dir=cache_dir
         )
         assert {p: p.stat().st_mtime_ns for p in entries} == mtimes

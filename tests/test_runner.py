@@ -1,10 +1,13 @@
 """Fault-isolated cell runner: retry, timeout, degradation, resume."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import CellTimeout, CheckpointError, TransientError
+import repro.harness.experiments as experiments_mod
+from repro.errors import CellTimeout, CheckpointError, ConfigError, TransientError
+from repro.harness import run_study
 from repro.harness.runner import (
     Cell,
     CellRunner,
@@ -13,14 +16,31 @@ from repro.harness.runner import (
     call_with_timeout,
     config_hash,
 )
+from repro.harness.spec import CellRow
 
 
-def make_runner(tmp_path=None, **kwargs):
+def make_runner(**kwargs):
     sleeps = []
-    if tmp_path is not None:
-        kwargs.setdefault("checkpoint_path", tmp_path / "ckpt.json")
     runner = CellRunner(RunnerConfig(**kwargs), sleep=sleeps.append)
     return runner, sleeps
+
+
+@pytest.fixture
+def rows(monkeypatch):
+    """Stub the study's row engine: ``rows.calls`` logs every
+    (experiment, workload) row it runs, and workloads in ``rows.fail``
+    raise a deterministic error."""
+
+    stub = SimpleNamespace(calls=[], fail=set())
+
+    def run_spec_row(experiment, workload, scale=None, memo=None, **kwargs):
+        stub.calls.append((experiment, workload))
+        if workload in stub.fail:
+            raise ValueError(f"{workload} is broken")
+        return CellRow(experiment, workload, {"benchmark": workload, **kwargs})
+
+    monkeypatch.setattr(experiments_mod, "run_spec_row", run_spec_row)
+    return stub
 
 
 CELL = Cell(experiment="table1", workload="go", config_hash="abc123", scale=0.1)
@@ -118,15 +138,6 @@ class TestRetry:
         result = runner.run_cell(CELL, always_flaky)
         assert not result.ok
         assert result.error_type == "TransientError" and result.attempts == 2
-
-    def test_run_cells_isolates_failures(self):
-        runner, _ = make_runner(max_attempts=1)
-        other = Cell("table1", "gcc", "abc123", 0.1)
-        results = runner.run_cells(
-            [(CELL, lambda: 1 / 0), (other, lambda: {"ipc": 2.0})]
-        )
-        assert [r.ok for r in results] == [False, True]
-        assert results[1].value == {"ipc": 2.0}
 
 
 class TestTimeout:
@@ -226,43 +237,43 @@ class TestDeadline:
 
 
 class TestCheckpointResume:
-    def test_resume_skips_completed_cells(self, tmp_path):
+    def test_resume_skips_completed_cells(self, tmp_path, rows):
         # First run: two cells complete, then the study "dies".
-        runner, _ = make_runner(tmp_path)
-        done = Cell("table1", "go", "abc123", 0.1)
-        also_done = Cell("table1", "gcc", "abc123", 0.1)
-        pending = Cell("table1", "comp", "abc123", 0.1)
-        assert runner.run_cell(done, lambda: {"ipc": 1.0}).ok
-        assert runner.run_cell(also_done, lambda: {"ipc": 2.0}).ok
+        path = tmp_path / "ckpt.json"
+        first = run_study(["table1"], scale=0.1, names=("go", "gcc"),
+                          checkpoint_path=path)
+        assert rows.calls == [("table1", "go"), ("table1", "gcc")]
 
-        # Second run (fresh runner = fresh process): finished cells are
-        # served from the checkpoint without re-invoking their functions.
-        resumed, _ = make_runner(tmp_path)
+        # Second run over a larger grid: finished cells are served from
+        # the checkpoint without re-running their rows.
+        rows.calls.clear()
+        second = run_study(["table1"], scale=0.1, names=("go", "gcc", "compress"),
+                           checkpoint_path=path)
+        assert rows.calls == [("table1", "compress")]
+        assert second["resumed"] == 2 and second["failures"] == []
+        for name in ("go", "gcc"):
+            assert second["results"]["table1"][name] == first["results"]["table1"][name]
 
-        def must_not_run():
-            raise AssertionError("completed cell was re-simulated")
+    def test_failed_cells_are_not_checkpointed(self, tmp_path, rows):
+        path = tmp_path / "ckpt.json"
+        rows.fail.add("go")
+        first = run_study(["table1"], scale=0.1, names=("go",), checkpoint_path=path)
+        assert first["results"]["table1"]["go"]["error_type"] == "ValueError"
 
-        r1 = resumed.run_cell(done, must_not_run)
-        r2 = resumed.run_cell(also_done, must_not_run)
-        r3 = resumed.run_cell(pending, lambda: {"ipc": 3.0})
-        assert r1.resumed and r1.value == {"ipc": 1.0}
-        assert r2.resumed and r2.value == {"ipc": 2.0}
-        assert not r3.resumed and r3.value == {"ipc": 3.0}
+        rows.fail.clear()
+        rows.calls.clear()
+        retry = run_study(["table1"], scale=0.1, names=("go",), checkpoint_path=path)
+        assert rows.calls == [("table1", "go")]  # actually re-ran
+        assert retry["resumed"] == 0 and retry["failures"] == []
 
-    def test_failed_cells_are_not_checkpointed(self, tmp_path):
-        runner, _ = make_runner(tmp_path, max_attempts=1)
-        assert not runner.run_cell(CELL, lambda: 1 / 0).ok
-
-        retry, _ = make_runner(tmp_path)
-        result = retry.run_cell(CELL, lambda: {"ipc": 9.0})
-        assert result.ok and not result.resumed  # actually re-ran
-
-    def test_different_config_hash_is_a_different_cell(self, tmp_path):
-        runner, _ = make_runner(tmp_path)
-        runner.run_cell(CELL, lambda: {"ipc": 1.0})
-        other_cfg = Cell(CELL.experiment, CELL.workload, "ffff00", CELL.scale)
-        result = runner.run_cell(other_cfg, lambda: {"ipc": 4.0})
-        assert not result.resumed and result.value == {"ipc": 4.0}
+    def test_different_config_hash_is_a_different_cell(self, tmp_path, rows):
+        path = tmp_path / "ckpt.json"
+        run_study(["figure5"], scale=0.1, names=("go",), checkpoint_path=path,
+                  windows=(128,))
+        other = run_study(["figure5"], scale=0.1, names=("go",), checkpoint_path=path,
+                          windows=(256,))
+        assert other["resumed"] == 0 and len(rows.calls) == 2
+        assert other["results"]["figure5"]["go"]["windows"] == (256,)
 
     def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -283,9 +294,21 @@ class TestCheckpointResume:
 
 
 class TestRunStudy:
-    def test_study_degrades_and_resumes(self, tmp_path):
-        from repro.harness import run_study
+    def test_failed_cell_does_not_stop_the_study(self, rows):
+        rows.fail.add("go")
+        out = run_study(["table1"], scale=0.1, names=("go", "gcc"))
+        assert out["results"]["table1"]["go"]["error_type"] == "ValueError"
+        assert out["results"]["table1"]["gcc"] == {"benchmark": "gcc"}
+        assert [f.key.split("/")[1] for f in out["failures"]] == ["go"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_timeout_rejected_before_any_cell_runs(self, rows, jobs):
+        with pytest.raises(ConfigError, match="timeout_seconds"):
+            run_study(["table1"], scale=0.1, names=("go",), jobs=jobs,
+                      timeout_seconds=-1)
+        assert rows.calls == []
+
+    def test_study_degrades_and_resumes(self, tmp_path):
         path = tmp_path / "study.json"
         first = run_study(
             experiments=["table1"], scale=0.02, names=("go",),
@@ -303,8 +326,5 @@ class TestRunStudy:
         assert second["results"]["table1"]["go"] == row
 
     def test_unknown_experiment_rejected(self):
-        from repro.errors import ConfigError
-        from repro.harness import run_study
-
         with pytest.raises(ConfigError, match="figure99"):
             run_study(experiments=["figure99"], scale=0.02, names=("go",))

@@ -10,12 +10,12 @@ from repro.core import (
     Preemption,
     ReconvPolicy,
 )
+import repro.harness.experiments as experiments_mod
+import repro.harness.parallel as parallel_mod
 from repro.errors import ConfigError
 from repro.harness import run_study
 from repro.harness.experiments import (
-    EXPERIMENTS,
     parse_only,
-    run_figure5,
     select_study_cells,
     study_cells,
     validate_experiments,
@@ -31,7 +31,6 @@ from repro.harness.spec import (
     spec_from_dict,
     spec_names,
     spec_to_dict,
-    SpecProfile,
 )
 from repro.harness.tables import format_experiment, format_rows
 
@@ -69,9 +68,6 @@ class TestRegistryCompleteness:
         runnable = runnable_experiments()
         assert "figure6" not in runnable  # derives from figure5
         assert set(runnable) == set(spec_names()) - {"figure6"}
-
-    def test_legacy_experiments_map_driven_from_registry(self):
-        assert tuple(EXPERIMENTS) == runnable_experiments()
 
     def test_validate_experiments_defaults_to_registry(self):
         assert validate_experiments() == list(runnable_experiments())
@@ -159,15 +155,6 @@ class TestConfigDrift:
 
 
 class TestEngine:
-    def test_run_spec_matches_legacy_shim(self):
-        via_spec = run_spec(
-            "figure5", scale=SCALE, names=("go",), windows=(128,)
-        )
-        via_legacy = run_figure5(scale=SCALE, names=("go",), windows=(128,))
-        assert json.dumps(via_spec, sort_keys=True) == json.dumps(
-            via_legacy, sort_keys=True
-        )
-
     def test_derived_spec_runs_end_to_end(self):
         out = run_spec("figure6", scale=SCALE, names=("go",), )
         assert set(out) == {"go"}
@@ -181,19 +168,6 @@ class TestEngine:
         with pytest.raises(ConfigError, match="figure5"):
             run_spec("figure5", scale=SCALE, names=("go",), bogus=1)
 
-    def test_profile_collects_stage_cycles(self):
-        profile = SpecProfile()
-        run_spec(
-            "figure5",
-            scale=SCALE,
-            names=("go",),
-            windows=(128,),
-            profile=profile,
-        )
-        key = "figure5/go/CI/w128"
-        assert key in profile.cells
-        assert "stage_cycles" in profile.cells[key]
-        assert profile.total_seconds > 0
 
 
 class TestCellSelection:
@@ -261,14 +235,54 @@ class TestStudySelection:
             ("table2", "compress"),
         ]
 
-    def test_checkpoint_identity_ignores_execution_knobs(self):
+    def test_checkpoint_identity_ignores_execution_knobs(self, tmp_path):
         base = study_cells(["figure5"], ("go",), SCALE, {})
-        profiled = study_cells(
-            ["figure5"], ("go",), SCALE, {"profile": SpecProfile()}
-        )
         semantic = study_cells(["figure5"], ("go",), SCALE, {"windows": (64,)})
-        assert [c.key for c in profiled] == [c.key for c in base]
         assert [c.key for c in semantic] != [c.key for c in base]
+        # jobs / timeout / cache_dir choose how a study runs, not what
+        # its rows hold: a checkpoint resumes under any of them.
+        path = tmp_path / "study.json"
+        run_study(["table1"], scale=SCALE, names=("go",), checkpoint_path=path)
+        again = run_study(
+            ["table1"], scale=SCALE, names=("go",), checkpoint_path=path,
+            jobs=2, timeout_seconds=60, cache_dir=tmp_path / "cache",
+        )
+        assert again["resumed"] == 1 and again["failures"] == []
+
+    def test_run_study_takes_a_bare_workload_name(self):
+        out = run_study(["table1"], scale=SCALE, names="go")
+        assert out["failures"] == []
+        assert list(out["results"]["table1"]) == ["go"]
+
+    def test_run_spec_takes_a_bare_workload_name(self):
+        rows = run_spec("table1", scale=SCALE, names="go")
+        assert [row["benchmark"] for row in rows] == ["go"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [({"windowz": 3}, "windowz"), ({"cells": ["nope"]}, "nope")],
+        ids=["unknown-knob", "unknown-cell"],
+    )
+    def test_run_study_rejects_bad_knobs_before_any_cell_runs(
+        self, monkeypatch, jobs, knobs, match
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the knobs were checked")
+
+        monkeypatch.setattr(experiments_mod, "run_spec_row", must_not_run)
+        monkeypatch.setattr(parallel_mod, "run_pool", must_not_run)
+        with pytest.raises(ConfigError, match=match):
+            run_study(["table1", "figure5"], scale=SCALE, names=("go",),
+                      jobs=jobs, **knobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_knob_value_degrades_per_cell(self, jobs):
+        out = run_study(["figure5"], scale=SCALE, names=("go",), jobs=jobs,
+                        windows=(-1,))
+        row = out["results"]["figure5"]["go"]
+        assert row["error_type"] == "ConfigError"
+        assert len(out["failures"]) == 1
 
     def test_select_study_cells_rejects_unmatched_selector(self):
         cells = study_cells(["figure5"], ("go",), SCALE, {})
