@@ -428,7 +428,6 @@ SOURCE_SUPPRESSIONS: tuple[SourceSuppression, ...] = (
             "InstrPool.dest_arch",
             "InstrPool.dest_tag",
             "InstrPool.dispatch_cycle",
-            "InstrPool.first_issue_cycle",
             "InstrPool.fwd_store",
             "InstrPool.history_used",
             "InstrPool.instr",
@@ -445,9 +444,7 @@ SOURCE_SUPPRESSIONS: tuple[SourceSuppression, ...] = (
             "InstrPool.ref",
             "InstrPool.segment",
             "InstrPool.src1_tag",
-            "InstrPool.src1_version",
             "InstrPool.src2_tag",
-            "InstrPool.src2_version",
             "InstrPool.state",
             "InstrPool.store_value",
             "InstrPool.uid",

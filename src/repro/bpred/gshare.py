@@ -30,7 +30,7 @@ class GsharePredictor:
     def __init__(self, index_bits: int = 16, history_bits: int | None = None):
         self.index_bits = index_bits
         self.history_bits = history_bits if history_bits is not None else index_bits
-        self.table = bytearray([COUNTER_INIT] * (1 << index_bits))
+        self.table = bytearray((COUNTER_INIT,)) * (1 << index_bits)
         self._index_mask = (1 << index_bits) - 1
         self.history = GshareGlobalHistory(self.history_bits)
 

@@ -11,7 +11,7 @@ from .config import (
 from .golden import GoldenTrace
 from .lsq import LoadStoreQueue
 from .processor import Processor, simulate_core
-from .regfile import PhysReg, RenameMap
+from .regfile import PhysReg
 from .rob import ReorderBuffer, Segment
 from .soa import InstrPool
 from .stats import CoreStats
@@ -29,7 +29,6 @@ __all__ = [
     "Preemption",
     "Processor",
     "ReconvPolicy",
-    "RenameMap",
     "ReorderBuffer",
     "RepredictMode",
     "Segment",

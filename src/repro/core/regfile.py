@@ -1,4 +1,4 @@
-"""Physical registers and rename map for the detailed core.
+"""Physical registers for the detailed core.
 
 The paper assumes an unlimited pool of physical registers (Sec 2.2), so
 tags are simply objects.  Selective reissue makes a tag a *write-many*
@@ -12,22 +12,23 @@ consumer entry can outlive its instruction (retire/squash does not scrub
 registration lists), and a packed ref self-invalidates once the slot is
 recycled (``pool.ref[ref & REF_MASK] != ref``), exactly replacing the
 historical dead-node identity checks.
+
+A rename map is a plain list indexed by architectural register.  Recovery
+never undoes it backward: ``RecoveryStage._map_after`` rebuilds a map
+forward from the commit-side map over the live window.
 """
 
 from __future__ import annotations
-
-from ..isa import NUM_REGS, REG_ZERO
 
 
 class PhysReg:
     """One physical register: value + readiness + registered consumers."""
 
-    __slots__ = ("value", "ready", "version", "consumers", "producer")
+    __slots__ = ("value", "ready", "consumers", "producer")
 
     def __init__(self, producer=None):
         self.value = 0
         self.ready = False
-        self.version = 0
         self.consumers: list = []  # packed refs to wake on broadcast
         self.producer = producer  # packed ref of the owner (None = arch)
 
@@ -36,36 +37,4 @@ class PhysReg:
         changed = not self.ready or self.value != value
         self.value = value
         self.ready = True
-        if changed:
-            self.version += 1
         return changed
-
-
-class RenameMap:
-    """Architectural register -> physical tag, with backward undo.
-
-    The fetch-frontier map is speculative.  Recovery restores it by
-    walking squashed instructions youngest-first and re-installing each
-    one's ``prev_tag`` (the mapping it displaced at dispatch).
-    """
-
-    def __init__(self):
-        self.map: list[PhysReg] = []
-        for _ in range(NUM_REGS):
-            reg = PhysReg()
-            reg.ready = True  # architectural registers start at zero
-            self.map.append(reg)
-        self.map[REG_ZERO].value = 0
-
-    def lookup(self, arch: int) -> PhysReg:
-        return self.map[arch]
-
-    def define(self, arch: int, producer) -> tuple[PhysReg, PhysReg]:
-        """Allocate a fresh tag for ``arch``; returns (new_tag, prev_tag)."""
-        prev = self.map[arch]
-        tag = PhysReg(producer)
-        self.map[arch] = tag
-        return tag, prev
-
-    def undo(self, arch: int, prev_tag: PhysReg) -> None:
-        self.map[arch] = prev_tag

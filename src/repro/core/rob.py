@@ -162,11 +162,11 @@ class ReorderBuffer:
 
         Stamps identity (``uid``, ``ref``, ``pc``, ``instr``,
         ``dispatch_cycle``) and resets every execution/control column.
-        The rename-tag columns (``src1_tag``, ``src2_tag``,
-        ``dest_arch``, ``prev_tag``, ``dest_tag``) are *not* reset:
-        dispatch writes all five for every instruction.  The segment the
-        slot occupies (``None`` unless ``segment_size > 1``) is left in
-        the ``segment`` column for the caller to carry forward.  Raises
+        The rename columns (``src1_tag``, ``src2_tag``, ``dest_arch``,
+        ``dest_tag``) are *not* reset: dispatch writes all four for every
+        instruction.  The segment the slot occupies (``None`` unless
+        ``segment_size > 1``) is left in the ``segment`` column for the
+        caller to carry forward.  Raises
         :class:`~repro.errors.PoolExhausted` when no slot is free.
         """
         pool = self.pool
@@ -192,9 +192,6 @@ class ReorderBuffer:
         pool.prev_addr[h] = None
         pool.store_value[h] = None
         pool.fwd_store[h] = None
-        pool.src1_version[h] = -1
-        pool.src2_version[h] = -1
-        pool.predicted_taken[h] = False
         pool.predicted_next_pc[h] = 0
         pool.history_used[h] = 0
         pool.ras_snapshot[h] = None
@@ -202,8 +199,6 @@ class ReorderBuffer:
         pool.current_next_pc[h] = 0
         pool.outcome_taken[h] = False
         pool.outcome_next_pc[h] = 0
-        pool.first_issue_cycle[h] = -1
-        pool.value_final_cycle[h] = -1
 
         prev_col = pool.prev
         next_col = pool.next

@@ -108,7 +108,7 @@ class InstrPool:
     slot is claimed again, so stale references held by the ready heap or
     the completion wheel validate (and skip) exactly like the historical
     dead-node checks.  The claim resets every stateful column except the
-    five rename-tag columns, which dispatch writes for every instruction.
+    four rename columns, which dispatch writes for every instruction.
     """
 
     __slots__ = (
@@ -130,7 +130,6 @@ class InstrPool:
         "src2_tag",
         "dest_tag",
         "dest_arch",
-        "prev_tag",
         # execution-state columns
         "dispatch_cycle",
         "issue_count",
@@ -139,10 +138,7 @@ class InstrPool:
         "prev_addr",
         "store_value",
         "fwd_store",
-        "src1_version",
-        "src2_version",
         # control-state columns
-        "predicted_taken",
         "predicted_next_pc",
         "history_used",
         "ras_snapshot",
@@ -150,8 +146,6 @@ class InstrPool:
         "current_next_pc",
         "outcome_taken",
         "outcome_next_pc",
-        "first_issue_cycle",
-        "value_final_cycle",
         "_free",
     )
 
@@ -177,7 +171,6 @@ class InstrPool:
         self.src2_tag = list(none_col)
         self.dest_tag = list(none_col)
         self.dest_arch = list(none_col)
-        self.prev_tag = list(none_col)
         self.dispatch_cycle = [0] * capacity
         self.issue_count = [0] * capacity
         self.value = list(none_col)
@@ -185,9 +178,6 @@ class InstrPool:
         self.prev_addr = list(none_col)
         self.store_value = list(none_col)
         self.fwd_store = list(none_col)
-        self.src1_version = [-1] * capacity
-        self.src2_version = [-1] * capacity
-        self.predicted_taken = [False] * capacity
         self.predicted_next_pc = [0] * capacity
         self.history_used = [0] * capacity
         self.ras_snapshot = list(none_col)
@@ -195,8 +185,6 @@ class InstrPool:
         self.current_next_pc = [0] * capacity
         self.outcome_taken = [False] * capacity
         self.outcome_next_pc = [0] * capacity
-        self.first_issue_cycle = [-1] * capacity
-        self.value_final_cycle = [-1] * capacity
         # Boundary slots: alive (state 0), fixed uids, linked by the ROB.
         self.uid[HEAD] = -1
         self.uid[TAIL] = -2

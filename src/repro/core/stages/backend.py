@@ -78,7 +78,6 @@ class BackendStage:
         uids = pool.uid
         refs = pool.ref
         issue_count = pool.issue_count
-        first_issue_cycle = pool.first_issue_cycle
         instrs = pool.instr
         src1_tag = pool.src1_tag
         src2_tag = pool.src2_tag
@@ -107,24 +106,14 @@ class BackendStage:
             # -- execute ------------------------------------------------
             token = issue_count[h] + 1
             issue_count[h] = token
-            if first_issue_cycle[h] < 0:
-                first_issue_cycle[h] = cycle
             if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
                 s |= ST_REISSUED_MP
             state[h] = s | ST_INFLIGHT
             instr = instrs[h]
             t1 = src1_tag[h]
             t2 = src2_tag[h]
-            if t1 is not None:
-                a = t1.value
-                pool.src1_version[h] = t1.version
-            else:
-                a = 0
-            if t2 is not None:
-                b = t2.value
-                pool.src2_version[h] = t2.version
-            else:
-                b = 0
+            a = t1.value if t1 is not None else 0
+            b = t2.value if t2 is not None else 0
             # Straight to the per-opcode kernels (the single definition
             # of instruction semantics, repro.isa.instructions) — the
             # ExecResult wrapper evaluate() builds is pure allocation

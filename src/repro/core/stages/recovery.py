@@ -340,28 +340,34 @@ class RecoveryStage:
         recovery squashed its insertion chain — in the latter case the
         nested recovery's own context (or the redirected frontier)
         subsumes the remaining gap, because the squashed branch lay on
-        this context's correct control-dependent path."""
-        pool = self.pool
-        state = pool.state
+        this context's correct control-dependent path; its still-live
+        branch stops recovering.
+
+        One pass over the stack: a squash of every instruction in a
+        restart's way (``_squash_youngest_ci``) calls this once per
+        squashed instruction, and heuristic machines nest restarts a few
+        hundred deep."""
+        state = self.pool.state
         kept = []
         for ctx in self.contexts:
-            if ctx.branch is not None and state[ctx.branch] & ST_DEAD:
+            branch = ctx.branch
+            if branch is not None and state[branch] & ST_DEAD:
                 continue
-            if ctx.phase == "restart" and ctx.insert_point is not None and not (
-                not state[ctx.insert_point] & ST_DEAD
-                or ctx.insert_point == ctx.branch
+            insert_point = ctx.insert_point
+            if (
+                ctx.phase == "restart"
+                and insert_point is not None
+                and insert_point != branch
+                and state[insert_point] & ST_DEAD
             ):
+                if branch is not None:
+                    state[branch] &= ~ST_RECOVERING
                 continue
             if ctx.reconv is not None and state[ctx.reconv] & ST_DEAD:
                 # Reconvergent point squashed: the context degenerates to
                 # plain tail fetch once it reaches the top of the stack.
                 ctx.reconv = None
             kept.append(ctx)
-        for ctx in self.contexts:
-            if ctx not in kept and ctx.branch is not None and not (
-                state[ctx.branch] & ST_DEAD
-            ):
-                state[ctx.branch] &= ~ST_RECOVERING
         self.contexts = kept
 
     # ==================================================================
@@ -459,7 +465,6 @@ class RecoveryStage:
         pool.current_next_pc[h] = (
             pool.instr[h].target if direction else pool.pc[h] + 1
         )
-        pool.predicted_taken[h] = direction
         self.frontier.fetch_pc = pool.current_next_pc[h]
         self.frontier.ghr = self.frontend.push_history(ctx.ghr, direction)
         self.frontier.rmap = ctx.rmap

@@ -92,8 +92,9 @@ class SequencerStage:
         self.stats.fetched += 1
         self._map_epoch += 1
 
-        # Rename.  All five tag columns are written for every instruction
-        # (None where unused): the claim leaves them to dispatch.
+        # Rename.  All four rename columns are written for every
+        # instruction (None where unused): the claim leaves them to
+        # dispatch.
         rmap = ctx.rmap
         node_ref = pool.ref[h]
         if instr.reads_rs1:
@@ -111,12 +112,10 @@ class SequencerStage:
         dest = instr.dest_reg
         pool.dest_arch[h] = dest
         if dest is not None:
-            pool.prev_tag[h] = rmap[dest]
             tag = PhysReg(node_ref)
             rmap[dest] = tag
             pool.dest_tag[h] = tag
         else:
-            pool.prev_tag[h] = None
             pool.dest_tag[h] = None
 
         if instr.f_mem:
@@ -168,7 +167,6 @@ class SequencerStage:
             gshare = frontend.gshare
             taken = gshare.table[(pc ^ history) & gshare._index_mask] >= 2
             next_pc = instr.target if taken else pc + 1
-            pool.predicted_taken[h] = taken
             pool.predicted_next_pc[h] = next_pc
             pool.current_taken[h] = taken
             pool.current_next_pc[h] = next_pc
@@ -179,7 +177,6 @@ class SequencerStage:
             return
         pool.history_used[h] = history
         prediction = frontend.predict(instr, pc, history)
-        pool.predicted_taken[h] = prediction.taken
         pool.predicted_next_pc[h] = prediction.next_pc
         pool.current_taken[h] = prediction.taken
         pool.current_next_pc[h] = prediction.next_pc

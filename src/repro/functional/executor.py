@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ExecutionLimitExceeded
-from ..isa import Instruction, Program, evaluate
+from ..isa import (
+    CONTROL_KERNELS,
+    REG_ZERO,
+    VALUE_KERNELS,
+    Instruction,
+    Op,
+    Program,
+    effective_addr,
+)
 from .state import ArchState
 
 
@@ -41,41 +49,49 @@ def step(state: ArchState, program: Program, seq: int = 0) -> TraceEntry:
 
     Running off the end of the program is treated as HALT (this happens
     only on wrong paths; validated programs end with an explicit HALT).
+
+    Calls the per-opcode kernels of :mod:`repro.isa.instructions`
+    directly, as the detailed core's issue stage does, so a step builds
+    no :class:`~repro.isa.ExecResult`; the semantics are those of
+    :func:`~repro.isa.evaluate`.
     """
     pc = state.pc
     instr = program.fetch(pc)
     if instr is None:
         state.halted = True
         return TraceEntry(seq, pc, _HALT, False, pc + 1, None, None, None)
-    a = state.read_reg(instr.rs1)
-    b = state.read_reg(instr.rs2)
-    result = evaluate(instr, pc, a, b)
-    value = result.value
-    if instr.is_load:
-        value = state.mem.read(result.addr)
-        state.write_reg(instr.rd, value)
-    elif instr.is_store:
-        state.mem.write(result.addr, result.store_value)
-    elif value is not None:
-        state.write_reg(instr.rd, value)
-    state.pc = result.next_pc
-    if result.halted:
+    regs = state.regs
+    rs1 = instr.rs1
+    rs2 = instr.rs2
+    a = regs[rs1] if rs1 != REG_ZERO else 0
+    b = regs[rs2] if rs2 != REG_ZERO else 0
+    dest = instr.dest_reg
+    if instr.f_mem:
+        addr = effective_addr(instr, a)
+        state.pc = pc + 1
+        if instr.f_load:
+            value = state.mem.read(addr)
+            if dest is not None:
+                regs[dest] = value
+            return TraceEntry(seq, pc, instr, False, pc + 1, addr, value, None)
+        state.mem.write(addr, b)
+        return TraceEntry(seq, pc, instr, False, pc + 1, addr, None, b)
+    if instr.f_control:
+        taken, next_pc, value = CONTROL_KERNELS[instr.opcode](instr, pc, a, b)
+        if dest is not None:
+            regs[dest] = value  # the call link address
+        state.pc = next_pc
+        return TraceEntry(seq, pc, instr, taken, next_pc, None, value, None)
+    value = VALUE_KERNELS[instr.opcode](instr, a, b)
+    if dest is not None:
+        regs[dest] = value
+    state.pc = pc + 1
+    if instr.op is Op.HALT:
         state.halted = True
-    return TraceEntry(
-        seq,
-        pc,
-        instr,
-        result.taken,
-        result.next_pc,
-        result.addr,
-        value,
-        result.store_value,
-    )
+    return TraceEntry(seq, pc, instr, False, pc + 1, None, value, None)
 
 
 # Sentinel instruction for off-the-end wrong-path fetch.
-from ..isa import Op  # noqa: E402  (placed here to keep the public imports on top)
-
 _HALT = Instruction(Op.HALT)
 
 

@@ -10,9 +10,10 @@ word-addressed.
 The module is deliberately free of any simulator state: the single-step
 semantics live in one kernel per opcode (``VALUE_KERNELS`` /
 ``CONTROL_KERNELS`` plus :func:`effective_addr`).  The out-of-order
-core calls the kernels directly and :func:`evaluate` — the functional
-simulator's entry point — wraps them, so there is exactly one
-definition of what each opcode does.
+core's issue stage and the functional simulator's ``step`` call the
+kernels directly, and :func:`evaluate` wraps them in one
+:class:`ExecResult`, so there is exactly one definition of what each
+opcode does.
 """
 
 from __future__ import annotations
@@ -375,10 +376,10 @@ def _make_raw_tables() -> tuple[list, list]:
     ``CONTROL_KERNELS[opcode](instr, pc, a, b)`` returns
     ``(taken, next_pc, value)`` for a control instruction (``value`` is
     the call link address, else None).  The out-of-order core's issue
-    stage calls these directly so its hot loop allocates no result
-    object per issued instruction; :func:`evaluate`'s ``ExecResult``
-    handlers wrap the same kernels, so each opcode's semantics has one
-    definition."""
+    stage and the functional ``step`` call these directly so their hot
+    loops allocate no result object per instruction; :func:`evaluate`'s
+    ``ExecResult`` handlers wrap the same kernels, so each opcode's
+    semantics has one definition."""
     value_kernels = {
         Op.ADD: _add, Op.SUB: _sub, Op.MUL: _mul, Op.DIV: _div,
         Op.REM: _rem, Op.AND: _and, Op.OR: _or, Op.XOR: _xor,
@@ -458,9 +459,11 @@ def evaluate(instr: Instruction, pc: int, a: int = 0, b: int = 0) -> ExecResult:
     accessed here: loads report their effective address and the caller
     supplies the loaded value; stores report address and data.
 
-    This is the single definition of instruction semantics shared by the
-    functional simulator (architectural execution) and the out-of-order
-    core (speculative execution with possibly-wrong operand values).
+    The per-opcode kernels it wraps are the single definition of
+    instruction semantics, shared by the functional simulator
+    (architectural execution) and the out-of-order core (speculative
+    execution with possibly-wrong operand values), which both call the
+    kernels directly.
     """
     handler = _EVAL_BY_OPCODE[instr.opcode]
     if handler is None:

@@ -14,10 +14,24 @@ from repro.bpred import (
     coverage_at_true_fraction,
     coverage_curve,
 )
+from repro.bpred.gshare import COUNTER_INIT
 from repro.isa import REG_RA, Instruction, Op
 
 
 class TestGshare:
+    def test_table_starts_weakly_taken(self):
+        for bits in (1, 4, 16):
+            predictor = GsharePredictor(index_bits=bits)
+            assert isinstance(predictor.table, bytearray)
+            assert len(predictor.table) == 1 << bits
+            assert set(predictor.table) == {COUNTER_INIT}
+        # every FrontEnd builds its own table: training one leaves the
+        # other untouched
+        a, b = GsharePredictor(index_bits=4), GsharePredictor(index_bits=4)
+        a.update(3, 0, False)
+        assert a.table[3] == COUNTER_INIT - 1
+        assert b.table[3] == COUNTER_INIT
+
     def test_learns_always_taken(self):
         predictor = GsharePredictor(index_bits=8)
         for _ in range(4):

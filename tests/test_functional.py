@@ -1,17 +1,20 @@
 """Functional simulator tests: golden traces, forks, wrong paths."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.functional import (
     ArchState,
     ExecutionLimitExceeded,
     Memory,
     OverlayMemory,
+    TraceEntry,
     run,
+    step,
     trace_iter,
     wrong_path,
 )
-from repro.isa import assemble
+from repro.isa import NUM_REGS, Instruction, Op, Program, assemble, evaluate
 
 COUNTDOWN = """
     .entry main
@@ -154,3 +157,77 @@ class TestTraceIter:
         for entry, state in trace_iter(program):
             if entry.instr.dest is not None:
                 assert state.read_reg(entry.instr.dest) == entry.value
+
+
+def reference_step(state: ArchState, program: Program, seq: int = 0) -> TraceEntry:
+    """Reference step: :func:`evaluate`'s ``ExecResult`` applied through
+    the state's register accessors, independent of the kernel tables
+    ``step`` indexes."""
+    pc = state.pc
+    instr = program.fetch(pc)
+    if instr is None:
+        state.halted = True
+        return TraceEntry(seq, pc, Instruction(Op.HALT), False, pc + 1, None, None, None)
+    a = state.read_reg(instr.rs1)
+    b = state.read_reg(instr.rs2)
+    result = evaluate(instr, pc, a, b)
+    value = result.value
+    if instr.is_load:
+        value = state.mem.read(result.addr)
+        state.write_reg(instr.rd, value)
+    elif instr.is_store:
+        state.mem.write(result.addr, result.store_value)
+    elif value is not None:
+        state.write_reg(instr.rd, value)
+    state.pc = result.next_pc
+    if result.halted:
+        state.halted = True
+    return TraceEntry(
+        seq, pc, instr, result.taken, result.next_pc, result.addr, value,
+        result.store_value,
+    )
+
+
+_word = st.integers(-(1 << 63), (1 << 63) - 1)
+# r0 (reads as zero, writes discarded), a few ordinary registers and the
+# link register, so sources and destinations often collide
+_reg = st.sampled_from([0, 1, 2, 3, NUM_REGS - 1])
+
+
+class TestStepMatchesEvaluate:
+    @given(
+        op=st.sampled_from(list(Op)),
+        rd=_reg,
+        rs1=_reg,
+        rs2=_reg,
+        imm=st.one_of(st.integers(-8, 8), _word),
+        target=st.integers(0, 7),
+        regs=st.lists(
+            st.one_of(st.integers(-8, 8), _word),
+            min_size=NUM_REGS,
+            max_size=NUM_REGS,
+        ),
+        mem=st.dictionaries(st.integers(-8, 8), _word, max_size=4),
+        pc=st.integers(-1, 3),
+        overlay=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_one_step(self, op, rd, rs1, rs2, imm, target, regs, mem, pc, overlay):
+        """Every opcode, r0 reads and writes, HALT, and fetch outside the
+        program (``pc`` of -1 or 3) step alike."""
+        instr = Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm, target=target)
+        program = Program([instr] * 3)
+
+        def fresh():
+            state = ArchState(Memory(mem), pc=pc, regs=regs)
+            return state.fork(pc) if overlay else state
+
+        got_state, want_state = fresh(), fresh()
+        got = step(got_state, program, seq=7)
+        want = reference_step(want_state, program, seq=7)
+        assert got == want
+        assert got_state.regs == want_state.regs
+        assert got_state.mem.snapshot() == want_state.mem.snapshot()
+        assert (got_state.pc, got_state.halted) == (
+            want_state.pc, want_state.halted
+        )
