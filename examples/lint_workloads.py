@@ -11,8 +11,8 @@ against exact post-dominator analysis.
 Usage:  python lint_workloads.py [scale] [--strict] [--json]
 
 ``--json`` emits one machine-readable document on stdout (the same
-report schema ``staticcheck.py --json`` uses, so CI artifacts from both
-linters diff uniformly).  Exits non-zero when any workload carries
+report schema as the source determinism lint's ``staticcheck.py
+--json``, so CI artifacts from both linters diff uniformly).  Exits non-zero when any workload carries
 unsuppressed error-severity diagnostics; ``--strict`` also fails on
 warnings.
 """

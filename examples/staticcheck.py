@@ -1,130 +1,53 @@
 #!/usr/bin/env python3
-"""Static analysis of the simulator's own source.
+"""Determinism lint of the simulator's own source.
 
-Runs the three ``repro.analysis.staticcheck`` analyzers:
+Runs :mod:`repro.analysis.sourcelint` (undeclared-attr, nondet-import,
+nondet-set-iteration, nondet-id-order) over ``src/repro``.
 
-* ``--atlas``      print the field-access atlas table
-* ``--lint``       hazard & determinism lint (undeclared-attr,
-                   same-cycle-war, nondet-*)
-* ``--contract``   check ready-heap sites against the arbitration spec
-* ``--check-atlas``  regenerate the atlas and diff it against the
-                   committed ``src/repro/analysis/atlas.json``
-* ``--write-atlas``  regenerate and overwrite the committed atlas
-* ``--strict``     fail on warnings, stale suppressions, atlas drift
-* ``--json``       machine-readable report (shared schema with
-                   ``lint_workloads.py --json``)
+Usage:  PYTHONPATH=src python examples/staticcheck.py [--strict] [--json]
 
-With no mode flag, runs lint + contract + the atlas drift check — the
-exact gate CI's ``static-check`` job enforces with ``--strict``.
-
-Exits non-zero on unsuppressed error findings (always) and, under
-``--strict``, on warnings, stale suppressions, or a drifted atlas.
+``--json`` emits one machine-readable document on stdout (the report
+schema ``lint_workloads.py --json`` also uses).  Exits non-zero on
+unsuppressed error findings and, under ``--strict``, on warnings or
+stale suppressions.
 """
 
 import json
 import sys
 
 from repro.analysis.report import reports_to_dict, stale_suppressions
-from repro.analysis.staticcheck import (
-    RepoIndex,
-    SOURCE_SUPPRESSIONS,
-    build_atlas,
-    check_contract,
-    format_atlas,
-    lint_source,
-    source_root,
-)
-
-
-def committed_atlas_path():
-    return source_root() / "analysis" / "atlas.json"
+from repro.analysis.sourcelint import SOURCE_SUPPRESSIONS, lint_source
 
 
 def main() -> int:
     argv = sys.argv[1:]
-    strict = "--strict" in argv
-    as_json = "--json" in argv
-    modes = {m for m in ("--atlas", "--lint", "--contract",
-                         "--check-atlas", "--write-atlas") if m in argv}
-    unknown = [a for a in argv if a not in modes and a not in ("--strict", "--json")]
+    unknown = [a for a in argv if a not in ("--strict", "--json")]
     if unknown:
         print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
         print(__doc__, file=sys.stderr)
         return 2
-    if not modes:
-        modes = {"--lint", "--contract", "--check-atlas"}
 
-    index = RepoIndex(source_root())
-    reports = []
-    extra = {}
-    failed = False
-
-    if "--write-atlas" in modes:
-        atlas = build_atlas(index)
-        committed_atlas_path().write_text(
-            json.dumps(atlas, indent=2, sort_keys=True) + "\n"
-        )
-        if not as_json:
-            print(f"wrote {committed_atlas_path()}")
-
-    if "--atlas" in modes:
-        atlas = build_atlas(index)
-        if as_json:
-            extra["atlas"] = atlas
-        else:
-            print(format_atlas(atlas))
-            print()
-
-    if "--check-atlas" in modes:
-        fresh = build_atlas(index)
-        path = committed_atlas_path()
-        committed = json.loads(path.read_text()) if path.exists() else None
-        drift = committed != fresh
-        extra["atlas_drift"] = drift
-        if drift:
-            failed = True
-            if not as_json:
-                print(
-                    "atlas DRIFT: committed analysis/atlas.json does not "
-                    "match a fresh regeneration — run "
-                    "examples/staticcheck.py --write-atlas and commit",
-                    file=sys.stderr,
-                )
-        elif not as_json:
-            print("atlas: committed artifact matches fresh regeneration")
-
-    if "--lint" in modes:
-        report = lint_source(index)
-        reports.append(report)
-        stale = stale_suppressions([report], SOURCE_SUPPRESSIONS)
-        extra["stale_suppressions"] = [
-            {"rule": s.rule, "symbols": sorted(s.symbols)} for s in stale
-        ]
-        if not as_json:
-            print(report.format(show_suppressed=False))
-            for s in stale:
-                print(
-                    f"stale suppression: rule={s.rule} symbols={sorted(s.symbols)}",
-                    file=sys.stderr,
-                )
-        if report.errors() or (strict and (report.warnings() or stale)):
-            failed = True
-
-    if "--contract" in modes:
-        report = check_contract(index)
-        reports.append(report)
-        if not as_json:
-            print(report.format(show_suppressed=False))
-        if report.errors() or (strict and report.warnings()):
-            failed = True
-
-    if as_json:
+    report = lint_source()
+    stale = stale_suppressions([report], SOURCE_SUPPRESSIONS)
+    if "--json" in argv:
         print(json.dumps(
-            reports_to_dict(reports, tool="staticcheck", **extra),
+            reports_to_dict(
+                [report], tool="staticcheck",
+                stale_suppressions=[
+                    {"rule": s.rule, "symbols": sorted(s.symbols)} for s in stale
+                ],
+            ),
             indent=2, sort_keys=True,
         ))
-    if failed:
-        if not as_json:
+    else:
+        print(report.format(show_suppressed=False))
+        for s in stale:
+            print(
+                f"stale suppression: rule={s.rule} symbols={sorted(s.symbols)}",
+                file=sys.stderr,
+            )
+    if report.errors() or ("--strict" in argv and (report.warnings() or stale)):
+        if "--json" not in argv:
             print("\nstaticcheck FAILED", file=sys.stderr)
         return 1
     return 0

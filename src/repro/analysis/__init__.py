@@ -10,12 +10,11 @@ the runtime machine-invariant sanitizer.
   exact post-dominator table.
 * :class:`MachineSanitizer` — cross-checks the detailed core's
   redundant state views every N cycles (``REPRO_SANITIZE=1``).
-* :mod:`.staticcheck` — AST analysis over the simulator's own source:
-  the field-access atlas, hazard/determinism lint, and the checks of
-  the declarative arbitration contract (:data:`CONTRACT`).
+* :mod:`.sourcelint` — determinism lint over the simulator's own
+  source (undeclared attributes, wall-clock/entropy imports, set
+  iteration, ``id()`` ordering); ``examples/staticcheck.py`` runs it.
 """
 
-from .arbitration import CONTRACT
 from .dataflow import (
     EXTERNAL,
     UNINIT,
@@ -51,7 +50,6 @@ from .report import (
 from .sanitizer import STRUCTURES, MachineSanitizer
 
 __all__ = [
-    "CONTRACT",
     "EXTERNAL",
     "HEURISTICS",
     "REPORT_SCHEMA_VERSION",

@@ -1,8 +1,8 @@
 """Source-level diagnostics and the shared JSON report serializer.
 
 The workload lint's :class:`~repro.analysis.diagnostics.Diagnostic` is
-keyed by program counter; the simulator-source static analysis
-(:mod:`repro.analysis.staticcheck`) finds problems in *Python source*,
+keyed by program counter; the simulator-source determinism lint
+(:mod:`repro.analysis.sourcelint`) finds problems in *Python source*,
 so its findings are keyed by file, line and symbol instead.  Both kinds
 follow the same protocol — ``rule``, ``severity``, ``describe()`` — so
 :class:`~repro.analysis.diagnostics.LintReport` and

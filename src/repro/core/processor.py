@@ -196,7 +196,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
 
         # Cycle-loop state latched by run(); declared here so the
         # facade's attribute surface is complete after construction (the
-        # staticcheck undeclared-attribute rule audits exactly this).
+        # sourcelint undeclared-attr rule audits exactly this).
         self._max_cycles = self.config.max_cycles
         self._watchdog = self.config.watchdog_cycles
         self._last_retired = 0

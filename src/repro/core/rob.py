@@ -15,11 +15,18 @@ pool's ``order`` column.  Tail appends (the hot path) take strictly
 monotonic sequence numbers spaced ``_SPACING`` apart, so their keys are
 never rewritten.  Mid-window restart inserts take a low-biased step into
 the local gap (``lo + max(1, gap/256)``), leaving room for the
-right-chaining dispatch order of a restart sequence; only a
-pathologically nested restart chain can exhaust a gap, falling back to
-one full respace.  The ready heap captures key *values* at push time,
-so key stability makes same-cycle issue arbitration depend only on
-logical order.  The detailed goldens (``tests/goldens/``) pin it.
+right-chaining dispatch order of a restart sequence.  A nested restart
+chain can still exhaust a gap, and then one full respace renumbers the
+window.  On the 25 recovery-golden cells (``tests/test_recovery_golden.py``)
+that happens 40 times, all on the 10 ``CI/loop`` and ``CI/return/loop``
+cells; it never happens on BASE, CI or CI-I there, nor on the kernel
+golden cells.  The ready heap captures key *values* at push time.
+Between respaces keys are stable, so same-cycle issue arbitration
+depends only on logical order.  Across a respace it does not: entries
+pushed before it keep their old, larger keys and are arbitrated
+against the new, smaller keys of entries pushed after it (136 such
+stale pops on those 10 cells).  The detailed goldens
+(``tests/goldens/``) pin the current behaviour.
 
 A slot's window *position* (``index_of``, the golden-trace instance
 matching of Appendix A.3.1) is not stored anywhere: it is recounted
@@ -135,8 +142,10 @@ class ReorderBuffer:
         # The low bias leaves room for the right-chaining dispatch order
         # of a restart sequence (each instruction inserted after the
         # previous one): hundreds of entries fit before the gap thins.
-        # Only deeply nested restart chains can exhaust one, and then a
-        # single respace restores full spacing everywhere.
+        # Nested restart chains on the loop-heuristic machines do
+        # exhaust gaps; a single respace then restores full spacing
+        # everywhere, but ready-heap entries pushed before it keep
+        # their old keys (see the module docstring).
         lo, hi = order_col[after], order_col[succ]
         gap = hi - lo
         if gap < 2:

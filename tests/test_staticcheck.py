@@ -1,127 +1,115 @@
-"""Tests of the simulator-source static analysis (atlas, lint, trace).
+"""Tests of the determinism lint over the simulator's own source.
 
-Three layers:
+Two layers:
 
-* fixture-tree tests prove each lint rule *detects* its hazard on a
-  minimal synthetic source tree (the rules run over any ``RepoIndex``
-  root, so a tmp tree with a class named like a tracked one exercises
-  the same code paths as the real repo);
-* repo-level tests pin the analysis results on ``src/repro`` itself:
-  the committed atlas matches a fresh regeneration, the lint is clean
-  under the audited suppressions with none stale, and known structural
-  facts (family merging, phase attribution, hazard inventory members)
-  hold;
-* the dynamic gate: a traced golden-cell run's attribute accesses are
-  a subset of the static atlas — the acceptance criterion that the
-  heuristic receiver inference never under-approximates.
+* fixture tests prove each rule *detects* its hazard: the ``nondet-*``
+  rules on a minimal synthetic source tree (``lint_source`` scans any
+  package root), ``undeclared-attr`` on classes defined in this module
+  (it runs over live classes);
+* repo-level tests pin the lint on ``src/repro`` itself: clean under
+  the audited suppressions, with none stale.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
 
-from repro.analysis.diagnostics import LintReport
+from repro.analysis.diagnostics import LintReport, apply_suppressions
 from repro.analysis.report import (
     SourceDiagnostic,
     SourceSuppression,
     reports_to_dict,
     stale_suppressions,
 )
-from repro.analysis.staticcheck import (
-    RepoIndex,
-    SOURCE_SUPPRESSIONS,
-    TRACKED_CLASSES,
-    build_atlas,
-    lint_source,
-    source_root,
-)
-from repro.analysis.staticcheck.atlas import (
-    PHASE_ORDER,
-    atlas_access_set,
-    attribute_phases,
-    format_atlas,
-)
-from repro.analysis.staticcheck.hazards import (
-    check_id_order,
-    check_nondet_imports,
-    check_set_iteration,
-    check_undeclared_attrs,
-)
-from repro.analysis.staticcheck.walker import collect_accesses
+from repro.analysis.sourcelint import SOURCE_SUPPRESSIONS, lint_source
 
 
-@pytest.fixture(scope="module")
-def index():
-    return RepoIndex(source_root())
-
-
-@pytest.fixture(scope="module")
-def atlas(index):
-    return build_atlas(index)
-
-
-def _tree(tmp_path, files: dict[str, str]) -> RepoIndex:
+def _lint_tree(tmp_path, files: dict[str, str]) -> LintReport:
     for rel, text in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
-    return RepoIndex(tmp_path)
+    return lint_source(tmp_path, classes=(), suppressions=())
 
 
-def _rules_of(report: LintReport) -> list[str]:
-    return sorted({d.rule for d in report.diagnostics})
+def _lint_classes(tmp_path, *classes) -> LintReport:
+    return lint_source(tmp_path, classes=classes, suppressions=())
 
 
 # ----------------------------------------------------------------------
-# rule detection on synthetic trees
+# rule detection
+
+
+class _Mixin:
+    def from_mixin(self):
+        self.declared = 4  # fine: declared in the subclass's __init__
+        self.mixin_ghost = 5
+
+
+class _Widget(_Mixin):
+    def __init__(self):
+        self.declared = 1
+
+    def later(self):
+        self.sneaky = 2
+        self.declared = 3  # fine: declared in __init__
+
+
+class _Slotted:
+    __slots__ = ("order", "uid")
+
+    def touch(self):
+        self.order = 1
+        self.ghost = 2
 
 
 def test_undeclared_attr_detected(tmp_path):
-    idx = _tree(tmp_path, {"core/widget.py": """
-        class Processor:
-            def __init__(self):
-                self.declared = 1
-
-            def later(self):
-                self.sneaky = 2
-                self.declared = 3  # fine: declared in __init__
-    """})
-    report = LintReport(program_name="fixture")
-    check_undeclared_attrs(idx, report)
-    assert [d.symbol for d in report.diagnostics] == ["Processor.sneaky"]
+    report = _lint_classes(tmp_path, _Widget)
+    assert sorted(d.symbol for d in report.diagnostics) == [
+        "_Widget.mixin_ghost", "_Widget.sneaky",
+    ]
     assert report.errors()
 
 
 def test_slots_count_as_declared(tmp_path):
-    idx = _tree(tmp_path, {"core/widget.py": """
-        class InstrPool:
-            __slots__ = ("order", "uid")
+    report = _lint_classes(tmp_path, _Slotted)
+    assert [d.symbol for d in report.diagnostics] == ["_Slotted.ghost"]
 
-            def touch(self):
-                self.order = 1
-                self.ghost = 2
-    """})
-    report = LintReport(program_name="fixture")
-    check_undeclared_attrs(idx, report)
-    assert [d.symbol for d in report.diagnostics] == ["InstrPool.ghost"]
+
+class _InitBase:
+    def __init__(self):
+        self.from_init = 0
+
+
+class _SlotsAndInit(_InitBase):
+    __slots__ = ("from_slots",)
+
+    def work(self):
+        self.from_slots = 1
+        self.from_init = 2
+        self.stray = 3
+
+
+def test_declared_fields_union_slots_and_init(tmp_path):
+    report = _lint_classes(tmp_path, _SlotsAndInit)
+    assert [d.symbol for d in report.diagnostics] == ["_SlotsAndInit.stray"]
 
 
 def test_nondet_import_detected_only_in_semantic_scope(tmp_path):
-    idx = _tree(tmp_path, {
+    report = _lint_tree(tmp_path, {
         "core/clocky.py": "import time\nfrom random import Random\n",
         "harness/free.py": "import time\n",
     })
-    report = LintReport(program_name="fixture")
-    check_nondet_imports(idx, report)
-    symbols = sorted(d.symbol for d in report.diagnostics)
+    symbols = sorted(
+        d.symbol for d in report.diagnostics if d.rule == "nondet-import"
+    )
     assert symbols == ["core.clocky:random", "core.clocky:time"]
 
 
 def test_set_iteration_detected(tmp_path):
-    idx = _tree(tmp_path, {"core/sets.py": """
+    report = _lint_tree(tmp_path, {"core/sets.py": """
         class Thing:
             def __init__(self):
                 self.pending = set()
@@ -143,9 +131,9 @@ def test_set_iteration_detected(tmp_path):
                     return sorted(seen)  # sorted: order-free
                 return len(seen)
     """})
-    report = LintReport(program_name="fixture")
-    check_set_iteration(idx, report)
-    symbols = [d.symbol for d in report.diagnostics]
+    symbols = [
+        d.symbol for d in report.diagnostics if d.rule == "nondet-set-iteration"
+    ]
     assert symbols == [
         "core.sets:Thing.bad_field_iter",
         "core.sets:Thing.bad_local_iter",
@@ -154,7 +142,7 @@ def test_set_iteration_detected(tmp_path):
 
 
 def test_id_order_detected(tmp_path):
-    idx = _tree(tmp_path, {"core/ids.py": """
+    report = _lint_tree(tmp_path, {"core/ids.py": """
         def bad_key(xs):
             return sorted(xs, key=lambda n: id(n))
 
@@ -165,95 +153,19 @@ def test_id_order_detected(tmp_path):
             table[id(a)] = a   # identity key, no ordering
             return id(a) in table
     """})
-    report = LintReport(program_name="fixture")
-    check_id_order(idx, report)
-    assert len(report.diagnostics) == 2
+    assert [d.line for d in report.diagnostics] == [3, 6]
     assert {d.rule for d in report.diagnostics} == {"nondet-id-order"}
 
 
 # ----------------------------------------------------------------------
-# repo-level structural facts
+# the repo itself
 
 
-def test_family_merging(index):
-    assert {c.name for c in index.family_members("Processor")} == {
-        "Processor", "SequencerStage", "BackendStage", "RecoveryStage",
-        "RetireStage",
-    }
-    assert {c.name for c in index.family_members("InstrPool")} == {
-        "InstrPool",
-    }
-
-
-def test_declared_fields_union_slots_and_init(index):
-    pool = index.declared_fields("InstrPool")
-    assert "order" in pool and "uid" in pool and "state" in pool
-    proc = index.declared_fields("Processor")
-    # the start()-latched loop state must be part of the declared surface
-    assert {"_max_cycles", "_watchdog", "_last_retired",
-            "_last_progress_cycle"} <= proc
-
-
-def test_phase_attribution_pins_the_pipeline(index):
-    _, methods = collect_accesses(index)
-    phases = attribute_phases(methods)
-    assert phases["Processor._issue_phase"] == {"issue"}
-    assert phases["Processor._sequencer_phase"] == {"sequencer"}
-    # retirement removes nodes from the window: ROB removal must be
-    # reachable under the retire phase
-    assert "retire" in phases["ReorderBuffer.remove"]
-    # recovery runs when branches resolve, inside the complete phase
-    assert "complete" in phases["Processor._recover"]
-    assert list(PHASE_ORDER) == ["complete", "retire", "issue", "sequencer"]
-
-
-def test_atlas_knows_the_arbitration_key_fields(atlas):
-    order = atlas["classes"]["InstrPool"]["fields"]["order"]
-    # order-key cells are written at pool construction and at
-    # dispatch/placement (sequencer, the cycle's last phase) — never by
-    # the complete/retire/issue phases that consume them
-    assert order["write_phases"] == ["construct", "sequencer"]
-    assert any("sequencer._dispatch" == w or "rob" in w for w in order["writers"])
-    state = atlas["classes"]["InstrPool"]["fields"]["state"]
-    # issue clears ST_IN_READY / sets ST_INFLIGHT in the state column
-    assert "issue" in state["write_phases"]
-    assert state["declared_in"] == "slots"
-
-
-def test_committed_atlas_matches_regeneration(atlas):
-    committed_path = source_root() / "analysis" / "atlas.json"
-    committed = json.loads(committed_path.read_text())
-    assert committed == atlas, (
-        "committed analysis/atlas.json drifted — run "
-        "examples/staticcheck.py --write-atlas and commit the result"
-    )
-
-
-def test_atlas_covers_all_tracked_classes(atlas):
-    assert set(atlas["meta"]["classes"]) <= set(TRACKED_CLASSES)
-    for cls in ("InstrPool", "ReorderBuffer", "LoadStoreQueue",
-                "Processor", "_Context"):
-        assert cls in atlas["classes"], cls
-    table = format_atlas(atlas)
-    assert "InstrPool" in table and "state" in table
-
-
-def test_repo_lint_clean_and_no_stale_suppressions(index):
-    report = lint_source(index)
+def test_repo_lint_clean_and_no_stale_suppressions():
+    report = lint_source()
     assert report.clean, report.format()
-    assert report.suppressed, "expected the audited hazard inventory to fire"
+    assert report.suppressed, "expected the seeded-generator import to fire"
     assert stale_suppressions([report], SOURCE_SUPPRESSIONS) == []
-
-
-def test_hazard_inventory_contains_the_known_tiebreak_fields(index):
-    """The load-bearing arbitration fields must be in the inventory —
-    if InstrPool.order or the state column stop being same-cycle
-    hazards, the pipeline's structure changed and the contract needs
-    review."""
-    report = lint_source(index, suppressions=())
-    symbols = {d.symbol for d in report.diagnostics if d.rule == "same-cycle-war"}
-    assert "InstrPool.order" in symbols
-    assert "InstrPool.state" in symbols
 
 
 # ----------------------------------------------------------------------
@@ -267,26 +179,23 @@ def test_source_suppression_requires_reason():
 
 def test_stale_suppression_detection():
     diag = SourceDiagnostic(
-        rule="same-cycle-war", severity=2, file="f.py", line=1,
-        symbol="A.b", message="m",
+        rule="nondet-import", severity=2, file="f.py", line=1,
+        symbol="a:b", message="m",
     )
-    live = SourceSuppression(rule="same-cycle-war", reason="ok", symbols=("A.b",))
-    dead = SourceSuppression(rule="same-cycle-war", reason="gone", symbols=("A.c",))
+    live = SourceSuppression(rule="nondet-import", reason="ok", symbols=("a:b",))
+    dead = SourceSuppression(rule="nondet-import", reason="gone", symbols=("a:c",))
     report = LintReport(program_name="t", diagnostics=[diag])
-    from repro.analysis.diagnostics import apply_suppressions
-
     apply_suppressions(report, (live, dead))
     assert report.clean
     assert stale_suppressions([report], (live, dead)) == [dead]
 
 
-def test_reports_to_dict_schema(index):
-    report = lint_source(index)
-    doc = reports_to_dict([report], tool="staticcheck", atlas_drift=False)
+def test_reports_to_dict_schema():
+    report = lint_source()
+    doc = reports_to_dict([report], tool="staticcheck")
     assert doc["schema"] == 1
     assert doc["tool"] == "staticcheck"
     assert doc["clean"] is True
-    assert doc["atlas_drift"] is False
     (entry,) = doc["reports"]
     assert entry["name"] == "src/repro"
     assert entry["suppressed"], "suppressed findings must serialize"
@@ -295,33 +204,3 @@ def test_reports_to_dict_schema(index):
     assert {"rule", "severity", "message", "file", "line", "symbol"} <= set(
         one["diagnostic"]
     )
-
-
-# ----------------------------------------------------------------------
-# the dynamic gate (acceptance criterion)
-
-
-def test_dynamic_trace_is_subset_of_static_atlas(atlas):
-    from repro.analysis.staticcheck import diff_against_atlas, trace_golden_cell
-
-    events = trace_golden_cell("go", "CI", scale=0.12)
-    assert len(events) > 100, "tracer recorded implausibly few accesses"
-    missing = diff_against_atlas(events, atlas)
-    assert not missing, (
-        f"{len(missing)} runtime accesses have no static-atlas entry "
-        f"(receiver inference gap): {missing[:10]}"
-    )
-    # and the trace must cover the hot arbitration columns
-    assert ("InstrPool", "order", "read") in events
-    assert ("InstrPool", "state", "write") in events
-
-
-def test_trace_restores_classes():
-    from repro.core.soa import InstrPool
-    from repro.analysis.staticcheck.trace import trace_attribute_access
-
-    before_get = InstrPool.__getattribute__
-    with trace_attribute_access({"InstrPool": frozenset({"order"})}):
-        assert InstrPool.__getattribute__ is not before_get
-    assert InstrPool.__getattribute__ is before_get
-    assert "__getattribute__" not in InstrPool.__dict__
