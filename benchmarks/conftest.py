@@ -22,8 +22,6 @@ variable and the accepted format):
   one benchmark (or an earlier run) are reloaded instead of re-traced.
   Entries are content-addressed, so editing a kernel invalidates them
   automatically.
-* ``REPRO_CACHE_SIZE`` — positive int; in-memory artifact LRU bound
-  (default 32).
 
 Within one session the in-memory layer alone already de-duplicates: all
 figure benchmarks at the same scale share a single golden trace per
@@ -37,7 +35,7 @@ import pytest
 
 from repro.errors import CacheError
 from repro.harness.cache import get_default_cache
-from repro.harness.runner import run_protected
+from repro.harness.runner import call_with_timeout
 
 
 def _env_float(name: str, default: str, description: str) -> float:
@@ -109,9 +107,9 @@ BENCH_TIMEOUT = _env_float(
     "REPRO_BENCH_TIMEOUT", "1800", "per-benchmark wall-clock budget in seconds"
 )
 
-# Build the artifact cache now so REPRO_CACHE_DIR / REPRO_CACHE_SIZE
-# problems surface as collection errors naming the variable, not as a
-# mid-suite crash inside the first benchmark.
+# Build the artifact cache now so a REPRO_CACHE_DIR problem surfaces
+# as a collection error naming the variable, not as a mid-suite crash
+# inside the first benchmark.
 try:
     ARTIFACT_CACHE = get_default_cache()
 except CacheError as exc:
@@ -136,18 +134,13 @@ def windows():
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing.
 
-    The call goes through the robustness runner's timeout guard: a hung
+    The call goes through the cell runner's timeout guard: a hung
     regeneration dies with a diagnosable ``CellTimeout`` instead of
     stalling the suite, while genuine errors propagate unchanged.
     """
     return benchmark.pedantic(
-        run_protected,
-        args=(fn,),
-        kwargs={
-            "args": args,
-            "kwargs": kwargs,
-            "timeout_seconds": BENCH_TIMEOUT or None,
-        },
+        call_with_timeout,
+        args=(lambda: fn(*args, **kwargs), BENCH_TIMEOUT or None),
         rounds=1,
         iterations=1,
     )

@@ -18,8 +18,9 @@ failure classes:
   architectural golden trace: a simulator bug, never a statistic.
 * :class:`HarnessError` / :class:`CellTimeout` / :class:`CheckpointError`
   — failures of the fault-isolated experiment runner itself.
-* :class:`TransientError` — marker for failures worth retrying
-  (the runner retries these with backoff; everything else degrades).
+* :class:`TransientError` — marker for failures worth retrying (the
+  cell runner retries these and timeouts, with a doubling backoff;
+  everything else degrades at once).
 * :class:`AnalysisError` / :class:`LintFailure` — the static-analysis
   layer (``repro.analysis``) rejected a workload program.
 * :class:`SanitizerError` — a machine-invariant check found a corrupted

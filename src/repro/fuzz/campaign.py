@@ -3,21 +3,24 @@
 One campaign = N generated cases (cycling through the workload
 families), each run through the differential oracle, with every
 divergence shrunk to a minimized reproducer and saved to the corpus.
-The runner composes the PR 1 harness machinery end to end:
+A campaign runs on the same fault-isolated executor as a study
+(:mod:`repro.harness.runner`, :mod:`repro.harness.parallel`):
 
 * per-case wall-clock **timeout** and retry/backoff via
-  :class:`~repro.harness.runner.CellRunner` (inside each worker, so no
-  timer crosses a process boundary);
-* **checkpoint resume** via :class:`~repro.harness.runner.CheckpointStore`
-  (parent-only writer, ``flush_every`` batching): a killed campaign
-  re-runs *zero* completed cases;
+  :class:`~repro.harness.runner.CellRunner`, :data:`CASE_ATTEMPTS`
+  tries per case (inside each worker, so no timer crosses a process
+  boundary);
+* **checkpoint resume** via :func:`~repro.harness.runner.run_keyed`
+  (parent-only writer, writes batched every :data:`CASE_FLUSH_EVERY`
+  cases and flushed on the way out, even when interrupted): a resumed
+  campaign re-runs *zero* completed cases;
 * **worker-crash resilience** via
   :func:`~repro.harness.parallel.map_resilient`: an OOM-killed worker
   costs only its in-flight cases, recorded as structured
-  ``WorkerCrash`` rows;
+  ``WorkerCrash`` rows by :func:`~repro.harness.parallel.outcome_result`;
 * a **wall-clock budget** via :class:`~repro.harness.runner.Deadline`:
-  cases not dispatched when the budget expires are recorded as skipped
-  and picked up by the next resume.
+  cases not dispatched when the budget expires are recorded as
+  ``BudgetExpired`` rows and picked up by the next resume.
 
 The returned triage report is plain JSON: counts, cases/sec, the
 divergence signatures grouped by (machine, kind), reproducer paths and
@@ -27,16 +30,16 @@ to triage a multi-hour run from one file.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..harness.parallel import (
-    OUTCOME_CRASHED,
-    OUTCOME_ERROR,
-    OUTCOME_OK,
+    BUDGET_EXPIRED,
+    OUTCOME_SKIPPED,
     map_resilient,
+    outcome_result,
+    resolve_jobs,
 )
 from ..harness.runner import (
     Cell,
@@ -44,10 +47,11 @@ from ..harness.runner import (
     CellRunner,
     CheckpointStore,
     Deadline,
-    RunnerConfig,
     config_hash,
+    run_keyed,
 )
 from ..machines import MACHINES
+from ..workloads import _check_scale
 from .mutants import mutant_machine
 
 # NOTE: repro.workloads.families builds its family tables from
@@ -57,8 +61,6 @@ from .mutants import mutant_machine
 from .oracle import check_overrides, run_oracle
 from .shrink import divergence_predicate, shrink_program
 
-_log = logging.getLogger(__name__)
-
 #: cap on the reference execution per case (generated cases are small)
 CASE_MAX_STEPS = 500_000
 
@@ -67,6 +69,13 @@ CASE_MAX_STEPS = 500_000
 #: turns a livelock into a fast, classified divergence instead of a
 #: 50k-cycle stall per case
 CASE_OVERRIDES = (("watchdog_cycles", 20_000),)
+
+#: tries per case: a case is deterministic, so only a timeout or a
+#: TransientError is retried, once
+CASE_ATTEMPTS = 2
+
+#: batch checkpoint writes: a hard kill re-runs at most this many cases
+CASE_FLUSH_EVERY = 25
 
 
 @dataclass(frozen=True)
@@ -82,16 +91,14 @@ class CampaignConfig:
     #: known-buggy executors to add (injected-fault dry runs)
     mutants: tuple[str, ...] = ()
     scale: float = 0.5
-    jobs: int = 1
+    #: worker processes, or "auto" (see repro.harness.parallel.resolve_jobs)
+    jobs: int | str = 1
     timeout_seconds: float | None = 60.0
-    max_attempts: int = 2
     budget_seconds: float | None = None
     checkpoint_path: str | None = None
     #: where minimized reproducers land; None disables saving
     corpus_dir: str | None = None
     shrink: bool = True
-    #: batch checkpoint writes (a crash re-runs at most this many cases)
-    flush_every: int = 25
     #: extra CoreConfig overrides for detailed machines
     overrides: tuple[tuple[str, object], ...] = CASE_OVERRIDES
 
@@ -100,6 +107,11 @@ class CampaignConfig:
             raise ConfigError(f"campaign seed must be an int, got {self.seed!r}")
         if self.cases < 1:
             raise ConfigError(f"cases must be >= 1, got {self.cases!r}")
+        # Bad execution knobs would otherwise degrade every case, or
+        # silently run serially.
+        resolve_jobs(self.jobs)
+        CellRunner(self.timeout_seconds)  # the runner's timeout rule
+        _check_scale(self.scale)
         # Bad overrides would fail every detailed machine on every case,
         # and the campaign would shrink and save each as a reproducer.
         check_overrides(self.machine_names(), dict(self.overrides))
@@ -224,130 +236,51 @@ def run_case(
     return payload
 
 
-def _case_worker(
-    key: str,
-    workload_name: str,
-    machines: tuple[str, ...],
-    mutants: tuple[str, ...],
-    overrides: dict,
-    scale: float,
-    shrink: bool,
-    corpus_dir: str | None,
-    runner_knobs: dict,
-) -> dict:
-    """Worker-side wrapper: timeout + retry inside the worker process."""
-    runner = CellRunner(RunnerConfig(**runner_knobs))
-    result = runner.run_cell(
-        key,
-        lambda: run_case(
-            workload_name, machines, mutants, overrides, scale, shrink,
-            corpus_dir,
-        ),
+def _run_case_cell(key: str, case: tuple, timeout_seconds: float | None) -> CellResult:
+    """One case under the case timeout and retries: a pool task, and
+    each step of the serial loop."""
+    return CellRunner(timeout_seconds, CASE_ATTEMPTS).run_cell(
+        key, lambda: run_case(*case)
     )
-    return {
-        "key": result.key,
-        "status": result.status,
-        "value": result.value,
-        "error": result.error,
-        "error_type": result.error_type,
-        "attempts": result.attempts,
-    }
 
 
 def run_campaign(config: CampaignConfig) -> dict:
     """Run (or resume) one campaign; returns the triage report."""
     config = config.validate()
-    machines = config.machine_names()
+    jobs = resolve_jobs(config.jobs)
     started = time.perf_counter()
+    deadline = Deadline.after(config.budget_seconds)
+    keys = [config.case_key(index) for index in range(config.cases)]
+
+    def task(index: int) -> tuple:
+        case = (
+            config.case_workload(index), config.machine_names(), config.mutants,
+            dict(config.overrides), config.scale, config.shrink, config.corpus_dir,
+        )
+        return keys[index], case, config.timeout_seconds
+
+    def run_pending(indices: list[int], settle) -> None:
+        if jobs > 1:
+            map_resilient(
+                _run_case_cell, [task(index) for index in indices], jobs,
+                deadline=deadline,
+                on_result=lambda position, outcome: settle(
+                    outcome_result(keys[indices[position]], outcome)
+                ),
+            )
+            return
+        for index in indices:
+            if deadline.expired():
+                settle(outcome_result(keys[index], (OUTCOME_SKIPPED, BUDGET_EXPIRED)))
+            else:
+                settle(_run_case_cell(*task(index)))
+
     store = (
-        CheckpointStore(config.checkpoint_path, flush_every=config.flush_every)
+        CheckpointStore(config.checkpoint_path, flush_every=CASE_FLUSH_EVERY)
         if config.checkpoint_path is not None
         else None
     )
-    deadline = Deadline.after(config.budget_seconds)
-    overrides = dict(config.overrides)
-    runner_knobs = {
-        "timeout_seconds": config.timeout_seconds,
-        "max_attempts": config.max_attempts,
-    }
-
-    outcomes: dict[str, CellResult] = {}
-    keys = [config.case_key(index) for index in range(config.cases)]
-    pending: list[int] = []
-    for index, key in enumerate(keys):
-        if store is not None and store.completed(key):
-            outcomes[key] = CellResult(
-                key=key, status="ok", value=store.value(key),
-                attempts=0, resumed=True,
-            )
-        else:
-            pending.append(index)
-
-    def settle(result: CellResult) -> None:
-        if result.ok and store is not None:
-            store.record(result.key, result.value)
-        outcomes[result.key] = result
-
-    if pending and config.jobs > 1:
-        tasks = [
-            (
-                keys[index],
-                config.case_workload(index),
-                machines,
-                config.mutants,
-                overrides,
-                config.scale,
-                config.shrink,
-                config.corpus_dir,
-                runner_knobs,
-            )
-            for index in pending
-        ]
-
-        def on_result(position: int, outcome: tuple) -> None:
-            key = keys[pending[position]]
-            tag, value = outcome
-            if tag == OUTCOME_OK:
-                settle(CellResult(**value))
-            elif tag == OUTCOME_CRASHED:
-                settle(CellResult(
-                    key=key, status="error", error=value,
-                    error_type="WorkerCrash", attempts=1,
-                ))
-            elif tag == OUTCOME_ERROR:
-                settle(CellResult(
-                    key=key, status="error", error=str(value),
-                    error_type=type(value).__name__, attempts=1,
-                ))
-            else:  # skipped (budget)
-                settle(CellResult(
-                    key=key, status="error", error=value,
-                    error_type="BudgetExpired", attempts=0,
-                ))
-
-        map_resilient(
-            _case_worker, tasks, config.jobs,
-            deadline=deadline, on_result=on_result,
-        )
-    elif pending:
-        for index in pending:
-            key = keys[index]
-            if deadline.expired():
-                settle(CellResult(
-                    key=key, status="error",
-                    error="wall-clock budget expired before dispatch",
-                    error_type="BudgetExpired", attempts=0,
-                ))
-                continue
-            result = _case_worker(
-                key, config.case_workload(index), machines, config.mutants,
-                overrides, config.scale, config.shrink, config.corpus_dir,
-                runner_knobs,
-            )
-            settle(CellResult(**result))
-    if store is not None:
-        store.flush()
-
+    outcomes = run_keyed(keys, store, run_pending)
     return _triage_report(config, keys, outcomes, time.perf_counter() - started)
 
 
@@ -433,6 +366,8 @@ def _triage_report(
 
 
 __all__ = [
+    "CASE_ATTEMPTS",
+    "CASE_FLUSH_EVERY",
     "CASE_MAX_STEPS",
     "CASE_OVERRIDES",
     "CampaignConfig",

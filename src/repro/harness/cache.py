@@ -8,8 +8,8 @@ assembled :class:`~repro.isa.Program`, its architectural
 three per cell, so a thirteen-experiment study traced every workload
 thirteen times.  This module derives them at most once:
 
-* **in-memory LRU** — per process, bounded by ``max_entries``; repeated
-  cells in one process share the same objects;
+* **in-memory LRU** — per process, bounded by :data:`MAX_ENTRIES`;
+  repeated cells in one process share the same objects;
 * **optional on-disk pickle layer** — shared across processes, so the
   parallel scheduler's workers load traces the parent already derived
   instead of re-tracing.
@@ -21,11 +21,10 @@ instructions plus the trace parameters (``history_bits``,
 assemble to the same program share one trace; editing a kernel changes
 the key, so stale disk entries are never served — invalidation is
 automatic and there is nothing to flush (old files are merely dead
-weight, removable with ``clear_disk()``).
+weight).
 
 Corrupt or unreadable disk entries are treated as misses and rewritten.
-Only configuration problems (an unusable cache directory, a nonsensical
-size) raise :class:`~repro.errors.CacheError`.
+Only an unusable cache directory raises :class:`~repro.errors.CacheError`.
 
 Sharing hazard: cached artifacts are returned by reference and must be
 treated as immutable.  The simulators only read them; the fault
@@ -63,7 +62,8 @@ from .runner import config_hash
 #: old entries are simply ignored and re-derived once.
 CACHE_VERSION = 3
 
-DEFAULT_MAX_ENTRIES = 32
+#: entries per in-memory LRU (workloads × scales × trace parameters)
+MAX_ENTRIES = 32
 
 
 @dataclass
@@ -101,8 +101,7 @@ class _LRU:
     """Minimal thread-safe LRU over an OrderedDict (no TTL needed: keys
     are content hashes, so an entry can never become wrong, only cold)."""
 
-    def __init__(self, max_entries: int):
-        self.max_entries = max_entries
+    def __init__(self):
         self._data: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
@@ -118,16 +117,9 @@ class _LRU:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
+            while len(self._data) > MAX_ENTRIES:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
 
 
 def program_fingerprint(program: Program) -> str:
@@ -158,15 +150,9 @@ class WorkloadArtifacts:
 class ArtifactCache:
     """Two-layer (memory LRU + optional disk pickle) artifact cache."""
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        disk_dir: str | Path | None = None,
-    ):
-        if max_entries < 1:
-            raise CacheError(f"cache max_entries must be >= 1, got {max_entries!r}")
-        self._lru = _LRU(max_entries)
-        self._programs = _LRU(max_entries)
+    def __init__(self, disk_dir: str | Path | None = None):
+        self._lru = _LRU()
+        self._programs = _LRU()
         self.stats = CacheStats()
         self.disk_dir: Path | None = None
         if disk_dir is not None:
@@ -289,21 +275,6 @@ class ArtifactCache:
             except OSError:
                 pass
 
-    # -- maintenance ---------------------------------------------------
-
-    def clear_memory(self) -> None:
-        self._lru.clear()
-        self._programs.clear()
-
-    def clear_disk(self) -> None:
-        if self.disk_dir is None:
-            return
-        for path in self.disk_dir.glob("*.pkl"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
 
 # ----------------------------------------------------------------------
 # Default (per-process) cache
@@ -312,73 +283,23 @@ _default: ArtifactCache | None = None
 _default_lock = threading.Lock()
 
 
-def _env_max_entries(env=os.environ) -> int:
-    raw = env.get("REPRO_CACHE_SIZE", str(DEFAULT_MAX_ENTRIES))
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CacheError(
-            f"REPRO_CACHE_SIZE={raw!r} is not an integer; expected a "
-            f"positive entry count such as REPRO_CACHE_SIZE={DEFAULT_MAX_ENTRIES}"
-        ) from None
-    if value < 1:
-        raise CacheError(
-            f"REPRO_CACHE_SIZE={raw!r} must be >= 1 (it bounds the "
-            "in-memory artifact LRU)"
-        )
-    return value
-
-
 def get_default_cache() -> ArtifactCache:
-    """The process-wide cache, built from env on first use.
-
-    ``REPRO_CACHE_DIR`` enables the shared disk layer;
-    ``REPRO_CACHE_SIZE`` bounds the in-memory LRU (default
-    {DEFAULT_MAX_ENTRIES} workload entries).
-    """
+    """The process-wide cache, built on first use; ``REPRO_CACHE_DIR``
+    enables its shared disk layer."""
     global _default
     with _default_lock:
         if _default is None:
-            _default = ArtifactCache(
-                max_entries=_env_max_entries(),
-                disk_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-            )
+            _default = ArtifactCache(disk_dir=os.environ.get("REPRO_CACHE_DIR") or None)
         return _default
 
 
-# A plain (non-f) docstring renders the placeholder literally; an
-# f-string would not survive as __doc__ at all.  Substitute here.
-get_default_cache.__doc__ = get_default_cache.__doc__.format(
-    DEFAULT_MAX_ENTRIES=DEFAULT_MAX_ENTRIES
-)
-
-
-#: sentinel distinguishing "caller did not pass disk_dir" (follow the
-#: REPRO_CACHE_DIR env var, like get_default_cache) from an explicit
-#: ``disk_dir=None`` (memory only)
-_ENV_DISK = object()
-
-
-def configure_default_cache(
-    max_entries: int | None = None, disk_dir: str | Path | None = _ENV_DISK
-) -> ArtifactCache:
-    """Replace the process-wide cache (parallel workers use this to
-    point at the study's shared disk layer).
-
-    ``disk_dir`` defaults to the ``REPRO_CACHE_DIR`` env var — the same
-    resolution :func:`get_default_cache` applies — so reconfiguring only
-    the LRU size (``configure_default_cache(max_entries=N)``) keeps the
-    shared on-disk layer.  Pass ``disk_dir=None`` explicitly to get a
-    memory-only cache.
-    """
+def configure_default_cache(disk_dir: str | Path | None) -> ArtifactCache:
+    """Replace the process-wide cache with one over ``disk_dir`` (None:
+    memory only); parallel workers use this to point at the study's
+    shared disk layer."""
     global _default
-    if disk_dir is _ENV_DISK:
-        disk_dir = os.environ.get("REPRO_CACHE_DIR") or None
     with _default_lock:
-        _default = ArtifactCache(
-            max_entries=max_entries if max_entries is not None else _env_max_entries(),
-            disk_dir=disk_dir,
-        )
+        _default = ArtifactCache(disk_dir=disk_dir)
         return _default
 
 
@@ -391,6 +312,7 @@ def reset_default_cache() -> None:
 
 __all__ = [
     "CACHE_VERSION",
+    "MAX_ENTRIES",
     "ArtifactCache",
     "CacheStats",
     "WorkloadArtifacts",

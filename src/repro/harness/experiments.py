@@ -217,13 +217,13 @@ def run_study(
     cells the pool's wave 1 simulated, 0 when no wave 1 ran.
     """
     from .parallel import resolve_jobs, run_pool
-    from .runner import CellResult, CellRunner, CheckpointStore, RunnerConfig
+    from .runner import CellRunner, CheckpointStore, run_keyed
 
     # 1. Validate every argument before any cell runs.
     chosen = validate_experiments(experiments)
     if isinstance(names, str):
         names = (names,)
-    runner = CellRunner(RunnerConfig(timeout_seconds=timeout_seconds))
+    runner = CellRunner(timeout_seconds)
     n_jobs = resolve_jobs(jobs)
     knobs = {k: v for k, v in experiment_kwargs.items() if k != "cells"}
     for exp in chosen:
@@ -236,30 +236,19 @@ def run_study(
     if only is not None:
         chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
 
-    # 3. Satisfy finished cells from the checkpoint.
-    store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
-    outcomes: dict = {}
-    pending = []
-    for cell in cells:
-        if store is not None and store.completed(cell.key):
-            outcomes[cell.key] = CellResult(
-                key=cell.key,
-                status="ok",
-                value=store.value(cell.key),
-                attempts=0,
-                resumed=True,
-            )
-        else:
-            pending.append(cell)
-
-    def settle(result: CellResult) -> None:
-        if result.ok and store is not None:
-            store.record(result.key, result.value)
-        outcomes[result.key] = result
-
-    # 4. Run the pending cells, in-process or on the pool.
+    # 3. Resume finished cells from the checkpoint; run the rest
+    #    in-process or on the pool.
     wave1_cells = 0
-    if n_jobs == 1:
+
+    def run_pending(indices: list, settle) -> None:
+        nonlocal wave1_cells
+        pending = [cells[i] for i in indices]
+        if n_jobs > 1:
+            wave1_cells = run_pool(
+                pending, scale, experiment_kwargs, timeout_seconds, n_jobs,
+                cache_dir, settle,
+            )
+            return
         # One cell memo per study: every row reads and fills it, so each
         # distinct detailed cell simulates once however many artifacts
         # share it.
@@ -271,13 +260,11 @@ def run_study(
                     exp, name, scale=scale, memo=memo, **experiment_kwargs
                 ).to_payload(),
             ))
-    elif pending:
-        wave1_cells = run_pool(
-            pending, scale, experiment_kwargs, timeout_seconds, n_jobs,
-            cache_dir, settle,
-        )
 
-    # 5. Assemble.
+    store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
+    outcomes = run_keyed([cell.key for cell in cells], store, run_pending)
+
+    # 4. Assemble.
     out = assemble_study(chosen, cells, outcomes)
     out["jobs"] = n_jobs
     out["wave1_cells"] = wave1_cells

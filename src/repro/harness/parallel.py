@@ -1,4 +1,12 @@
-"""Parallel study scheduler: fan the experiment grid across processes.
+"""Process-pool dispatch for studies and fuzz campaigns.
+
+:func:`map_resilient` runs pool tasks that survive worker death, and
+:func:`outcome_result` turns each of its outcomes into a
+:class:`~repro.harness.runner.CellResult` row: every pool task returns
+its own ``CellResult``, and a task that raised, crashed its worker or
+was never dispatched becomes an error row.  The fuzz campaign
+(:func:`repro.fuzz.campaign.run_campaign`) dispatches its cases through
+these two directly; the rest of this module is the study's pool.
 
 The study grid (experiments × workloads) is embarrassingly parallel —
 cells share nothing but the read-only workload artifacts and the
@@ -26,10 +34,11 @@ enters the worker through :func:`_run_cell`.
 * **job count** — the ``jobs`` argument, else the ``REPRO_JOBS``
   environment variable, else 1; ``"auto"`` means the CPU count.
 * **checkpoint integration** — ``run_study`` satisfies checkpointed
-  cells *before* dispatch, so a resumed study only pays for unfinished
-  rows and the detailed cells they need.  The parent process is the
-  only checkpoint writer (workers return results; the parent records
-  them), so no cross-process file locking is needed.
+  cells *before* dispatch (:func:`~repro.harness.runner.run_keyed`), so
+  a resumed study only pays for unfinished rows and the detailed cells
+  they need.  The parent process is the only checkpoint writer
+  (workers return results; the parent records them), so no
+  cross-process file locking is needed.
 * **process-safe timeouts** — each worker enforces the per-cell budget
   inside its own process via
   :func:`~repro.harness.runner.call_with_timeout` (SIGALRM on the
@@ -56,14 +65,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
-from .runner import (
-    Cell,
-    CellResult,
-    CellRunner,
-    Deadline,
-    RunnerConfig,
-    call_with_timeout,
-)
+from .runner import Cell, CellResult, CellRunner, Deadline, call_with_timeout
 
 _log = logging.getLogger(__name__)
 
@@ -124,27 +126,29 @@ def _run_cell(
     knob_hash: str | None,
     scale: float,
     experiment_kwargs: dict,
-    runner_knobs: dict,
+    timeout_seconds: float | None,
     memo: dict | None = None,
     machine=None,
-):
+) -> CellResult:
     """Execute one pool task inside a worker process.
 
-    A row task returns a plain dict (picklable) mirroring
-    :class:`~repro.harness.runner.CellResult`; it never raises for cell
-    failures — the worker-side :class:`CellRunner` degrades them.  The
-    row body is the same :func:`~repro.harness.spec.run_spec_row` the
-    serial path runs, reading ``memo``, the cell-memo entries the parent
-    shipped for this row, so rows are byte-identical.
+    A row task never raises for cell failures — the worker-side
+    :class:`CellRunner` degrades them.  The row body is the same
+    :func:`~repro.harness.spec.run_spec_row` the serial path runs,
+    reading ``memo``, the cell-memo entries the parent shipped for this
+    row, so rows are byte-identical.
 
     With ``machine`` (a :class:`~repro.harness.spec.MachineSpec`) the
     task is one wave-1 detailed cell of ``experiment``'s row instead: it
-    simulates once under ``timeout_seconds``, with no retries, and
-    returns ``{"status": "ok", "value": CoreStats}`` or the error's type
-    and message (not the exception, which need not pickle).
+    simulates once under ``timeout_seconds``, with no retries, and its
+    value is the :class:`~repro.core.CoreStats` (a failure carries the
+    error's type and message, not the exception, which need not pickle).
     """
     from .spec import load_bundle, run_spec_row
 
+    cell = Cell(
+        experiment=experiment, workload=workload, config_hash=knob_hash, scale=scale
+    )
     if machine is not None:
         try:
             bundle = load_bundle(workload, scale)
@@ -152,30 +156,18 @@ def _run_cell(
                 lambda: machine.resolve().simulate(
                     bundle, overrides=dict(machine.overrides)
                 ),
-                runner_knobs.get("timeout_seconds"),
+                timeout_seconds,
             )
         except Exception as exc:
-            return {"status": "error", "error": str(exc),
-                    "error_type": type(exc).__name__}
-        return {"status": "ok", "value": stats}
-    cell = Cell(
-        experiment=experiment, workload=workload, config_hash=knob_hash, scale=scale
-    )
-    runner = CellRunner(RunnerConfig(**runner_knobs))
-    result = runner.run_cell(
+            return CellResult(key=cell.key, status="error", error=str(exc),
+                              error_type=type(exc).__name__, attempts=1)
+        return CellResult(key=cell.key, status="ok", value=stats, attempts=1)
+    return CellRunner(timeout_seconds).run_cell(
         cell,
         lambda: run_spec_row(
             experiment, workload, scale=scale, memo=memo, **experiment_kwargs
         ).to_payload(),
     )
-    return {
-        "key": result.key,
-        "status": result.status,
-        "value": result.value,
-        "error": result.error,
-        "error_type": result.error_type,
-        "attempts": result.attempts,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +179,9 @@ OUTCOME_OK = "ok"
 OUTCOME_ERROR = "error"  # the task raised (picklable) inside the worker
 OUTCOME_CRASHED = "crashed"  # its worker process died while it was in flight
 OUTCOME_SKIPPED = "skipped"  # never dispatched: the deadline expired first
+
+#: the message of a task the deadline kept from dispatch
+BUDGET_EXPIRED = "wall-clock budget expired before dispatch"
 
 
 def map_resilient(
@@ -235,10 +230,7 @@ def map_resilient(
     while pending:
         if deadline is not None and deadline.expired():
             while pending:
-                settle(
-                    pending.pop(),
-                    (OUTCOME_SKIPPED, "wall-clock budget expired before dispatch"),
-                )
+                settle(pending.pop(), (OUTCOME_SKIPPED, BUDGET_EXPIRED))
             break
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, len(pending)),
@@ -317,26 +309,26 @@ def _prewarm_cache(cache, names, scale: float) -> dict:
     return lengths
 
 
-def _degrade(cell: Cell, tag: str, payload) -> CellResult:
-    """The error row of a task that crashed its worker or raised."""
+def outcome_result(key: str, outcome: tuple) -> CellResult:
+    """The row of one :func:`map_resilient` outcome for the task ``key``.
+
+    An ``ok`` outcome carries the task's own :class:`CellResult`.  A
+    task that raised (or returned something unpicklable) becomes an
+    error row named after the exception, one whose worker died a
+    ``WorkerCrash`` row, and one never dispatched a ``BudgetExpired``
+    row with no attempts.
+    """
+    tag, payload = outcome
+    if tag == OUTCOME_OK:
+        return payload
+    if tag == OUTCOME_ERROR:
+        return CellResult(key=key, status="error", error=str(payload),
+                          error_type=type(payload).__name__, attempts=1)
     if tag == OUTCOME_CRASHED:
-        return CellResult(
-            key=cell.key,
-            status="error",
-            value=None,
-            error=payload,
-            error_type="WorkerCrash",
-            attempts=1,
-        )
-    # "error": the worker raised / result was unpicklable
-    return CellResult(
-        key=cell.key,
-        status="error",
-        value=None,
-        error=str(payload),
-        error_type=type(payload).__name__,
-        attempts=1,
-    )
+        return CellResult(key=key, status="error", error=payload,
+                          error_type="WorkerCrash", attempts=1)
+    return CellResult(key=key, status="error", error=payload,
+                      error_type="BudgetExpired", attempts=0)
 
 
 def _run_cells_first(
@@ -344,7 +336,7 @@ def _run_cells_first(
     lengths: dict,
     scale: float,
     experiment_kwargs: dict,
-    runner_knobs: dict,
+    timeout_seconds: float | None,
     jobs: int,
     cache_dir: str,
     settle: Callable[[CellResult], None],
@@ -372,16 +364,9 @@ def _run_cells_first(
             cell.config_hash,
             cell.scale,
             experiment_kwargs,
-            runner_knobs,
+            timeout_seconds,
             memo,
         )
-
-    def settle_row(cell: Cell, outcome: tuple) -> None:
-        tag, payload = outcome
-        if tag == OUTCOME_OK:
-            settle(CellResult(**payload))
-        else:
-            settle(_degrade(cell, tag, payload))
 
     def dispatch(tasks: list, on_result: Callable[[int, tuple], None]) -> None:
         if tasks:
@@ -398,7 +383,7 @@ def _run_cells_first(
     wave1 = [
         (
             lengths.get(p.workload, 0),
-            (p.experiment, p.workload, None, p.scale, {}, runner_knobs, None,
+            (p.experiment, p.workload, None, p.scale, {}, timeout_seconds, None,
              p.machine),
             key,
         )
@@ -413,13 +398,14 @@ def _run_cells_first(
 
     def on_wave1(index: int, outcome: tuple) -> None:
         target = wave1[index][2]
-        tag, payload = outcome
         if isinstance(target, Cell):
-            settle_row(target, outcome)
-        elif tag == OUTCOME_OK and payload["status"] == "ok":
-            memo[target] = payload["value"]
+            settle(outcome_result(target.key, outcome))
+            return
+        result = outcome_result(str(target), outcome)
+        if result.ok:
+            memo[target] = result.value
         else:
-            _log.debug("wave-1 cell %r not memoized: %r", target, payload)
+            _log.debug("wave-1 cell %r not memoized: %s", target, result.error)
 
     dispatch([task for _, task, _ in wave1], on_wave1)
 
@@ -427,7 +413,7 @@ def _run_cells_first(
     wave2 = [(cell, keys) for cell, keys in zip(pending, row_keys) if keys]
     dispatch(
         [row_task(cell, {k: memo[k] for k in keys if k in memo}) for cell, keys in wave2],
-        lambda index, outcome: settle_row(wave2[index][0], outcome),
+        lambda index, outcome: settle(outcome_result(wave2[index][0].key, outcome)),
     )
     return len(memo)
 
@@ -463,11 +449,11 @@ def run_pool(
         )
         return _run_cells_first(
             pending, lengths, scale, experiment_kwargs,
-            {"timeout_seconds": timeout_seconds}, jobs, str(cache_dir), settle,
+            timeout_seconds, jobs, str(cache_dir), settle,
         )
     finally:
         if tmpdir is not None:
             tmpdir.cleanup()
 
 
-__all__ = ["map_resilient", "resolve_jobs", "run_pool"]
+__all__ = ["map_resilient", "outcome_result", "resolve_jobs", "run_pool"]

@@ -1,25 +1,27 @@
-"""Fault-isolated experiment runner with retry, timeout and resume.
+"""Fault-isolated cell execution: retry, timeout and checkpoint resume.
 
 The paper's evaluation is a large cross-product of machines × knobs ×
 workloads.  Running it as one in-process loop means a single hung or
 crashing (experiment, workload, config) cell kills the whole study and
-loses every completed result.  This module executes each cell through a
-:class:`CellRunner` that provides:
+loses every completed result.  Studies
+(:func:`repro.harness.experiments.run_study`) and fuzz campaigns
+(:func:`repro.fuzz.campaign.run_campaign`) both execute their cells
+through this module:
 
-* **per-cell wall-clock timeout** — a hung simulation becomes a
-  :class:`~repro.errors.CellTimeout` for that cell only;
-* **bounded retry with backoff** — failures marked transient
-  (:class:`~repro.errors.TransientError`, timeouts) are retried up to
-  ``max_attempts`` times; deterministic failures are not retried;
-* **graceful degradation** — a permanently failing cell becomes an
-  error-annotated :class:`CellResult` instead of aborting the study.
+* :class:`CellRunner` runs one cell with a **per-cell wall-clock
+  timeout** (a hung simulation becomes a
+  :class:`~repro.errors.CellTimeout` for that cell only), **bounded
+  retry** of the :data:`RETRYABLE` failures with a doubling backoff
+  from :data:`BACKOFF_SECONDS` (deterministic failures are not
+  retried), and **graceful degradation** (a permanently failing cell
+  becomes an error-annotated :class:`CellResult`, never a crash);
+* :func:`run_keyed` is the one executor around it: it resumes the keys
+  a JSON :class:`CheckpointStore` already holds, hands the rest to the
+  caller's serial loop or process pool, records every success and
+  flushes the store even when the run is interrupted.
 
-Resumable runs are the caller's part: a study records each finished
-cell in a JSON :class:`CheckpointStore` keyed by (experiment, workload,
-config hash, scale) and skips the recorded cells when it re-runs (see
-:func:`repro.harness.experiments.run_study`).  Checkpointed values
-round-trip through JSON, so cell functions must return
-JSON-serialisable data (the spec engine's
+Checkpointed values round-trip through JSON, so cell functions must
+return JSON-serialisable data (the spec engine's
 :meth:`~repro.harness.spec.CellRow.to_payload` dicts are; note JSON
 turns integer dict keys into strings).
 """
@@ -135,31 +137,11 @@ class CellResult:
         }
 
 
-@dataclass
-class RunnerConfig:
-    """Policy knobs for :class:`CellRunner`."""
+#: first retry delay in seconds; it doubles for every further attempt
+BACKOFF_SECONDS = 0.5
 
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5  # first retry delay; doubles per attempt
-    backoff_factor: float = 2.0
-    timeout_seconds: float | None = None  # per-cell wall clock; None = off
-    #: exception types worth retrying; anything else degrades immediately
-    retryable: tuple[type, ...] = (TransientError, CellTimeout)
-
-    def validate(self) -> "RunnerConfig":
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
-        if self.backoff_seconds < 0 or self.backoff_factor < 1:
-            raise ConfigError(
-                f"backoff must be non-negative with factor >= 1, got "
-                f"{self.backoff_seconds!r} / {self.backoff_factor!r}"
-            )
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigError(
-                f"timeout_seconds must be positive or None, "
-                f"got {self.timeout_seconds!r}"
-            )
-        return self
+#: exception types worth retrying; anything else degrades immediately
+RETRYABLE = (TransientError, CellTimeout)
 
 
 class CheckpointStore:
@@ -170,11 +152,12 @@ class CheckpointStore:
 
     ``flush_every`` batches disk writes: the store rewrites the file
     once per N recorded results (and always on :meth:`flush`).  The
-    default of 1 keeps the historical write-per-record durability;
-    high-volume users like the fuzz campaign raise it so a thousand
-    sub-second cases do not turn into a thousand rewrites of a growing
-    JSON file.  A crash loses at most the last ``flush_every - 1``
-    results — those cells simply re-run on resume.
+    default of 1 keeps the historical write-per-record durability; the
+    fuzz campaign raises it so a thousand sub-second cases do not turn
+    into a thousand rewrites of a growing JSON file.  :func:`run_keyed`
+    flushes on the way out, even when interrupted, so only a hard kill
+    loses results: at most the last ``flush_every - 1``, which simply
+    re-run on resume.
     """
 
     def __init__(self, path: str | Path, flush_every: int = 1):
@@ -251,34 +234,20 @@ class CheckpointStore:
 class Deadline:
     """A wall-clock budget expressed as an absolute monotonic instant.
 
-    Workers in the parallel scheduler carry one of these instead of a
-    signal: each process checks its own clock, so the guard is safe in
-    any thread of any process.
+    The campaign's budget: :func:`~repro.harness.parallel.map_resilient`
+    and the serial loop stop dispatching once it has expired.
     """
 
     expires_at: float | None  # time.monotonic() instant; None = unbounded
-    budget_seconds: float | None = None
 
     @classmethod
     def after(cls, seconds: float | None) -> "Deadline":
         if not seconds:
             return cls(expires_at=None)
-        return cls(expires_at=time.monotonic() + seconds, budget_seconds=seconds)
-
-    def remaining(self) -> float | None:
-        if self.expires_at is None:
-            return None
-        return self.expires_at - time.monotonic()
+        return cls(expires_at=time.monotonic() + seconds)
 
     def expired(self) -> bool:
         return self.expires_at is not None and time.monotonic() >= self.expires_at
-
-    def check(self, what: str = "cell") -> None:
-        """Raise :class:`~repro.errors.CellTimeout` once the budget is spent."""
-        if self.expired():
-            raise CellTimeout(
-                f"{what} exceeded its {self.budget_seconds}s wall-clock budget"
-            )
 
 
 class _SigalrmUnavailable(Exception):
@@ -360,27 +329,44 @@ def call_with_timeout(fn: Callable[[], Any], timeout_seconds: float | None) -> A
 
 
 class CellRunner:
-    """Executes cells with timeout, retry/backoff and degradation."""
+    """Executes cells with timeout, retry/backoff and degradation.
 
-    def __init__(self, config: RunnerConfig | None = None, sleep=time.sleep):
-        self.config = (config or RunnerConfig()).validate()
+    ``timeout_seconds`` bounds each attempt's wall clock (None: no
+    bound), ``max_attempts`` caps the tries of a :data:`RETRYABLE`
+    failure, and ``sleep`` waits out the backoff (tests pass a
+    recorder).
+    """
+
+    def __init__(
+        self,
+        timeout_seconds: float | None = None,
+        max_attempts: int = 3,
+        sleep: Callable[[float], Any] = time.sleep,
+    ):
+        if timeout_seconds is not None and timeout_seconds <= 0:
+            raise ConfigError(
+                f"timeout_seconds must be positive or None, got {timeout_seconds!r}"
+            )
+        if max_attempts < 1:
+            raise ConfigError(f"max_attempts must be >= 1, got {max_attempts!r}")
+        self.timeout_seconds = timeout_seconds
+        self.max_attempts = max_attempts
         self._sleep = sleep
 
     def run_cell(self, cell: Cell | str, fn: Callable[[], Any]) -> CellResult:
         """Run one cell to a :class:`CellResult`; never raises for cell
         failures."""
         key = cell.key if isinstance(cell, Cell) else cell
-        cfg = self.config
-        delay = cfg.backoff_seconds
+        delay = BACKOFF_SECONDS
         failure: BaseException | None = None
-        for attempt in range(1, cfg.max_attempts + 1):
+        for attempt in range(1, self.max_attempts + 1):
             try:
-                value = call_with_timeout(fn, cfg.timeout_seconds)
-            except cfg.retryable as exc:
+                value = call_with_timeout(fn, self.timeout_seconds)
+            except RETRYABLE as exc:
                 failure = exc
-                if attempt < cfg.max_attempts and delay > 0:
+                if attempt < self.max_attempts:
                     self._sleep(delay)
-                    delay *= cfg.backoff_factor
+                    delay *= 2
                 continue
             except Exception as exc:  # deterministic failure: no retry
                 failure = exc
@@ -395,28 +381,55 @@ class CellRunner:
         )
 
 
-def run_protected(
-    fn: Callable, args: tuple = (), kwargs: dict | None = None,
-    timeout_seconds: float | None = None,
-):
-    """Run one callable under the cell timeout guard, re-raising failures.
+def run_keyed(
+    keys: list[str],
+    store: CheckpointStore | None,
+    run_pending: Callable[[list[int], Callable[[CellResult], None]], Any],
+) -> dict[str, CellResult]:
+    """Run the cells named by ``keys``, resuming what ``store`` holds.
 
-    Used by the benchmark suite: a hung table/figure regeneration dies
-    with a clear :class:`~repro.errors.CellTimeout` instead of stalling
-    CI forever, while real errors propagate unchanged (benchmarks must
-    assert on genuine results, not degraded placeholders).
+    A key the store has completed becomes a resumed result without
+    running.  ``run_pending(indices, settle)`` runs the rest — the
+    positions in ``keys`` of the unfinished cells — and hands each
+    cell's :class:`CellResult` to ``settle`` as it lands; ``settle``
+    records every success in the store, so failed cells re-run on
+    resume.  The store is flushed even if ``run_pending`` is
+    interrupted, so no settled result is lost.  Returns every key's
+    result.
     """
-    return call_with_timeout(lambda: fn(*args, **(kwargs or {})), timeout_seconds)
+    outcomes: dict[str, CellResult] = {}
+    pending: list[int] = []
+    for index, key in enumerate(keys):
+        if store is not None and store.completed(key):
+            outcomes[key] = CellResult(
+                key=key, status="ok", value=store.value(key), resumed=True
+            )
+        else:
+            pending.append(index)
+
+    def settle(result: CellResult) -> None:
+        if result.ok and store is not None:
+            store.record(result.key, result.value)
+        outcomes[result.key] = result
+
+    try:
+        if pending:
+            run_pending(pending, settle)
+    finally:
+        if store is not None:
+            store.flush()
+    return outcomes
 
 
 __all__ = [
+    "BACKOFF_SECONDS",
+    "RETRYABLE",
     "Cell",
     "CellRunner",
     "CellResult",
     "CheckpointStore",
     "Deadline",
-    "RunnerConfig",
     "call_with_timeout",
     "config_hash",
-    "run_protected",
+    "run_keyed",
 ]

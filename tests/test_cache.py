@@ -56,17 +56,16 @@ class TestMemoryLayer:
         assert wide.golden is not narrow.golden
         assert cache.stats.misses == 2
 
-    def test_lru_evicts_oldest(self):
-        cache = ArtifactCache(max_entries=1)
+    def test_lru_evicts_oldest(self, monkeypatch):
+        import repro.harness.cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 1)
+        cache = ArtifactCache()
         cache.artifacts("go", 0.05)
         cache.artifacts("compress", 0.05)  # evicts go
         cache.artifacts("go", 0.05)  # miss again
         assert cache.stats.misses == 3
         assert cache.stats.evictions >= 1
-
-    def test_bad_max_entries_rejected(self):
-        with pytest.raises(CacheError, match="max_entries"):
-            ArtifactCache(max_entries=0)
 
 
 class TestDiskLayer:
@@ -100,13 +99,6 @@ class TestDiskLayer:
         blocked.write_text("occupied")
         with pytest.raises(CacheError, match="not writable|not a directory"):
             ArtifactCache(disk_dir=blocked)
-
-    def test_clear_disk_removes_entries(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.artifacts("go", 0.05)
-        assert list(tmp_path.glob("*.pkl"))
-        cache.clear_disk()
-        assert not list(tmp_path.glob("*.pkl"))
 
 
 class TestAccounting:
@@ -145,39 +137,18 @@ class TestDefaultCache:
 
     def test_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cachedir"))
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "7")
         reset_default_cache()
-        cache = get_default_cache()
-        assert cache.disk_dir == tmp_path / "cachedir"
-        assert cache._lru.max_entries == 7
+        assert get_default_cache().disk_dir == tmp_path / "cachedir"
 
-    def test_bad_env_size_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "many")
+        monkeypatch.delenv("REPRO_CACHE_DIR")
         reset_default_cache()
-        with pytest.raises(CacheError, match="REPRO_CACHE_SIZE"):
-            get_default_cache()
+        assert get_default_cache().disk_dir is None
 
     def test_configure_replaces_singleton(self, tmp_path):
         configure_default_cache(disk_dir=tmp_path)
         assert get_default_cache().disk_dir == tmp_path
 
-    def test_configure_size_only_keeps_env_disk_layer(self, tmp_path, monkeypatch):
-        # Regression: configure_default_cache(max_entries=N) used to pass
-        # disk_dir=None through, silently disabling the shared on-disk
-        # layer mid-study whenever only the LRU size was reconfigured.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
-        cache = configure_default_cache(max_entries=4)
-        assert cache.disk_dir == tmp_path / "shared"
-        assert cache._lru.max_entries == 4
-
     def test_configure_explicit_none_means_memory_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
-        cache = configure_default_cache(max_entries=4, disk_dir=None)
+        cache = configure_default_cache(disk_dir=None)
         assert cache.disk_dir is None
-
-    def test_default_cache_docstring_renders_default(self):
-        from repro.harness.cache import DEFAULT_MAX_ENTRIES
-
-        doc = get_default_cache.__doc__
-        assert "{DEFAULT_MAX_ENTRIES}" not in doc
-        assert str(DEFAULT_MAX_ENTRIES) in doc

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigError, HarnessError
+from repro.errors import ConfigError, HarnessError, WorkloadError
 from repro.fuzz import (
     GenConfig,
     generate_program,
@@ -224,6 +224,72 @@ class TestCampaign:
         with pytest.raises(ConfigError, match=match):
             run_campaign(cfg)
         assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"jobs": 0}, ConfigError, "jobs"),
+            ({"jobs": -3}, ConfigError, "jobs"),
+            ({"jobs": "many"}, ConfigError, "jobs"),
+            ({"jobs": 2, "timeout_seconds": -1}, ConfigError, "timeout_seconds"),
+            ({"scale": -1.0}, WorkloadError, "scale"),
+        ],
+        ids=["jobs-zero", "jobs-negative", "jobs-word", "timeout", "scale"],
+    )
+    def test_bad_execution_input_rejected_before_any_case_runs(
+        self, tmp_path, monkeypatch, kwargs, error, match
+    ):
+        # These used to run serially, raise a TypeError mid-run, or file
+        # every case as an error row.
+        import repro.fuzz.campaign as campaign_mod
+
+        def explode(*args, **kw):  # pragma: no cover - must not run
+            raise AssertionError("a case ran despite bad execution input")
+
+        monkeypatch.setattr(campaign_mod, "run_case", explode)
+        cfg = self.config(tmp_path, cases=2, machines=("BASE",), **kwargs)
+        with pytest.raises(error, match=match):
+            cfg.validate()
+        with pytest.raises(error, match=match):
+            run_campaign(cfg)
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_auto_jobs_runs_the_campaign(self, tmp_path):
+        report = run_campaign(self.config(tmp_path, cases=2, jobs="auto"))
+        assert report["counts"]["clean"] == 2
+
+    def test_pool_reports_what_the_serial_loop_reports(self, tmp_path):
+        kwargs = dict(cases=6, mutants=("alu-xor", "branch-bge"), shrink=False,
+                      checkpoint_path=None)
+        serial = run_campaign(self.config(tmp_path, jobs=1, **kwargs))
+        pooled = run_campaign(self.config(tmp_path, jobs=2, **kwargs))
+        assert serial["counts"]["divergent"] > 0
+        for field in ("counts", "statuses", "signature_groups", "divergences"):
+            assert pooled[field] == serial[field], field
+
+    def test_interrupted_campaign_keeps_its_finished_cases(self, tmp_path, monkeypatch):
+        import repro.fuzz.campaign as campaign_mod
+
+        real_run_case = campaign_mod.run_case
+        finished = []
+
+        def interrupt_after_two(*args):
+            if len(finished) == 2:
+                raise KeyboardInterrupt
+            finished.append(real_run_case(*args))
+            return finished[-1]
+
+        cfg = self.config(tmp_path, cases=6)
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign_mod, "run_case", interrupt_after_two)
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(cfg)
+        # Fewer cases than one checkpoint batch: only the flush on the
+        # way out saved them.
+        resumed = run_campaign(cfg)
+        assert resumed["counts"]["resumed"] == 2
+        assert resumed["counts"]["executed"] == 4
+        assert resumed["counts"]["clean"] == 6
 
     def test_clean_campaign(self, tmp_path):
         report = run_campaign(self.config(tmp_path))

@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness import run_study
-from repro.harness.parallel import map_resilient, resolve_jobs
+from repro.harness.parallel import map_resilient, outcome_result, resolve_jobs
+from repro.harness.runner import CellResult
 
 # Small but non-trivial grid: two experiments x two workloads.
 EXPS = ["table1"]
@@ -177,7 +178,7 @@ class TestMapResilient:
     def test_expired_deadline_skips_everything(self):
         from repro.harness.runner import Deadline
 
-        expired = Deadline(expires_at=0.0, budget_seconds=0.001)
+        expired = Deadline(expires_at=0.0)
         outcomes = map_resilient(_echo, [(i,) for i in range(4)], 2, deadline=expired)
         assert all(tag == "skipped" for tag, _ in outcomes)
 
@@ -197,6 +198,24 @@ class TestMapResilient:
             for i, (tag, payload) in enumerate(outcomes)
             if tag == "ok"
         )
+
+
+@pytest.mark.parametrize(
+    "outcome, status, error, error_type, attempts",
+    [
+        (("ok", CellResult(key="k", status="ok", value=7, attempts=2)),
+         "ok", None, None, 2),
+        (("error", ValueError("boom")), "error", "boom", "ValueError", 1),
+        (("crashed", "worker died"), "error", "worker died", "WorkerCrash", 1),
+        (("skipped", "budget spent"), "error", "budget spent", "BudgetExpired", 0),
+    ],
+    ids=["ok", "error", "crashed", "skipped"],
+)
+def test_outcome_result_rows(outcome, status, error, error_type, attempts):
+    result = outcome_result("k", outcome)
+    assert (result.key, result.status, result.error, result.error_type,
+            result.attempts, result.resumed) == (
+        "k", status, error, error_type, attempts, False)
 
 
 class TestWorkerCrashRecovery:
