@@ -48,11 +48,11 @@ def list_specs() -> None:
               f"{spec.title}")
         if spec.derives is not None:
             print(f"{'':10s} derived from {spec.derives!r} "
-                  f"via transform {spec.transform!r}")
+                  f"via transform {spec.transform.__name__}")
         else:
             labels = ", ".join(spec.cell_labels())
             print(f"{'':10s} cells: {labels}")
-        print(f"{'':10s} workloads: {', '.join(spec.workloads)}")
+        print(f"{'':10s} workloads: {', '.join(WORKLOAD_NAMES)}")
 
 
 def main(argv=None) -> int:

@@ -71,8 +71,8 @@ TRACKED_CLASSES = (
 )
 
 #: packages (and top-level modules) whose code determines architectural
-#: simulation results.  harness/fuzz/analysis/robustness/profiling are
-#: tooling: they may time things and draw entropy freely.
+#: simulation results.  harness/fuzz/analysis/robustness are tooling:
+#: they may time things and draw entropy freely.
 SEMANTIC_SCOPE = (
     "bpred",
     "cfg",

@@ -57,9 +57,8 @@ class CoreStats:
 
     # Cycle accounting (perf profiling layer) --------------------------
     # Cycles in which each pipeline stage did any work; a cycle can count
-    # toward several stages.  These are diagnostics for the profiling
-    # layer (repro.profiling and the ledger's stage metrics) and never
-    # feed a paper statistic.
+    # toward several stages.  These are diagnostics for the ledger's
+    # stage metrics and never feed a paper statistic.
     stage_fetch_cycles: int = 0  # >=1 instruction fetched by the frontier
     stage_dispatch_cycles: int = 0  # >=1 instruction dispatched (any context)
     stage_issue_cycles: int = 0  # >=1 instruction issued to execute
@@ -127,7 +126,7 @@ class CoreStats:
 
     def stage_cycle_counters(self) -> dict[str, int]:
         """Per-stage active-cycle counters plus the total, as one dict
-        (the cycle-accounting view the profiling layer reports)."""
+        (the cycle-accounting view the ledger's stage metrics read)."""
         return {
             "cycles": self.cycles,
             "fetch": self.stage_fetch_cycles,

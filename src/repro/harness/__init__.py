@@ -17,9 +17,7 @@ from .spec import (
     run_spec_row,
     runnable_experiments,
     select_cells,
-    spec_from_dict,
     spec_names,
-    spec_to_dict,
 )
 from .experiments import (
     COMPLETION_CONFIGS,
@@ -52,20 +50,7 @@ from .runner import (
     config_hash,
     run_keyed,
 )
-from .tables import (
-    format_experiment,
-    format_figure3,
-    format_figure5,
-    format_figure6,
-    format_figure10,
-    format_reconv_report,
-    format_rows,
-    format_simple_map,
-    format_table1,
-    format_table2,
-    format_table3,
-    format_table4,
-)
+from .tables import format_experiment, format_reconv_report
 
 __all__ = [
     "COMPLETION_CONFIGS",
@@ -94,9 +79,7 @@ __all__ = [
     "runnable_experiments",
     "select_cells",
     "select_study_cells",
-    "spec_from_dict",
     "spec_names",
-    "spec_to_dict",
     "validate_experiments",
     "configure_default_cache",
     "get_default_cache",
@@ -107,15 +90,5 @@ __all__ = [
     "load_bundle",
     "run_core",
     "format_experiment",
-    "format_figure3",
-    "format_figure5",
-    "format_figure6",
-    "format_figure10",
     "format_reconv_report",
-    "format_rows",
-    "format_simple_map",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "format_table4",
 ]

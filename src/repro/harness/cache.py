@@ -16,8 +16,8 @@ thirteen times.  This module derives them at most once:
 
 Entries are **content-addressed**: the key is a
 :func:`~repro.harness.runner.config_hash` over the assembled program's
-instructions plus the trace parameters (``history_bits``,
-``max_steps``), *not* over the workload name.  Two workloads that
+instructions plus the trace parameters (:data:`HISTORY_BITS`,
+:data:`MAX_STEPS`), *not* over the workload name.  Two workloads that
 assemble to the same program share one trace; editing a kernel changes
 the key, so stale disk entries are never served — invalidation is
 automatic and there is nothing to flush (old files are merely dead
@@ -26,12 +26,17 @@ weight).
 Corrupt or unreadable disk entries are treated as misses and rewritten.
 Only an unusable cache directory raises :class:`~repro.errors.CacheError`.
 
+:meth:`ArtifactCache.artifacts` hands the artifacts out as a fresh
+:class:`~repro.harness.spec.WorkloadBundle` per call, so each caller
+memoizes its own annotated trace.
+
 Sharing hazard: cached artifacts are returned by reference and must be
 treated as immutable.  The simulators only read them; the fault
 injectors in :mod:`repro.robustness` deliberately corrupt reconvergence
 tables in place, so fault-injection harnesses must build their own
 tables rather than pull from a cache (they already do — the injectors
-construct machines directly, not through :func:`load_bundle`).
+construct machines directly, not through
+:func:`~repro.harness.spec.load_bundle`).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from ..errors import CacheError
 from ..isa import Program
 from ..workloads import build_workload
 from .runner import config_hash
+from .spec import WorkloadBundle
 
 #: bump when the pickled payload layout changes; keys embed this, so a
 #: new version simply misses old files instead of mis-reading them.
@@ -62,8 +68,13 @@ from .runner import config_hash
 #: old entries are simply ignored and re-derived once.
 CACHE_VERSION = 3
 
-#: entries per in-memory LRU (workloads × scales × trace parameters)
+#: entries per in-memory LRU (workloads × scales)
 MAX_ENTRIES = 32
+
+#: the golden trace's branch-history length and dynamic-step budget;
+#: both are part of the disk key, so cache directories stay valid
+HISTORY_BITS = 16
+MAX_STEPS = 5_000_000
 
 
 @dataclass
@@ -135,18 +146,6 @@ def program_fingerprint(program: Program) -> str:
     )
 
 
-@dataclass
-class WorkloadArtifacts:
-    """The per-workload bundle the cache hands out, plus its identity."""
-
-    name: str
-    scale: float
-    program: Program
-    fingerprint: str
-    golden: GoldenTrace
-    reconv: ReconvergenceTable
-
-
 class ArtifactCache:
     """Two-layer (memory LRU + optional disk pickle) artifact cache."""
 
@@ -190,13 +189,7 @@ class ArtifactCache:
 
     # -- trace + table artifacts ---------------------------------------
 
-    def artifacts(
-        self,
-        name: str,
-        scale: float,
-        history_bits: int = 16,
-        max_steps: int = 5_000_000,
-    ) -> WorkloadArtifacts:
+    def artifacts(self, name: str, scale: float) -> WorkloadBundle:
         """Golden trace + reconvergence table for one workload, cached.
 
         The key is content-addressed by the assembled program, so any
@@ -206,7 +199,7 @@ class ArtifactCache:
         """
         program, fingerprint = self.program(name, scale)
         key = config_hash(
-            ("artifacts", CACHE_VERSION, fingerprint, history_bits, max_steps)
+            ("artifacts", CACHE_VERSION, fingerprint, HISTORY_BITS, MAX_STEPS)
         )
 
         cached = self._lru.get(key)
@@ -221,19 +214,14 @@ class ArtifactCache:
             else:
                 self.stats.misses += 1
                 golden = GoldenTrace(
-                    program, history_bits=history_bits, max_steps=max_steps
+                    program, history_bits=HISTORY_BITS, max_steps=MAX_STEPS
                 )
                 reconv = ReconvergenceTable(program)
                 self._disk_write(key, (golden, reconv))
             self._lru.put(key, (golden, reconv))
             self.stats.evictions = self._lru.evictions
-        return WorkloadArtifacts(
-            name=name,
-            scale=scale,
-            program=program,
-            fingerprint=fingerprint,
-            golden=golden,
-            reconv=reconv,
+        return WorkloadBundle(
+            name=name, scale=scale, program=program, golden=golden, reconv=reconv
         )
 
     # -- disk layer ----------------------------------------------------
@@ -312,10 +300,11 @@ def reset_default_cache() -> None:
 
 __all__ = [
     "CACHE_VERSION",
+    "HISTORY_BITS",
     "MAX_ENTRIES",
+    "MAX_STEPS",
     "ArtifactCache",
     "CacheStats",
-    "WorkloadArtifacts",
     "configure_default_cache",
     "get_default_cache",
     "program_fingerprint",

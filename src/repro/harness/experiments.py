@@ -52,12 +52,15 @@ def validate_experiments(experiments=None) -> list:
     """Resolve an experiment selection against the spec registry.
 
     A single string names one experiment (``"table2"``), not a sequence
-    of one-character names.
+    of one-character names; a repeated name is kept once, in first-seen
+    order.
     """
     runnable = runnable_experiments()
     if isinstance(experiments, str):
         experiments = [experiments]
-    chosen = list(experiments) if experiments is not None else list(runnable)
+    elif experiments is None:
+        experiments = runnable
+    chosen = list(dict.fromkeys(experiments))
     unknown = [e for e in chosen if e not in runnable]
     if unknown:
         raise ConfigError(
@@ -184,7 +187,8 @@ def run_study(
     one cell becomes an error-annotated row instead of killing the
     study, and — when ``checkpoint_path`` is given — completed cells are
     recorded and skipped on resume after an interruption.  ``names`` is
-    a sequence of workloads or one bare workload name.
+    a sequence of workloads or one bare workload name; repeated
+    experiments or workloads run once, in first-seen order.
     ``experiment_kwargs`` (builder knobs such as ``windows=``, and
     ``cells=``) are checked against every chosen experiment before any
     cell runs: an unknown knob or cell label raises
@@ -219,10 +223,13 @@ def run_study(
     from .parallel import resolve_jobs, run_pool
     from .runner import CellRunner, CheckpointStore, run_keyed
 
-    # 1. Validate every argument before any cell runs.
+    # 1. Validate every argument before any cell runs.  A repeated
+    #    experiment or workload is one row, not several runs of it
+    #    (validate_experiments drops repeated experiments).
     chosen = validate_experiments(experiments)
     if isinstance(names, str):
         names = (names,)
+    names = tuple(dict.fromkeys(names))
     runner = CellRunner(timeout_seconds)
     n_jobs = resolve_jobs(jobs)
     knobs = {k: v for k, v in experiment_kwargs.items() if k != "cells"}

@@ -1,20 +1,23 @@
 """Declarative experiment-spec engine: paper figure -> simulator cell.
 
 The paper's results are a matrix of machine models × workloads × knobs.
-This module makes every entry in that matrix *data* instead of a
-hand-rolled runner function:
+This module makes every entry in that matrix plain Python data instead
+of a hand-rolled runner function:
 
 * :class:`MachineSpec` — a reference to a :mod:`repro.machines` registry
   entry plus the per-cell configuration overrides (window size, branch
   completion model, reconvergence policy, ...).
-* :class:`CellSpec` — one simulated cell: a machine reference, the named
-  metric to extract from its stats, and where the value lands in the
-  artifact's row shape (``group``/``key``).
+* :class:`CellSpec` — one simulated cell: a machine reference, the
+  metric function that reads its stats (:func:`ipc` by default), and
+  where the value lands in the artifact's row shape (``group``/``key``).
 * :class:`ExperimentSpec` — one paper figure or table: its cells, the
   row shape that folds cell values into the artifact's result structure,
-  an optional derived transform (e.g. Figure 6 is a percent-improvement
-  view over Figure 5), and the default scale.
+  an optional transform function (e.g. Figure 6 is a percent-improvement
+  view over Figure 5), the formatter that prints it, and the default
+  scale.
 
+Metrics, transforms and formatters are the functions themselves, so a
+spec entry says in one place how its artifact is measured and printed.
 Specs register via :func:`register_spec` (the entries live in
 :mod:`repro.harness.specs`); one generic :func:`run_spec` engine
 executes any entry.  Workload artifacts come through the
@@ -24,30 +27,20 @@ checkpoints and table formatters.  The fault-isolated study
 (:func:`repro.harness.experiments.run_study`, serial or pooled) executes
 ``run_spec_row`` per (experiment, workload) cell, so checkpoint resume
 and process fan-out compose with every registered spec automatically.
-
-Specs serialize to plain JSON (:func:`spec_to_dict` /
-:func:`spec_from_dict`): enums are tagged by class and name, tuples are
-tagged so round-trips preserve hashability and equality.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
 
 from ..bpred import TFRCollector
 from ..bpred.evaluate import measure_prediction
 from ..cfg import ReconvergenceTable
-from ..core import (
-    CompletionModel,
-    GoldenTrace,
-    Preemption,
-    ReconvPolicy,
-    RepredictMode,
-)
+from ..core import GoldenTrace
 from ..errors import ConfigError
-from ..ideal.models import IdealModel
 from ..ideal.tracegen import AnnotatedTrace, annotate
 from ..machines import get_machine
 from ..workloads import WORKLOAD_NAMES, build_workload
@@ -56,10 +49,6 @@ from .runner import config_hash
 #: row shapes an :class:`ExperimentSpec` may fold its cells into
 SHAPES = ("grid", "map", "rows")
 
-#: what a spec needs per workload: the full bundle (program + golden
-#: trace + reconvergence table) or just the assembled program
-NEEDS = ("bundle", "program")
-
 
 # ======================================================================
 # Workload artifacts (shared data-acquisition layer)
@@ -67,7 +56,11 @@ NEEDS = ("bundle", "program")
 
 @dataclass
 class WorkloadBundle:
-    """Shared per-workload artifacts reused across configurations."""
+    """Shared per-workload artifacts reused across configurations.
+
+    ``golden`` and ``reconv`` are ``None`` in the program-only bundle of
+    a spec whose cells are all functional machines.
+    """
 
     name: str
     scale: float
@@ -92,39 +85,102 @@ def load_bundle(name: str, scale: float, cache=None) -> WorkloadBundle:
     mutate the artifacts, e.g. fault injection).
     """
     if cache is False:
-        workload = build_workload(name, scale)
+        program = build_workload(name, scale).program
         return WorkloadBundle(
             name=name,
             scale=scale,
-            program=workload.program,
-            golden=GoldenTrace(workload.program),
-            reconv=ReconvergenceTable(workload.program),
+            program=program,
+            golden=GoldenTrace(program),
+            reconv=ReconvergenceTable(program),
         )
     from .cache import get_default_cache
 
-    artifacts = (cache or get_default_cache()).artifacts(name, scale)
-    return WorkloadBundle(
-        name=name,
-        scale=scale,
-        program=artifacts.program,
-        golden=artifacts.golden,
-        reconv=artifacts.reconv,
-    )
+    return (cache or get_default_cache()).artifacts(name, scale)
 
 
-def load_program_bundle(name: str, scale: float, cache=None) -> WorkloadBundle:
-    """A program-only bundle for specs that never simulate cycles.
+# ======================================================================
+# Metrics (``fn(result, collectors) -> value``) and transforms
+# (``fn(data) -> data``)
 
-    Table 1 measures the architectural trace; deriving the golden trace
-    and post-dominator table for it would double its cost at full scale.
-    The program still comes from the artifact cache's program layer.
-    """
-    from .cache import get_default_cache
 
-    program, _ = (cache or get_default_cache()).program(name, scale)
-    return WorkloadBundle(
-        name=name, scale=scale, program=program, golden=None, reconv=None
-    )
+def ipc(stats, collectors) -> float:
+    return stats.ipc
+
+
+def table1_row(trace, collectors) -> dict:
+    """Table 1 from the functional machine's architectural trace."""
+    report = measure_prediction(trace)
+    return {
+        "instructions": len(trace),
+        "misprediction_rate": report.misprediction_rate,
+    }
+
+
+def table2_row(stats, collectors) -> dict:
+    return {
+        "pct_reconverge": 100.0 * stats.reconverge_fraction,
+        "avg_removed": stats.avg_removed,
+        "avg_inserted": stats.avg_inserted,
+        "avg_ci": stats.avg_ci_preserved,
+        "avg_ci_renamed": stats.avg_ci_rename_repairs,
+    }
+
+
+def table3_row(stats, collectors) -> dict:
+    return stats.table3_fractions()
+
+
+def table4_noci(stats, collectors) -> dict:
+    return {
+        "noci_total": stats.issues_per_retired,
+        "noci_memory": stats.reissues_memory / max(1, stats.retired),
+    }
+
+
+def table4_ci(stats, collectors) -> dict:
+    return {
+        "ci_total": stats.issues_per_retired,
+        "ci_memory": stats.reissues_memory / max(1, stats.retired),
+        "ci_register": stats.reissues_register / max(1, stats.retired),
+    }
+
+
+def tfr_curves(stats, collectors) -> dict:
+    """Figure 10: each TFR collector's coverage curve and event counts."""
+    out: dict = {c.scheme: c.curve() for c in collectors}
+    out["counts"] = {
+        c.scheme: (c.stats.total_true, c.stats.total_false) for c in collectors
+    }
+    return out
+
+
+def percent_improvement(value: float, base: float) -> float:
+    """Percent gain over a baseline; 0.0 when the baseline retired
+    nothing (a degraded BASE cell must not take down derived figures)."""
+    if base == 0:
+        return 0.0
+    return 100.0 * (value / base - 1.0)
+
+
+def ci_over_base(machines: dict) -> dict:
+    """Figure 6: percent IPC improvement of CI over BASE per window."""
+    return {
+        window: percent_improvement(
+            machines["CI"][window], machines["BASE"][window]
+        )
+        for window in machines["BASE"]
+    }
+
+
+def pct_vs_base(data: dict) -> dict:
+    """Figure 17: every non-base group as percent improvement over
+    the ``base`` cell, which is consumed by the transform."""
+    base = data["base"]
+    return {
+        group: percent_improvement(value, base)
+        for group, value in data.items()
+        if group != "base"
+    }
 
 
 # ======================================================================
@@ -159,7 +215,8 @@ class CellSpec:
 
     label: str
     machine: MachineSpec
-    metric: str = "ipc"
+    #: reads the cell's value from its stats (and TFR collectors)
+    metric: Callable[[Any, tuple], Any] = ipc
     #: first-level key under the workload in the folded result
     group: str | None = None
     #: second-level key (e.g. the window size) for "grid" shapes
@@ -178,14 +235,13 @@ class ExperimentSpec:
     shape: str  # "grid" | "map" | "rows"
     default_scale: float
     cells: tuple[CellSpec, ...] = ()
-    needs: str = "bundle"  # "bundle" | "program"
     #: name of the spec this artifact derives from (no cells of its own)
     derives: str | None = None
-    #: named per-workload transform applied after folding (TRANSFORMS)
-    transform: str | None = None
-    #: the builder parameters that produced this entry (provenance)
-    params: tuple[tuple[str, Any], ...] = ()
-    workloads: tuple[str, ...] = WORKLOAD_NAMES
+    #: per-workload ``fn(data) -> data`` applied after folding
+    transform: Callable[[Any], Any] | None = None
+    #: ``fn(assembled result) -> text``; ``None`` prints the
+    #: ``{workload: {config: value}}`` map under the spec's own title
+    format: Callable[[Any], str] | None = None
 
     def validate(self) -> "ExperimentSpec":
         if self.shape not in SHAPES:
@@ -193,27 +249,12 @@ class ExperimentSpec:
                 f"spec {self.name!r}: shape must be one of {SHAPES}, "
                 f"got {self.shape!r}"
             )
-        if self.needs not in NEEDS:
-            raise ConfigError(
-                f"spec {self.name!r}: needs must be one of {NEEDS}, "
-                f"got {self.needs!r}"
-            )
         if (self.derives is None) == (not self.cells):
             raise ConfigError(
                 f"spec {self.name!r} must either declare cells or derive "
                 "from another spec (exactly one of the two)"
             )
-        if self.transform is not None and self.transform not in TRANSFORMS:
-            raise ConfigError(
-                f"spec {self.name!r}: unknown transform {self.transform!r}; "
-                f"choose from {sorted(TRANSFORMS)}"
-            )
         for cell in self.cells:
-            if cell.metric not in METRICS:
-                raise ConfigError(
-                    f"spec {self.name!r} cell {cell.label!r}: unknown metric "
-                    f"{cell.metric!r}; choose from {sorted(METRICS)}"
-                )
             cell.machine.resolve()  # raises on unknown machine names
         return self
 
@@ -228,7 +269,8 @@ class CellRow:
     This one schema flows everywhere a row used to be an ad-hoc dict:
     the study runners assemble results from it, the checkpoint store
     persists its payload, the parallel workers return it, and
-    :func:`repro.harness.tables.format_rows` formats from it.
+    :func:`assemble_rows` folds it into the shape
+    :func:`repro.harness.tables.format_experiment` prints.
     """
 
     experiment: str
@@ -256,137 +298,6 @@ class CellRow:
                 "malformed CellRow payload: expected keys "
                 f"experiment/workload/data, got {payload!r}"
             ) from None
-
-
-# ======================================================================
-# Metric and transform registries
-
-
-@dataclass
-class CellContext:
-    """What a metric extractor sees after one cell simulation."""
-
-    spec: ExperimentSpec
-    cell: CellSpec
-    bundle: WorkloadBundle
-    result: Any  # CoreStats | IdealResult | functional trace
-    collectors: tuple = ()
-
-
-METRICS: dict[str, Callable[[CellContext], Any]] = {}
-TRANSFORMS: dict[str, Callable[[Any], Any]] = {}
-
-
-def metric(name: str):
-    """Register a named metric extractor (``fn(ctx) -> value``)."""
-
-    def wrap(fn):
-        METRICS[name] = fn
-        return fn
-
-    return wrap
-
-
-def transform(name: str):
-    """Register a named per-workload transform (``fn(data) -> data``)."""
-
-    def wrap(fn):
-        TRANSFORMS[name] = fn
-        return fn
-
-    return wrap
-
-
-def percent_improvement(value: float, base: float) -> float:
-    """Percent gain over a baseline; 0.0 when the baseline retired
-    nothing (a degraded BASE cell must not take down derived figures)."""
-    if base == 0:
-        return 0.0
-    return 100.0 * (value / base - 1.0)
-
-
-@metric("ipc")
-def _metric_ipc(ctx: CellContext) -> float:
-    return ctx.result.ipc
-
-
-@metric("table1_row")
-def _metric_table1(ctx: CellContext) -> dict:
-    trace = ctx.result  # the functional machine returns the trace
-    report = measure_prediction(trace)
-    return {
-        "instructions": len(trace),
-        "misprediction_rate": report.misprediction_rate,
-    }
-
-
-@metric("table2_row")
-def _metric_table2(ctx: CellContext) -> dict:
-    s = ctx.result
-    return {
-        "pct_reconverge": 100.0 * s.reconverge_fraction,
-        "avg_removed": s.avg_removed,
-        "avg_inserted": s.avg_inserted,
-        "avg_ci": s.avg_ci_preserved,
-        "avg_ci_renamed": s.avg_ci_rename_repairs,
-    }
-
-
-@metric("table3_row")
-def _metric_table3(ctx: CellContext) -> dict:
-    return ctx.result.table3_fractions()
-
-
-@metric("table4_noci")
-def _metric_table4_noci(ctx: CellContext) -> dict:
-    s = ctx.result
-    return {
-        "noci_total": s.issues_per_retired,
-        "noci_memory": s.reissues_memory / max(1, s.retired),
-    }
-
-
-@metric("table4_ci")
-def _metric_table4_ci(ctx: CellContext) -> dict:
-    s = ctx.result
-    return {
-        "ci_total": s.issues_per_retired,
-        "ci_memory": s.reissues_memory / max(1, s.retired),
-        "ci_register": s.reissues_register / max(1, s.retired),
-    }
-
-
-@metric("tfr_curves")
-def _metric_tfr_curves(ctx: CellContext) -> dict:
-    out: dict = {c.scheme: c.curve() for c in ctx.collectors}
-    out["counts"] = {
-        c.scheme: (c.stats.total_true, c.stats.total_false)
-        for c in ctx.collectors
-    }
-    return out
-
-
-@transform("ci_over_base")
-def _transform_ci_over_base(machines: dict) -> dict:
-    """Figure 6: percent IPC improvement of CI over BASE per window."""
-    return {
-        window: percent_improvement(
-            machines["CI"][window], machines["BASE"][window]
-        )
-        for window in machines["BASE"]
-    }
-
-
-@transform("pct_vs_base")
-def _transform_pct_vs_base(data: dict) -> dict:
-    """Figure 17: every non-base group as percent improvement over
-    the ``base`` cell, which is consumed by the transform."""
-    base = data["base"]
-    return {
-        group: percent_improvement(value, base)
-        for group, value in data.items()
-        if group != "base"
-    }
 
 
 # ======================================================================
@@ -456,12 +367,21 @@ def resolve_spec(name_or_spec, params: dict | None = None) -> ExperimentSpec:
     if not params:
         return spec
     builder = SPEC_BUILDERS[name_or_spec]
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError:
+        unknown = sorted(set(params) - set(signature.parameters))
+        raise ConfigError(
+            f"spec {name_or_spec!r} has no knob {unknown!r}; its knobs "
+            f"are {list(signature.parameters)!r}"
+        ) from None
     try:
         return builder(**params).validate()
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
+        given = ", ".join(f"{k}={v!r}" for k, v in params.items())
         raise ConfigError(
-            f"spec {name_or_spec!r} does not accept parameters "
-            f"{sorted(params)!r}: {exc}"
+            f"spec {name_or_spec!r} rejected {given}: {exc}"
         ) from None
 
 
@@ -499,8 +419,19 @@ def select_cells(spec: ExperimentSpec, labels) -> ExperimentSpec:
 
 
 def _load_for(spec: ExperimentSpec, workload: str, scale: float) -> WorkloadBundle:
-    if spec.needs == "program":
-        return load_program_bundle(workload, scale)
+    """The bundle a spec's cells read.
+
+    A spec whose cells are all functional machines (Table 1) measures
+    the architectural trace only, so it gets a program-only bundle:
+    deriving the golden trace and post-dominator table for it would
+    double its cost at full scale.  The program still comes from the
+    artifact cache's program layer.
+    """
+    from .cache import get_default_cache
+
+    if all(c.machine.resolve().family == "functional" for c in spec.cells):
+        program, _ = get_default_cache().program(workload, scale)
+        return WorkloadBundle(workload, scale, program, golden=None, reconv=None)
     return load_bundle(workload, scale)
 
 
@@ -521,7 +452,7 @@ def _fold(spec: ExperimentSpec, workload: str, outcomes: list) -> Any:
             else:
                 data[cell.group] = value
     if spec.transform is not None:
-        data = TRANSFORMS[spec.transform](data)
+        data = spec.transform(data)
     return data
 
 
@@ -619,8 +550,6 @@ def plan_study_cells(
             spec = select_cells(resolve_spec(experiment, kwargs), labels)
             while spec.derives is not None:
                 spec = resolve_spec(spec.derives)
-            if spec.needs != "bundle":
-                continue
             row_scale = spec.default_scale if scale is None else scale
             for cell in spec.cells:
                 key = memo_key(workload, row_scale, cell, cell.machine.resolve())
@@ -660,7 +589,7 @@ def run_spec_row(
             scale=scale,
             memo=memo,
         )
-        data = TRANSFORMS[spec.transform](base.data)
+        data = spec.transform(base.data)
         return CellRow(experiment=spec.name, workload=workload, data=data)
     if scale is None:
         scale = spec.default_scale
@@ -674,16 +603,10 @@ def run_spec_row(
         for cell in spec.cells
     ]
     results = _simulate_cells(workload, bundle, plan, memo)
-    outcomes = []
-    for (cell, machine, collectors), result in zip(plan, results):
-        ctx = CellContext(
-            spec=spec,
-            cell=cell,
-            bundle=bundle,
-            result=result,
-            collectors=collectors,
-        )
-        outcomes.append((cell, METRICS[cell.metric](ctx)))
+    outcomes = [
+        (cell, cell.metric(result, collectors))
+        for (cell, _, collectors), result in zip(plan, results)
+    ]
     return CellRow(
         experiment=spec.name,
         workload=workload,
@@ -720,7 +643,7 @@ def run_spec(
         base = run_spec(base_spec, scale=scale, names=names)
         return derive(spec, base)
     if names is None:
-        names = spec.workloads
+        names = WORKLOAD_NAMES
     elif isinstance(names, str):
         names = (names,)
     rows = [run_spec_row(spec, workload, scale=scale) for workload in names]
@@ -734,135 +657,15 @@ def derive(name_or_spec, base_result: dict) -> dict:
     if spec.transform is None:
         raise ConfigError(f"spec {spec.name!r} declares no transform")
     return {
-        workload: TRANSFORMS[spec.transform](data)
+        workload: spec.transform(data)
         for workload, data in base_result.items()
     }
 
 
-# ======================================================================
-# Serialization (round-trips through plain JSON)
-
-_ENUM_CLASSES = {
-    cls.__name__: cls
-    for cls in (
-        CompletionModel,
-        IdealModel,
-        Preemption,
-        ReconvPolicy,
-        RepredictMode,
-    )
-}
-
-
-def _encode(value: Any) -> Any:
-    import enum
-
-    if isinstance(value, enum.Enum):
-        if type(value).__name__ not in _ENUM_CLASSES:
-            raise ConfigError(
-                f"cannot serialize enum {type(value).__name__}; add it to "
-                "repro.harness.spec._ENUM_CLASSES"
-            )
-        return {"$enum": [type(value).__name__, value.name]}
-    if isinstance(value, tuple):
-        return {"$tuple": [_encode(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    return value
-
-
-def _decode(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "$enum" in value:
-            cls_name, member = value["$enum"]
-            try:
-                return _ENUM_CLASSES[cls_name][member]
-            except KeyError:
-                raise ConfigError(
-                    f"cannot deserialize enum {cls_name}.{member}"
-                ) from None
-        if "$tuple" in value:
-            return tuple(_decode(v) for v in value["$tuple"])
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
-
-
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    """A JSON-serialisable form of one spec (exact round-trip)."""
-    return {
-        "name": spec.name,
-        "artifact": spec.artifact,
-        "title": spec.title,
-        "shape": spec.shape,
-        "default_scale": spec.default_scale,
-        "needs": spec.needs,
-        "derives": spec.derives,
-        "transform": spec.transform,
-        "params": _encode(spec.params),
-        "workloads": list(spec.workloads),
-        "cells": [
-            {
-                "label": cell.label,
-                "metric": cell.metric,
-                "group": cell.group,
-                "key": _encode(cell.key),
-                "tfr": list(cell.tfr),
-                "machine": {
-                    "machine": cell.machine.machine,
-                    "overrides": _encode(cell.machine.overrides),
-                },
-            }
-            for cell in spec.cells
-        ],
-    }
-
-
-def spec_from_dict(payload: dict) -> ExperimentSpec:
-    """Rebuild an :class:`ExperimentSpec` from :func:`spec_to_dict`."""
-    try:
-        cells = tuple(
-            CellSpec(
-                label=cell["label"],
-                metric=cell["metric"],
-                group=cell["group"],
-                key=_decode(cell["key"]),
-                tfr=tuple(cell["tfr"]),
-                machine=MachineSpec(
-                    machine=cell["machine"]["machine"],
-                    overrides=_decode(cell["machine"]["overrides"]),
-                ),
-            )
-            for cell in payload["cells"]
-        )
-        return ExperimentSpec(
-            name=payload["name"],
-            artifact=payload["artifact"],
-            title=payload["title"],
-            shape=payload["shape"],
-            default_scale=payload["default_scale"],
-            needs=payload["needs"],
-            derives=payload["derives"],
-            transform=payload["transform"],
-            params=_decode(payload["params"]),
-            workloads=tuple(payload["workloads"]),
-            cells=cells,
-        ).validate()
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed spec payload: {exc}") from None
-
-
 __all__ = [
-    "METRICS",
-    "NEEDS",
     "SHAPES",
     "SPECS",
     "SPEC_BUILDERS",
-    "TRANSFORMS",
-    "CellContext",
     "CellRow",
     "CellSpec",
     "ExperimentSpec",
@@ -870,12 +673,13 @@ __all__ = [
     "PlannedCell",
     "WorkloadBundle",
     "assemble_rows",
+    "ci_over_base",
     "derive",
     "get_spec",
+    "ipc",
     "load_bundle",
-    "load_program_bundle",
     "memo_key",
-    "metric",
+    "pct_vs_base",
     "percent_improvement",
     "plan_study_cells",
     "register_spec",
@@ -884,8 +688,11 @@ __all__ = [
     "run_spec_row",
     "runnable_experiments",
     "select_cells",
-    "spec_from_dict",
     "spec_names",
-    "spec_to_dict",
-    "transform",
+    "table1_row",
+    "table2_row",
+    "table3_row",
+    "table4_ci",
+    "table4_noci",
+    "tfr_curves",
 ]

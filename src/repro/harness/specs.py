@@ -1,9 +1,11 @@
 """The paper's artifact registry: every figure and table as a spec.
 
 Each entry below is one artifact from *A Study of Control Independence
-in Superscalar Processors* (HPCA 1999), declared as data: which machines
-run, at which knob settings, which metric is read from each cell, and
-how the cells fold into the artifact's row shape.  The generic engine in
+in Superscalar Processors* (HPCA 1999), declared as plain Python: which
+machines run, at which knob settings, which metric function reads each
+cell (:func:`~repro.harness.spec.ipc` unless named), the transform
+function applied to the folded row, and the :mod:`repro.harness.tables`
+formatter that prints the artifact.  The generic engine in
 :mod:`repro.harness.spec` executes any of them (``run_spec(name)``).
 
 Registration order is paper order (Table 1, Figure 3, Figure 5,
@@ -13,8 +15,7 @@ checkpoints enumerate cells identically.
 
 Builders are parameterized by their artifact's sweep knobs (``windows``,
 ``window``, ``segments``, ``models``); calling ``run_spec(name,
-windows=...)`` re-materializes the entry through its builder, and the
-chosen knobs are recorded on the spec's ``params`` for provenance.
+windows=...)`` re-materializes the entry through its builder.
 
 Figure → registry mapping (see also DESIGN.md).  The last column lists
 the cells that materialize the same ``CoreConfig`` as a Figure 5 cell;
@@ -30,7 +31,7 @@ Table 1    rows   —            functional                     — (functional:
 Figure 3   grid   —            ideal/* × window               — (ideal: no memo)
 Figure 5   grid   —            BASE, CI, CI-I × window        ``CI/w256`` = CI256,
                                                               ``BASE/w256`` = BASE256
-Figure 6   (derived from Figure 5 via ``ci_over_base``)
+Figure 6   (derived from Figure 5 via ``ci_over_base()``)
 Table 2    rows   —            CI                             ``CI`` = CI256
 Table 3    rows   —            CI                             ``CI`` = CI256
 Table 4    rows   —            BASE + CI                      ``BASE`` = BASE256,
@@ -62,7 +63,31 @@ from ..machines import (
     IDEAL_PREFIX,
     heuristic_machine,
 )
-from .spec import CellSpec, ExperimentSpec, MachineSpec, register_spec
+from .spec import (
+    CellSpec,
+    ExperimentSpec,
+    MachineSpec,
+    ci_over_base,
+    pct_vs_base,
+    register_spec,
+    table1_row,
+    table2_row,
+    table3_row,
+    table4_ci,
+    table4_noci,
+    tfr_curves,
+)
+from .tables import (
+    format_figure3,
+    format_figure5,
+    format_figure6,
+    format_figure10,
+    format_figure17,
+    format_table1,
+    format_table2,
+    format_table3,
+    format_table4,
+)
 
 #: window sweeps, as in the paper's figures
 DETAILED_WINDOWS = (128, 256, 512)
@@ -96,12 +121,12 @@ def _table1() -> ExperimentSpec:
         title="Benchmark information",
         shape="rows",
         default_scale=1.0,
-        needs="program",
+        format=format_table1,
         cells=(
             CellSpec(
                 label="trace",
                 machine=MachineSpec("functional"),
-                metric="table1_row",
+                metric=table1_row,
             ),
         ),
     )
@@ -122,6 +147,7 @@ def _figure3(
         title="Idealized machine models vs window size",
         shape="grid",
         default_scale=0.4,
+        format=format_figure3,
         cells=tuple(
             CellSpec(
                 label=f"{model.value}/w{window}",
@@ -134,7 +160,6 @@ def _figure3(
             for model in models
             for window in windows
         ),
-        params=(("models", models), ("windows", windows)),
     )
 
 
@@ -151,6 +176,7 @@ def _figure5(windows=DETAILED_WINDOWS) -> ExperimentSpec:
         title="Detailed BASE / CI / CI-I vs window size",
         shape="grid",
         default_scale=0.12,
+        format=format_figure5,
         cells=tuple(
             CellSpec(
                 label=f"{machine}/w{window}",
@@ -161,7 +187,6 @@ def _figure5(windows=DETAILED_WINDOWS) -> ExperimentSpec:
             for machine in DETAILED_MACHINE_NAMES
             for window in windows
         ),
-        params=(("windows", windows),),
     )
 
 
@@ -173,8 +198,9 @@ def _figure6() -> ExperimentSpec:
         title="Percent IPC improvement of CI over BASE",
         shape="map",
         default_scale=0.12,
+        format=format_figure6,
         derives="figure5",
-        transform="ci_over_base",
+        transform=ci_over_base,
     )
 
 
@@ -190,14 +216,14 @@ def _table2(window: int = 256) -> ExperimentSpec:
         title="Restart statistics for the CI machine",
         shape="rows",
         default_scale=0.12,
+        format=format_table2,
         cells=(
             CellSpec(
                 label="CI",
                 machine=MachineSpec("CI", overrides=_win(window)),
-                metric="table2_row",
+                metric=table2_row,
             ),
         ),
-        params=(("window", window),),
     )
 
 
@@ -209,14 +235,14 @@ def _table3(window: int = 256) -> ExperimentSpec:
         title="Fetch and execution work saved by the CI machine",
         shape="rows",
         default_scale=0.12,
+        format=format_table3,
         cells=(
             CellSpec(
                 label="CI",
                 machine=MachineSpec("CI", overrides=_win(window)),
-                metric="table3_row",
+                metric=table3_row,
             ),
         ),
-        params=(("window", window),),
     )
 
 
@@ -228,19 +254,19 @@ def _table4(window: int = 256) -> ExperimentSpec:
         title="Instruction reissue causes, BASE vs CI",
         shape="rows",
         default_scale=0.12,
+        format=format_table4,
         cells=(
             CellSpec(
                 label="BASE",
                 machine=MachineSpec("BASE", overrides=_win(window)),
-                metric="table4_noci",
+                metric=table4_noci,
             ),
             CellSpec(
                 label="CI",
                 machine=MachineSpec("CI", overrides=_win(window)),
-                metric="table4_ci",
+                metric=table4_ci,
             ),
         ),
-        params=(("window", window),),
     )
 
 
@@ -273,7 +299,6 @@ def _figure8(window: int = 256) -> ExperimentSpec:
                 ("optimal", Preemption.OPTIMAL),
             )
         ),
-        params=(("window", window),),
     )
 
 
@@ -304,7 +329,6 @@ def _figure9(window: int = 256) -> ExperimentSpec:
             )
             for label, model, hfm in COMPLETION_CONFIGS
         ),
-        params=(("window", window),),
     )
 
 
@@ -320,6 +344,7 @@ def _figure10(window: int = 256) -> ExperimentSpec:
         title="TFR coverage of false mispredictions",
         shape="map",
         default_scale=0.12,
+        format=format_figure10,
         cells=(
             CellSpec(
                 label="tfr",
@@ -330,11 +355,10 @@ def _figure10(window: int = 256) -> ExperimentSpec:
                         ("window_size", window),
                     ),
                 ),
-                metric="tfr_curves",
+                metric=tfr_curves,
                 tfr=("static", "dynamic_pc", "dynamic_xor"),
             ),
         ),
-        params=(("window", window),),
     )
 
 
@@ -364,7 +388,6 @@ def _figure12(window: int = 256) -> ExperimentSpec:
             )
             for label, oracle in (("timing", False), ("oracle-history", True))
         ),
-        params=(("window", window),),
     )
 
 
@@ -405,7 +428,6 @@ def _figure13(window: int = 256) -> ExperimentSpec:
                 )
             ),
         ),
-        params=(("window", window),),
     )
 
 
@@ -443,7 +465,6 @@ def _figure14(window: int = 256, segments=(1, 4, 16)) -> ExperimentSpec:
                 for seg in segments
             ),
         ),
-        params=(("segments", segments), ("window", window)),
     )
 
 
@@ -459,7 +480,8 @@ def _figure17(window: int = 256) -> ExperimentSpec:
         title="Hardware reconvergence heuristics, percent over BASE",
         shape="map",
         default_scale=0.12,
-        transform="pct_vs_base",
+        format=format_figure17,
+        transform=pct_vs_base,
         cells=(
             CellSpec(
                 label="base",
@@ -477,7 +499,6 @@ def _figure17(window: int = 256) -> ExperimentSpec:
                 for policy in HEURISTIC_POLICIES
             ),
         ),
-        params=(("window", window),),
     )
 
 

@@ -1,19 +1,16 @@
 """Plain-text formatters that print experiment results paper-style.
 
-Besides the hand-tuned per-artifact formatters, this module is the
-table-side consumer of the spec engine's uniform row schema:
-:func:`format_rows` folds a list of
-:class:`~repro.harness.spec.CellRow` into the artifact's result shape
-and dispatches to the right formatter by spec name
-(:func:`format_experiment`); map-shaped artifacts without a bespoke
-formatter fall back to :func:`format_simple_map` under the spec's own
-title.
+Each per-artifact formatter takes the artifact's assembled result
+(:func:`repro.harness.spec.assemble_rows`) and returns its text.  The
+registry entries in :mod:`repro.harness.specs` name their formatter in
+``ExperimentSpec.format``; :func:`format_experiment` prints any spec
+through it, and map-shaped artifacts without one fall back to
+:func:`format_simple_map` under the spec's own title.
 """
 
 from __future__ import annotations
 
 from ..bpred import coverage_at_true_fraction
-from ..errors import ConfigError
 
 
 def format_table1(rows: list[dict]) -> str:
@@ -152,58 +149,6 @@ def format_simple_map(title: str, data: dict, percent: bool = False) -> str:
     return "\n".join(lines)
 
 
-#: spec name -> bespoke formatter; specs absent here format through
-#: :func:`format_simple_map` (their shape is {workload: {config: value}})
-SPEC_FORMATTERS = {
-    "table1": format_table1,
-    "figure3": format_figure3,
-    "figure5": format_figure5,
-    "figure6": format_figure6,
-    "table2": format_table2,
-    "table3": format_table3,
-    "table4": format_table4,
-}
-
-#: map-shaped specs whose values are percent improvements
-PERCENT_SPECS = frozenset({"figure17"})
-
-
-def format_experiment(name: str, data) -> str:
-    """Format one artifact's assembled result, dispatched by spec name."""
-    from .spec import get_spec
-
-    spec = get_spec(name)  # rejects unknown names loudly
-    if name == "figure10":
-        return format_figure10(data)
-    formatter = SPEC_FORMATTERS.get(name)
-    if formatter is not None:
-        return formatter(data)
-    title = f"{spec.artifact.upper()}. {spec.title}"
-    return format_simple_map(title, data, percent=name in PERCENT_SPECS)
-
-
-def format_rows(rows) -> str:
-    """Format a batch of engine rows (one experiment) paper-style.
-
-    ``rows`` are the uniform :class:`~repro.harness.spec.CellRow`
-    objects :func:`~repro.harness.spec.run_spec_row` produces — the same
-    payloads the study runners checkpoint — folded here into the
-    artifact's result shape and printed.
-    """
-    from .spec import assemble_rows, get_spec
-
-    rows = list(rows)
-    if not rows:
-        raise ConfigError("format_rows needs at least one CellRow")
-    experiments = {row.experiment for row in rows}
-    if len(experiments) != 1:
-        raise ConfigError(
-            f"format_rows formats one experiment at a time, got {sorted(experiments)}"
-        )
-    name = rows[0].experiment
-    return format_experiment(name, assemble_rows(get_spec(name), rows))
-
-
 def format_figure10(data: dict) -> str:
     lines = [
         "FIGURE 10. False-misprediction coverage while delaying 10% / 20% of "
@@ -223,3 +168,21 @@ def format_figure10(data: dict) -> str:
                 f"(true={total[0]}, false={total[1]})"
             )
     return "\n".join(lines)
+
+
+def format_figure17(data: dict) -> str:
+    return format_simple_map(
+        "FIGURE 17. Hardware reconvergence heuristics, percent over BASE",
+        data,
+        percent=True,
+    )
+
+
+def format_experiment(name: str, data) -> str:
+    """Format one artifact's assembled result with its spec's formatter."""
+    from .spec import get_spec
+
+    spec = get_spec(name)  # rejects unknown names loudly
+    if spec.format is not None:
+        return spec.format(data)
+    return format_simple_map(f"{spec.artifact.upper()}. {spec.title}", data)

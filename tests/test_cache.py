@@ -12,6 +12,7 @@ from repro.harness.cache import (
     program_fingerprint,
     reset_default_cache,
 )
+from repro.harness.spec import WorkloadBundle
 from repro.workloads import build_workload
 
 
@@ -45,15 +46,22 @@ class TestMemoryLayer:
         cache = ArtifactCache()
         first = cache.artifacts("go", 0.05)
         second = cache.artifacts("go", 0.05)
+        # a fresh bundle per call (each memoizes its own annotated
+        # trace) over the one cached trace and table
+        assert isinstance(second, WorkloadBundle) and second is not first
         assert second.golden is first.golden
         assert second.reconv is first.reconv
         assert cache.stats.misses == 1 and cache.stats.memory_hits == 1
 
-    def test_history_bits_are_part_of_the_key(self):
+    def test_history_bits_are_part_of_the_key(self, monkeypatch):
+        import repro.harness.cache as cache_mod
+
         cache = ArtifactCache()
-        wide = cache.artifacts("go", 0.05, history_bits=16)
-        narrow = cache.artifacts("go", 0.05, history_bits=4)
+        wide = cache.artifacts("go", 0.05)
+        monkeypatch.setattr(cache_mod, "HISTORY_BITS", 4)
+        narrow = cache.artifacts("go", 0.05)
         assert wide.golden is not narrow.golden
+        assert narrow.golden.history_bits == 4
         assert cache.stats.misses == 2
 
     def test_lru_evicts_oldest(self, monkeypatch):

@@ -214,6 +214,32 @@ class TestStatsIntegrity:
         )
 
 
+class TestStageCycleCounters:
+    """The per-stage active-cycle counters the ledger's stage metrics
+    read: bounded by total cycles and consistent with the run."""
+
+    STAGES = ("fetch", "dispatch", "issue", "complete", "recover", "retire")
+
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return run_cfg(DIAMOND_LOOP, reconv_policy=ReconvPolicy.POSTDOM)
+
+    def test_stage_counters_present_and_bounded(self, stats):
+        counters = stats.stage_cycle_counters()
+        assert set(counters) == {"cycles", *self.STAGES}
+        assert counters["cycles"] == stats.cycles > 0
+        for stage in self.STAGES:
+            assert 0 <= counters[stage] <= stats.cycles, stage
+
+    def test_stage_counters_reflect_activity(self, stats):
+        # The run fetched, issued, completed and retired instructions,
+        # and (with this branchy loop) serviced at least one recovery.
+        counters = stats.stage_cycle_counters()
+        for stage in ("fetch", "dispatch", "issue", "complete", "retire"):
+            assert counters[stage] > 0, stage
+        assert stats.recoveries == 0 or counters["recover"] > 0
+
+
 class TestStatsZeroDenominators:
     """Every derived ratio must report 0.0 on an empty/degraded run
     instead of raising ZeroDivisionError mid-study."""

@@ -1,6 +1,4 @@
-"""Spec engine: registry completeness, serialization, selection, drift."""
-
-import json
+"""Spec engine: registry completeness, selection, drift, formatting."""
 
 import pytest
 
@@ -20,19 +18,20 @@ from repro.harness.experiments import (
     study_cells,
     validate_experiments,
 )
+import repro.harness.spec as spec_mod
+from repro.harness import derive
 from repro.harness.spec import (
     CellRow,
+    assemble_rows,
     get_spec,
     resolve_spec,
     run_spec,
     run_spec_row,
     runnable_experiments,
     select_cells,
-    spec_from_dict,
     spec_names,
-    spec_to_dict,
 )
-from repro.harness.tables import format_experiment, format_rows
+from repro.harness.tables import format_experiment
 
 SCALE = 0.02
 
@@ -87,22 +86,6 @@ class TestRegistryCompleteness:
 
 
 class TestSerialization:
-    def test_every_spec_round_trips_through_json(self):
-        for name in spec_names():
-            spec = get_spec(name)
-            payload = json.loads(json.dumps(spec_to_dict(spec)))
-            assert spec_from_dict(payload) == spec
-
-    def test_round_trip_preserves_enum_overrides(self):
-        spec = get_spec("figure9")
-        clone = spec_from_dict(spec_to_dict(spec))
-        overrides = dict(clone.cells[-1].machine.overrides)
-        assert overrides["completion_model"] is CompletionModel.SPEC
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(ConfigError, match="malformed"):
-            spec_from_dict({"name": "x"})
-
     def test_cellrow_payload_round_trip(self):
         row = CellRow(experiment="figure5", workload="go", data={"a": 1})
         assert CellRow.from_payload(row.to_payload()) == row
@@ -168,6 +151,17 @@ class TestEngine:
         with pytest.raises(ConfigError, match="figure5"):
             run_spec("figure5", scale=SCALE, names=("go",), bogus=1)
 
+    def test_unknown_builder_param_lists_the_knobs(self):
+        with pytest.raises(ConfigError) as info:
+            resolve_spec("figure14", {"windows": (64,)})
+        message = str(info.value)
+        assert "'figure14' has no knob ['windows']" in message
+        assert "knobs are ['window', 'segments']" in message
+
+    def test_rejected_builder_value_names_the_parameter(self):
+        # ``windows`` is a Figure 5 knob; the builder rejects the value.
+        with pytest.raises(ConfigError, match=r"'figure5' rejected windows=256"):
+            run_spec("figure5", windows=256)
 
 
 class TestCellSelection:
@@ -301,12 +295,33 @@ class TestStudySelection:
         assert [r["benchmark"] for r in [out["results"]["table1"]["go"]]] == ["go"]
 
 
+#: the first line each artifact prints, as the registry's formatters
+#: print it (one line per spec, in paper order)
+FIRST_LINES = {
+    "table1": "TABLE 1. Benchmark information.",
+    "figure3": "FIGURE 3. IPC of the six idealized models vs window size.",
+    "figure5": "FIGURE 5. IPC with and without control independence.",
+    "figure6": "FIGURE 6. Percent IPC improvement of CI over BASE.",
+    "table2": "TABLE 2. Statistics for restart/redispatch sequences.",
+    "table3": "TABLE 3. Work saved by exploiting control independence.",
+    "table4": "TABLE 4. Instruction issues per retired instruction.",
+    "figure8": "FIGURE 8. Simple vs optimal preemption",
+    "figure9": "FIGURE 9. Branch completion models and false mispredictions",
+    "figure10": "FIGURE 10. False-misprediction coverage while delaying "
+    "10% / 20% of true mispredictions.",
+    "figure12": "FIGURE 12. Oracle global branch history",
+    "figure13": "FIGURE 13. Re-predict sequences",
+    "figure14": "FIGURE 14. Segmented reorder buffers",
+    "figure17": "FIGURE 17. Hardware reconvergence heuristics, percent over BASE",
+}
+
+
 class TestFormatters:
-    def test_format_rows_consumes_cellrows(self):
+    def test_format_experiment_consumes_cellrows(self):
         rows = [
             run_spec_row("figure5", "go", scale=SCALE, windows=(128,)),
         ]
-        text = format_rows(rows)
+        text = format_experiment("figure5", assemble_rows(get_spec("figure5"), rows))
         assert text.startswith("FIGURE 5.")
         assert "go" in text
 
@@ -314,14 +329,45 @@ class TestFormatters:
         text = format_experiment("figure12", {"go": {"timing": 1.0}})
         assert "FIGURE 12" in text and "timing" in text
 
-    def test_format_rows_rejects_mixed_experiments(self):
-        rows = [
-            CellRow(experiment="figure5", workload="go", data={}),
-            CellRow(experiment="table2", workload="go", data={}),
-        ]
-        with pytest.raises(ConfigError, match="one experiment"):
-            format_rows(rows)
+    def test_every_spec_prints_through_its_own_formatter(self):
+        study = run_study(scale=0.01, names="vortex")
+        assert study["failures"] == []
+        data: dict = {}
+        for name in spec_names():
+            spec = get_spec(name)
+            if spec.derives is not None:
+                data[name] = derive(name, data[spec.derives])
+            else:
+                row = CellRow(name, "vortex", study["results"][name]["vortex"])
+                data[name] = assemble_rows(spec, [row])
+        first_lines = {
+            name: format_experiment(name, data[name]).splitlines()[0]
+            for name in spec_names()
+        }
+        assert first_lines == FIRST_LINES
+        # Figure 17 prints percent improvements, Figure 12 plain IPCs.
+        assert format_experiment("figure17", data["figure17"]).endswith("%")
+        assert not format_experiment("figure12", data["figure12"]).endswith("%")
 
-    def test_format_rows_rejects_empty(self):
-        with pytest.raises(ConfigError, match="at least one"):
-            format_rows([])
+
+class TestStudyDeduplication:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_names_run_one_row(self, monkeypatch, tmp_path, jobs):
+        # Log every row to a file: forked pool workers inherit the patch
+        # but not the parent's memory.
+        log = tmp_path / "rows.log"
+        original = spec_mod.run_spec_row
+
+        def logged(experiment, workload, *args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{experiment}/{workload}\n")
+            return original(experiment, workload, *args, **kwargs)
+
+        monkeypatch.setattr(spec_mod, "run_spec_row", logged)
+        monkeypatch.setattr(experiments_mod, "run_spec_row", logged)
+        out = run_study(["table2", "table2"], scale=0.01,
+                        names=("vortex", "vortex"), jobs=jobs)
+        assert out["failures"] == []
+        assert list(out["results"]) == ["table2"]
+        assert list(out["results"]["table2"]) == ["vortex"]
+        assert log.read_text().splitlines() == ["table2/vortex"]
