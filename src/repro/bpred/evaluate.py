@@ -41,11 +41,9 @@ class PredictionReport:
         return self.mispredictions / self.predicted_events
 
 
-def measure_prediction(
-    trace: list[TraceEntry], frontend: FrontEnd | None = None
-) -> PredictionReport:
-    """Measure prediction accuracy over a golden trace."""
-    fe = frontend if frontend is not None else FrontEnd()
+def measure_prediction(trace: list[TraceEntry]) -> PredictionReport:
+    """Measure the paper's front end (default geometry) over a golden trace."""
+    fe = FrontEnd()
     report = PredictionReport(instructions=len(trace))
     history = 0
     for entry in trace:

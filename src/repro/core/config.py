@@ -11,16 +11,23 @@ Every appendix ablation is a knob here:
   post-dominator information.
 * ``preemption`` — Appendix A.1's simple versus optimal preemption.
 * ``instant_redispatch`` — Section 4.2's CI-I machine.
+
+The rest of the Section 4.1 machine is fixed, not configured: the
+:data:`~repro.ideal.models.WIDTH`-wide (16) stages, the
+:data:`~repro.ideal.models.DEFAULT_LATENCIES` op latencies, the 2^16
+gshare/CTB front end (:class:`~repro.bpred.FrontEnd`'s defaults) and
+the 64KB 4-way data cache with 2-cycle hits and 14-cycle misses
+(:class:`~repro.memsys.SetAssociativeCache`'s defaults).
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..ideal.models import DEFAULT_LATENCIES, is_count, latency_problem
+from ..ideal.models import is_count
 
 
 class CompletionModel(enum.Enum):
@@ -87,10 +94,9 @@ class Preemption(enum.Enum):
 
 @dataclass
 class CoreConfig:
-    """Full configuration of the detailed processor."""
+    """The knobs of the detailed processor that the paper varies."""
 
     window_size: int = 256
-    width: int = 16  # fetch/dispatch/issue/retire width
     segment_size: int = 1  # ROB segment granularity (Appendix A.4)
 
     reconv_policy: ReconvPolicy = ReconvPolicy.POSTDOM
@@ -100,18 +106,6 @@ class CoreConfig:
     preemption: Preemption = Preemption.OPTIMAL
     instant_redispatch: bool = False  # CI-I: 1-cycle redispatch
     oracle_global_history: bool = False  # Appendix A.3.1
-
-    # Branch predictor geometry (paper: 2^16 gshare + CTB).
-    predictor_index_bits: int = 16
-
-    # Data cache (Sec 4.1): 64KB 4-way, 2-cycle hit, 14-cycle miss.
-    perfect_cache: bool = False
-    cache_size_bytes: int = 64 * 1024
-    cache_assoc: int = 4
-    cache_hit_latency: int = 2
-    cache_miss_latency: int = 14
-
-    latencies: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
 
     #: safety valve for runaway simulations
     max_cycles: int = 20_000_000
@@ -159,14 +153,14 @@ class CoreConfig:
                 )
 
         positive(
-            "window_size", "width", "segment_size",
+            "window_size", "segment_size",
             "max_cycles", "watchdog_cycles", "sanitize_stride",
         )
         # Boolean knobs are read by truthiness, so a string such as
         # "no" would silently turn one on.
         for knob in (
             "hide_false_mispredictions", "instant_redispatch",
-            "oracle_global_history", "perfect_cache", "strict_commit",
+            "oracle_global_history", "strict_commit",
         ):
             value = getattr(self, knob)
             require(
@@ -205,28 +199,6 @@ class CoreConfig:
             "policy that exploits control independence, but reconv_policy "
             "is ReconvPolicy.NONE",
         )
-        require(
-            is_count(self.predictor_index_bits, 1)
-            and self.predictor_index_bits <= 30,
-            f"predictor_index_bits must be in [1, 30], "
-            f"got {self.predictor_index_bits!r}",
-        )
-        if not self.perfect_cache:
-            # The cache knobs are read only when the cache is modeled.
-            positive(
-                "cache_size_bytes", "cache_assoc",
-                "cache_hit_latency", "cache_miss_latency",
-            )
-            line_bytes = 4 * 8  # line_words * WORD_BYTES (memsys defaults)
-            sets = self.cache_size_bytes // (line_bytes * self.cache_assoc)
-            require(
-                sets >= 1 and sets & (sets - 1) == 0,
-                f"cache_size_bytes={self.cache_size_bytes} with assoc="
-                f"{self.cache_assoc} yields {sets} sets; the set count "
-                "must be a positive power of two",
-            )
-        problem = latency_problem(self.latencies)
-        require(problem is None, problem)
         require(
             not self.strict_commit
             or self.reconv_policy in (ReconvPolicy.POSTDOM, ReconvPolicy.NONE),

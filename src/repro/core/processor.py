@@ -39,8 +39,8 @@ from ..bpred import FrontEnd
 from ..cfg import ReconvergenceTable
 from ..errors import MachineSnapshot, SimulationHang
 from ..isa import NUM_REGS, Program
-from ..memsys import PerfectCache, SetAssociativeCache
-from ..ideal.models import latency_table
+from ..memsys import SetAssociativeCache
+from ..ideal.models import LATENCY_TABLE
 from .config import CoreConfig, ReconvPolicy
 from .golden import GoldenTrace
 from .lsq import LoadStoreQueue
@@ -83,9 +83,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self._code_len = len(program.instructions)
         self.config = config if config is not None else CoreConfig()
         cfg = self.config.validate()
-        self.golden = golden if golden is not None else GoldenTrace(
-            program, history_bits=cfg.predictor_index_bits
-        )
+        self.golden = golden if golden is not None else GoldenTrace(program)
         self.reconv_table = None
         if cfg.reconv_policy is ReconvPolicy.POSTDOM:
             self.reconv_table = (
@@ -93,22 +91,13 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
             )
         self.tfr_collectors = tfr_collectors
 
-        self.frontend = FrontEnd(index_bits=cfg.predictor_index_bits)
+        self.frontend = FrontEnd()
         self.rob = ReorderBuffer(cfg.window_size, cfg.segment_size)
         #: the columnar instruction store backing every in-window
         #: instruction; stage mixins address instructions as pool handles
         self.pool = self.rob.pool
         self.lsq = LoadStoreQueue(self.pool)
-        self.cache = (
-            PerfectCache(latency=1)
-            if cfg.perfect_cache
-            else SetAssociativeCache(
-                size_bytes=cfg.cache_size_bytes,
-                assoc=cfg.cache_assoc,
-                hit_latency=cfg.cache_hit_latency,
-                miss_latency=cfg.cache_miss_latency,
-            )
-        )
+        self.cache = SetAssociativeCache()
         self.committed_mem: dict[int, int] = dict(program.data)
         self.stats = CoreStats()
 
@@ -139,23 +128,18 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         #: uid -> pool handle of every in-window incomplete branch
         self._incomplete_branches: dict[int, int] = {}
 
-        # Hot-path precomputation: execution latency by dense opcode, and
-        # the completion-model gates resolved to plain booleans.
-        self._lat = latency_table(cfg.latencies)
         # Completion events live in a preallocated ring sized past the
-        # largest possible completion latency (op latency, or load
-        # hit/miss plus the 1-cycle address cycle).
+        # largest possible completion latency (op latency, or a load
+        # miss plus the 1-cycle address cycle).
         self._completing = CompletionWheel(
-            max(
-                max(self._lat),
-                1 + (1 if cfg.perfect_cache else cfg.cache_miss_latency),
-            )
+            max(max(LATENCY_TABLE), 1 + self.cache.miss_latency)
         )
-        # Aliases for the execute path's inlined schedule (the wheel's
-        # horizon covers every latency above by construction).
+        # Aliases for the issue phase, which files completions on the
+        # wheel directly (its horizon covers every latency above).
         self._wheel_mask = self._completing._mask
         self._wheel_nodes = self._completing._nodes
         self._wheel_tokens = self._completing._tokens
+        # The completion-model gates resolved to plain booleans.
         self._gate_in_order = cfg.completion_model.branches_in_order
         self._gate_stores = cfg.completion_model.requires_resolved_stores
 

@@ -219,14 +219,16 @@ class InstrPool:
 class CompletionWheel:
     """Preallocated ring buffer of completion events.
 
-    ``schedule(cycle, now, ref, token)`` files an event at an absolute
-    cycle; ``take(cycle)`` returns the slot's parallel ``(refs, tokens)``
-    lists for draining (caller clears them after iterating).  Events
-    carry packed pool references (``InstrPool.ref``) so an entry left
-    behind by a squashed-and-recycled slot self-invalidates.  The horizon must
-    exceed the largest possible completion latency so a slot can never
-    hold events for two different cycles — the constructor rounds it up
-    to a power of two and asserts on violation at schedule time.
+    The issue phase files an event at an absolute cycle by appending to
+    slot ``cycle & _mask`` of the parallel ``_nodes``/``_tokens`` lists;
+    ``take(cycle)`` returns the slot's ``(refs, tokens)`` lists for
+    draining (caller clears them after iterating).  Events carry packed
+    pool references (``InstrPool.ref``) so an entry left behind by a
+    squashed-and-recycled slot self-invalidates.  The horizon exceeds
+    the largest possible completion latency, rounded up to a power of
+    two, so a slot never holds events for two different cycles.  The
+    latencies and the cache are fixed, so every machine's horizon is
+    the same (32 cycles).
     """
 
     __slots__ = ("horizon", "_mask", "_nodes", "_tokens")
@@ -239,16 +241,6 @@ class CompletionWheel:
         self._mask = horizon - 1
         self._nodes = [[] for _ in range(horizon)]
         self._tokens = [[] for _ in range(horizon)]
-
-    def schedule(self, cycle: int, now: int, ref: int, token: int) -> None:
-        if cycle - now >= self.horizon:  # pragma: no cover - sizing bug guard
-            raise AssertionError(
-                f"completion latency {cycle - now} exceeds wheel horizon "
-                f"{self.horizon}"
-            )
-        slot = cycle & self._mask
-        self._nodes[slot].append(ref)
-        self._tokens[slot].append(token)
 
     def take(self, cycle: int) -> tuple[list, list]:
         slot = cycle & self._mask

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 
+from ...ideal.models import LATENCY_TABLE, WIDTH
 from ...isa import CONTROL_KERNELS, VALUE_KERNELS, effective_addr
 from ..soa import (
     REF_MASK,
@@ -64,13 +65,13 @@ class BackendStage:
     # issue & execute
 
     def _issue_phase(self) -> None:
-        """Issue up to ``width`` eligible instructions and execute each
+        """Issue up to ``WIDTH`` eligible instructions and execute each
         (the execute step is inlined: this loop is its only caller)."""
         ready = self._ready
         cycle = self.cycle
         if not ready or ready[0][0] > cycle:
             return
-        budget = self.config.width
+        budget = WIDTH
         issued = 0
         pop = heapq.heappop
         pool = self.pool
@@ -82,7 +83,7 @@ class BackendStage:
         src1_tag = pool.src1_tag
         src2_tag = pool.src2_tag
         values = pool.value
-        lat = self._lat
+        lat = LATENCY_TABLE
         wheel_mask = self._wheel_mask
         wheel_nodes = self._wheel_nodes
         wheel_tokens = self._wheel_tokens
@@ -140,9 +141,9 @@ class BackendStage:
             else:
                 values[h] = VALUE_KERNELS[opcode](instr, a, b)
                 latency = lat[opcode]
-            # Inlined CompletionWheel.schedule: every latency comes from
-            # the table the wheel was sized over at construction, so the
-            # horizon guard cannot fire on this path.
+            # File the completion on the wheel: its horizon was sized over
+            # LATENCY_TABLE and the cache's miss latency, so no latency
+            # here can wrap onto a slot still holding another cycle.
             slot = (cycle + latency) & wheel_mask
             wheel_nodes[slot].append(refs[h])
             wheel_tokens[slot].append(token)

@@ -21,6 +21,7 @@ remain valid until the next allocation, and allocation only happens in
 
 from __future__ import annotations
 
+from ...ideal.models import WIDTH
 from ..config import Preemption, ReconvPolicy, RepredictMode
 from ..soa import (
     HEAD,
@@ -378,7 +379,7 @@ class RecoveryStage:
 
         The cursor is always live (or TAIL): squash repairs it eagerly,
         so the walk never meets a dead slot."""
-        budget = self.rob.window_size if instant else self.config.width
+        budget = self.rob.window_size if instant else WIDTH
         rmap = ctx.rmap
         next_col = self.pool.next
         node = ctx.walk_cursor

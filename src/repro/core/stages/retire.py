@@ -16,6 +16,7 @@ active recovery.
 from __future__ import annotations
 
 from ...errors import CosimulationError
+from ...ideal.models import WIDTH
 from ...isa import Op
 from ..soa import (
     HEAD,
@@ -35,7 +36,7 @@ class RetireStage:
     """Commit-side methods mixed into the Processor facade."""
 
     def _retire_phase(self) -> None:
-        budget = self.config.width
+        budget = WIDTH
         retired_any = False
         golden = self.golden.entries
         n_golden = len(golden)

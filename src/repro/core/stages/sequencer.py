@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from heapq import heappush
 
+from ...ideal.models import WIDTH
 from ...isa import Op
 from ..regfile import PhysReg
 from ..rob import Segment
@@ -228,7 +229,7 @@ class SequencerStage:
         ctx = self.frontier
         if ctx.stalled:
             return
-        budget = self.config.width
+        budget = WIDTH
         fetched_before = self.stats.fetched
         rob = self.rob
         window = rob.window_size
@@ -257,7 +258,7 @@ class SequencerStage:
             # window tail, so it continues as the frontier.
             self._context_to_frontier(ctx)
             return
-        budget = self.config.width
+        budget = WIDTH
         pc_col = pool.pc
         while budget > 0:
             if ctx.reconv is not None and ctx.fetch_pc == pc_col[ctx.reconv]:

@@ -25,6 +25,7 @@ oracle accordingly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import replace as dc_replace
 from typing import Callable
 
@@ -73,7 +74,7 @@ def compact(program: Program) -> Program:
         # first surviving instruction at or after the old pc; may be
         # past-the-end, in which case Program.validate rejects the
         # candidate and the caller keeps the NOPped form instead
-        return _bisect(live, old_pc)
+        return bisect_left(live, old_pc)
 
     instructions = []
     for old_pc in live:
@@ -93,17 +94,6 @@ def compact(program: Program) -> Program:
         entry=remap(program.entry),
         name=program.name,
     )
-
-
-def _bisect(sorted_list: list[int], value: int) -> int:
-    lo, hi = 0, len(sorted_list)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_list[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def shrink_program(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..core import CoreConfig, CoreStats, Processor
 from ..errors import ConfigError
 from ..machines import HEURISTIC_POLICIES
-from ..workloads import WORKLOAD_NAMES
+from ..workloads import WORKLOAD_NAMES, check_workload
 from .spec import (
     CellRow,
     WorkloadBundle,
@@ -192,7 +192,8 @@ def run_study(
     ``experiment_kwargs`` (builder knobs such as ``windows=``, and
     ``cells=``) are checked against every chosen experiment before any
     cell runs: an unknown knob or cell label raises
-    :class:`~repro.errors.ConfigError`.
+    :class:`~repro.errors.ConfigError`, and an unknown workload name or
+    a bad ``scale`` raises :class:`~repro.errors.WorkloadError`.
 
     ``jobs`` (default: the ``REPRO_JOBS`` env var, else 1; ``"auto"`` =
     CPU count) fans the pending cells across worker processes via
@@ -235,6 +236,8 @@ def run_study(
     knobs = {k: v for k, v in experiment_kwargs.items() if k != "cells"}
     for exp in chosen:
         select_cells(resolve_spec(exp, knobs), experiment_kwargs.get("cells"))
+    for name in names:
+        check_workload(name, scale)
 
     # 2. Enumerate the grid and apply ``only``.
     cells = select_study_cells(

@@ -295,10 +295,11 @@ def _prewarm_cache(cache, names, scale: float) -> dict:
     """Derive every workload's shared artifacts once, up front.
 
     Returns each workload's golden-trace length, the cells-first wave's
-    deterministic cost proxy.  A bogus workload name must degrade as a
-    per-cell error row (exactly as it does serially), not kill the study
-    here — so derivation failures are swallowed (length 0) and left for
-    the owning cells to report.
+    deterministic cost proxy.  ``run_study`` has already rejected bad
+    names and scales, so only a derivation failure (a golden trace past
+    its step budget raises ``ExecutionLimitExceeded``) reaches the
+    ``except``: it is swallowed (length 0) and left for the owning cells
+    to report as error rows, exactly as the serial path reports it.
     """
     lengths = {}
     for name in names:

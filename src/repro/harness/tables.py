@@ -54,7 +54,7 @@ def format_figure5(data: dict) -> str:
 
 def format_figure6(data: dict) -> str:
     lines = ["FIGURE 6. Percent IPC improvement of CI over BASE."]
-    windows = sorted(next(iter(data.values())).keys())
+    windows = sorted(next(iter(data.values()), {}))
     lines.append(f"{'benchmark':10s}" + "".join(f"{w:>8d}" for w in windows))
     for name, per_window in data.items():
         lines.append(
@@ -138,7 +138,7 @@ def format_reconv_report(rows: list[dict]) -> str:
 def format_simple_map(title: str, data: dict, percent: bool = False) -> str:
     """Generic formatter for {workload: {config: value}} results."""
     lines = [title]
-    configs = list(next(iter(data.values())).keys())
+    configs = list(next(iter(data.values()), {}))
     lines.append(f"{'benchmark':10s}" + "".join(f"{c:>14s}" for c in configs))
     for name, per_config in data.items():
         cells = []

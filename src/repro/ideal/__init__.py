@@ -1,6 +1,6 @@
 """Idealized machine models of paper Section 2."""
 
-from .models import DEFAULT_LATENCIES, IdealConfig, IdealModel, op_latency
+from .models import DEFAULT_LATENCIES, IdealConfig, IdealModel
 from .scheduler import IdealResult, IdealScheduler, simulate
 from .tracegen import AnnotatedTrace, Misprediction, WrongPathInstr, annotate
 
@@ -14,6 +14,5 @@ __all__ = [
     "Misprediction",
     "WrongPathInstr",
     "annotate",
-    "op_latency",
     "simulate",
 ]

@@ -2,8 +2,8 @@
 
 The scheduler replays an :class:`~repro.ideal.tracegen.AnnotatedTrace`
 under the hardware constraints of Section 2.2: a W-entry instruction
-window, 16-wide fetch/issue/retire, a 5-stage pipeline, unlimited
-renaming, oracle memory disambiguation and a perfect data cache.  The
+window, 16-wide (``WIDTH``) fetch/issue/retire, a 5-stage pipeline,
+unlimited renaming, oracle memory disambiguation and a perfect data cache.  The
 six models differ only in how fetch and dependence repair behave around
 branch mispredictions:
 
@@ -63,8 +63,8 @@ import heapq
 from dataclasses import dataclass
 from operator import attrgetter
 
-from ..errors import ConfigError, SimulationHang
-from .models import IdealConfig, IdealModel, latency_table
+from ..errors import SimulationHang
+from .models import FRONTEND_STAGES, LATENCY_TABLE, WIDTH, IdealConfig, IdealModel
 from .tracegen import NO_PRODUCER, AnnotatedTrace, Misprediction, decode_internal
 
 
@@ -141,7 +141,6 @@ class IdealScheduler:
         self.model = model
         self.config = config
         self._wastes = model.wastes_resources
-        self._wp_limit = config.wrong_path_limit()
 
         n = len(trace)
         self.window: list[_Slot | None] = [None] * n  # unretired slot per seq
@@ -169,14 +168,14 @@ class IdealScheduler:
         evict every control-independent instruction — paper Table 2
         counts exactly the mispredictions that reconverge *in window*),
         and, for WR models, a wrong path that actually reaches it within
-        the fetch budget.
+        the wrong-path fetch budget, which is the window size.
         """
         if not self.model.exploits_ci or mp.reconv_seq is None:
             return False
         if mp.reconv_seq - mp.seq >= self.config.window_size:
             return False
         if self._wastes:
-            return mp.wp_reached_reconv and len(mp.wrong_path) <= self._wp_limit
+            return mp.wp_reached_reconv and len(mp.wrong_path) <= self.config.window_size
         return True
 
     # ------------------------------------------------------------------
@@ -189,11 +188,11 @@ class IdealScheduler:
         trace = self.trace
         n = len(trace)
         config = self.config
-        width = config.width
+        width = WIDTH
         capacity = config.window_size
-        frontend = config.frontend_stages
+        frontend = FRONTEND_STAGES
         fd = self.model.false_dependences
-        lat_table = latency_table(config.latencies)
+        lat_table = LATENCY_TABLE
         lat_of = [lat_table[entry.instr.opcode] for entry in trace.entries]
         mp_at: list[Misprediction | None] = [None] * n
         for seq, mp in trace.mispredictions.items():
@@ -455,7 +454,7 @@ class IdealScheduler:
             # Full-squash misprediction: follow the predicted path as far as
             # it goes (WR models), then stall until detection.
             if wastes:
-                limit = min(len(mp.wrong_path), self._wp_limit)
+                limit = min(len(mp.wrong_path), self.config.window_size)
                 if limit:
                     source.wp_queue.append([mp.seq, 0, limit])
                 # base with a reconvergent wrong path keeps fetching the
@@ -578,20 +577,10 @@ def simulate(
     trace: AnnotatedTrace,
     model: IdealModel,
     config: IdealConfig | None = None,
-    **config_kwargs,
 ) -> IdealResult:
-    """Convenience wrapper: simulate one model over an annotated trace.
-
-    Pass either a ready ``config`` or :class:`IdealConfig` keyword
-    arguments, not both.
-    """
+    """Convenience wrapper: simulate one model over an annotated trace."""
     if config is None:
-        config = IdealConfig(**config_kwargs)
-    elif config_kwargs:
-        raise ConfigError(
-            f"simulate() got both a config and config keywords "
-            f"{sorted(config_kwargs)!r}; pass one or the other"
-        )
+        config = IdealConfig()
     if model is IdealModel.ORACLE:
         trace = _strip_mispredictions(trace)
     return IdealScheduler(trace, model, config).run()

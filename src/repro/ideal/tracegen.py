@@ -24,6 +24,10 @@ from ..cfg import ReconvergenceTable
 from ..functional import TraceEntry, trace_iter, wrong_path
 from ..isa import NUM_REGS, Program
 
+#: wrong-path instructions executed per misprediction; schedulers clip
+#: this further to their window size
+WRONG_PATH_CAP = 600
+
 #: Producer encoding: >=0 is a correct-trace seq, NONE is no producer,
 #: internal wrong-path producers are encoded as -(index + 2).
 NO_PRODUCER = -1
@@ -87,17 +91,12 @@ class AnnotatedTrace:
 
 def annotate(
     program: Program,
-    wrong_path_cap: int = 600,
-    frontend: FrontEnd | None = None,
     reconv: ReconvergenceTable | None = None,
     max_steps: int = 5_000_000,
 ) -> AnnotatedTrace:
-    """Run ``program`` once and build the annotated trace.
-
-    ``wrong_path_cap`` bounds speculative wrong-path execution per
-    misprediction; schedulers clip it further to their window size.
-    """
-    fe = frontend if frontend is not None else FrontEnd()
+    """Run ``program`` once and build the annotated trace, predicting
+    with the paper's front end at its default geometry."""
+    fe = FrontEnd()
     table = reconv if reconv is not None else ReconvergenceTable(program)
 
     entries: list[TraceEntry] = []
@@ -147,7 +146,7 @@ def annotate(
             reconv_pc = table.reconvergent_pc(entry.pc) if instr.is_branch else None
             stop = frozenset((reconv_pc,)) if reconv_pc is not None else frozenset()
             wp_entries, reached = wrong_path(
-                state, program, wrong_pc, stop, wrong_path_cap
+                state, program, wrong_pc, stop, WRONG_PATH_CAP
             )
             mispredictions[seq] = _build_misprediction(
                 seq, wrong_pc, reconv_pc, reached, wp_entries, last_writer, last_store

@@ -1,5 +1,5 @@
 """Memory system timing models."""
 
-from .cache import CacheStats, PerfectCache, SetAssociativeCache
+from .cache import CacheStats, SetAssociativeCache
 
-__all__ = ["CacheStats", "PerfectCache", "SetAssociativeCache"]
+__all__ = ["CacheStats", "SetAssociativeCache"]

@@ -1,8 +1,9 @@
-"""Data cache timing models.
+"""Data cache timing model of the detailed study.
 
-The idealized study (paper Sec. 2.2) uses a perfect single-cycle data
-cache; the detailed study (Sec. 4.1) uses a 64KB 4-way set-associative
-cache with 2-cycle hits and 14-cycle misses to a perfect L2.  Only
+The detailed study (paper Sec. 4.1) uses a 64KB 4-way set-associative
+cache with 2-cycle hits and 14-cycle misses to a perfect L2.  (The
+idealized study's perfect single-cycle cache is folded into its load
+latency; see :data:`repro.ideal.models.DEFAULT_LATENCIES`.)  Only
 timing is modeled here — data values always come from the simulator's
 memory image / store queue.
 """
@@ -24,18 +25,6 @@ class CacheStats:
         if self.accesses == 0:
             return 1.0
         return 1.0 - self.misses / self.accesses
-
-
-class PerfectCache:
-    """All accesses hit with a fixed latency (1 cycle in the ideal study)."""
-
-    def __init__(self, latency: int = 1):
-        self.latency = latency
-        self.stats = CacheStats()
-
-    def access(self, addr: int, is_store: bool = False) -> int:
-        self.stats.accesses += 1
-        return self.latency
 
 
 class SetAssociativeCache:

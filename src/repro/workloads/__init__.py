@@ -83,18 +83,28 @@ def build_workload(name: str, scale: float = 1.0) -> Workload:
     the artifact cache, the spec engine and the parallel scheduler
     exactly like the kernels.
     """
-    _check_scale(scale)
+    check_workload(name, scale)
     if name.startswith("fam:"):
         from .families import build_family_workload
 
         return build_family_workload(name, scale)
-    if name not in _BUILDERS:
+    source = _BUILDERS[name](scale)
+    return Workload(name=name, program=assemble(source, name=name), scale=scale)
+
+
+def check_workload(name: str, scale: float) -> None:
+    """Raise :class:`~repro.errors.WorkloadError` for an unknown name or
+    a bad scale, assembling nothing (:func:`build_workload` runs it)."""
+    _check_scale(scale)
+    if name.startswith("fam:"):
+        from .families import parse_family_name
+
+        parse_family_name(name)
+    elif name not in _BUILDERS:
         raise WorkloadError(
             f"unknown workload {name!r}; choose from {WORKLOAD_NAMES} "
             "or a 'fam:<family>:<seed>' generated family variant"
         )
-    source = _BUILDERS[name](scale)
-    return Workload(name=name, program=assemble(source, name=name), scale=scale)
 
 
 def _check_scale(scale: float) -> None:
@@ -125,6 +135,7 @@ __all__ = [
     "Workload",
     "build_all",
     "build_workload",
+    "check_workload",
     "kernels",
     "lint_suppressions",
 ]

@@ -61,7 +61,6 @@ loop:
 def run_cfg(src, **kw):
     program = assemble(src)
     kw.setdefault("window_size", 64)
-    kw.setdefault("perfect_cache", True)
     kw.setdefault("max_cycles", 500_000)
     return simulate_core(program, CoreConfig(**kw))
 
@@ -187,12 +186,6 @@ class TestConfigurationKnobs:
             DIAMOND_LOOP,
             reconv_policy=ReconvPolicy.POSTDOM,
             oracle_global_history=True,
-        )
-        assert stats.retired > 0
-
-    def test_real_cache(self):
-        stats = run_cfg(
-            DIAMOND_LOOP, reconv_policy=ReconvPolicy.POSTDOM, perfect_cache=False
         )
         assert stats.retired > 0
 

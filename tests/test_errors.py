@@ -21,7 +21,6 @@ from repro.errors import (
     TransientError,
     WorkloadError,
 )
-from repro.ideal.models import DEFAULT_LATENCIES, IdealConfig
 from repro.isa import AssemblerError, assemble
 from repro.workloads import build_workload
 
@@ -115,7 +114,6 @@ class TestConfigValidation:
         [
             {"window_size": 0},
             {"window_size": -4},
-            {"width": 0},
             {"segment_size": 0},
             {"window_size": 256, "segment_size": 7},  # not a divisor
             {"reconv_policy": "postdom"},  # string, not the enum
@@ -123,12 +121,6 @@ class TestConfigValidation:
             {"repredict_mode": "CI"},
             {"preemption": "simple"},
             {"instant_redispatch": True, "reconv_policy": ReconvPolicy.NONE},
-            {"predictor_index_bits": 0},
-            {"predictor_index_bits": 40},
-            {"cache_size_bytes": 0},
-            {"cache_size_bytes": 96 * 1024},  # 768 sets: not a power of two
-            {"cache_hit_latency": 0},
-            {"latencies": {"MUL": 0}},
             {"max_cycles": 0},
             {"watchdog_cycles": 0},
             {"strict_commit": True, "reconv_policy": ReconvPolicy.RETURN_LOOP},
@@ -142,24 +134,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="segment_size"):
             CoreConfig(window_size=256, segment_size=6).validate()
 
-    # One case per knob at the integer/latency boundary: bools and
+    # One case per knob at the integer boundary: bools and
     # non-integers used to slip through and fail deep in the run (or,
     # for bools, run as 1).
     @pytest.mark.parametrize(
         "knob,value,match",
         [
             ("window_size", True, "window_size"),
-            ("width", True, "width"),
             ("segment_size", 1.0, "segment_size"),
             ("max_cycles", True, "max_cycles"),
             ("watchdog_cycles", 5e4, "watchdog_cycles"),
             ("sanitize_stride", True, "sanitize_stride"),
-            ("predictor_index_bits", 12.5, "predictor_index_bits"),
-            ("cache_size_bytes", 65536.0, "cache_size_bytes"),
-            ("cache_assoc", True, "cache_assoc"),
-            ("cache_hit_latency", 1.5, "cache_hit_latency"),
-            ("cache_miss_latency", False, "cache_miss_latency"),
-            ("latencies", {"int": 1}, "missing op classes"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -175,7 +160,6 @@ class TestConfigValidation:
             ("hide_false_mispredictions", "no"),
             ("instant_redispatch", "no"),
             ("oracle_global_history", "no"),
-            ("perfect_cache", "no"),
             ("strict_commit", "no"),
             ("sanitize", "off"),
         ],
@@ -188,30 +172,10 @@ class TestConfigValidation:
         for value in (None, True, False):
             CoreConfig(sanitize=value).validate()
 
-    @pytest.mark.parametrize(
-        "latencies,match",
-        [
-            ({**DEFAULT_LATENCIES, "fpu": 4}, "unknown op classes"),
-            ({**DEFAULT_LATENCIES, "mul": 2.5}, "integers >= 1"),
-            ({**DEFAULT_LATENCIES, "div": True}, "integers >= 1"),
-            ([("int", 1)], "must be a dict"),
-        ],
-        ids=["unknown-class", "float-latency", "bool-latency", "not-a-dict"],
-    )
-    def test_latencies_must_be_exactly_the_op_classes(self, latencies, match):
-        with pytest.raises(ConfigError, match=match):
-            CoreConfig(latencies=latencies).validate()
-        # one shared check: the idealized model rejects the same tables
-        with pytest.raises(ConfigError, match=match):
-            IdealConfig(latencies=latencies).validate()
-
     def test_processor_rejects_bad_config_up_front(self):
         program = assemble("li r1, 1\nhalt")
         with pytest.raises(ConfigError):
             Processor(program, CoreConfig(window_size=0))
-
-    def test_perfect_cache_skips_cache_geometry(self):
-        CoreConfig(perfect_cache=True, cache_size_bytes=0).validate()
 
 
 class TestWorkloadValidation:

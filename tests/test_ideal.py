@@ -6,7 +6,6 @@ import repro.machines
 from repro.errors import ConfigError, SimulationHang
 from repro.fuzz.oracle import run_oracle
 from repro.ideal import (
-    DEFAULT_LATENCIES,
     IdealConfig,
     IdealModel,
     IdealScheduler,
@@ -87,62 +86,62 @@ class TestAnnotation:
 
 class TestModels:
     def test_oracle_has_no_squashes(self, diamond_trace):
-        result = simulate(diamond_trace, IdealModel.ORACLE, window_size=64)
+        result = simulate(diamond_trace, IdealModel.ORACLE, IdealConfig(window_size=64))
         assert result.full_squashes == 0
         assert result.fetched_wrong_path == 0
 
     def test_all_models_retire_everything(self, diamond_trace):
         n = len(diamond_trace)
         for model in IdealModel:
-            result = simulate(diamond_trace, model, window_size=64)
+            result = simulate(diamond_trace, model, IdealConfig(window_size=64))
             assert result.retired == n, model
 
     def test_oracle_is_upper_bound(self, go_trace):
-        oracle = simulate(go_trace, IdealModel.ORACLE, window_size=128).ipc
+        oracle = simulate(go_trace, IdealModel.ORACLE, IdealConfig(window_size=128)).ipc
         for model in IdealModel:
-            ipc = simulate(go_trace, model, window_size=128).ipc
+            ipc = simulate(go_trace, model, IdealConfig(window_size=128)).ipc
             assert ipc <= oracle * 1.02, model
 
     def test_base_is_lower_bound_among_ci_models(self, go_trace):
-        base = simulate(go_trace, IdealModel.BASE, window_size=128).ipc
+        base = simulate(go_trace, IdealModel.BASE, IdealConfig(window_size=128)).ipc
         for model in (IdealModel.NWR_NFD, IdealModel.NWR_FD, IdealModel.WR_FD):
-            assert simulate(go_trace, model, window_size=128).ipc >= base * 0.98
+            assert simulate(go_trace, model, IdealConfig(window_size=128)).ipc >= base * 0.98
 
     def test_wasted_resources_hurt(self, go_trace):
-        nwr = simulate(go_trace, IdealModel.NWR_NFD, window_size=128).ipc
-        wr = simulate(go_trace, IdealModel.WR_NFD, window_size=128).ipc
+        nwr = simulate(go_trace, IdealModel.NWR_NFD, IdealConfig(window_size=128)).ipc
+        wr = simulate(go_trace, IdealModel.WR_NFD, IdealConfig(window_size=128)).ipc
         assert wr <= nwr * 1.02
 
     def test_false_dependences_hurt_compress(self):
         trace = annotate(build_workload("compress", 0.1).program)
-        nfd = simulate(trace, IdealModel.NWR_NFD, window_size=256).ipc
-        fd = simulate(trace, IdealModel.NWR_FD, window_size=256).ipc
+        nfd = simulate(trace, IdealModel.NWR_NFD, IdealConfig(window_size=256)).ipc
+        fd = simulate(trace, IdealModel.NWR_FD, IdealConfig(window_size=256)).ipc
         assert fd < nfd
 
     def test_base_fetches_wrong_path_instructions(self, go_trace):
-        result = simulate(go_trace, IdealModel.BASE, window_size=128)
+        result = simulate(go_trace, IdealModel.BASE, IdealConfig(window_size=128))
         assert result.fetched_wrong_path > 0
         assert result.full_squashes > 0
 
     def test_nwr_models_fetch_no_wrong_path(self, go_trace):
         for model in (IdealModel.NWR_NFD, IdealModel.NWR_FD):
-            result = simulate(go_trace, model, window_size=128)
+            result = simulate(go_trace, model, IdealConfig(window_size=128))
             # only full-squash fallbacks may stall, never fetch wrong paths
             assert result.fetched_wrong_path == 0
 
     def test_oracle_ipc_grows_with_window(self, go_trace):
-        small = simulate(go_trace, IdealModel.ORACLE, window_size=32).ipc
-        big = simulate(go_trace, IdealModel.ORACLE, window_size=256).ipc
+        small = simulate(go_trace, IdealModel.ORACLE, IdealConfig(window_size=32)).ipc
+        big = simulate(go_trace, IdealModel.ORACLE, IdealConfig(window_size=256)).ipc
         assert big >= small
 
     def test_width_bounds_ipc(self, diamond_trace):
         for model in IdealModel:
-            result = simulate(diamond_trace, model, window_size=64)
+            result = simulate(diamond_trace, model, IdealConfig(window_size=64))
             assert result.ipc <= 16.0
 
     def test_deterministic(self, go_trace):
-        a = simulate(go_trace, IdealModel.WR_FD, window_size=128)
-        b = simulate(go_trace, IdealModel.WR_FD, window_size=128)
+        a = simulate(go_trace, IdealModel.WR_FD, IdealConfig(window_size=128))
+        b = simulate(go_trace, IdealModel.WR_FD, IdealConfig(window_size=128))
         assert a.cycles == b.cycles
 
 
@@ -156,12 +155,6 @@ class TestModelProperties:
         assert not IdealModel.ORACLE.exploits_ci
         assert not IdealModel.BASE.exploits_ci
 
-    def test_config_wrong_path_limit_defaults_to_window(self):
-        config = IdealConfig(window_size=128)
-        assert config.wrong_path_limit() == 128
-        config = IdealConfig(window_size=128, wrong_path_cap=50)
-        assert config.wrong_path_limit() == 50
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -169,18 +162,8 @@ class TestConfigValidation:
         [
             ({"window_size": 0}, "window_size"),
             ({"window_size": 64.5}, "window_size"),
-            ({"width": 0}, "width"),
-            ({"frontend_stages": -5}, "frontend_stages"),
-            ({"wrong_path_cap": -1}, "wrong_path_cap"),
-            ({"latencies": {"int": 1}}, "latencies"),
-            ({"latencies": {**DEFAULT_LATENCIES, "mul": 0}}, "latencies"),
-            ({"latencies": {**DEFAULT_LATENCIES, "fp": 4}}, "latencies"),
         ],
-        ids=[
-            "window-zero", "window-float", "width-zero", "frontend-negative",
-            "wrong-path-cap-negative", "latency-missing-class",
-            "latency-zero", "latency-unknown-class",
-        ],
+        ids=["window-zero", "window-float"],
     )
     def test_rejects_bad_knob_naming_it(self, diamond_trace, kwargs, knob):
         with pytest.raises(ConfigError, match=knob):
@@ -191,15 +174,7 @@ class TestConfigValidation:
     def test_default_and_edge_configs_are_valid(self):
         config = IdealConfig()
         assert config.validate() is config
-        IdealConfig(window_size=1, width=1, frontend_stages=0, wrong_path_cap=0).validate()
-
-    def test_simulate_rejects_config_plus_keywords(self, diamond_trace):
-        with pytest.raises(ConfigError, match="window_size"):
-            simulate(diamond_trace, IdealModel.BASE, IdealConfig(), window_size=512)
-
-    def test_simulate_keywords_alone_configure_the_run(self, diamond_trace):
-        result = simulate(diamond_trace, IdealModel.BASE, window_size=32)
-        assert result.window_size == 32
+        IdealConfig(window_size=1).validate()
 
 
 class TestCycleLimit:

@@ -8,9 +8,7 @@ The cells cover the paths the Figure 3 sweep exercises:
   youngest correct instruction to make room) fires for every
   control-independence model at every window;
 * one variant of each ``fam:<family>:<seed>`` workload family at
-  windows 64 and 256;
-* off-default configs on ``go``: ``width=4``, ``frontend_stages=0`` and
-  ``wrong_path_cap=16``.
+  windows 64 and 256.
 
 The golden was minted from the dict-and-method scheduler that preceded
 the inlined cycle loop; regenerate it only for a change that is meant
@@ -40,23 +38,17 @@ KERNEL_WINDOWS = (64, 128, 256, 512)
 FAMILY_VARIANT = 1
 FAMILY_SCALE = 1.0
 FAMILY_WINDOWS = (64, 256)
-#: (label, workload, IdealConfig overrides) of the off-default cells
-OFF_DEFAULT = (
-    ("width=4", "go", {"window_size": 128, "width": 4}),
-    ("frontend_stages=0", "go", {"window_size": 128, "frontend_stages": 0}),
-    ("wrong_path_cap=16", "go", {"window_size": 128, "wrong_path_cap": 16}),
-)
 
 
-def golden_cells() -> list[tuple[str, str, float, IdealModel, dict]]:
-    """Every golden cell as (key, workload, scale, model, config kwargs)."""
+def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
+    """Every golden cell as (key, workload, scale, model, window size)."""
     cells = []
     for name in WORKLOAD_NAMES:
         for model in IdealModel:
             for window in KERNEL_WINDOWS:
                 cells.append((
                     f"{name}/{model.value}/w{window}",
-                    name, KERNEL_SCALE, model, {"window_size": window},
+                    name, KERNEL_SCALE, model, window,
                 ))
     for family in FAMILY_NAMES:
         name = family_workload_name(family, FAMILY_VARIANT)
@@ -64,14 +56,8 @@ def golden_cells() -> list[tuple[str, str, float, IdealModel, dict]]:
             for window in FAMILY_WINDOWS:
                 cells.append((
                     f"{name}/{model.value}/w{window}",
-                    name, FAMILY_SCALE, model, {"window_size": window},
+                    name, FAMILY_SCALE, model, window,
                 ))
-    for label, name, overrides in OFF_DEFAULT:
-        for model in IdealModel:
-            cells.append((
-                f"{name}/{model.value}/{label}",
-                name, KERNEL_SCALE, model, overrides,
-            ))
     return cells
 
 
@@ -83,8 +69,8 @@ def _trace(name: str, scale: float):
     return annotate(build_workload(name, scale).program)
 
 
-def result_fields(name: str, scale: float, model: IdealModel, kwargs: dict) -> dict:
-    result = simulate(_trace(name, scale), model, IdealConfig(**kwargs))
+def result_fields(name: str, scale: float, model: IdealModel, window: int) -> dict:
+    result = simulate(_trace(name, scale), model, IdealConfig(window_size=window))
     fields = dataclasses.asdict(result)
     fields["model"] = result.model.value
     return fields
@@ -101,16 +87,16 @@ def test_golden_covers_every_cell(golden):
 
 
 @pytest.mark.parametrize(
-    "key,name,scale,model,kwargs", CELLS, ids=[cell[0] for cell in CELLS]
+    "key,name,scale,model,window", CELLS, ids=[cell[0] for cell in CELLS]
 )
-def test_ideal_result_matches_golden(golden, key, name, scale, model, kwargs):
-    assert result_fields(name, scale, model, kwargs) == golden[key]
+def test_ideal_result_matches_golden(golden, key, name, scale, model, window):
+    assert result_fields(name, scale, model, window) == golden[key]
 
 
 def mint() -> None:
     cells = {
-        key: result_fields(name, scale, model, kwargs)
-        for key, name, scale, model, kwargs in CELLS
+        key: result_fields(name, scale, model, window)
+        for key, name, scale, model, window in CELLS
     }
     lines = [
         f"{json.dumps(key)}: {json.dumps(cells[key], sort_keys=True)}"

@@ -90,10 +90,14 @@ class TestConfigMaterialization:
             get_machine("BASE").ideal_config()
 
     def test_unknown_knobs_rejected(self):
-        with pytest.raises(ConfigError, match="'bogus'"):
-            get_machine("BASE").core_config(bogus=1)
-        with pytest.raises(ConfigError, match="'bogus'"):
-            ideal_machine(IdealModel.ORACLE).ideal_config(bogus=1)
+        # width, perfect_cache and wrong_path_cap are the paper's fixed
+        # machine, not knobs
+        for knob in ("bogus", "width", "perfect_cache"):
+            with pytest.raises(ConfigError, match=f"'{knob}'"):
+                get_machine("BASE").core_config(**{knob: 1})
+        for knob in ("bogus", "width", "wrong_path_cap"):
+            with pytest.raises(ConfigError, match=f"'{knob}'"):
+                ideal_machine(IdealModel.ORACLE).ideal_config(**{knob: 1})
 
     def test_ideal_config_materializes_overrides(self):
         config = ideal_machine(IdealModel.ORACLE).ideal_config(window_size=64)

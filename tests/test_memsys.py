@@ -2,15 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.memsys import PerfectCache, SetAssociativeCache
-
-
-class TestPerfectCache:
-    def test_fixed_latency(self):
-        cache = PerfectCache(latency=1)
-        assert cache.access(123) == 1
-        assert cache.access(456) == 1
-        assert cache.stats.hit_rate == 1.0
+from repro.memsys import SetAssociativeCache
 
 
 class TestSetAssociativeCache:

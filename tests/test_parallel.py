@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from repro.errors import ConfigError
+import repro.harness.runner
+from repro.errors import ConfigError, WorkloadError
 from repro.harness import run_study
 from repro.harness.parallel import map_resilient, outcome_result, resolve_jobs
 from repro.harness.runner import CellResult
@@ -61,14 +62,21 @@ class TestParallelEquivalence:
         with pytest.raises(ConfigError, match="figure99"):
             run_study(experiments=["figure99"], scale=SCALE, names=NAMES, jobs=2)
 
-    def test_bad_workload_degrades_to_error_row(self):
-        out = run_study(
-            experiments=EXPS, scale=SCALE, names=("go", "not-a-benchmark"), jobs=2
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_workload_rejected_before_any_row(self, monkeypatch, jobs):
+        dispatched = []
+        monkeypatch.setattr(
+            repro.harness.runner, "run_keyed",
+            lambda *args: dispatched.append(args),
         )
-        assert "error" not in out["results"]["table1"]["go"]
-        bad = out["results"]["table1"]["not-a-benchmark"]
-        assert bad["error_type"] == "WorkloadError"
-        assert len(out["failures"]) == 1
+        with pytest.raises(WorkloadError, match="not-a-benchmark"):
+            run_study(
+                experiments=["table1", "table2"], scale=SCALE,
+                names=("go", "not-a-benchmark"), jobs=jobs,
+            )
+        with pytest.raises(WorkloadError, match="scale"):
+            run_study(experiments=EXPS, scale=-1.0, names=("go",), jobs=jobs)
+        assert dispatched == []
 
 
 class TestParallelResume:

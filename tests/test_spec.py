@@ -329,6 +329,12 @@ class TestFormatters:
         text = format_experiment("figure12", {"go": {"timing": 1.0}})
         assert "FIGURE 12" in text and "timing" in text
 
+    @pytest.mark.parametrize("name", spec_names())
+    def test_empty_result_prints_the_title(self, name):
+        spec = get_spec(name)
+        text = format_experiment(name, [] if spec.shape == "rows" else {})
+        assert text.splitlines()[0].startswith(spec.artifact.upper() + ".")
+
     def test_every_spec_prints_through_its_own_formatter(self):
         study = run_study(scale=0.01, names="vortex")
         assert study["failures"] == []
