@@ -105,8 +105,23 @@ class CampaignConfig:
     def validate(self) -> "CampaignConfig":
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"campaign seed must be an int, got {self.seed!r}")
-        if self.cases < 1:
-            raise ConfigError(f"cases must be >= 1, got {self.cases!r}")
+        if not isinstance(self.cases, int) or isinstance(self.cases, bool) or self.cases < 1:
+            raise ConfigError(f"cases must be an int >= 1, got {self.cases!r}")
+        budget = self.budget_seconds
+        if budget is not None and (
+            not isinstance(budget, (int, float)) or isinstance(budget, bool)
+            or not budget > 0
+        ):
+            raise ConfigError(
+                f"budget_seconds must be a positive number or None, got {budget!r}"
+            )
+        # A bare string would be iterated as one-character names.
+        for knob in ("machines", "families", "mutants"):
+            if isinstance(getattr(self, knob), str):
+                raise ConfigError(
+                    f"{knob} must be a sequence of names, not the string "
+                    f"{getattr(self, knob)!r}"
+                )
         # Bad execution knobs would otherwise degrade every case, or
         # silently run serially.
         resolve_jobs(self.jobs)
@@ -121,11 +136,6 @@ class CampaignConfig:
             get_family(name)
         for name in self.mutants:
             mutant_machine(name)
-        if self.budget_seconds is not None and self.budget_seconds <= 0:
-            raise ConfigError(
-                f"budget_seconds must be positive or None, "
-                f"got {self.budget_seconds!r}"
-            )
         return self
 
     def machine_names(self) -> tuple[str, ...]:

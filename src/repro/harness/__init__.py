@@ -2,8 +2,9 @@
 fault-isolated study runner, and the paper-style formatters.
 
 One function per concern: :func:`run_spec` turns an artifact into rows,
-:func:`derive` builds a derived view (Figure 6 from Figure 5), and
-:func:`run_study` runs a fault-isolated study, serial or pooled.
+:func:`derive` builds a derived view (Figure 6 from Figure 5),
+:func:`run_study` runs a fault-isolated study, serial or pooled, and
+:func:`study_artifacts` folds a study's rows into each artifact's data.
 """
 
 from .spec import (
@@ -18,6 +19,7 @@ from .spec import (
     runnable_experiments,
     select_cells,
     spec_names,
+    study_artifacts,
 )
 from .experiments import (
     COMPLETION_CONFIGS,
@@ -28,7 +30,6 @@ from .experiments import (
     assemble_study,
     load_bundle,
     parse_only,
-    run_core,
     run_study,
     select_study_cells,
     validate_experiments,
@@ -80,6 +81,7 @@ __all__ = [
     "select_cells",
     "select_study_cells",
     "spec_names",
+    "study_artifacts",
     "validate_experiments",
     "configure_default_cache",
     "get_default_cache",
@@ -88,7 +90,6 @@ __all__ = [
     "run_keyed",
     "run_study",
     "load_bundle",
-    "run_core",
     "format_experiment",
     "format_reconv_report",
 ]

@@ -11,7 +11,6 @@ rows is :func:`~repro.harness.spec.derive`.
 
 from __future__ import annotations
 
-from ..core import CoreConfig, CoreStats, Processor
 from ..errors import ConfigError
 from ..machines import HEURISTIC_POLICIES
 from ..workloads import WORKLOAD_NAMES, check_workload
@@ -35,17 +34,11 @@ __all__ = [
     "assemble_study",
     "load_bundle",
     "parse_only",
-    "run_core",
     "run_study",
     "select_study_cells",
     "study_cells",
     "validate_experiments",
 ]
-
-
-def run_core(bundle: WorkloadBundle, config: CoreConfig) -> CoreStats:
-    """One detailed-machine simulation over a prepared bundle."""
-    return Processor(bundle.program, config, bundle.golden, bundle.reconv).run()
 
 
 def validate_experiments(experiments=None) -> list:

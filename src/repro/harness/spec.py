@@ -662,6 +662,30 @@ def derive(name_or_spec, base_result: dict) -> dict:
     }
 
 
+def study_artifacts(results: dict) -> dict:
+    """Each artifact's data from a study's ``results``, in paper order.
+
+    ``results`` is :func:`~repro.harness.experiments.run_study`'s
+    ``{experiment: {workload: row}}``.  Rows fold in ``WORKLOAD_NAMES``
+    order whatever order the study ran them in (other workloads follow
+    in study order), and a derived spec (Figure 6) derives from its base
+    when the base ran.  The result is what :func:`run_spec` returns for
+    each artifact at the study's scale.
+    """
+    data: dict = {}
+    for name in spec_names():
+        spec = SPECS[name]
+        if spec.derives is not None:
+            if spec.derives in data:
+                data[name] = derive(spec, data[spec.derives])
+        elif name in results:
+            rows = results[name]
+            ordered = [w for w in WORKLOAD_NAMES if w in rows]
+            ordered += [w for w in rows if w not in ordered]
+            data[name] = assemble_rows(spec, [CellRow(name, w, rows[w]) for w in ordered])
+    return data
+
+
 __all__ = [
     "SHAPES",
     "SPECS",
@@ -689,6 +713,7 @@ __all__ = [
     "runnable_experiments",
     "select_cells",
     "spec_names",
+    "study_artifacts",
     "table1_row",
     "table2_row",
     "table3_row",

@@ -27,10 +27,9 @@ Here every machine is a :class:`Machine` entry with a uniform
 ``annotated()`` memoizer (only the attributes a family needs are read,
 so a program-only bundle is enough for the functional machine).
 
-The spec engine (:mod:`repro.harness.spec`), the experiment shims, the
-benchmark CLI and the examples all resolve machines through this
-registry, so a new variant is one entry here — not a sixteenth bespoke
-runner.
+The spec engine (:mod:`repro.harness.spec`), the fuzz oracle and the
+examples all resolve machines through this registry, so a new variant
+is one entry here — not a sixteenth bespoke runner.
 """
 
 from __future__ import annotations
@@ -241,18 +240,6 @@ def heuristic_machine(policy: ReconvPolicy) -> Machine:
     return get_machine(f"CI/{policy.value}")
 
 
-def detailed_machines() -> dict[str, CoreConfig]:
-    """The BASE / CI / CI-I configurations, materialized.
-
-    This is the single source of truth behind the machine matrices in
-    ``examples/``; each call returns fresh ``CoreConfig`` instances so
-    callers may layer their own overrides.
-    """
-    return {
-        name: MACHINES[name].core_config() for name in DETAILED_MACHINE_NAMES
-    }
-
-
 __all__ = [
     "DETAILED_MACHINE_NAMES",
     "FAMILIES",
@@ -260,7 +247,6 @@ __all__ = [
     "IDEAL_PREFIX",
     "MACHINES",
     "Machine",
-    "detailed_machines",
     "get_machine",
     "heuristic_machine",
     "ideal_machine",

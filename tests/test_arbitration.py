@@ -28,13 +28,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CoreConfig, Processor, ReconvPolicy
+from repro.core import CoreConfig, Processor, ReconvPolicy, simulate_core
 from repro.core.rob import ReorderBuffer
 from repro.core.stages import backend as backend_mod
 from repro.core.stages import sequencer as sequencer_mod
 from repro.fuzz import load_corpus
 from repro.fuzz.oracle import program_bundle
-from repro.harness.experiments import load_bundle, run_core
+from repro.harness.experiments import load_bundle
 from repro.machines import get_machine
 from test_recovery_golden import CELLS as RECOVERY_CELLS
 from test_recovery_golden import _bundle as recovery_bundle
@@ -160,7 +160,9 @@ def test_golden_cells_obey_contract(bundles, workload, machine, monkeypatch):
     """Instrumented tie-break logging over the 6 core golden cells."""
     recorder = HeapRecorder()
     recorder.install(monkeypatch)
-    run_core(bundles[workload], CoreConfig(**CORE_MACHINES[machine]))
+    bundle = bundles[workload]
+    config = CoreConfig(**CORE_MACHINES[machine])
+    simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
     _check_clauses(recorder, f"{workload}/{machine}")
 
 
@@ -198,7 +200,9 @@ def test_recovery_cells_obey_epoch_clause(name, machine, monkeypatch):
     """
     recorder = HeapRecorder()
     recorder.install(monkeypatch)
-    run_core(recovery_bundle(name), get_machine(machine).core_config())
+    bundle = recovery_bundle(name)
+    config = get_machine(machine).core_config()
+    simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
     if machine in NO_RESPACE_MACHINES:
         _check_clauses(recorder, f"{name}/{machine}")
     else:

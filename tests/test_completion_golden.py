@@ -35,8 +35,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CompletionModel
-from repro.harness.experiments import load_bundle, run_core
+from repro.core import CompletionModel, simulate_core
+from repro.harness.experiments import load_bundle
 from repro.machines import get_machine
 from repro.workloads import WORKLOAD_NAMES
 
@@ -77,7 +77,9 @@ def _bundle(name: str):
 
 def stats_fields(name: str, machine: str, overrides: dict) -> dict:
     config = get_machine(machine).core_config(window_size=WINDOW, **overrides)
-    return dataclasses.asdict(run_core(_bundle(name), config))
+    bundle = _bundle(name)
+    stats = simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
+    return dataclasses.asdict(stats)
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CoreConfig, ReconvPolicy
-from repro.harness.experiments import load_bundle, run_core
+from repro.core import CoreConfig, ReconvPolicy, simulate_core
+from repro.harness.experiments import load_bundle
 from repro.ideal.models import IdealConfig, IdealModel
 from repro.ideal.scheduler import simulate
 
@@ -58,6 +58,11 @@ def _assert_matches(golden: dict, current: dict, what: str) -> None:
     assert not mismatches, f"{what} diverged from its golden: {mismatches}"
 
 
+def run_cell(bundle, machine: str):
+    config = CoreConfig(**CORE_MACHINES[machine])
+    return simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
+
+
 def ideal_fields(bundle, model: IdealModel) -> dict:
     r = simulate(bundle.annotated(), model, IdealConfig(window_size=256))
     return {
@@ -73,7 +78,7 @@ def ideal_fields(bundle, model: IdealModel) -> dict:
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("machine", sorted(CORE_MACHINES))
 def test_core_stats_match_goldens(goldens, bundles, workload, machine):
-    stats = run_core(bundles[workload], CoreConfig(**CORE_MACHINES[machine]))
+    stats = run_cell(bundles[workload], machine)
     _assert_matches(
         goldens[("core", workload, machine)],
         dataclasses.asdict(stats),
@@ -96,7 +101,7 @@ def test_retired_env_knobs_do_not_change_results(goldens, bundles, monkeypatch):
     setting them must leave a golden cell untouched."""
     monkeypatch.setenv("REPRO_ORDER", "v1")
     monkeypatch.setenv("REPRO_BATCH", "1")
-    stats = run_core(bundles["go"], CoreConfig(**CORE_MACHINES["BASE"]))
+    stats = run_cell(bundles["go"], "BASE")
     _assert_matches(
         goldens[("core", "go", "BASE")],
         dataclasses.asdict(stats),
@@ -109,7 +114,7 @@ def mint() -> None:
     for workload in WORKLOADS:
         bundle = load_bundle(workload, SCALE)
         for machine in sorted(CORE_MACHINES):
-            stats = run_core(bundle, CoreConfig(**CORE_MACHINES[machine]))
+            stats = run_cell(bundle, machine)
             cells[("core", workload, machine)] = dataclasses.asdict(stats)
         for model in IdealModel:
             cells[("ideal", workload, model.value)] = ideal_fields(bundle, model)

@@ -233,21 +233,31 @@ class TestCampaign:
             ({"jobs": "many"}, ConfigError, "jobs"),
             ({"jobs": 2, "timeout_seconds": -1}, ConfigError, "timeout_seconds"),
             ({"scale": -1.0}, WorkloadError, "scale"),
+            ({"cases": 2.5}, ConfigError, "cases"),
+            ({"cases": True}, ConfigError, "cases"),
+            ({"cases": "3"}, ConfigError, "cases"),
+            ({"budget_seconds": "5"}, ConfigError, "budget_seconds"),
+            ({"machines": "CI"}, ConfigError, "machines"),
+            ({"families": "loopy"}, ConfigError, "families"),
+            ({"mutants": "alu-xor"}, ConfigError, "mutants"),
         ],
-        ids=["jobs-zero", "jobs-negative", "jobs-word", "timeout", "scale"],
+        ids=["jobs-zero", "jobs-negative", "jobs-word", "timeout", "scale",
+             "cases-float", "cases-bool", "cases-string", "budget-string",
+             "machines-string", "families-string", "mutants-string"],
     )
     def test_bad_execution_input_rejected_before_any_case_runs(
         self, tmp_path, monkeypatch, kwargs, error, match
     ):
-        # These used to run serially, raise a TypeError mid-run, or file
-        # every case as an error row.
+        # These used to run serially, raise a TypeError mid-run, split a
+        # bare string into one-character names, or file every case as an
+        # error row.
         import repro.fuzz.campaign as campaign_mod
 
         def explode(*args, **kw):  # pragma: no cover - must not run
             raise AssertionError("a case ran despite bad execution input")
 
         monkeypatch.setattr(campaign_mod, "run_case", explode)
-        cfg = self.config(tmp_path, cases=2, machines=("BASE",), **kwargs)
+        cfg = self.config(tmp_path, **{"cases": 2, "machines": ("BASE",), **kwargs})
         with pytest.raises(error, match=match):
             cfg.validate()
         with pytest.raises(error, match=match):

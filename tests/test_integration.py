@@ -111,30 +111,7 @@ def test_hfm_on_compress(bundles):
 
 
 class TestQualitativeResults:
-    """The paper's headline claims, at miniature scale."""
-
-    def test_ci_improves_unpredictable_workloads(self, bundles):
-        for name in ("go", "compress"):
-            base = run_with(bundles, name, reconv_policy=ReconvPolicy.NONE)
-            ci = run_with(bundles, name, reconv_policy=ReconvPolicy.POSTDOM)
-            assert ci.ipc > base.ipc, name
-
-    def test_vortex_benefits_least(self, bundles):
-        gains = {}
-        for name in ("go", "vortex"):
-            base = run_with(bundles, name, reconv_policy=ReconvPolicy.NONE)
-            ci = run_with(bundles, name, reconv_policy=ReconvPolicy.POSTDOM)
-            gains[name] = ci.ipc / base.ipc
-        assert gains["vortex"] < gains["go"]
-
-    def test_most_mispredictions_reconverge(self, bundles):
-        stats = run_with(bundles, "compress", reconv_policy=ReconvPolicy.POSTDOM)
-        assert stats.reconverge_fraction > 0.5
-
-    def test_redispatch_repairs_are_rare(self, bundles):
-        """Paper Table 2: only ~2-3 CI instructions get new names."""
-        stats = run_with(bundles, "go", reconv_policy=ReconvPolicy.POSTDOM)
-        assert stats.avg_ci_rename_repairs < 10
+    """Run-to-run determinism; the paper's claims are tests/test_claims.py."""
 
     def test_determinism(self, bundles):
         a = run_with(bundles, "gcc", reconv_policy=ReconvPolicy.POSTDOM)

@@ -15,7 +15,6 @@ from repro.machines import (
     DETAILED_MACHINE_NAMES,
     HEURISTIC_POLICIES,
     MACHINES,
-    detailed_machines,
     get_machine,
     heuristic_machine,
     ideal_machine,
@@ -73,7 +72,7 @@ class TestConfigMaterialization:
                 reconv_policy=ReconvPolicy.POSTDOM, instant_redispatch=True
             ),
         }
-        assert detailed_machines() == legacy
+        assert {n: MACHINES[n].core_config() for n in DETAILED_MACHINE_NAMES} == legacy
 
     def test_overrides_layer_on_base_knobs(self):
         config = get_machine("CI-I").core_config(window_size=512)

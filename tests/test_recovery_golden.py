@@ -34,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import load_bundle, run_core
+from repro.core import simulate_core
+from repro.harness.experiments import load_bundle
 from repro.machines import get_machine
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "recovery_golden.json"
@@ -65,7 +66,9 @@ def _bundle(name: str):
 
 def stats_fields(name: str, machine: str) -> dict:
     config = get_machine(machine).core_config()
-    return dataclasses.asdict(run_core(_bundle(name), config))
+    bundle = _bundle(name)
+    stats = simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
+    return dataclasses.asdict(stats)
 
 
 @pytest.fixture(scope="module")

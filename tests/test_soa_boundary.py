@@ -112,10 +112,12 @@ def test_simulation_never_imports_numpy():
     interpreter, since this test process may have imported it)."""
     script = (
         "import sys\n"
-        "from repro.harness.experiments import load_bundle, run_core\n"
+        "from repro.core import simulate_core\n"
+        "from repro.harness.experiments import load_bundle\n"
         "from repro.machines import get_machine\n"
-        "stats = run_core(load_bundle('go', 0.02), "
-        "get_machine('BASE').core_config(window_size=64))\n"
+        "b = load_bundle('go', 0.02)\n"
+        "stats = simulate_core(b.program, "
+        "get_machine('BASE').core_config(window_size=64), b.golden, b.reconv)\n"
         "assert stats.retired > 0\n"
         "print('numpy' in sys.modules)\n"
     )

@@ -19,7 +19,6 @@ from repro.harness.experiments import (
     validate_experiments,
 )
 import repro.harness.spec as spec_mod
-from repro.harness import derive
 from repro.harness.spec import (
     CellRow,
     assemble_rows,
@@ -30,6 +29,7 @@ from repro.harness.spec import (
     runnable_experiments,
     select_cells,
     spec_names,
+    study_artifacts,
 )
 from repro.harness.tables import format_experiment
 
@@ -338,14 +338,7 @@ class TestFormatters:
     def test_every_spec_prints_through_its_own_formatter(self):
         study = run_study(scale=0.01, names="vortex")
         assert study["failures"] == []
-        data: dict = {}
-        for name in spec_names():
-            spec = get_spec(name)
-            if spec.derives is not None:
-                data[name] = derive(name, data[spec.derives])
-            else:
-                row = CellRow(name, "vortex", study["results"][name]["vortex"])
-                data[name] = assemble_rows(spec, [row])
+        data = study_artifacts(study["results"])
         first_lines = {
             name: format_experiment(name, data[name]).splitlines()[0]
             for name in spec_names()
