@@ -12,14 +12,13 @@ Usage:
     python parallel_study.py --jobs auto --experiments figure3 figure5 --scale 0.12
     python parallel_study.py --jobs 4 --skip-serial --checkpoint study.json
     python parallel_study.py --list
-    python parallel_study.py --only figure5:vortex --only figure10 --skip-serial
+    python parallel_study.py --experiments figure10 --names vortex --skip-serial
 
 ``--jobs`` defaults to the REPRO_JOBS environment variable (else 1);
 ``--cache-dir`` persists the content-addressed golden-trace cache
 across runs (otherwise a per-study temporary directory is used).
-``--list`` enumerates every registered spec with its cells and exits;
-``--only EXPERIMENT[:WORKLOAD]`` (repeatable) restricts the grid to a
-subset of study cells, so partial reruns don't need code edits.
+``--list`` enumerates every registered spec with its cells and exits.
+A partial rerun narrows the grid with ``--experiments`` and ``--names``.
 """
 
 import argparse
@@ -30,7 +29,6 @@ from pathlib import Path
 
 from repro.harness import (
     get_spec,
-    parse_only,
     resolve_jobs,
     run_study,
     runnable_experiments,
@@ -85,30 +83,18 @@ def main(argv=None) -> int:
         "--list", action="store_true",
         help="enumerate registered specs/cells and exit",
     )
-    parser.add_argument(
-        "--only", action="append", default=None, metavar="EXPERIMENT[:WORKLOAD]",
-        help="restrict the grid to matching study cells (repeatable)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
         list_specs()
         return 0
 
-    if args.only:
-        # Selectors define the experiment set; --experiments is ignored
-        # so `--only figure10:go` alone reruns exactly one cell.
-        chosen = validate_experiments(
-            list(dict.fromkeys(exp for exp, _ in parse_only(args.only)))
-        )
-    else:
-        chosen = validate_experiments(args.experiments)
+    chosen = validate_experiments(args.experiments)
     jobs = resolve_jobs(args.jobs)
     names = tuple(args.names)
     grid = len(chosen) * len(names)
-    shown = f"= {grid} cells" if not args.only else f"-> only {args.only}"
     print(f"grid: {len(chosen)} experiments x {len(names)} workloads "
-          f"{shown}, scale {args.scale}, jobs {jobs}")
+          f"= {grid} cells, scale {args.scale}, jobs {jobs}")
 
     serial_out = None
     if not args.skip_serial:
@@ -116,7 +102,6 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         serial_out = run_study(
             experiments=chosen, scale=args.scale, names=names, jobs=1,
-            only=args.only,
         )
         print(f"  {time.perf_counter() - t0:.3f}s, "
               f"{len(serial_out['failures'])} failed cells")
@@ -126,7 +111,6 @@ def main(argv=None) -> int:
     parallel_out = run_study(
         experiments=chosen, scale=args.scale, names=names, jobs=jobs,
         checkpoint_path=args.checkpoint, cache_dir=args.cache_dir,
-        only=args.only,
     )
     print(f"  {time.perf_counter() - t0:.3f}s, {parallel_out['resumed']} resumed, "
           f"{len(parallel_out['failures'])} failed cells")

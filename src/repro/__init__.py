@@ -6,7 +6,7 @@ Public surface:
 * :mod:`repro.isa` — toy RISC ISA, assembler, shared instruction semantics
 * :mod:`repro.functional` — architectural simulation and golden traces
 * :mod:`repro.cfg` — post-dominator / reconvergence analysis
-* :mod:`repro.bpred` — gshare, target prediction, confidence, TFR
+* :mod:`repro.bpred` — gshare, target prediction, TFR
 * :mod:`repro.memsys` — cache timing models
 * :mod:`repro.ideal` — the six idealized machine models (paper Sec. 2)
 * :mod:`repro.core` — the detailed execution-driven CI processor (Sec. 3-4)

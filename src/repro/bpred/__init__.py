@@ -1,6 +1,5 @@
-"""Branch prediction: gshare, target buffers, RAS, confidence, TFR."""
+"""Branch prediction: gshare, target buffers, RAS, TFR."""
 
-from .confidence import ResettingCounterConfidence
 from .frontend import FrontEnd, Prediction
 from .gshare import GshareGlobalHistory, GsharePredictor
 from .targets import CorrelatedTargetBuffer, ReturnAddressStack
@@ -19,7 +18,6 @@ __all__ = [
     "GsharePredictor",
     "MispredictionStats",
     "Prediction",
-    "ResettingCounterConfidence",
     "ReturnAddressStack",
     "TFRCollector",
     "TFRTable",

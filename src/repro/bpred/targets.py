@@ -51,9 +51,6 @@ class ReturnAddressStack:
             return self._stack.pop()
         return None
 
-    def peek(self) -> int | None:
-        return self._stack[-1] if self._stack else None
-
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self._stack)
 

@@ -17,7 +17,6 @@ from .spec import (
     run_spec,
     run_spec_row,
     runnable_experiments,
-    select_cells,
     spec_names,
     study_artifacts,
 )
@@ -29,9 +28,7 @@ from .experiments import (
     WorkloadBundle,
     assemble_study,
     load_bundle,
-    parse_only,
     run_study,
-    select_study_cells,
     validate_experiments,
 )
 from .cache import (
@@ -74,12 +71,9 @@ __all__ = [
     "config_hash",
     "derive",
     "get_spec",
-    "parse_only",
     "run_spec",
     "run_spec_row",
     "runnable_experiments",
-    "select_cells",
-    "select_study_cells",
     "spec_names",
     "study_artifacts",
     "validate_experiments",

@@ -18,10 +18,8 @@ from .spec import (
     CellRow,
     WorkloadBundle,
     load_bundle,
-    resolve_spec,
     run_spec_row,
     runnable_experiments,
-    select_cells,
 )
 from .specs import COMPLETION_CONFIGS, DETAILED_WINDOWS, IDEAL_WINDOWS
 
@@ -33,9 +31,7 @@ __all__ = [
     "WorkloadBundle",
     "assemble_study",
     "load_bundle",
-    "parse_only",
     "run_study",
-    "select_study_cells",
     "study_cells",
     "validate_experiments",
 ]
@@ -62,66 +58,7 @@ def validate_experiments(experiments=None) -> list:
     return chosen
 
 
-def parse_only(only) -> list[tuple[str, str | None]]:
-    """Normalize ``EXPERIMENT:WORKLOAD`` selectors into pairs.
-
-    Accepts strings (``"figure5:vortex"``, or bare ``"figure5"`` for
-    every workload of one experiment) and ``(experiment, workload)``
-    tuples (``workload=None`` meaning all); a single string is one
-    selector, not a sequence of characters.  Experiment names are
-    validated against the registry here; workload names are validated
-    against the enumerated grid by :func:`select_study_cells`.
-    """
-    runnable = runnable_experiments()
-    if isinstance(only, str):
-        only = [only]
-    pairs: list[tuple[str, str | None]] = []
-    for item in only:
-        if isinstance(item, str):
-            exp, _, workload = item.partition(":")
-            pairs.append((exp, workload or None))
-        else:
-            exp, workload = item
-            pairs.append((exp, workload))
-        if pairs[-1][0] not in runnable:
-            raise ConfigError(
-                f"selector {item!r}: unknown experiment {pairs[-1][0]!r}; "
-                f"choose from {sorted(runnable)}"
-            )
-    return pairs
-
-
-def select_study_cells(cells, only):
-    """Filter an enumerated study grid by ``EXPERIMENT:WORKLOAD`` pairs.
-
-    Every selector must match at least one enumerated cell — a selector
-    naming a workload outside the study's ``names`` is a configuration
-    error, not a silent no-op.
-    """
-    if only is None:
-        return list(cells)
-    pairs = parse_only(only)
-    selected = []
-    matched = [False] * len(pairs)
-    for cell in cells:
-        hit = False
-        for i, (exp, workload) in enumerate(pairs):
-            if cell.experiment == exp and workload in (None, cell.workload):
-                matched[i] = True
-                hit = True
-        if hit:
-            selected.append(cell)
-    missed = [pairs[i] for i, ok in enumerate(matched) if not ok]
-    if missed:
-        raise ConfigError(
-            f"selectors matched no study cells: "
-            f"{[f'{e}:{w}' if w else e for e, w in missed]!r} "
-            "(is the workload in this study's names?)"
-        )
-    return selected
-
-
-def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
+def study_cells(chosen, names, scale: float):
     """Enumerate the study grid as Cells, in deterministic order.
 
     Serial and pooled execution share this enumeration, so a checkpoint
@@ -131,7 +68,7 @@ def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
 
     cells = []
     for exp in chosen:
-        knob_hash = config_hash({"experiment": exp, **experiment_kwargs})
+        knob_hash = config_hash({"experiment": exp})
         for name in names:
             cells.append(
                 Cell(experiment=exp, workload=name, config_hash=knob_hash, scale=scale)
@@ -170,8 +107,6 @@ def run_study(
     jobs: "int | str | None" = None,
     cache_dir=None,
     timeout_seconds: float | None = None,
-    only=None,
-    **experiment_kwargs,
 ) -> dict:
     """Run a cross-product of experiments × workloads fault-isolated.
 
@@ -181,10 +116,10 @@ def run_study(
     study, and — when ``checkpoint_path`` is given — completed cells are
     recorded and skipped on resume after an interruption.  ``names`` is
     a sequence of workloads or one bare workload name; repeated
-    experiments or workloads run once, in first-seen order.
-    ``experiment_kwargs`` (builder knobs such as ``windows=``, and
-    ``cells=``) are checked against every chosen experiment before any
-    cell runs: an unknown knob or cell label raises
+    experiments or workloads run once, in first-seen order.  The study
+    is narrowed only by ``experiments`` × ``names``.  Every argument is
+    checked before any cell runs: an unknown experiment or a bad
+    ``jobs`` or ``timeout_seconds`` raises
     :class:`~repro.errors.ConfigError`, and an unknown workload name or
     a bad ``scale`` raises :class:`~repro.errors.WorkloadError`.
 
@@ -192,9 +127,7 @@ def run_study(
     CPU count) fans the pending cells across worker processes via
     :func:`repro.harness.parallel.run_pool`, sharing artifacts through
     ``cache_dir`` (else a temporary directory); results are
-    byte-identical to the serial run.  ``only`` restricts the grid to
-    ``EXPERIMENT:WORKLOAD`` selectors (see :func:`select_study_cells`)
-    for partial reruns.
+    byte-identical to the serial run.
 
     Each distinct detailed cell simulates once per study: the study
     owns one cell memo (:func:`~repro.harness.spec.memo_key`), so e.g.
@@ -226,18 +159,11 @@ def run_study(
     names = tuple(dict.fromkeys(names))
     runner = CellRunner(timeout_seconds)
     n_jobs = resolve_jobs(jobs)
-    knobs = {k: v for k, v in experiment_kwargs.items() if k != "cells"}
-    for exp in chosen:
-        select_cells(resolve_spec(exp, knobs), experiment_kwargs.get("cells"))
     for name in names:
         check_workload(name, scale)
 
-    # 2. Enumerate the grid and apply ``only``.
-    cells = select_study_cells(
-        study_cells(chosen, names, scale, experiment_kwargs), only
-    )
-    if only is not None:
-        chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
+    # 2. Enumerate the grid.
+    cells = study_cells(chosen, names, scale)
 
     # 3. Resume finished cells from the checkpoint; run the rest
     #    in-process or on the pool.
@@ -248,8 +174,7 @@ def run_study(
         pending = [cells[i] for i in indices]
         if n_jobs > 1:
             wave1_cells = run_pool(
-                pending, scale, experiment_kwargs, timeout_seconds, n_jobs,
-                cache_dir, settle,
+                pending, scale, timeout_seconds, n_jobs, cache_dir, settle
             )
             return
         # One cell memo per study: every row reads and fills it, so each
@@ -260,7 +185,7 @@ def run_study(
             settle(runner.run_cell(
                 cell,
                 lambda exp=cell.experiment, name=cell.workload: run_spec_row(
-                    exp, name, scale=scale, memo=memo, **experiment_kwargs
+                    exp, name, scale=scale, memo=memo
                 ).to_payload(),
             ))
 

@@ -125,7 +125,6 @@ def _run_cell(
     workload: str,
     knob_hash: str | None,
     scale: float,
-    experiment_kwargs: dict,
     timeout_seconds: float | None,
     memo: dict | None = None,
     machine=None,
@@ -165,7 +164,7 @@ def _run_cell(
     return CellRunner(timeout_seconds).run_cell(
         cell,
         lambda: run_spec_row(
-            experiment, workload, scale=scale, memo=memo, **experiment_kwargs
+            experiment, workload, scale=scale, memo=memo
         ).to_payload(),
     )
 
@@ -336,7 +335,6 @@ def _run_cells_first(
     pending: list,
     lengths: dict,
     scale: float,
-    experiment_kwargs: dict,
     timeout_seconds: float | None,
     jobs: int,
     cache_dir: str,
@@ -350,7 +348,7 @@ def _run_cells_first(
     from .spec import plan_study_cells
 
     row_keys = [
-        plan_study_cells([(cell.experiment, cell.workload)], scale, experiment_kwargs)
+        plan_study_cells([(cell.experiment, cell.workload)], scale)
         for cell in pending
     ]
     plan: dict = {}
@@ -364,7 +362,6 @@ def _run_cells_first(
             cell.workload,
             cell.config_hash,
             cell.scale,
-            experiment_kwargs,
             timeout_seconds,
             memo,
         )
@@ -384,7 +381,7 @@ def _run_cells_first(
     wave1 = [
         (
             lengths.get(p.workload, 0),
-            (p.experiment, p.workload, None, p.scale, {}, timeout_seconds, None,
+            (p.experiment, p.workload, None, p.scale, timeout_seconds, None,
              p.machine),
             key,
         )
@@ -422,7 +419,6 @@ def _run_cells_first(
 def run_pool(
     pending: list,
     scale: float,
-    experiment_kwargs: dict,
     timeout_seconds: float | None,
     jobs: int,
     cache_dir,
@@ -449,8 +445,8 @@ def run_pool(
             scale,
         )
         return _run_cells_first(
-            pending, lengths, scale, experiment_kwargs,
-            timeout_seconds, jobs, str(cache_dir), settle,
+            pending, lengths, scale, timeout_seconds, jobs, str(cache_dir),
+            settle,
         )
     finally:
         if tmpdir is not None:

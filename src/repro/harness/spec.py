@@ -18,22 +18,24 @@ of a hand-rolled runner function:
 
 Metrics, transforms and formatters are the functions themselves, so a
 spec entry says in one place how its artifact is measured and printed.
-Specs register via :func:`register_spec` (the entries live in
-:mod:`repro.harness.specs`); one generic :func:`run_spec` engine
-executes any entry.  Workload artifacts come through the
-content-addressed cache (:func:`load_bundle`), per-workload rows are the
-uniform :class:`CellRow` schema consumed by the study runner,
-checkpoints and table formatters.  The fault-isolated study
-(:func:`repro.harness.experiments.run_study`, serial or pooled) executes
-``run_spec_row`` per (experiment, workload) cell, so checkpoint resume
-and process fan-out compose with every registered spec automatically.
+The registry holds the paper's fixed specs (:func:`register_spec`; the
+entries live in :mod:`repro.harness.specs`), and one generic
+:func:`run_spec` engine executes any entry, or any
+:class:`ExperimentSpec` a caller builds, e.g. a registry entry with a
+chosen subset of its cells via ``dataclasses.replace``.  Workload
+artifacts come through the content-addressed cache (:func:`load_bundle`),
+per-workload rows are the uniform :class:`CellRow` schema consumed by
+the study runner, checkpoints and table formatters.  The fault-isolated
+study (:func:`repro.harness.experiments.run_study`, serial or pooled)
+executes ``run_spec_row`` per (experiment, workload) cell, so checkpoint
+resume and process fan-out compose with every registered spec
+automatically.
 """
 
 from __future__ import annotations
 
 import copy
-import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from ..bpred import TFRCollector
@@ -43,7 +45,7 @@ from ..core import GoldenTrace
 from ..errors import ConfigError
 from ..ideal.tracegen import AnnotatedTrace, annotate
 from ..machines import get_machine
-from ..workloads import WORKLOAD_NAMES, build_workload
+from ..workloads import WORKLOAD_NAMES, build_workload, check_workload
 from .runner import config_hash
 
 #: row shapes an :class:`ExperimentSpec` may fold its cells into
@@ -305,23 +307,14 @@ class CellRow:
 
 
 SPECS: dict[str, ExperimentSpec] = {}
-SPEC_BUILDERS: dict[str, Callable[..., ExperimentSpec]] = {}
 
 
-def register_spec(builder: Callable[..., ExperimentSpec]):
-    """Register a spec builder and its default entry.
-
-    The builder's keyword parameters are the artifact's sweep knobs
-    (windows, segments, ...); the registry holds the entry built with
-    the defaults, and :func:`run_spec` rebuilds through the builder when
-    a caller overrides a knob.
-    """
-    spec = builder().validate()
+def register_spec(spec: ExperimentSpec) -> None:
+    """Validate one of the paper's artifacts and add it to the registry."""
+    spec.validate()
     if spec.name in SPECS:
         raise ConfigError(f"spec {spec.name!r} registered twice")
     SPECS[spec.name] = spec
-    SPEC_BUILDERS[spec.name] = builder
-    return builder
 
 
 def spec_names() -> tuple[str, ...]:
@@ -354,64 +347,12 @@ def _ensure_registry() -> None:
         from . import specs  # noqa: F401
 
 
-def resolve_spec(name_or_spec, params: dict | None = None) -> ExperimentSpec:
-    """A spec object, a registered name, or a name + builder knobs."""
+def resolve_spec(name_or_spec) -> ExperimentSpec:
+    """A caller-built spec, validated (so a cell subset that matched
+    nothing fails loudly), or the registered spec of that name."""
     if isinstance(name_or_spec, ExperimentSpec):
-        if params:
-            raise ConfigError(
-                "builder parameters apply to registered spec names, not "
-                "to an already-materialized ExperimentSpec"
-            )
-        return name_or_spec
-    spec = get_spec(name_or_spec)
-    if not params:
-        return spec
-    builder = SPEC_BUILDERS[name_or_spec]
-    signature = inspect.signature(builder)
-    try:
-        signature.bind(**params)
-    except TypeError:
-        unknown = sorted(set(params) - set(signature.parameters))
-        raise ConfigError(
-            f"spec {name_or_spec!r} has no knob {unknown!r}; its knobs "
-            f"are {list(signature.parameters)!r}"
-        ) from None
-    try:
-        return builder(**params).validate()
-    except (TypeError, ValueError) as exc:
-        given = ", ".join(f"{k}={v!r}" for k, v in params.items())
-        raise ConfigError(
-            f"spec {name_or_spec!r} rejected {given}: {exc}"
-        ) from None
-
-
-def select_cells(spec: ExperimentSpec, labels) -> ExperimentSpec:
-    """Subset a spec to the cells named by ``labels`` (spec order kept).
-
-    Unknown labels are rejected loudly.  Transforms still apply to the
-    folded subset, so selecting away a cell a transform consumes (e.g.
-    the ``base`` cell of Figure 17) fails inside the transform — partial
-    reruns of derived views should select at the study level instead.
-    """
-    if labels is None:
-        return spec
-    if spec.derives is not None:
-        raise ConfigError(
-            f"spec {spec.name!r} derives from {spec.derives!r} and has no "
-            "cells of its own; select cells on the base spec"
-        )
-    wanted = list(dict.fromkeys(labels))
-    known = set(spec.cell_labels())
-    unknown = [label for label in wanted if label not in known]
-    if unknown:
-        raise ConfigError(
-            f"spec {spec.name!r} has no cells {unknown!r}; choose from "
-            f"{list(spec.cell_labels())}"
-        )
-    chosen = set(wanted)
-    return replace(
-        spec, cells=tuple(c for c in spec.cells if c.label in chosen)
-    )
+        return name_or_spec.validate()
+    return get_spec(name_or_spec)
 
 
 # ======================================================================
@@ -522,43 +463,30 @@ class PlannedCell(NamedTuple):
     label: str
 
 
-def plan_study_cells(
-    pairs, scale: float | None = None, experiment_kwargs: dict | None = None
-) -> dict:
+def plan_study_cells(pairs, scale: float | None = None) -> dict:
     """The distinct memo-keyed detailed cells of a study's rows.
 
-    ``pairs`` is the pending ``(experiment, workload)`` rows;
-    ``experiment_kwargs`` is exactly what the study threads into
-    :func:`run_spec_row` (``cells=`` and builder params).  Spec
-    resolution mirrors ``run_spec_row`` — derived views resolve to their
-    base spec with default knobs.  Returns ``{memo_key: PlannedCell}``
-    in plan order: rows in ``pairs`` order, cells in spec order, each
-    key claimed by its first cell.  A row whose spec, cells or overrides
-    cannot be resolved is left to the row path, which degrades it per
-    cell.
+    ``pairs`` is the pending ``(experiment, workload)`` rows.  Spec
+    resolution mirrors :func:`run_spec_row`: a derived view resolves to
+    its base spec.  Returns ``{memo_key: PlannedCell}`` in plan order:
+    rows in ``pairs`` order, cells in spec order, each key claimed by
+    its first cell.
 
     The pool's cells-first wave (:func:`repro.harness.parallel.run_pool`)
     plans through here.
     """
-    kwargs = {
-        k: v for k, v in (experiment_kwargs or {}).items() if k != "cells"
-    }
-    labels = (experiment_kwargs or {}).get("cells")
     plan: dict = {}
     for experiment, workload in dict.fromkeys(pairs):
-        try:
-            spec = select_cells(resolve_spec(experiment, kwargs), labels)
-            while spec.derives is not None:
-                spec = resolve_spec(spec.derives)
-            row_scale = spec.default_scale if scale is None else scale
-            for cell in spec.cells:
-                key = memo_key(workload, row_scale, cell, cell.machine.resolve())
-                if key is not None and key not in plan:
-                    plan[key] = PlannedCell(
-                        workload, row_scale, cell.machine, spec.name, cell.label
-                    )
-        except Exception:
-            continue  # the row path reports it
+        spec = resolve_spec(experiment)
+        while spec.derives is not None:
+            spec = resolve_spec(spec.derives)
+        row_scale = spec.default_scale if scale is None else scale
+        for cell in spec.cells:
+            key = memo_key(workload, row_scale, cell, cell.machine.resolve())
+            if key is not None and key not in plan:
+                plan[key] = PlannedCell(
+                    workload, row_scale, cell.machine, spec.name, cell.label
+                )
     return plan
 
 
@@ -566,22 +494,19 @@ def run_spec_row(
     name_or_spec,
     workload: str,
     scale: float | None = None,
-    cells=None,
     memo: dict | None = None,
-    **params,
 ) -> CellRow:
     """Execute every cell of one spec for one workload.
 
     This is the unit the fault-isolated study (serial or pooled)
     schedules, checkpoints and resumes; the returned
-    :class:`CellRow` is the uniform row schema.  ``cells`` selects a
-    subset of the spec's cells by label (see :func:`select_cells`).
-    ``memo`` is the study's cell memo (see :func:`memo_key`): the study
-    creates one and threads it through every row, so each distinct
-    detailed cell simulates once per study; direct callers normally
-    leave it unset and every cell simulates.
+    :class:`CellRow` is the uniform row schema.  ``memo`` is the
+    study's cell memo (see :func:`memo_key`): the study creates one and
+    threads it through every row, so each distinct detailed cell
+    simulates once per study; direct callers normally leave it unset
+    and every cell simulates.
     """
-    spec = select_cells(resolve_spec(name_or_spec, params), cells)
+    spec = resolve_spec(name_or_spec)
     if spec.derives is not None:
         base = run_spec_row(
             spec.derives,
@@ -621,31 +546,29 @@ def assemble_rows(spec: ExperimentSpec, rows: list[CellRow]) -> Any:
     return {row.workload: row.data for row in rows}
 
 
-def run_spec(
-    name_or_spec,
-    scale: float | None = None,
-    names=None,
-    cells=None,
-    **params,
-) -> Any:
-    """Run one registered artifact end to end.
+def run_spec(name_or_spec, scale: float | None = None, names=None) -> Any:
+    """Run one artifact end to end: a registered name, or any
+    :class:`ExperimentSpec` (e.g. a registry entry with the cells you
+    chose, ``dataclasses.replace(get_spec("figure5"), cells=...)``).
 
     Returns the artifact's result shape (:func:`assemble_rows`): a list
     of rows for tables, ``{workload: data}`` for figures.  ``names``
-    selects workloads (a sequence, or one bare workload name); ``cells``
-    selects cells by label (:func:`select_cells`); builder knobs
-    (``windows=...``, ``segments=...``) re-materialize the spec through
-    its builder.
+    selects workloads (a sequence, or one bare workload name); a
+    repeated name runs once, in first-seen order.  Every name and the
+    scale are checked before any row runs: a bad one raises
+    :class:`~repro.errors.WorkloadError`.
     """
-    spec = select_cells(resolve_spec(name_or_spec, params), cells)
+    spec = resolve_spec(name_or_spec)
     if spec.derives is not None:
-        base_spec = resolve_spec(spec.derives)
-        base = run_spec(base_spec, scale=scale, names=names)
+        base = run_spec(spec.derives, scale=scale, names=names)
         return derive(spec, base)
     if names is None:
         names = WORKLOAD_NAMES
     elif isinstance(names, str):
         names = (names,)
+    names = tuple(dict.fromkeys(names))
+    for workload in names:
+        check_workload(workload, spec.default_scale if scale is None else scale)
     rows = [run_spec_row(spec, workload, scale=scale) for workload in names]
     return assemble_rows(spec, rows)
 
@@ -689,7 +612,6 @@ def study_artifacts(results: dict) -> dict:
 __all__ = [
     "SHAPES",
     "SPECS",
-    "SPEC_BUILDERS",
     "CellRow",
     "CellSpec",
     "ExperimentSpec",
@@ -711,7 +633,6 @@ __all__ = [
     "run_spec",
     "run_spec_row",
     "runnable_experiments",
-    "select_cells",
     "spec_names",
     "study_artifacts",
     "table1_row",

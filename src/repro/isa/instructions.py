@@ -192,10 +192,6 @@ class Instruction:
         return self.f_store
 
     @property
-    def is_mem(self) -> bool:
-        return self.f_mem
-
-    @property
     def sources(self) -> tuple[int, ...]:
         """Architectural source registers actually read by this instruction."""
         return self.src_regs

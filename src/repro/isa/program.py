@@ -38,13 +38,6 @@ class Program:
             return self.instructions[pc]
         return None
 
-    def label_at(self, pc: int) -> str | None:
-        """Return a label whose address is ``pc``, if any (for debugging)."""
-        for name, addr in self.labels.items():
-            if addr == pc:
-                return name
-        return None
-
     def validate(self) -> None:
         """Raise ValueError if any control target is out of range."""
         n = len(self.instructions)

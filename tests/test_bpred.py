@@ -7,7 +7,6 @@ from repro.bpred import (
     FrontEnd,
     GsharePredictor,
     MispredictionStats,
-    ResettingCounterConfidence,
     ReturnAddressStack,
     TFRCollector,
     TFRTable,
@@ -122,21 +121,6 @@ class TestFrontEnd:
         instr = Instruction(Op.JR, rs1=5)
         fe.update(instr, 10, 0, True, 500)
         assert fe.predict(instr, 10, 0).next_pc == 500
-
-
-class TestConfidence:
-    def test_high_confidence_after_streak(self):
-        conf = ResettingCounterConfidence(index_bits=6, ceiling=4, threshold=4)
-        for _ in range(4):
-            conf.update(5, 0, True)
-        assert conf.high_confidence(5, 0)
-
-    def test_reset_on_misprediction(self):
-        conf = ResettingCounterConfidence(index_bits=6, ceiling=4, threshold=4)
-        for _ in range(4):
-            conf.update(5, 0, True)
-        conf.update(5, 0, False)
-        assert not conf.high_confidence(5, 0)
 
 
 class TestTFR:

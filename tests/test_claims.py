@@ -7,10 +7,13 @@ across the artifacts, and Figure 6 derives from Figure 5.  Each
 returns) and asserts the shape the paper reports, so the same checks
 run on any scale's data.
 
-``SCALE`` is the smallest scale at which every claim holds: at 0.02 and
-0.01, Figure 13's CI-OR/CI ratio on go falls to 0.894.  Two margins are
-thin here and are noted at their asserts.  Regenerate the tables
-themselves with ``examples/paper_tables.py``.
+``SCALE`` is the smallest scale at which every claim holds on all five
+kernels, vortex included: up to 0.06 vortex reconverges none of its few
+mispredictions, so its Table 2 and 3 claims would hold vacuously; at
+0.07 it reconverges half of them.  (At 0.02, Figure 13's CI-OR/CI ratio
+on go also falls to 0.894.)  The two thinnest margins are noted at their
+asserts.  Regenerate the tables themselves with
+``examples/paper_tables.py``.
 """
 
 import copy
@@ -20,7 +23,7 @@ import pytest
 from repro.harness import run_study, spec_names, study_artifacts
 from repro.harness.specs import DETAILED_WINDOWS, IDEAL_WINDOWS
 
-SCALE = 0.03
+SCALE = 0.07
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +76,6 @@ def check_table2(rows):
     """Table 2: statistics for restart/redispatch sequences."""
     by_name = {r["benchmark"]: r for r in rows}
     for name, row in by_name.items():
-        if name == "vortex":
-            continue  # too few mispredictions at this scale
         assert row["pct_reconverge"] > 40, name      # paper: 46.8 - 90.8%
         assert row["avg_ci_renamed"] < 15, name      # paper: ~2-3
     assert by_name["compress"]["pct_reconverge"] > 60
@@ -85,6 +86,7 @@ def check_table3(rows):
     by_name = {r["benchmark"]: r for r in rows}
     for row in rows:
         assert 0 <= row["work_saved"] <= row["fetch_saved"] <= 1
+    assert by_name["vortex"]["fetch_saved"] > 0  # vortex reconverges too
     # paper: go/compress save much more work than vortex
     assert by_name["go"]["fetch_saved"] > by_name["vortex"]["fetch_saved"]
 
@@ -103,7 +105,7 @@ def check_figure8(data):
     """Figure 8: simple vs optimal preemption of restart sequences."""
     for name, row in data.items():
         # paper: simple performs close to optimal at a 256 window.
-        # Thin margin at SCALE: go's simple/optimal is 0.888.
+        # Thin margin at SCALE: go's simple/optimal is 0.934.
         assert row["simple"] >= row["optimal"] * 0.85, name
 
 
@@ -140,7 +142,7 @@ def check_figure13(data):
     """Figure 13: evaluation of re-predict sequences."""
     for name, row in data.items():
         # oracle re-prediction is the ceiling for the CI heuristic.
-        # Thin margin at SCALE: go's CI-OR/CI is 0.907.
+        # Thin margin at SCALE: go's CI-OR/CI is 0.940.
         assert row["CI-OR"] >= row["CI"] * 0.9, name
 
 
@@ -210,15 +212,21 @@ def _halve_go_oracle_repredict(a):
     a["figure13"]["go"]["CI-OR"] /= 2
 
 
+def _zero_vortex_reconvergence(a):
+    (row,) = [r for r in a["table2"] if r["benchmark"] == "vortex"]
+    row["pct_reconverge"] = 0.0
+
+
 @pytest.mark.parametrize(
     "doctor, name",
     [
         (_swap_go_ci_and_base, "figure5"),
         (_swap_go_and_vortex_rates, "table1"),
         (_halve_go_oracle_repredict, "figure13"),
+        (_zero_vortex_reconvergence, "table2"),
     ],
     ids=["figure5-go-ci-base-swapped", "table1-go-vortex-swapped",
-         "figure13-go-ci-or-halved"],
+         "figure13-go-ci-or-halved", "table2-vortex-reconvergence-zeroed"],
 )
 def test_doctored_result_fails_its_claim(artifacts, doctor, name):
     # The checks must see the data: a doctored copy fails its claim.

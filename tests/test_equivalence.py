@@ -3,8 +3,11 @@ reproduce the committed golden statistics bit-for-bit.
 
 ``tests/goldens/equivalence_v2.pkl`` holds 18 cells: 2 workloads x
 {BASE, CI, CI-I} detailed cores at window 256, plus the 6 idealized
-models.  Every golden key is compared exactly — no tolerances.  Re-mint
-it only for a change that is meant to move these statistics::
+models.  Every golden key is compared exactly — no tolerances.  The
+spec registry is held to the same cells: Figure 5's ``CI/w256`` and
+Figure 3's twelve window-256 cells, run through ``run_spec``, must
+reproduce the golden IPCs exactly.  Re-mint the pickle only for a
+change that is meant to move these statistics::
 
     PYTHONPATH=src python tests/test_equivalence.py --mint
 """
@@ -13,12 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+from dataclasses import replace
 import sys
 from pathlib import Path
 
 import pytest
 
 from repro.core import CoreConfig, ReconvPolicy, simulate_core
+from repro.harness import get_spec, run_spec
 from repro.harness.experiments import load_bundle
 from repro.ideal.models import IdealConfig, IdealModel
 from repro.ideal.scheduler import simulate
@@ -107,6 +112,32 @@ def test_retired_env_knobs_do_not_change_results(goldens, bundles, monkeypatch):
         dataclasses.asdict(stats),
         "go/BASE (REPRO_ORDER=v1, REPRO_BATCH=1)",
     )
+
+
+def test_registry_cells_match_goldens(goldens):
+    def golden_ipc(key):
+        return goldens[key]["retired"] / goldens[key]["cycles"]
+
+    def at_256(name, keep=lambda cell: True):
+        spec = get_spec(name)
+        cells = tuple(c for c in spec.cells if c.key == 256 and keep(c))
+        return replace(spec, cells=cells)
+
+    detailed = run_spec(
+        at_256("figure5", lambda c: c.group == "CI"), scale=SCALE, names="compress"
+    )
+    ideal = run_spec(at_256("figure3"), scale=SCALE, names=WORKLOADS)
+    current = {("core", "compress", "CI"): detailed["compress"]["CI"][256]}
+    for workload in WORKLOADS:
+        for model in IdealModel:
+            current[("ideal", workload, model.value)] = ideal[workload][model.value][256]
+    assert len(current) == 13
+    mismatches = {
+        key: (value, golden_ipc(key))
+        for key, value in current.items()
+        if value != golden_ipc(key)
+    }
+    assert not mismatches, f"run_spec diverged from the goldens: {mismatches}"
 
 
 def mint() -> None:

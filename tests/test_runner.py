@@ -32,11 +32,11 @@ def rows(monkeypatch):
 
     stub = SimpleNamespace(calls=[], fail=set())
 
-    def run_spec_row(experiment, workload, scale=None, memo=None, **kwargs):
+    def run_spec_row(experiment, workload, scale=None, memo=None):
         stub.calls.append((experiment, workload))
         if workload in stub.fail:
             raise ValueError(f"{workload} is broken")
-        return CellRow(experiment, workload, {"benchmark": workload, **kwargs})
+        return CellRow(experiment, workload, {"benchmark": workload})
 
     monkeypatch.setattr(experiments_mod, "run_spec_row", run_spec_row)
     return stub
@@ -262,13 +262,14 @@ class TestCheckpointResume:
         assert retry["resumed"] == 0 and retry["failures"] == []
 
     def test_different_config_hash_is_a_different_cell(self, tmp_path, rows):
+        # A checkpointed row under another config hash is not this study's.
         path = tmp_path / "ckpt.json"
-        run_study(["figure5"], scale=0.1, names=("go",), checkpoint_path=path,
-                  windows=(128,))
-        other = run_study(["figure5"], scale=0.1, names=("go",), checkpoint_path=path,
-                          windows=(256,))
-        assert other["resumed"] == 0 and len(rows.calls) == 2
-        assert other["results"]["figure5"]["go"]["windows"] == (256,)
+        stale = Cell("figure5", "go", config_hash({"experiment": "other"}), 0.1)
+        store = CheckpointStore(path)
+        store.record(stale.key, CellRow("figure5", "go", {"stale": True}).to_payload())
+        other = run_study(["figure5"], scale=0.1, names=("go",), checkpoint_path=path)
+        assert other["resumed"] == 0 and rows.calls == [("figure5", "go")]
+        assert other["results"]["figure5"]["go"] == {"benchmark": "go"}
 
     def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "ckpt.json"

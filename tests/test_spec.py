@@ -1,5 +1,7 @@
 """Spec engine: registry completeness, selection, drift, formatting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -10,30 +12,31 @@ from repro.core import (
 )
 import repro.harness.experiments as experiments_mod
 import repro.harness.parallel as parallel_mod
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkloadError
 from repro.harness import run_study
-from repro.harness.experiments import (
-    parse_only,
-    select_study_cells,
-    study_cells,
-    validate_experiments,
-)
+from repro.harness.experiments import study_cells, validate_experiments
+from repro.harness.runner import config_hash
 import repro.harness.spec as spec_mod
 from repro.harness.spec import (
     CellRow,
     assemble_rows,
     get_spec,
-    resolve_spec,
     run_spec,
     run_spec_row,
     runnable_experiments,
-    select_cells,
     spec_names,
     study_artifacts,
 )
 from repro.harness.tables import format_experiment
 
 SCALE = 0.02
+
+
+def cells_of(name, keep):
+    """A copy of a registry spec with only the cells ``keep`` accepts:
+    the one way to narrow a single artifact."""
+    spec = get_spec(name)
+    return replace(spec, cells=tuple(c for c in spec.cells if keep(c)))
 
 #: every artifact the repo reproduces from the paper
 PAPER_ARTIFACTS = {
@@ -139,100 +142,69 @@ class TestConfigDrift:
 
 class TestEngine:
     def test_derived_spec_runs_end_to_end(self):
-        out = run_spec("figure6", scale=SCALE, names=("go",), )
+        out = run_spec("figure6", scale=SCALE, names=("go",))
         assert set(out) == {"go"}
         assert set(out["go"]) == {128, 256, 512}
 
-    def test_builder_params_rematerialize(self):
-        spec = resolve_spec("figure5", {"windows": (64,)})
-        assert spec.cell_labels() == ("BASE/w64", "CI/w64", "CI-I/w64")
-
     def test_unknown_builder_param_rejected(self):
-        with pytest.raises(ConfigError, match="figure5"):
+        # Registry entries are fixed specs: there are no builder knobs.
+        with pytest.raises(TypeError, match="bogus"):
             run_spec("figure5", scale=SCALE, names=("go",), bogus=1)
 
-    def test_unknown_builder_param_lists_the_knobs(self):
-        with pytest.raises(ConfigError) as info:
-            resolve_spec("figure14", {"windows": (64,)})
-        message = str(info.value)
-        assert "'figure14' has no knob ['windows']" in message
-        assert "knobs are ['window', 'segments']" in message
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [(dict(scale=0.01, names=("go", "nope")), "nope"),
+         (dict(scale=-1.0, names=("go",)), "scale")],
+        ids=["unknown-name", "bad-scale"],
+    )
+    def test_run_spec_checks_names_before_any_row_runs(
+        self, monkeypatch, kwargs, match
+    ):
+        def must_not_run(*args, **kw):
+            raise AssertionError("a row ran before the names were checked")
 
-    def test_rejected_builder_value_names_the_parameter(self):
-        # ``windows`` is a Figure 5 knob; the builder rejects the value.
-        with pytest.raises(ConfigError, match=r"'figure5' rejected windows=256"):
-            run_spec("figure5", windows=256)
+        monkeypatch.setattr(spec_mod, "run_spec_row", must_not_run)
+        with pytest.raises(WorkloadError, match=match):
+            run_spec("table2", **kwargs)
+
+    def test_run_spec_runs_a_repeated_name_once(self):
+        rows = run_spec("table1", scale=SCALE, names=("go", "vortex", "go"))
+        assert [row["benchmark"] for row in rows] == ["go", "vortex"]
 
 
 class TestCellSelection:
-    def test_select_cells_subsets_in_spec_order(self):
-        spec = select_cells(get_spec("figure5"), ["CI/w256", "BASE/w128"])
-        assert spec.cell_labels() == ("BASE/w128", "CI/w256")
-
-    def test_select_cells_unknown_label_rejected(self):
-        with pytest.raises(ConfigError, match="no-such-cell"):
-            select_cells(get_spec("figure5"), ["no-such-cell"])
-
-    def test_select_cells_on_derived_spec_rejected(self):
-        with pytest.raises(ConfigError, match="derives"):
-            select_cells(get_spec("figure6"), ["BASE/w128"])
-
     def test_run_spec_row_with_cell_subset(self):
         row = run_spec_row(
-            "figure5", "go", scale=SCALE, cells=["CI/w128"], windows=(128, 256)
+            cells_of("figure5", lambda c: c.label == "CI/w128"), "go", scale=SCALE
         )
-        assert row.data == {"CI": {128: pytest.approx(row.data["CI"][128])}}
         assert set(row.data) == {"CI"}
+        assert set(row.data["CI"]) == {128}
 
     def test_run_spec_with_cell_subset(self):
         out = run_spec(
-            "figure5", scale=SCALE, names=("go",), cells=["BASE/w128"]
+            cells_of("figure5", lambda c: c.label == "BASE/w128"),
+            scale=SCALE,
+            names=("go",),
         )
         assert set(out["go"]) == {"BASE"}
         assert set(out["go"]["BASE"]) == {128}
 
+    def test_empty_cell_subset_rejected(self):
+        with pytest.raises(ConfigError, match="must either declare cells"):
+            run_spec(cells_of("figure5", lambda c: c.label == "CI/w265"),
+                     scale=SCALE, names=("go",))
+
 
 class TestStudySelection:
-    def test_parse_only_accepts_strings_and_pairs(self):
-        assert parse_only(["figure5:go", "table2", ("table4", None)]) == [
-            ("figure5", "go"),
-            ("table2", None),
-            ("table4", None),
-        ]
-
-    def test_parse_only_takes_a_bare_string(self):
-        assert parse_only("table2") == [("table2", None)]
-        assert parse_only("figure5:go") == [("figure5", "go")]
-        with pytest.raises(ConfigError, match="selector 'figure99'"):
-            parse_only("figure99")
-
     def test_run_study_takes_bare_string_selections(self):
-        for kwargs in (
-            dict(experiments="table2"),
-            dict(experiments=["table1", "table2"], only="table2"),
-        ):
-            out = run_study(scale=SCALE, names=("go",), **kwargs)
-            assert out["failures"] == []
-            assert list(out["results"]) == ["table2"]
-
-    def test_parse_only_rejects_unknown_experiment(self):
-        with pytest.raises(ConfigError, match="figure99"):
-            parse_only(["figure99:go"])
-
-    def test_select_study_cells_filters_grid(self):
-        cells = study_cells(["figure5", "table2"], ("go", "compress"), SCALE, {})
-        selected = select_study_cells(cells, ["figure5:go", "table2"])
-        keys = [(c.experiment, c.workload) for c in selected]
-        assert keys == [
-            ("figure5", "go"),
-            ("table2", "go"),
-            ("table2", "compress"),
-        ]
+        out = run_study(experiments="table2", scale=SCALE, names=("go",))
+        assert out["failures"] == []
+        assert list(out["results"]) == ["table2"]
 
     def test_checkpoint_identity_ignores_execution_knobs(self, tmp_path):
-        base = study_cells(["figure5"], ("go",), SCALE, {})
-        semantic = study_cells(["figure5"], ("go",), SCALE, {"windows": (64,)})
-        assert [c.key for c in semantic] != [c.key for c in base]
+        # A study cell's checkpoint identity is its experiment alone.
+        (cell,) = study_cells(["figure5"], ("go",), SCALE)
+        assert cell.config_hash == config_hash({"experiment": "figure5"})
         # jobs / timeout / cache_dir choose how a study runs, not what
         # its rows hold: a checkpoint resumes under any of them.
         path = tmp_path / "study.json"
@@ -255,44 +227,22 @@ class TestStudySelection:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "knobs, match",
-        [({"windowz": 3}, "windowz"), ({"cells": ["nope"]}, "nope")],
+        [({"windowz": 3}, "windowz"), ({"cells": ["nope"]}, "cells")],
         ids=["unknown-knob", "unknown-cell"],
     )
     def test_run_study_rejects_bad_knobs_before_any_cell_runs(
         self, monkeypatch, jobs, knobs, match
     ):
+        # A study is narrowed by experiments x names only: builder knobs
+        # and cell labels are not arguments of run_study.
         def must_not_run(*args, **kwargs):
             raise AssertionError("a cell ran before the knobs were checked")
 
         monkeypatch.setattr(experiments_mod, "run_spec_row", must_not_run)
         monkeypatch.setattr(parallel_mod, "run_pool", must_not_run)
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(TypeError, match=match):
             run_study(["table1", "figure5"], scale=SCALE, names=("go",),
                       jobs=jobs, **knobs)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bad_knob_value_degrades_per_cell(self, jobs):
-        out = run_study(["figure5"], scale=SCALE, names=("go",), jobs=jobs,
-                        windows=(-1,))
-        row = out["results"]["figure5"]["go"]
-        assert row["error_type"] == "ConfigError"
-        assert len(out["failures"]) == 1
-
-    def test_select_study_cells_rejects_unmatched_selector(self):
-        cells = study_cells(["figure5"], ("go",), SCALE, {})
-        with pytest.raises(ConfigError, match="matched no study cells"):
-            select_study_cells(cells, ["figure5:vortex"])
-
-    def test_run_study_only_runs_the_subset(self):
-        out = run_study(
-            experiments=["table1", "table2"],
-            scale=SCALE,
-            names=("go", "compress"),
-            only=["table1:go"],
-        )
-        assert out["failures"] == []
-        assert set(out["results"]) == {"table1"}
-        assert [r["benchmark"] for r in [out["results"]["table1"]["go"]]] == ["go"]
 
 
 #: the first line each artifact prints, as the registry's formatters
@@ -319,7 +269,8 @@ FIRST_LINES = {
 class TestFormatters:
     def test_format_experiment_consumes_cellrows(self):
         rows = [
-            run_spec_row("figure5", "go", scale=SCALE, windows=(128,)),
+            run_spec_row(cells_of("figure5", lambda c: c.key == 128), "go",
+                         scale=SCALE),
         ]
         text = format_experiment("figure5", assemble_rows(get_spec("figure5"), rows))
         assert text.startswith("FIGURE 5.")

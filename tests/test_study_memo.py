@@ -197,7 +197,7 @@ _REAL_RUN_CELL = None
 def _kill_wave1_base_cell(experiment, workload, *args):
     """Stand-in for ``parallel._run_cell`` that dies in the wave-1 task
     of the BASE@256 cell; row tasks (no ``machine``) run normally."""
-    machine = args[5] if len(args) > 5 else None
+    machine = args[4] if len(args) > 4 else None
     if machine is not None and machine.machine == "BASE":
         os.kill(os.getpid(), signal.SIGKILL)
     return _REAL_RUN_CELL(experiment, workload, *args)
