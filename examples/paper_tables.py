@@ -14,7 +14,9 @@ Usage:  python examples/paper_tables.py [scale]
 Without ``scale`` each artifact runs at its registry ``default_scale``
 (Table 1 at 1.0, Figure 3 at 0.4, the detailed-core artifacts at 0.12:
 the operating points EXPERIMENTS.md reports).  ``REPRO_JOBS`` fans the
-cells over worker processes, as for any study.
+cells over worker processes, as for any study.  A bad argument (not one
+number, or a scale the workloads reject) prints the usage line and
+exits 2.
 """
 
 from __future__ import annotations
@@ -32,14 +34,19 @@ from repro.harness import (  # noqa: E402
     spec_names,
     study_artifacts,
 )
+from repro.workloads import WORKLOAD_NAMES, check_workload  # noqa: E402
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         (scale,) = [float(arg) for arg in argv] or [None]
-    except ValueError:
+        if scale is not None:
+            for name in WORKLOAD_NAMES:
+                check_workload(name, scale)
+    except ValueError as exc:  # WorkloadError is a ValueError
         print("usage: python examples/paper_tables.py [scale]", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     by_scale: dict = {}
     for name in runnable_experiments():

@@ -12,7 +12,14 @@ the runtime machine-invariant sanitizer.
   redundant state views every N cycles (``REPRO_SANITIZE=1``).
 * :mod:`.sourcelint` — determinism lint over the simulator's own
   source (undeclared attributes, wall-clock/entropy imports, set
-  iteration, ``id()`` ordering); ``examples/staticcheck.py`` runs it.
+  iteration, ``id()`` ordering).
+
+Both lints are gated by tier-1 tests alone (``TestKernelLint`` in
+``tests.test_analysis`` and ``tests.test_staticcheck``): any
+unsuppressed finding of either severity, or a suppression that matches
+nothing (:func:`stale_suppressions`), fails the suite.
+``examples/lint_workloads.py`` prints the workload lint report and the
+heuristic-vs-exact reconvergence table for a human reader.
 """
 
 from .dataflow import (
@@ -29,6 +36,7 @@ from .diagnostics import (
     Severity,
     Suppression,
     apply_suppressions,
+    stale_suppressions,
 )
 from .invariants import check_core_stats, check_ideal_result, check_stats
 from .lint import check_program, lint_program
@@ -39,20 +47,11 @@ from .reconv_check import (
     reconvergence_report_row,
     score_heuristic,
 )
-from .report import (
-    REPORT_SCHEMA_VERSION,
-    SourceDiagnostic,
-    SourceSuppression,
-    report_to_dict,
-    reports_to_dict,
-    stale_suppressions,
-)
 from .sanitizer import STRUCTURES, MachineSanitizer
 
 __all__ = [
     "EXTERNAL",
     "HEURISTICS",
-    "REPORT_SCHEMA_VERSION",
     "STRUCTURES",
     "UNINIT",
     "Diagnostic",
@@ -60,8 +59,6 @@ __all__ = [
     "LintReport",
     "MachineSanitizer",
     "Severity",
-    "SourceDiagnostic",
-    "SourceSuppression",
     "Suppression",
     "apply_suppressions",
     "check_core_stats",
@@ -75,8 +72,6 @@ __all__ = [
     "liveness",
     "reaching_definitions",
     "reconvergence_report_row",
-    "report_to_dict",
-    "reports_to_dict",
     "score_heuristic",
     "stale_suppressions",
 ]

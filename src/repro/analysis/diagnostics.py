@@ -6,7 +6,15 @@ program reports everything it finds.  Intentional findings — synthetic
 kernels deliberately contain wrong-path filler work and architectural-
 zero reads — are acknowledged with :class:`Suppression` entries carrying
 a recorded reason, mirroring how production linters annotate accepted
-findings rather than silencing the rule globally.
+findings rather than silencing the rule globally.  A suppression that
+matches nothing is stale (:func:`stale_suppressions`), and tier-1 fails
+on one, so the audit trail tracks the code it excuses.
+
+:class:`LintReport`, :func:`apply_suppressions` and
+:func:`stale_suppressions` only rely on each finding's ``rule``,
+``severity`` and ``describe()`` and each suppression's ``matches()``,
+so they serve the source determinism lint
+(:mod:`repro.analysis.sourcelint`) unchanged.
 
 Escalation into the structured error taxonomy happens at the edges:
 :func:`repro.analysis.check_program` raises
@@ -139,3 +147,13 @@ def apply_suppressions(
             report.suppressed.append((diag, supp))
     report.diagnostics = kept
     return report
+
+
+def stale_suppressions(reports: list[LintReport], suppressions: tuple) -> list:
+    """Suppressions that matched nothing across ``reports``.
+
+    A stale suppression means either the finding was fixed (delete the
+    suppression) or what it names was renamed (re-review it).
+    """
+    used = {id(supp) for report in reports for _diag, supp in report.suppressed}
+    return [s for s in suppressions if id(s) not in used]

@@ -31,11 +31,14 @@ Rules (rule id → severity):
   and not flagged.
 
 The three ``nondet-*`` rules scan every ``*.py`` file under a package
-root (``src/repro`` by default).  Findings are
-:class:`~repro.analysis.report.SourceDiagnostic` records in a standard
-:class:`~repro.analysis.diagnostics.LintReport`; suppressions match on
-rule + symbol and must carry a reason.  ``examples/staticcheck.py`` is
-the CLI.
+root (``src/repro`` by default).  Findings are :class:`SourceDiagnostic`
+records in a standard :class:`~repro.analysis.diagnostics.LintReport`.
+Suppressions (:class:`SourceSuppression`) match on rule + symbol
+(``Class.field``, ``module:function``), never on line numbers, and must
+carry a reason: line numbers move with every edit, symbols only when
+the code they name changes.  The tier-1 tests in
+``tests.test_staticcheck`` are the gate: they fail on any unsuppressed
+finding of either severity and on any stale suppression.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.lsq import LoadStoreQueue
@@ -52,7 +56,58 @@ from ..core.rob import ReorderBuffer, Segment
 from ..core.soa import CompletionWheel, InstrPool
 from ..core.stages.sequencer import _Context
 from .diagnostics import LintReport, Severity, apply_suppressions
-from .report import SourceDiagnostic, SourceSuppression
+
+
+@dataclass(frozen=True)
+class SourceDiagnostic:
+    """One finding over the simulator's own source.
+
+    ``symbol`` is the dotted name the finding is about (``InstrPool.order``,
+    ``backend._broadcast``) and is what suppressions match on; ``file``
+    and ``line`` locate it for the human reading the report.
+    """
+
+    rule: str
+    severity: Severity
+    file: str  # repo-relative path
+    line: int
+    symbol: str
+    message: str
+
+    def describe(self) -> str:
+        return (
+            f"{self.severity}[{self.rule}] {self.file}:{self.line} "
+            f"({self.symbol}): {self.message}"
+        )
+
+
+@dataclass(frozen=True)
+class SourceSuppression:
+    """An acknowledged source finding with a recorded reason.
+
+    Matches by rule name, optionally narrowed to specific symbols.  One
+    suppression may cover several symbols when they share one reason —
+    the reason is the audit trail, exactly as in the workload lint's
+    :class:`~repro.analysis.diagnostics.Suppression`.
+    """
+
+    rule: str
+    reason: str
+    symbols: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.reason.strip():
+            raise ValueError(
+                f"suppression of rule {self.rule!r} needs a non-empty reason"
+            )
+
+    def matches(self, diag) -> bool:
+        if diag.rule != self.rule:
+            return False
+        if self.symbols and getattr(diag, "symbol", None) not in self.symbols:
+            return False
+        return True
+
 
 #: the ``src/repro`` package root the lint scans by default
 SOURCE_ROOT = Path(__file__).resolve().parents[1]
@@ -89,7 +144,7 @@ SEMANTIC_SCOPE = (
 NONDET_MODULES = frozenset(("random", "time", "secrets", "uuid"))
 
 #: Suppressions for findings that are correct by construction.  A
-#: suppression that stops matching fails strict runs.
+#: suppression that stops matching fails tier-1.
 SOURCE_SUPPRESSIONS: tuple[SourceSuppression, ...] = (
     SourceSuppression(
         rule="nondet-import",
@@ -382,5 +437,7 @@ __all__ = [
     "SEMANTIC_SCOPE",
     "SOURCE_SUPPRESSIONS",
     "TRACKED_CLASSES",
+    "SourceDiagnostic",
+    "SourceSuppression",
     "lint_source",
 ]

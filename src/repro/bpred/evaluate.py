@@ -42,7 +42,12 @@ class PredictionReport:
 
 
 def measure_prediction(trace: list[TraceEntry]) -> PredictionReport:
-    """Measure the paper's front end (default geometry) over a golden trace."""
+    """Measure the paper's front end (default geometry) over a golden trace.
+
+    A blind CTB miss counts as an indirect misprediction whenever its
+    sequential fall-through is not where the jump went.  Direct jumps
+    and calls are always correct (target known at fetch).
+    """
     fe = FrontEnd()
     report = PredictionReport(instructions=len(trace))
     history = 0
@@ -50,26 +55,19 @@ def measure_prediction(trace: list[TraceEntry]) -> PredictionReport:
         instr = entry.instr
         if not instr.is_control:
             continue
+        prediction, history = fe.predict_uptodate(
+            instr, entry.pc, history, entry.taken, entry.next_pc
+        )
         if instr.is_branch:
-            prediction = fe.predict(instr, entry.pc, history)
             report.conditional_branches += 1
             if prediction.taken != entry.taken:
                 report.conditional_mispredictions += 1
-            fe.gshare.update(entry.pc, history, entry.taken)
-            history = fe.push_history(history, entry.taken)
         elif instr.is_return:
-            prediction = fe.predict(instr, entry.pc, history)
             report.returns += 1
             if prediction.next_pc != entry.next_pc:
                 report.return_mispredictions += 1
         elif instr.is_indirect:
-            prediction = fe.predict(instr, entry.pc, history)
             report.indirect_jumps += 1
             if prediction.next_pc != entry.next_pc:
                 report.indirect_mispredictions += 1
-            fe.ctb.update(entry.pc, history, entry.next_pc)
-        # Direct jumps/calls are always correct (target known at fetch);
-        # calls still run through predict() so the RAS stays in sync.
-        elif instr.is_call:
-            fe.predict(instr, entry.pc, history)
     return report

@@ -80,3 +80,25 @@ class FrontEnd:
 
     def push_history(self, history: int, taken: bool) -> int:
         return self.gshare.history.push(history, taken)
+
+    def predict_uptodate(
+        self,
+        instr: Instruction,
+        pc: int,
+        history: int,
+        taken: bool,
+        next_pc: int,
+    ) -> tuple[Prediction, int]:
+        """Predict one control instruction, then train on its actual
+        outcome at once; return ``(prediction, history)``.
+
+        This is the perfectly up-to-date front end of Table 1 and the
+        Section 2 study: branches update gshare and push ``taken`` into
+        the returned history, indirect jumps update the CTB, and calls
+        and returns only predict, which keeps the RAS in sync.
+        """
+        prediction = self.predict(instr, pc, history)
+        self.update(instr, pc, history, taken, next_pc)
+        if instr.is_branch:
+            history = self.push_history(history, taken)
+        return prediction, history

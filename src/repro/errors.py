@@ -17,10 +17,9 @@ failure classes:
 * :class:`CosimulationError` — retired state diverged from the
   architectural golden trace: a simulator bug, never a statistic.
 * :class:`HarnessError` / :class:`CellTimeout` / :class:`CheckpointError`
-  — failures of the fault-isolated experiment runner itself.
-* :class:`TransientError` — marker for failures worth retrying (the
-  cell runner retries these and timeouts, with a doubling backoff;
-  everything else degrades at once).
+  — failures of the fault-isolated experiment runner itself.  The cell
+  runner retries a :class:`CellTimeout`, with a doubling backoff;
+  everything else degrades at once.
 * :class:`AnalysisError` / :class:`LintFailure` — the static-analysis
   layer (``repro.analysis``) rejected a workload program.
 * :class:`SanitizerError` — a machine-invariant check found a corrupted
@@ -75,10 +74,6 @@ class CacheError(HarnessError):
     treats them as misses and recomputes — so this is only raised for
     configuration problems the user must fix.
     """
-
-
-class TransientError(ReproError):
-    """A failure expected to succeed on retry (runner retries these)."""
 
 
 class AnalysisError(ReproError):
@@ -242,6 +237,5 @@ __all__ = [
     "ReproError",
     "SanitizerError",
     "SimulationHang",
-    "TransientError",
     "WorkloadError",
 ]

@@ -70,8 +70,8 @@ CASE_MAX_STEPS = 500_000
 #: 50k-cycle stall per case
 CASE_OVERRIDES = (("watchdog_cycles", 20_000),)
 
-#: tries per case: a case is deterministic, so only a timeout or a
-#: TransientError is retried, once
+#: tries per case: a case is deterministic, so only a timeout is
+#: retried, once
 CASE_ATTEMPTS = 2
 
 #: batch checkpoint writes: a hard kill re-runs at most this many cases

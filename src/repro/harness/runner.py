@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import CellTimeout, CheckpointError, ConfigError, TransientError
+from ..errors import CellTimeout, CheckpointError, ConfigError
 
 #: Version 1 stored each experiment runner's raw return value
 #: (``{workload: data}`` dicts / one-row lists).  Version 2 stores the
@@ -141,7 +141,7 @@ class CellResult:
 BACKOFF_SECONDS = 0.5
 
 #: exception types worth retrying; anything else degrades immediately
-RETRYABLE = (TransientError, CellTimeout)
+RETRYABLE = (CellTimeout,)
 
 
 class CheckpointStore:

@@ -124,23 +124,24 @@ def annotate(
         else:
             depm.append(NO_PRODUCER)
 
-        # Prediction annotation (up-to-date state: the Section 2 idealization).
+        # Prediction annotation (up-to-date state: the Section 2
+        # idealization).  A blind CTB miss (cold entry, no target)
+        # spawns no wrong path, though Table 1 counts it as mispredicted.
         wrong_pc: int | None = None
-        if instr.is_branch:
-            prediction = fe.predict(instr, entry.pc, history)
-            if prediction.taken != entry.taken:
+        if instr.is_control:
+            prediction, history = fe.predict_uptodate(
+                instr, entry.pc, history, entry.taken, entry.next_pc
+            )
+            if instr.is_branch:
+                if prediction.taken != entry.taken:
+                    wrong_pc = prediction.next_pc
+            elif (
+                instr.is_indirect
+                and not instr.is_return
+                and prediction.next_pc != entry.next_pc
+                and not prediction.blind
+            ):
                 wrong_pc = prediction.next_pc
-            fe.gshare.update(entry.pc, history, entry.taken)
-            history = fe.push_history(history, entry.taken)
-        elif instr.is_return:
-            fe.predict(instr, entry.pc, history)  # keeps the RAS in sync
-        elif instr.is_indirect:
-            prediction = fe.predict(instr, entry.pc, history)
-            if prediction.next_pc != entry.next_pc and not prediction.blind:
-                wrong_pc = prediction.next_pc
-            fe.ctb.update(entry.pc, history, entry.next_pc)
-        elif instr.is_call:
-            fe.predict(instr, entry.pc, history)
 
         if wrong_pc is not None:
             reconv_pc = table.reconvergent_pc(entry.pc) if instr.is_branch else None

@@ -14,6 +14,7 @@ from repro.analysis import (
     lint_program,
     reconvergence_report_row,
     score_heuristic,
+    stale_suppressions,
 )
 from repro.cfg import ControlFlowGraph
 from repro.errors import AnalysisError, LintFailure, ReproError
@@ -258,11 +259,34 @@ class TestKernelLint:
         # the audit table tracks the kernels.
         for name in WORKLOAD_NAMES:
             supps = lint_suppressions(name)
-            if not supps:
-                continue
             report = lint_program(build_workload(name, 0.12).program, supps)
-            used = {s for _, s in report.suppressed}
-            assert used == set(supps), f"stale suppression in {name}"
+            stale = stale_suppressions([report], supps)
+            assert stale == [], f"stale suppression in {name}: {stale}"
+
+
+#: (hits, misses, candidates) per kernel and heuristic at scale 0.12
+PINNED_HEURISTIC_SCORES = {
+    "gcc": {
+        "next-seq": (1, 11, 12), "loop": (3, 9, 6),
+        "return": (0, 12, 12), "combined": (3, 9, 27),
+    },
+    "go": {
+        "next-seq": (2, 5, 7), "loop": (2, 5, 4),
+        "return": (1, 6, 21), "combined": (3, 4, 30),
+    },
+    "compress": {
+        "next-seq": (1, 1, 2), "loop": (1, 1, 2),
+        "return": (0, 2, 0), "combined": (1, 1, 3),
+    },
+    "jpeg": {
+        "next-seq": (2, 1, 3), "loop": (2, 1, 4),
+        "return": (0, 3, 0), "combined": (2, 1, 5),
+    },
+    "vortex": {
+        "next-seq": (1, 1, 2), "loop": (1, 1, 2),
+        "return": (0, 2, 2), "combined": (1, 1, 5),
+    },
+}
 
 
 class TestReconvergenceCrossCheck:
@@ -310,11 +334,19 @@ class TestReconvergenceCrossCheck:
         ]
         assert [row["benchmark"] for row in rows] == list(WORKLOAD_NAMES)
         for row in rows:
-            assert set(row["heuristics"]) == set(HEURISTICS)
+            assert tuple(row["heuristics"]) == HEURISTICS
             for score in row["heuristics"].values():
                 assert 0.0 <= score.precision <= 1.0
                 assert 0.0 <= score.recall <= 1.0
                 assert score.hits + score.misses == score.with_exact
+        # the table EXPERIMENTS.md prints (lint_workloads.py 0.12)
+        assert {
+            row["benchmark"]: {
+                name: (score.hits, score.misses, score.candidates)
+                for name, score in row["heuristics"].items()
+            }
+            for row in rows
+        } == PINNED_HEURISTIC_SCORES
         text = format_reconv_report(rows)
         for name in WORKLOAD_NAMES:
             assert name in text

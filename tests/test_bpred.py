@@ -1,5 +1,8 @@
 """Branch prediction structure tests."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.bpred import (
@@ -13,8 +16,12 @@ from repro.bpred import (
     coverage_at_true_fraction,
     coverage_curve,
 )
+from repro.bpred.evaluate import PredictionReport
 from repro.bpred.gshare import COUNTER_INIT
-from repro.isa import REG_RA, Instruction, Op
+from repro.functional import run
+from repro.harness.spec import annotate, measure_prediction
+from repro.isa import REG_RA, Instruction, Op, assemble
+from repro.workloads import WORKLOAD_NAMES, build_workload
 
 
 class TestGshare:
@@ -121,6 +128,80 @@ class TestFrontEnd:
         instr = Instruction(Op.JR, rs1=5)
         fe.update(instr, 10, 0, True, 500)
         assert fe.predict(instr, 10, 0).next_pc == 500
+
+
+#: ``PredictionReport`` field values per kernel at scale 0.05, then the
+#: number of mispredictions ``annotate`` spawns a wrong path for
+PINNED_REPORTS = {
+    "gcc": ((4333, 1398, 0, 62, 356, 0, 0), 356),
+    "go": ((2513, 431, 0, 32, 144, 0, 0), 144),
+    "compress": ((2142, 140, 0, 0, 23, 0, 0), 23),
+    "jpeg": ((1139, 132, 0, 0, 17, 0, 0), 17),
+    "vortex": ((910, 90, 0, 45, 1, 0, 0), 1),
+}
+
+#: an indirect jump alternating between two targets for 40 iterations:
+#: the CTB starts cold, then learns per history, then sees both targets
+#: under the saturated history
+ALTERNATING_JR = """
+    li   r1, 40
+    li   r5, 7
+    li   r6, 12
+loop:
+    sub  r5, r6, r5
+    jr   r5
+a:
+    addi r2, r2, 1
+    jump join
+b:
+    addi r2, r2, 2
+join:
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    halt
+"""
+
+
+class TestUpToDateFrontEnd:
+    """Table 1 and the ideal trace share ``FrontEnd.predict_uptodate``;
+    each keeps its own misprediction rule."""
+
+    def test_predict_uptodate_trains_and_pushes_history(self):
+        fe = FrontEnd(index_bits=6)
+        branch = Instruction(Op.BNE, rs1=1, target=3)
+        _, history = fe.predict_uptodate(branch, 9, 0, True, 3)
+        assert history == fe.push_history(0, True)
+        indirect = Instruction(Op.JR, rs1=5)
+        first, same = fe.predict_uptodate(indirect, 10, history, True, 500)
+        assert first.blind and same == history
+        assert fe.predict(indirect, 10, history).next_pc == 500
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_kernel_counts_are_pinned(self, name):
+        program = build_workload(name, 0.05).program
+        fields, wrong_paths = PINNED_REPORTS[name]
+        assert dataclasses.astuple(measure_prediction(run(program))) == fields
+        assert annotate(program).misprediction_count == wrong_paths
+
+    def test_blind_ctb_miss_counts_only_in_table1(self):
+        program = assemble(ALTERNATING_JR)
+        report = measure_prediction(run(program))
+        assert report == PredictionReport(
+            instructions=224,
+            conditional_branches=40,
+            indirect_jumps=40,
+            conditional_mispredictions=1,
+            indirect_mispredictions=31,
+        )
+        annotated = annotate(program)
+        at_jr = [
+            seq for seq in annotated.mispredictions
+            if annotated.entries[seq].instr.is_indirect
+        ]
+        # 8 of Table 1's 31 indirect misses are blind: the ideal trace
+        # spawns a wrong path for the other 23 only
+        assert len(at_jr) == 23
+        assert annotated.misprediction_count == 24
 
 
 class TestTFR:

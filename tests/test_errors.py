@@ -18,7 +18,6 @@ from repro.errors import (
     ExecutionLimitExceeded,
     HarnessError,
     ReproError,
-    TransientError,
     WorkloadError,
 )
 from repro.isa import AssemblerError, assemble
@@ -36,8 +35,7 @@ class TestHierarchy:
             HarnessError,
             CellTimeout,
             CheckpointError,
-            TransientError,
-            AssemblerError,
+                    AssemblerError,
         ):
             assert issubclass(exc, ReproError)
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.harness.experiments as experiments_mod
-from repro.errors import CellTimeout, CheckpointError, ConfigError, TransientError
+from repro.errors import CellTimeout, CheckpointError, ConfigError
 from repro.harness import run_study
 from repro.harness.runner import (
     Cell,
@@ -104,7 +104,7 @@ class TestRetry:
         def flaky():
             calls.append(1)
             if len(calls) < 3:
-                raise TransientError("blip")
+                raise CellTimeout("blip")
             return {"ipc": 1.5}
 
         result = runner.run_cell(CELL, flaky)
@@ -132,11 +132,11 @@ class TestRetry:
         runner, _ = make_runner(max_attempts=2)
 
         def always_flaky():
-            raise TransientError("still flaky")
+            raise CellTimeout("still flaky")
 
         result = runner.run_cell(CELL, always_flaky)
         assert not result.ok
-        assert result.error_type == "TransientError" and result.attempts == 2
+        assert result.error_type == "CellTimeout" and result.attempts == 2
 
 
 class TestTimeout:

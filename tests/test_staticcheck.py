@@ -16,14 +16,17 @@ import textwrap
 
 import pytest
 
-from repro.analysis.diagnostics import LintReport, apply_suppressions
-from repro.analysis.report import (
-    SourceDiagnostic,
-    SourceSuppression,
-    reports_to_dict,
+from repro.analysis.diagnostics import (
+    LintReport,
+    apply_suppressions,
     stale_suppressions,
 )
-from repro.analysis.sourcelint import SOURCE_SUPPRESSIONS, lint_source
+from repro.analysis.sourcelint import (
+    SOURCE_SUPPRESSIONS,
+    SourceDiagnostic,
+    SourceSuppression,
+    lint_source,
+)
 
 
 def _lint_tree(tmp_path, files: dict[str, str]) -> LintReport:
@@ -169,7 +172,7 @@ def test_repo_lint_clean_and_no_stale_suppressions():
 
 
 # ----------------------------------------------------------------------
-# shared report machinery
+# suppressions
 
 
 def test_source_suppression_requires_reason():
@@ -188,19 +191,3 @@ def test_stale_suppression_detection():
     apply_suppressions(report, (live, dead))
     assert report.clean
     assert stale_suppressions([report], (live, dead)) == [dead]
-
-
-def test_reports_to_dict_schema():
-    report = lint_source()
-    doc = reports_to_dict([report], tool="staticcheck")
-    assert doc["schema"] == 1
-    assert doc["tool"] == "staticcheck"
-    assert doc["clean"] is True
-    (entry,) = doc["reports"]
-    assert entry["name"] == "src/repro"
-    assert entry["suppressed"], "suppressed findings must serialize"
-    one = entry["suppressed"][0]
-    assert {"diagnostic", "suppression"} <= set(one)
-    assert {"rule", "severity", "message", "file", "line", "symbol"} <= set(
-        one["diagnostic"]
-    )

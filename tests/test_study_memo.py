@@ -12,7 +12,7 @@ import pytest
 
 import repro.harness.parallel as parallel_mod
 from repro.core import Processor
-from repro.errors import SimulationHang, TransientError
+from repro.errors import CellTimeout, SimulationHang
 from repro.harness import run_study
 from repro.harness.spec import (
     get_spec,
@@ -226,7 +226,7 @@ class TestPoolMemo:
             # Figure 10's TFR-only row); wave 2 the ten that read the memo.
             assert waves == [DISTINCT_RUNS - 1 + 3, 13 - 3]
 
-    @pytest.mark.parametrize("error", [SimulationHang, TransientError])
+    @pytest.mark.parametrize("error", [SimulationHang, CellTimeout])
     def test_failed_wave1_cell_is_not_memoized(self, monkeypatch, run_log, error):
         original = Processor.run  # the logging wrapper
 
@@ -246,7 +246,7 @@ class TestPoolMemo:
         assert all(row["error_type"] == error.__name__ for row in rows)
         assert [pooled["results"][e][NAME] for e in experiments] == rows
         attempts = rows[0]["attempts"]
-        assert attempts == (3 if error is TransientError else 1)
+        assert attempts == (3 if error is CellTimeout else 1)
         assert serial_runs == 2 * attempts
         # Wave 1 ran it once, then each row simulated it again.
         assert pooled_runs == 1 + 2 * attempts
