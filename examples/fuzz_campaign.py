@@ -38,7 +38,8 @@ from repro.machines import MACHINES
 from repro.workloads.families import FAMILY_NAMES
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(argv=None) -> tuple[argparse.Namespace, CampaignConfig]:
+    """Parse the command line into a validated campaign configuration."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (case i uses seed*1000003+i)")
@@ -69,11 +70,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="keep full divergent programs (skip ddmin)")
     parser.add_argument("--report", default=None,
                         help="write the JSON triage report here")
-    return parser.parse_args(argv)
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
+    args = parser.parse_args(argv)
     config = CampaignConfig(
         seed=args.seed,
         cases=args.cases,
@@ -88,6 +85,15 @@ def main(argv=None) -> int:
         corpus_dir=args.corpus_dir,
         shrink=not args.no_shrink,
     )
+    try:
+        config.validate()
+    except ValueError as exc:  # ConfigError and WorkloadError are ValueErrors
+        parser.error(str(exc))
+    return args, config
+
+
+def main(argv=None) -> int:
+    args, config = parse_args(argv)
     report = run_campaign(config)
 
     counts = report["counts"]

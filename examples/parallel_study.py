@@ -35,7 +35,7 @@ from repro.harness import (
     spec_names,
     validate_experiments,
 )
-from repro.workloads import WORKLOAD_NAMES
+from repro.workloads import WORKLOAD_NAMES, check_workload
 
 
 def list_specs() -> None:
@@ -89,8 +89,13 @@ def main(argv=None) -> int:
         list_specs()
         return 0
 
-    chosen = validate_experiments(args.experiments)
-    jobs = resolve_jobs(args.jobs)
+    try:
+        chosen = validate_experiments(args.experiments)
+        jobs = resolve_jobs(args.jobs)
+        for name in args.names:
+            check_workload(name, args.scale)
+    except ValueError as exc:  # ConfigError and WorkloadError are ValueErrors
+        parser.error(str(exc))
     names = tuple(args.names)
     grid = len(chosen) * len(names)
     print(f"grid: {len(chosen)} experiments x {len(names)} workloads "

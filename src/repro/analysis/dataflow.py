@@ -23,7 +23,7 @@ the workload lint:
   so the lint can anchor diagnostics to exact pcs.
 
 All analyses operate on register *numbers*; writes to r0 are discarded
-by the machine (``Instruction.dest_reg`` is ``None``) and never count as
+by the machine (``Instruction.dest`` is ``None``) and never count as
 definitions, and r0 is always considered defined and never live.
 """
 
@@ -55,10 +55,10 @@ def _block_def_gen(cfg: ControlFlowGraph):
         sites: dict[int, set[int]] = {}
         for pc in range(block.start, block.end):
             instr = program[pc]
-            if instr.f_call:
+            if instr.is_call:
                 for reg in range(1, NUM_REGS):
                     sites.setdefault(reg, set()).add(pc)
-            dest = instr.dest_reg
+            dest = instr.dest
             if dest is not None:
                 killed.add(dest)
                 sites[dest] = {pc}
@@ -131,11 +131,11 @@ def liveness(cfg: ControlFlowGraph) -> tuple[list[frozenset[int]], list[frozense
         uses: set[int] = set()
         for pc in range(block.start, block.end):
             instr = program[pc]
-            uses |= set(instr.src_regs) - defined
-            if instr.f_call:
+            uses |= set(instr.sources) - defined
+            if instr.is_call:
                 # The callee may read any register (arguments).
                 uses |= _ALL_REGS - defined
-            dest = instr.dest_reg
+            dest = instr.dest
             if dest is not None:
                 defined.add(dest)
         uses.discard(0)
@@ -146,7 +146,7 @@ def liveness(cfg: ControlFlowGraph) -> tuple[list[frozenset[int]], list[frozense
     for block in cfg.blocks:
         if block.successors:
             boundary.append(set())
-        elif program[block.last_pc].f_indirect:
+        elif program[block.last_pc].is_indirect:
             boundary.append(set(_ALL_REGS) - {0})
         else:
             boundary.append(set())
@@ -191,17 +191,17 @@ def instruction_uses_of_undefined(
         state = {reg: set(sites) for reg, sites in reach_in[block.index].items()}
         for pc in range(block.start, block.end):
             instr = program[pc]
-            for reg in instr.src_regs:
+            for reg in instr.sources:
                 if reg == 0:
                     continue
                 sites = state.get(reg, set())
                 if UNINIT in sites:
                     definite = not any(site >= 0 for site in sites)
                     out.append((pc, reg, definite))
-            if instr.f_call:
+            if instr.is_call:
                 for reg in range(1, NUM_REGS):
                     state.setdefault(reg, set()).add(pc)
-            dest = instr.dest_reg
+            dest = instr.dest
             if dest is not None:
                 state[dest] = {pc}
     return out
@@ -223,16 +223,16 @@ def dead_writes(cfg: ControlFlowGraph) -> list[tuple[int, int]]:
         live = set(live_out[block.index])
         for pc in range(block.end - 1, block.start - 1, -1):
             instr = program[pc]
-            dest = instr.dest_reg
+            dest = instr.dest
             if dest is not None:
                 # A call's link-register write is consumed by the callee's
                 # return, which the CFG does not connect to the call site;
                 # it is never reportable as dead.
-                if dest not in live and not instr.f_call:
+                if dest not in live and not instr.is_call:
                     out.append((pc, dest))
                 live.discard(dest)
-            if instr.f_call:
+            if instr.is_call:
                 live |= _ALL_REGS - {0}
-            live |= set(instr.src_regs)
+            live |= set(instr.sources)
     out.reverse()
     return out

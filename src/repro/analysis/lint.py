@@ -50,7 +50,7 @@ def _check_targets(program: Program, report: LintReport) -> bool:
     ok = True
     n = len(program)
     for pc, instr in enumerate(program.instructions):
-        if instr.f_control and not instr.f_indirect:
+        if instr.is_control and not instr.is_indirect:
             if not 0 <= instr.target < n:
                 ok = False
                 report.diagnostics.append(Diagnostic(
@@ -133,7 +133,7 @@ def _check_fall_off_end(cfg: ControlFlowGraph, report: LintReport) -> None:
     if last.index not in reachable:
         return
     instr = program[last.last_pc]
-    if instr.f_control or instr.op is Op.HALT:
+    if instr.is_control or instr.op is Op.HALT:
         return
     report.diagnostics.append(Diagnostic(
         rule="fall-off-end",
@@ -221,7 +221,7 @@ def _check_loops(cfg: ControlFlowGraph, report: LintReport) -> None:
 
             def in_body_terminator(index: int) -> bool:
                 last = program[cfg.blocks[index].last_pc]
-                return last.op is Op.HALT or last.f_indirect
+                return last.op is Op.HALT or last.is_indirect
 
             has_exit = any(
                 any(s not in body for s in cfg.blocks[i].successors)

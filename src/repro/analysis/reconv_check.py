@@ -47,7 +47,7 @@ def _return_sites(program: Program) -> frozenset[int]:
     return frozenset(
         pc + 1
         for pc, instr in enumerate(program.instructions)
-        if instr.f_call and pc + 1 < n
+        if instr.is_call and pc + 1 < n
     )
 
 

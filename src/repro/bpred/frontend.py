@@ -43,13 +43,12 @@ class FrontEnd:
 
     def predict(self, instr: Instruction, pc: int, history: int) -> Prediction:
         """Predict one control instruction fetched at ``pc``."""
-        op = instr.op
-        if op is Op.JUMP:
+        if instr.op is Op.JUMP:
             return Prediction(True, instr.target, history)
-        if op is Op.CALL:
+        if instr.is_call:
             self.ras.push(pc + 1)
             return Prediction(True, instr.target, history)
-        if op is Op.JR:
+        if instr.is_indirect:
             if instr.is_return:
                 target = self.ras.pop()
                 if target is None:
@@ -75,7 +74,7 @@ class FrontEnd:
         """Train tables with the resolved outcome (called at retirement)."""
         if instr.is_branch:
             self.gshare.update(pc, history, taken)
-        elif instr.op is Op.JR and not instr.is_return:
+        elif instr.is_indirect and not instr.is_return:
             self.ctb.update(pc, history, target)
 
     def push_history(self, history: int, taken: bool) -> int:

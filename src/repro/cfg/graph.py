@@ -74,10 +74,10 @@ class ControlFlowGraph:
             return out
         if instr.op is Op.JUMP:
             return [instr.target]
-        if instr.op is Op.CALL:
+        if instr.is_call:
             # Fall-through edge: analysis assumes the callee returns.
             return [pc + 1] if pc + 1 < n else []
-        if instr.op is Op.JR:
+        if instr.is_indirect:
             return []  # return / unknown indirect target -> virtual exit
         return [pc + 1] if pc + 1 < n else []
 
@@ -116,7 +116,7 @@ class ControlFlowGraph:
         """
         roots = {self.block_at(self.program.entry).index}
         for instr in self.program.instructions:
-            if instr.f_call:
+            if instr.is_call:
                 roots.add(self.block_at(instr.target).index)
         return sorted(roots)
 

@@ -44,15 +44,15 @@ class LoadStoreQueue:
         pool = self.pool
         instr = pool.instr[h]
         uid = pool.uid[h]
-        if instr.f_store:
+        if instr.is_store:
             self._stores[uid] = h
             self._unresolved_stores[uid] = h
-        elif instr.f_load:
+        elif instr.is_load:
             self._loads[uid] = h
 
     def drop(self, h: int) -> None:
         pool = self.pool
-        if not pool.instr[h].f_mem:  # only memory ops are ever tracked
+        if not pool.instr[h].is_mem:  # only memory ops are ever tracked
             return
         uid = pool.uid[h]
         self._stores.pop(uid, None)

@@ -116,13 +116,12 @@ class BackendStage:
             a = t1.value if t1 is not None else 0
             b = t2.value if t2 is not None else 0
             # Straight to the per-opcode kernels (the single definition
-            # of instruction semantics, repro.isa.instructions) — the
-            # ExecResult wrapper evaluate() builds is pure allocation
-            # on this path.
+            # of instruction semantics, repro.isa.instructions), which
+            # allocate no result object.
             opcode = instr.opcode
-            if instr.f_mem:
+            if instr.is_mem:
                 addr = effective_addr(instr, a)
-                if instr.f_load:
+                if instr.is_load:
                     pool.addr[h] = addr
                     latency = 1 + self.cache.access(addr)
                 else:
@@ -130,7 +129,7 @@ class BackendStage:
                     pool.addr[h] = addr
                     pool.store_value[h] = b
                     latency = lat[opcode]
-            elif instr.f_control:
+            elif instr.is_control:
                 taken, next_pc, value = CONTROL_KERNELS[opcode](
                     instr, pool.pc[h], a, b
                 )
@@ -202,13 +201,13 @@ class BackendStage:
     def _complete(self, h: int) -> None:
         pool = self.pool
         instr = pool.instr[h]
-        if instr.f_branch or instr.f_indirect:
+        if instr.is_branch or instr.is_indirect:
             if not self._try_complete_branch(h):
                 self._pending_branches.append((pool.ref[h], pool.issue_count[h]))
             return
         pool.state[h] |= ST_COMPLETED
         self._any_completed = True
-        if instr.f_load:
+        if instr.is_load:
             source = self.lsq.forward_source(h)
             if source is not None:
                 value = pool.store_value[source]
@@ -218,7 +217,7 @@ class BackendStage:
                 pool.fwd_store[h] = None
             pool.value[h] = value
             self._broadcast(h)
-        elif instr.f_store:
+        elif instr.is_store:
             self.lsq.store_resolved(h)
             self._store_executed(h)
         else:

@@ -51,14 +51,14 @@ class RecoveryStage:
         if policy is ReconvPolicy.NONE:
             return None
         if policy is ReconvPolicy.POSTDOM:
-            if not instr.f_branch:
+            if not instr.is_branch:
                 return None
             target = self.reconv_table.reconvergent_pc(pc)
             if target is None:
                 return None
             candidates = {target}
         else:
-            backward = instr.f_branch and instr.target <= pc
+            backward = instr.is_branch and instr.target <= pc
             if policy.uses_ltb and backward:
                 candidates = {pc + 1}  # not-taken target of the loop branch
             else:
@@ -181,7 +181,7 @@ class RecoveryStage:
         pool.current_taken[branch] = pool.outcome_taken[branch]
         pool.current_next_pc[branch] = pool.outcome_next_pc[branch]
         pool.state[branch] |= ST_RECOVERING
-        if pool.instr[branch].f_branch:
+        if pool.instr[branch].is_branch:
             self.frontend.ras.restore(pool.ras_snapshot[branch])
         # Prune contexts invalidated by the squash (including any stale
         # context for this same branch), then activate the new one.
@@ -206,7 +206,7 @@ class RecoveryStage:
         while node != TAIL:
             if not inclusive and node == stop:
                 break
-            if not state[node] & ST_DEAD and instr_col[node].f_branch:
+            if not state[node] & ST_DEAD and instr_col[node].is_branch:
                 ghr = push(ghr, taken_col[node])
             if inclusive and node == stop:
                 break
@@ -233,7 +233,7 @@ class RecoveryStage:
 
     def _history_after(self, branch: int) -> int:
         pool = self.pool
-        if pool.instr[branch].f_branch:
+        if pool.instr[branch].is_branch:
             return self.frontend.push_history(
                 pool.history_used[branch], pool.outcome_taken[branch]
             )
@@ -319,15 +319,15 @@ class RecoveryStage:
                 if ctx.phase == "redispatch" and ctx.walk_cursor == h:
                     ctx.walk_cursor = nxt
         self.rob.remove(h)
-        if instr.f_mem:
+        if instr.is_mem:
             # Drop from the LSQ first so the squashed store itself is out
             # of the scan when affected loads are collected.
             self.lsq.drop(h)
-            if instr.f_store and pool.state[h] & ST_COMPLETED:
+            if instr.is_store and pool.state[h] & ST_COMPLETED:
                 for load in self.lsq.loads_affected_by(h, {pool.addr[h]}):
                     self.stats.reissues_memory += 1
                     self._wake(load, self.cycle + 1)
-        elif (instr.f_branch or instr.f_indirect) and (
+        elif (instr.is_branch or instr.is_indirect) and (
             self._incomplete_branches.pop(pool.uid[h], None) is not None
         ):
             if self._oldest_gate == h:
@@ -419,12 +419,12 @@ class RecoveryStage:
             rmap[pool.dest_arch[h]] = pool.dest_tag[h]
 
         # RAS replay so the frontier stack is exact after the walk.
-        if instr.f_call:
+        if instr.is_call:
             self.frontend.ras.push(pool.pc[h] + 1)
-        elif instr.f_return:
+        elif instr.is_return:
             self.frontend.ras.pop()
 
-        if instr.f_branch:
+        if instr.is_branch:
             return self._repredict(ctx, h)
         return False
 

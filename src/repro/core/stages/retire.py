@@ -60,7 +60,7 @@ class RetireStage:
             # instruction's committed path — possible after a mis-spliced
             # heuristic reconvergence — flush younger state and refetch.
             expected_next = (
-                pool.current_next_pc[h] if instr.f_control else pc + 1
+                pool.current_next_pc[h] if instr.is_control else pc + 1
             )
             succ = next_col[h]
             if succ != TAIL and pc_col[succ] != expected_next:
@@ -79,7 +79,7 @@ class RetireStage:
             state[h] |= ST_RETIRED
             retired_any = True
             self._map_epoch += 1
-            if instr.f_mem:
+            if instr.is_mem:
                 lsq.drop(h)
             rob.remove(h)
             self.retired_count += 1
@@ -95,7 +95,7 @@ class RetireStage:
         pool = self.pool
         instr = pool.instr[h]
         pc = pool.pc[h]
-        if instr.f_store:
+        if instr.is_store:
             if pool.addr[h] != entry.addr or pool.store_value[h] != entry.store_value:
                 raise CosimulationError(
                     f"store at pc {pc}: simulated "
@@ -111,7 +111,7 @@ class RetireStage:
                     f"{pool.value[h]}, golden {entry.value}",
                     snapshot=self.snapshot(),
                 )
-        if instr.f_control:
+        if instr.is_control:
             if pool.current_next_pc[h] != entry.next_pc:
                 raise CosimulationError(
                     f"control at pc {pc}: retiring down "
@@ -122,11 +122,11 @@ class RetireStage:
             self.frontend.update(
                 instr, pc, self.retire_ghr, entry.taken, entry.next_pc
             )
-            if instr.f_branch or (instr.f_indirect and not instr.f_return):
+            if instr.is_branch or (instr.is_indirect and not instr.is_return):
                 self.stats.branch_events += 1
                 if pool.predicted_next_pc[h] != entry.next_pc:
                     self.stats.branch_mispredictions_retired += 1
-            if instr.f_branch:
+            if instr.is_branch:
                 self.retire_ghr = self.frontend.push_history(
                     self.retire_ghr, entry.taken
                 )
@@ -165,7 +165,7 @@ class RetireStage:
         self.frontier.fetch_pc = expected_next
         ghr = self.retire_ghr
         instr = pool.instr[h]
-        if instr.f_branch:
+        if instr.is_branch:
             ghr = self.frontend.push_history(ghr, pool.outcome_taken[h])
         self.frontier.ghr = ghr
         self.frontier.rmap = self._map_after(h)
@@ -173,9 +173,9 @@ class RetireStage:
         self.frontier.stalled = False
         if pool.ras_snapshot[h] is not None:
             self.frontend.ras.restore(pool.ras_snapshot[h])
-            if instr.f_call:
+            if instr.is_call:
                 self.frontend.ras.push(pool.pc[h] + 1)
-            elif instr.f_return:
+            elif instr.is_return:
                 self.frontend.ras.pop()
 
 

@@ -110,7 +110,7 @@ class SequencerStage:
             t2 = None
         pool.src1_tag[h] = t1
         pool.src2_tag[h] = t2
-        dest = instr.dest_reg
+        dest = instr.dest
         pool.dest_arch[h] = dest
         if dest is not None:
             tag = PhysReg(node_ref)
@@ -119,13 +119,13 @@ class SequencerStage:
         else:
             pool.dest_tag[h] = None
 
-        if instr.f_mem:
+        if instr.is_mem:
             self.lsq.add(h)
 
-        if instr.f_control:
+        if instr.is_control:
             self._predict_control(ctx, h)
             ctx.fetch_pc = pool.current_next_pc[h]
-            if instr.f_branch or instr.f_indirect:
+            if instr.is_branch or instr.is_indirect:
                 self._incomplete_branches[uid] = h
                 if self._oldest_gate_valid:
                     oldest = self._oldest_gate
@@ -155,7 +155,7 @@ class SequencerStage:
         history = ctx.ghr
         instr = pool.instr[h]
         pc = pool.pc[h]
-        if instr.f_branch:
+        if instr.is_branch:
             # Conditional-branch fast path: one gshare table read and an
             # in-place history push — the FrontEnd.predict dispatch chain
             # and its Prediction wrapper are pure overhead for the most
@@ -181,7 +181,7 @@ class SequencerStage:
         pool.predicted_next_pc[h] = prediction.next_pc
         pool.current_taken[h] = prediction.taken
         pool.current_next_pc[h] = prediction.next_pc
-        if instr.f_return:
+        if instr.is_return:
             self._return_targets.add(prediction.next_pc)
 
     # ==================================================================

@@ -35,14 +35,6 @@ class TraceEntry:
     value: int | None
     store_value: int | None
 
-    @property
-    def is_branch(self) -> bool:
-        return self.instr.is_branch
-
-    @property
-    def is_control(self) -> bool:
-        return self.instr.is_control
-
 
 def step(state: ArchState, program: Program, seq: int = 0) -> TraceEntry:
     """Execute the instruction at ``state.pc``, updating ``state``.
@@ -51,9 +43,9 @@ def step(state: ArchState, program: Program, seq: int = 0) -> TraceEntry:
     only on wrong paths; validated programs end with an explicit HALT).
 
     Calls the per-opcode kernels of :mod:`repro.isa.instructions`
-    directly, as the detailed core's issue stage does, so a step builds
-    no :class:`~repro.isa.ExecResult`; the semantics are those of
-    :func:`~repro.isa.evaluate`.
+    (``VALUE_KERNELS``, ``CONTROL_KERNELS`` and ``effective_addr``)
+    directly, as the detailed core's issue stage does, so the two share
+    one definition of each opcode's semantics.
     """
     pc = state.pc
     instr = program.fetch(pc)
@@ -65,18 +57,18 @@ def step(state: ArchState, program: Program, seq: int = 0) -> TraceEntry:
     rs2 = instr.rs2
     a = regs[rs1] if rs1 != REG_ZERO else 0
     b = regs[rs2] if rs2 != REG_ZERO else 0
-    dest = instr.dest_reg
-    if instr.f_mem:
+    dest = instr.dest
+    if instr.is_mem:
         addr = effective_addr(instr, a)
         state.pc = pc + 1
-        if instr.f_load:
+        if instr.is_load:
             value = state.mem.read(addr)
             if dest is not None:
                 regs[dest] = value
             return TraceEntry(seq, pc, instr, False, pc + 1, addr, value, None)
         state.mem.write(addr, b)
         return TraceEntry(seq, pc, instr, False, pc + 1, addr, None, b)
-    if instr.f_control:
+    if instr.is_control:
         taken, next_pc, value = CONTROL_KERNELS[instr.opcode](instr, pc, a, b)
         if dest is not None:
             regs[dest] = value  # the call link address

@@ -66,7 +66,10 @@ from .spec import WorkloadBundle
 #: keeps shared study cache dirs aligned with the new checkpoint layout
 #: so a mixed-version resume can never pair old rows with new artifacts;
 #: old entries are simply ignored and re-derived once.
-CACHE_VERSION = 3
+#: v4: Instruction's decoded slots took their public names (``is_branch``,
+#: ``sources``, ``dest``, ...).  Slot values pickle by position, so v3
+#: entries would still load; the bump keeps one slot layout per version.
+CACHE_VERSION = 4
 
 #: entries per in-memory LRU (workloads × scales)
 MAX_ENTRIES = 32

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..isa import Op
+from ..isa import COND_BRANCH_OPS, CONTROL_OPS, Op
 from ..isa.instructions import NUM_OPCODES
 
 
@@ -108,9 +108,9 @@ def _latency_class(op: Op) -> str:
         return "load"
     if op is Op.STORE:
         return "store"
-    if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE):
+    if op in COND_BRANCH_OPS:
         return "branch"
-    if op in (Op.JUMP, Op.CALL, Op.JR):
+    if op in CONTROL_OPS:
         return "jump"
     return "int"
 

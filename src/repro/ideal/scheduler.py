@@ -418,7 +418,7 @@ class IdealScheduler:
         # None is never a member of a write set, so it disables the check
         rs1 = instr.rs1 if instr.reads_rs1 else None
         rs2 = instr.rs2 if instr.reads_rs2 else None
-        addr = entry.addr if instr.f_load else None
+        addr = entry.addr if instr.is_load else None
         dep1, dep2, depm = trace.dep1[seq], trace.dep2[seq], trace.depm[seq]
         for mp in self.outstanding.values():
             reconv = mp.reconv_seq

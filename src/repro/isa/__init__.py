@@ -13,11 +13,9 @@ from .instructions import (
     REG_ZERO,
     CONTROL_KERNELS,
     VALUE_KERNELS,
-    ExecResult,
     Instruction,
     Op,
     effective_addr,
-    evaluate,
     to_signed,
 )
 from .program import Program
@@ -34,7 +32,6 @@ __all__ = [
     "REG_ZERO",
     "AssemblerError",
     "CONTROL_KERNELS",
-    "ExecResult",
     "Instruction",
     "Op",
     "Program",
@@ -42,6 +39,5 @@ __all__ = [
     "assemble",
     "disassemble",
     "effective_addr",
-    "evaluate",
     "to_signed",
 ]

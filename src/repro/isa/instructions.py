@@ -10,10 +10,9 @@ word-addressed.
 The module is deliberately free of any simulator state: the single-step
 semantics live in one kernel per opcode (``VALUE_KERNELS`` /
 ``CONTROL_KERNELS`` plus :func:`effective_addr`).  The out-of-order
-core's issue stage and the functional simulator's ``step`` call the
-kernels directly, and :func:`evaluate` wraps them in one
-:class:`ExecResult`, so there is exactly one definition of what each
-opcode does.
+core's issue stage and the functional simulator's ``step`` both call the
+kernels directly, so there is exactly one definition of what each opcode
+does.
 """
 
 from __future__ import annotations
@@ -87,8 +86,7 @@ ALU_RI_OPS = frozenset(
     {Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI, Op.SLTI, Op.LI}
 )
 COND_BRANCH_OPS = frozenset({Op.BEQ, Op.BNE, Op.BLT, Op.BGE})
-DIRECT_JUMP_OPS = frozenset({Op.JUMP, Op.CALL})
-CONTROL_OPS = COND_BRANCH_OPS | DIRECT_JUMP_OPS | {Op.JR}
+CONTROL_OPS = COND_BRANCH_OPS | {Op.JUMP, Op.CALL, Op.JR}
 MEMORY_OPS = frozenset({Op.LOAD, Op.STORE})
 
 
@@ -102,11 +100,13 @@ class Instruction:
 
     The trailing fields are decoded metadata derived once at construction
     — opcode classification flags, the source/destination register sets
-    and a dense integer opcode — so the cycle-level simulators read plain
-    slot attributes on their hot paths instead of re-running frozenset
-    membership tests per dynamic instruction.  They assume ``op`` /
-    ``rs1`` / ``rs2`` / ``rd`` are not mutated after construction (the
-    assembler resolves labels before building each instruction).
+    and a dense integer opcode.  They are the ISA's interface: every
+    simulator and analysis reads these slots, so each decoded fact has
+    one name and one definition, and the hot paths read plain slot
+    attributes instead of re-running frozenset membership tests per
+    dynamic instruction.  They assume ``op`` / ``rs1`` / ``rs2`` / ``rd``
+    are not mutated after construction (the assembler resolves labels
+    before building each instruction).
     """
 
     op: Op
@@ -120,30 +120,36 @@ class Instruction:
 
     # Decoded metadata (derived, excluded from equality / repr).
     opcode: int = field(init=False, compare=False, repr=False)
-    f_branch: bool = field(init=False, compare=False, repr=False)
-    f_control: bool = field(init=False, compare=False, repr=False)
-    f_indirect: bool = field(init=False, compare=False, repr=False)
-    f_call: bool = field(init=False, compare=False, repr=False)
-    f_return: bool = field(init=False, compare=False, repr=False)
-    f_load: bool = field(init=False, compare=False, repr=False)
-    f_store: bool = field(init=False, compare=False, repr=False)
-    f_mem: bool = field(init=False, compare=False, repr=False)
-    src_regs: tuple = field(init=False, compare=False, repr=False)
+    #: Conditional branches only.
+    is_branch: bool = field(init=False, compare=False, repr=False)
+    #: Any instruction that can redirect fetch.
+    is_control: bool = field(init=False, compare=False, repr=False)
+    is_indirect: bool = field(init=False, compare=False, repr=False)
+    is_call: bool = field(init=False, compare=False, repr=False)
+    #: An indirect jump through the link register.
+    is_return: bool = field(init=False, compare=False, repr=False)
+    is_load: bool = field(init=False, compare=False, repr=False)
+    is_store: bool = field(init=False, compare=False, repr=False)
+    is_mem: bool = field(init=False, compare=False, repr=False)
+    #: Architectural source registers the instruction actually reads.
+    sources: tuple = field(init=False, compare=False, repr=False)
     reads_rs1: bool = field(init=False, compare=False, repr=False)
     reads_rs2: bool = field(init=False, compare=False, repr=False)
-    dest_reg: int | None = field(init=False, compare=False, repr=False)
+    #: Architectural destination register, or None (writes to r0 are
+    #: discarded).
+    dest: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         op = self.op
         self.opcode = op.value
-        self.f_branch = op in COND_BRANCH_OPS
-        self.f_control = op in CONTROL_OPS
-        self.f_indirect = op is Op.JR
-        self.f_call = op is Op.CALL
-        self.f_return = op is Op.JR and self.rs1 == REG_RA
-        self.f_load = op is Op.LOAD
-        self.f_store = op is Op.STORE
-        self.f_mem = op in MEMORY_OPS
+        self.is_branch = op in COND_BRANCH_OPS
+        self.is_control = op in CONTROL_OPS
+        self.is_indirect = op is Op.JR
+        self.is_call = op is Op.CALL
+        self.is_return = op is Op.JR and self.rs1 == REG_RA
+        self.is_load = op is Op.LOAD
+        self.is_store = op is Op.STORE
+        self.is_mem = op in MEMORY_OPS
         if op in ALU_RR_OPS or op in COND_BRANCH_OPS or op is Op.STORE:
             src: tuple[int, ...] = (self.rs1, self.rs2)
         elif op in ALU_RI_OPS:
@@ -152,72 +158,13 @@ class Instruction:
             src = (self.rs1,)
         else:
             src = ()
-        self.src_regs = src
+        self.sources = src
         self.reads_rs1 = self.rs1 in src
         self.reads_rs2 = self.rs2 in src
         if op in ALU_RR_OPS or op in ALU_RI_OPS or op is Op.LOAD or op is Op.CALL:
-            self.dest_reg = self.rd if self.rd != REG_ZERO else None
+            self.dest = self.rd if self.rd != REG_ZERO else None
         else:
-            self.dest_reg = None
-
-    @property
-    def is_branch(self) -> bool:
-        """True for conditional branches only."""
-        return self.f_branch
-
-    @property
-    def is_control(self) -> bool:
-        """True for any instruction that can redirect fetch."""
-        return self.f_control
-
-    @property
-    def is_indirect(self) -> bool:
-        return self.f_indirect
-
-    @property
-    def is_call(self) -> bool:
-        return self.f_call
-
-    @property
-    def is_return(self) -> bool:
-        """Returns are indirect jumps through the link register."""
-        return self.f_return
-
-    @property
-    def is_load(self) -> bool:
-        return self.f_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.f_store
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        """Architectural source registers actually read by this instruction."""
-        return self.src_regs
-
-    @property
-    def dest(self) -> int | None:
-        """Architectural destination register, or None (writes to r0 discarded)."""
-        return self.dest_reg
-
-
-@dataclass(slots=True)
-class ExecResult:
-    """Outcome of evaluating one instruction with concrete operand values.
-
-    ``value`` is the register result (None if the instruction writes no
-    register), ``taken``/``next_pc`` describe control flow, and ``addr``
-    is the effective address for memory operations.  For stores,
-    ``store_value`` carries the data to be written.
-    """
-
-    value: int | None = None
-    taken: bool = False
-    next_pc: int = 0
-    addr: int | None = None
-    store_value: int | None = None
-    halted: bool = False
+            self.dest = None
 
 
 NUM_OPCODES = max(op.value for op in Op) + 1
@@ -371,11 +318,12 @@ def _make_raw_tables() -> tuple[list, list]:
     a non-memory, non-control instruction (None for NOP/HALT);
     ``CONTROL_KERNELS[opcode](instr, pc, a, b)`` returns
     ``(taken, next_pc, value)`` for a control instruction (``value`` is
-    the call link address, else None).  The out-of-order core's issue
-    stage and the functional ``step`` call these directly so their hot
-    loops allocate no result object per instruction; :func:`evaluate`'s
-    ``ExecResult`` handlers wrap the same kernels, so each opcode's
-    semantics has one definition."""
+    the call link address, else None).  LOAD and STORE have no kernel:
+    their semantics are :func:`effective_addr` plus the caller's memory
+    access.  The out-of-order core's issue stage and the functional
+    ``step`` call these directly, so their hot loops allocate no result
+    object per instruction and each opcode's semantics has one
+    definition."""
     value_kernels = {
         Op.ADD: _add, Op.SUB: _sub, Op.MUL: _mul, Op.DIV: _div,
         Op.REM: _rem, Op.AND: _and, Op.OR: _or, Op.XOR: _xor,
@@ -398,70 +346,3 @@ def _make_raw_tables() -> tuple[list, list]:
 
 
 VALUE_KERNELS, CONTROL_KERNELS = _make_raw_tables()
-
-
-def _make_eval_table() -> list:
-    """Build the opcode-indexed handler table behind :func:`evaluate`.
-
-    One closure per opcode replaces the frozenset-membership cascade the
-    simulators used to pay per dynamic instruction.  Each handler wraps
-    the corresponding raw kernel from :func:`_make_raw_tables` in an
-    :class:`ExecResult`, so the semantics have exactly one definition."""
-
-    def value_handler(kernel):
-        def handler(instr, pc, a, b, _kernel=kernel):
-            return ExecResult(value=_kernel(instr, a, b), next_pc=pc + 1)
-
-        return handler
-
-    def control_handler(kernel):
-        def handler(instr, pc, a, b, _kernel=kernel):
-            taken, next_pc, value = _kernel(instr, pc, a, b)
-            return ExecResult(value=value, taken=taken, next_pc=next_pc)
-
-        return handler
-
-    def load(instr, pc, a, b):
-        return ExecResult(addr=effective_addr(instr, a), next_pc=pc + 1)
-
-    def store(instr, pc, a, b):
-        return ExecResult(
-            addr=effective_addr(instr, a), store_value=b, next_pc=pc + 1
-        )
-
-    def halt(instr, pc, a, b):
-        return ExecResult(next_pc=pc + 1, halted=True)
-
-    table: list = [None] * NUM_OPCODES
-    for op in Op:
-        if VALUE_KERNELS[op.value] is not None:
-            table[op.value] = value_handler(VALUE_KERNELS[op.value])
-        elif CONTROL_KERNELS[op.value] is not None:
-            table[op.value] = control_handler(CONTROL_KERNELS[op.value])
-    table[Op.LOAD.value] = load
-    table[Op.STORE.value] = store
-    table[Op.HALT.value] = halt
-    return table
-
-
-_EVAL_BY_OPCODE = _make_eval_table()
-
-
-def evaluate(instr: Instruction, pc: int, a: int = 0, b: int = 0) -> ExecResult:
-    """Execute one instruction given concrete source values.
-
-    ``a`` and ``b`` are the values of ``rs1`` and ``rs2`` respectively
-    (ignored for opcodes that do not read them).  Memory is *not*
-    accessed here: loads report their effective address and the caller
-    supplies the loaded value; stores report address and data.
-
-    The per-opcode kernels it wraps are the single definition of
-    instruction semantics, shared by the functional simulator
-    (architectural execution) and the out-of-order core (speculative
-    execution with possibly-wrong operand values), which both call the
-    kernels directly.
-    """
-    handler = _EVAL_BY_OPCODE[instr.opcode]
-    if handler is None:
-        raise ValueError(f"unknown opcode: {instr.op}")
-    return handler(instr, pc, a, b)

@@ -39,6 +39,15 @@ def test_example_exits_zero(argv, shows):
         assert text in result.stdout
 
 
+#: the start of the usage line each example prints on a bad argument
+USAGE = {
+    "paper_tables.py": "usage: python examples/paper_tables.py [scale]",
+    "lint_workloads.py": "usage: python examples/lint_workloads.py [scale]",
+    "parallel_study.py": "usage: parallel_study.py [-h]",
+    "fuzz_campaign.py": "usage: fuzz_campaign.py [-h]",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("paper_tables.py", "abc"),
     ("paper_tables.py", "0.1", "0.2"),
@@ -47,9 +56,18 @@ def test_example_exits_zero(argv, shows):
     ("lint_workloads.py", "abc"),
     ("lint_workloads.py", "-5"),
     ("lint_workloads.py", "0.1", "0.2"),
+    # values the library validators reject, caught before any run
+    ("parallel_study.py", "--scale", "-5"),
+    ("parallel_study.py", "--names", "nope"),
+    ("parallel_study.py", "--experiments", "nope"),
+    ("parallel_study.py", "--jobs", "0"),
+    ("fuzz_campaign.py", "--scale", "-5", "--cases", "1"),
+    ("fuzz_campaign.py", "--cases", "0"),
+    ("fuzz_campaign.py", "--timeout", "0"),
+    ("fuzz_campaign.py", "--budget-seconds", "-1"),
 ])
 def test_bad_argument_exits_two_with_usage(argv):
     result = _run(*argv)
     assert result.returncode == 2
-    assert result.stderr.startswith(f"usage: python examples/{argv[0]} [scale]")
+    assert result.stderr.startswith(USAGE[argv[0]])
     assert "Traceback" not in result.stderr

@@ -14,7 +14,19 @@ from repro.functional import (
     trace_iter,
     wrong_path,
 )
-from repro.isa import NUM_REGS, Instruction, Op, Program, assemble, evaluate
+from repro.isa import (
+    ALU_RI_OPS,
+    ALU_RR_OPS,
+    COND_BRANCH_OPS,
+    CONTROL_KERNELS,
+    NUM_REGS,
+    VALUE_KERNELS,
+    Instruction,
+    Op,
+    Program,
+    assemble,
+    effective_addr,
+)
 
 COUNTDOWN = """
     .entry main
@@ -160,41 +172,50 @@ class TestTraceIter:
 
 
 def reference_step(state: ArchState, program: Program, seq: int = 0) -> TraceEntry:
-    """Reference step: :func:`evaluate`'s ``ExecResult`` applied through
-    the state's register accessors, independent of the kernel tables
-    ``step`` indexes."""
+    """Reference step: dispatches on the ISA's op-class sets, not on the
+    decoded slots ``step`` reads, and applies results through the state's
+    register accessors."""
     pc = state.pc
     instr = program.fetch(pc)
     if instr is None:
         state.halted = True
         return TraceEntry(seq, pc, Instruction(Op.HALT), False, pc + 1, None, None, None)
+    op = instr.op
     a = state.read_reg(instr.rs1)
     b = state.read_reg(instr.rs2)
-    result = evaluate(instr, pc, a, b)
-    value = result.value
-    if instr.is_load:
-        value = state.mem.read(result.addr)
+    taken, next_pc, addr, value, store_value = False, pc + 1, None, None, None
+    if op is Op.LOAD:
+        addr = effective_addr(instr, a)
+        value = state.mem.read(addr)
         state.write_reg(instr.rd, value)
-    elif instr.is_store:
-        state.mem.write(result.addr, result.store_value)
-    elif value is not None:
+    elif op is Op.STORE:
+        addr = effective_addr(instr, a)
+        store_value = b
+        state.mem.write(addr, b)
+    elif op in COND_BRANCH_OPS or op in (Op.JUMP, Op.JR):
+        taken, next_pc, _ = CONTROL_KERNELS[op.value](instr, pc, a, b)
+    elif op is Op.CALL:
+        taken, next_pc, value = CONTROL_KERNELS[op.value](instr, pc, a, b)
         state.write_reg(instr.rd, value)
-    state.pc = result.next_pc
-    if result.halted:
+    elif op in ALU_RR_OPS or op in ALU_RI_OPS:
+        value = VALUE_KERNELS[op.value](instr, a, b)
+        state.write_reg(instr.rd, value)
+    elif op is Op.HALT:
         state.halted = True
-    return TraceEntry(
-        seq, pc, instr, result.taken, result.next_pc, result.addr, value,
-        result.store_value,
-    )
+    else:
+        assert op is Op.NOP, op
+    state.pc = next_pc
+    return TraceEntry(seq, pc, instr, taken, next_pc, addr, value, store_value)
 
 
 _word = st.integers(-(1 << 63), (1 << 63) - 1)
 # r0 (reads as zero, writes discarded), a few ordinary registers and the
 # link register, so sources and destinations often collide
-_reg = st.sampled_from([0, 1, 2, 3, NUM_REGS - 1])
+_REGS = (0, 1, 2, 3, NUM_REGS - 1)
+_reg = st.sampled_from(_REGS)
 
 
-class TestStepMatchesEvaluate:
+class TestStepMatchesReference:
     @given(
         op=st.sampled_from(list(Op)),
         rd=_reg,
@@ -202,19 +223,26 @@ class TestStepMatchesEvaluate:
         rs2=_reg,
         imm=st.one_of(st.integers(-8, 8), _word),
         target=st.integers(0, 7),
-        regs=st.lists(
+        # distinct values in the registers the instruction can name
+        # (r0's slot included), so an operand read from the wrong
+        # register (a store's base for its data, say) shows
+        values=st.lists(
             st.one_of(st.integers(-8, 8), _word),
-            min_size=NUM_REGS,
-            max_size=NUM_REGS,
+            min_size=len(_REGS),
+            max_size=len(_REGS),
+            unique=True,
         ),
         mem=st.dictionaries(st.integers(-8, 8), _word, max_size=4),
         pc=st.integers(-1, 3),
         overlay=st.booleans(),
     )
     @settings(max_examples=300)
-    def test_one_step(self, op, rd, rs1, rs2, imm, target, regs, mem, pc, overlay):
+    def test_one_step(self, op, rd, rs1, rs2, imm, target, values, mem, pc, overlay):
         """Every opcode, r0 reads and writes, HALT, and fetch outside the
         program (``pc`` of -1 or 3) step alike."""
+        regs = [0] * NUM_REGS
+        for reg, value in zip(_REGS, values):
+            regs[reg] = value
         instr = Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm, target=target)
         program = Program([instr] * 3)
 
