@@ -35,23 +35,30 @@ every statistic.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from ..bpred import FrontEnd
 from ..cfg import ReconvergenceTable
 from ..errors import MachineSnapshot, SimulationHang
-from ..isa import NUM_REGS, Program
+from ..isa import CONTROL_KERNELS, NUM_REGS, VALUE_KERNELS, Program, effective_addr
 from ..memsys import SetAssociativeCache
-from ..ideal.models import LATENCY_TABLE
+from ..ideal.models import LATENCY_TABLE, WIDTH
 from .config import CoreConfig, ReconvPolicy
 from .golden import GoldenTrace
 from .lsq import LoadStoreQueue
 from .regfile import PhysReg
 from .rob import ReorderBuffer
 from .soa import (
+    REF_MASK,
     CompletionWheel,
     ST_COMPLETED,
+    ST_DEAD,
+    ST_FETCHED_MP,
     ST_INFLIGHT,
     ST_IN_READY,
+    ST_ISSUED_MP,
     ST_RECOVERING,
+    ST_REISSUED_MP,
 )
 from .stats import CoreStats
 from .stages import (
@@ -123,22 +130,20 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         #: ready heap of pure int tuples (eligible, order, uid, handle);
         #: the uid self-validates popped entries against slot recycling
         self._ready: list[tuple[int, int, int, int]] = []
-        #: gated branches as (packed ref, issue token) pairs
-        self._pending_branches: list[tuple[int, int]] = []
+        #: gated branches: packed refs and their issue tokens, in two
+        #: parallel lists like a completion-wheel slot
+        self._pending_refs: list[int] = []
+        self._pending_tokens: list[int] = []
         #: uid -> pool handle of every in-window incomplete branch
         self._incomplete_branches: dict[int, int] = {}
 
         # Completion events live in a preallocated ring sized past the
         # largest possible completion latency (op latency, or a load
-        # miss plus the 1-cycle address cycle).
+        # miss plus the 1-cycle address cycle); the issue loop files
+        # completions on it directly.
         self._completing = CompletionWheel(
             max(max(LATENCY_TABLE), 1 + self.cache.miss_latency)
         )
-        # Aliases for the issue phase, which files completions on the
-        # wheel directly (its horizon covers every latency above).
-        self._wheel_mask = self._completing._mask
-        self._wheel_nodes = self._completing._nodes
-        self._wheel_tokens = self._completing._tokens
         # The completion-model gates resolved to plain booleans.
         self._gate_in_order = cfg.completion_model.branches_in_order
         self._gate_stores = cfg.completion_model.requires_resolved_stores
@@ -164,7 +169,6 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         # events, so under it every cycle sweeps.
         self._oldest_gate_events = 0
         self._swept_events = 0
-        self._sweep_always = cfg.hide_false_mispredictions
 
         # Rename-map memoization: _map_after results are valid until the
         # window contents (or the commit-side map) change; the epoch
@@ -174,17 +178,9 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self._map_cache: dict[int, list] = {}
         self._map_cache_epoch = -1
 
-        # Per-cycle stage-activity flags for the cycle-accounting layer.
-        self._any_completed = False
+        # Per-cycle recovery flag for the cycle-accounting layer (set by
+        # ``_recover``, counted and cleared by the cycle loop).
         self._any_recovered = False
-
-        # Cycle-loop state latched by run(); declared here so the
-        # facade's attribute surface is complete after construction (the
-        # sourcelint undeclared-attr rule audits exactly this).
-        self._max_cycles = self.config.max_cycles
-        self._watchdog = self.config.watchdog_cycles
-        self._last_retired = 0
-        self._last_progress_cycle = 0
 
         # Hardware reconvergence heuristics (Appendix A.5).
         self._return_targets: set[int] = set()
@@ -274,59 +270,295 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         return None
 
     # ==================================================================
-    # the cycle loop: explicit stage wiring
-    #
-    # ``run()`` latches the budget/watchdog state, calls ``step()`` until
-    # the machine halts and seals the statistics; ``step()`` advances
-    # exactly one cycle.
-
-    def step(self) -> bool:
-        """Advance one cycle; False once the machine has halted."""
-        if self.halted:
-            return False
-        if self.cycle > self._max_cycles:
-            raise SimulationHang(
-                f"exceeded the {self._max_cycles}-cycle budget",
-                snapshot=self.snapshot(),
-                kind="cycle-limit",
-            )
-        self._complete_phase()
-        self._retire_phase()
-        # Forward-progress watchdog: a window that stops retiring long
-        # before max_cycles is a livelock (lost wakeup, stuck recovery),
-        # not a slow program — fail fast with the machine state.
-        if self.retired_count != self._last_retired:
-            self._last_retired = self.retired_count
-            self._last_progress_cycle = self.cycle
-        elif self.cycle - self._last_progress_cycle >= self._watchdog:
-            raise SimulationHang(
-                f"no instruction retired in {self._watchdog} cycles "
-                "(forward-progress watchdog)",
-                snapshot=self.snapshot(),
-                kind="livelock",
-            )
-        if self.halted:
-            return False
-        self._issue_phase()
-        fetched_before = self.stats.fetched
-        self._sequencer_phase()
-        if self.stats.fetched != fetched_before:
-            self.stats.stage_dispatch_cycles += 1
-        for hook in self._cycle_hooks:
-            hook(self)
-        self.cycle += 1
-        return True
+    # the cycle loop
 
     def run(self) -> CoreStats:
-        """Run to completion and return the sealed statistics."""
-        self._max_cycles = self.config.max_cycles
-        self._watchdog = self.config.watchdog_cycles
-        self._last_retired = self.retired_count
-        self._last_progress_cycle = self.cycle
-        while self.step():
-            pass
-        self.stats.cycles = self.cycle + 1
-        return self.stats
+        """Run to completion and return the sealed statistics.
+
+        The one cycle driver.  Each cycle, in order: complete and
+        broadcast the instructions due on the completion wheel (then
+        retry gated branches), retire, check the cycle budget's and the
+        watchdog's forward progress, issue, run the sequencer (fetch or
+        redispatch), and call the cycle hooks.  The ready heap, the
+        completion wheel and the pool columns the issue and completion
+        loops touch are locals here; the recovery decisions, retirement
+        and the sequencer stay stage methods, called once per cycle or
+        per event.
+        """
+        max_cycles = self.config.max_cycles
+        watchdog = self.config.watchdog_cycles
+        last_retired = self.retired_count
+        last_progress = self.cycle
+        stats = self.stats
+        hooks = self._cycle_hooks
+        retire = self._retire_phase
+        sequence = self._sequencer_phase
+        recover = self._recover
+        gates_open = self._branch_gates_open
+        would_be_false = self._would_be_false_misprediction
+        store_executed = self._store_executed
+        lsq = self.lsq
+        forward_source = lsq.forward_source
+        store_resolved = lsq.store_resolved
+        committed_mem = self.committed_mem
+        cache_access = self.cache.access
+        incomplete = self._incomplete_branches
+        hfm = self.config.hide_false_mispredictions
+        gate_in_order = self._gate_in_order
+        gate_stores = self._gate_stores
+        ready = self._ready
+        wheel = self._completing
+        wheel_mask = wheel._mask
+        wheel_nodes = wheel._nodes
+        wheel_tokens = wheel._tokens
+        pool = self.pool
+        state = pool.state
+        uids = pool.uid
+        refs = pool.ref
+        orders = pool.order
+        issue_count = pool.issue_count
+        dispatch_cycle = pool.dispatch_cycle
+        instrs = pool.instr
+        src1_tag = pool.src1_tag
+        src2_tag = pool.src2_tag
+        dest_tag = pool.dest_tag
+        values = pool.value
+        addrs = pool.addr
+        pcs = pool.pc
+        current_next_pc = pool.current_next_pc
+        outcome_next_pc = pool.outcome_next_pc
+        fwd_store = pool.fwd_store
+        store_value = pool.store_value
+        lat = LATENCY_TABLE
+        cycle = self.cycle
+        while not self.halted:
+            if cycle > max_cycles:
+                raise SimulationHang(
+                    f"exceeded the {max_cycles}-cycle budget",
+                    snapshot=self.snapshot(),
+                    kind="cycle-limit",
+                )
+
+            # -- complete and broadcast ----------------------------------
+            # One loop serves the events due this cycle and, when a
+            # gate-opening event moved since the last sweep, the
+            # pending-branch retry (see ``_oldest_gate_events`` in the
+            # constructor); the false-misprediction oracle's delay is
+            # not gate-driven, so under it every cycle sweeps.
+            due = batch = wheel_nodes[cycle & wheel_mask]
+            tokens = wheel_tokens[cycle & wheel_mask]
+            completed_any = False
+            patched_wake = self.__dict__.get("_wake")
+            while True:
+                for ref, token in zip(batch, tokens):
+                    h = ref & REF_MASK
+                    if refs[h] != ref or state[h] & ST_DEAD or token != issue_count[h]:
+                        continue
+                    s = state[h] & ~ST_INFLIGHT
+                    instr = instrs[h]
+                    mismatch = False
+                    if instr.is_branch or instr.is_indirect:
+                        # Appendix A.2: a gated branch waits in the
+                        # pending lists; so does a would-be false
+                        # misprediction under the oracle.
+                        state[h] = s
+                        mismatch = outcome_next_pc[h] != current_next_pc[h]
+                        if not gates_open(h) or (
+                            mismatch and hfm and would_be_false(h)
+                        ):
+                            self._pending_refs.append(ref)
+                            self._pending_tokens.append(token)
+                            continue
+                        state[h] = s | ST_COMPLETED
+                        incomplete.pop(uids[h], None)
+                        if self._oldest_gate == h:
+                            self._oldest_gate_valid = False
+                            self._oldest_gate_events += 1
+                    else:
+                        state[h] = s | ST_COMPLETED
+                        if instr.is_store:
+                            completed_any = True
+                            store_resolved(h)
+                            store_executed(h)
+                            continue
+                        if instr.is_load:
+                            source = forward_source(h)
+                            if source is not None:
+                                values[h] = store_value[source]
+                                fwd_store[h] = refs[source]
+                            else:
+                                values[h] = committed_mem.get(addrs[h], 0)
+                                fwd_store[h] = None
+                    completed_any = True
+                    # Broadcast the (possibly new) value; consumers whose
+                    # inputs changed reissue (selective reissue).
+                    tag = dest_tag[h]
+                    if tag is not None:
+                        value = values[h]
+                        if not tag.ready or tag.value != value:
+                            tag.value = value
+                            tag.ready = True
+                            consumers = tag.consumers
+                            dead = 0
+                            if patched_wake is not None:
+                                for cref in consumers:
+                                    ch = cref & REF_MASK
+                                    if refs[ch] == cref and not state[ch] & ST_DEAD:
+                                        if cref != ref:
+                                            patched_wake(ch, cycle)
+                                    else:
+                                        dead += 1
+                            else:
+                                # ``_wake`` inlined: waking only pushes
+                                # onto the ready heap, never touches the
+                                # consumer list being iterated.
+                                for cref in consumers:
+                                    ch = cref & REF_MASK
+                                    cs = state[ch]
+                                    if refs[ch] != cref or cs & ST_DEAD:
+                                        dead += 1
+                                        continue
+                                    if cref == ref or cs & ST_IN_READY:
+                                        continue
+                                    if issue_count[ch] == 0:
+                                        t1 = src1_tag[ch]
+                                        t2 = src2_tag[ch]
+                                        if (t1 is not None and not t1.ready) or (
+                                            t2 is not None and not t2.ready
+                                        ):
+                                            continue
+                                    eligible = dispatch_cycle[ch] + 2
+                                    if eligible < cycle:
+                                        eligible = cycle
+                                    state[ch] = cs | ST_IN_READY
+                                    heappush(
+                                        ready, (eligible, orders[ch], uids[ch], ch)
+                                    )
+                            if dead > 8 and dead * 2 > len(consumers):
+                                tag.consumers = [
+                                    r
+                                    for r in consumers
+                                    if refs[r & REF_MASK] == r
+                                    and not state[r & REF_MASK] & ST_DEAD
+                                ]
+                    if mismatch:
+                        recover(h)
+                if batch is not due:
+                    break
+                due.clear()
+                tokens.clear()
+                if not self._pending_refs:
+                    break
+                events = self._oldest_gate_events if gate_in_order else 0
+                if gate_stores:
+                    events += lsq.unresolved_shrinks
+                if events == self._swept_events and not hfm:
+                    break
+                self._swept_events = events
+                batch = self._pending_refs
+                tokens = self._pending_tokens
+                self._pending_refs = []
+                self._pending_tokens = []
+            if completed_any:
+                stats.stage_complete_cycles += 1
+            if self._any_recovered:
+                stats.stage_recover_cycles += 1
+                self._any_recovered = False
+
+            # -- retire ----------------------------------------------------
+            retire()
+            # Forward-progress watchdog: a window that stops retiring
+            # long before max_cycles is a livelock (lost wakeup, stuck
+            # recovery), not a slow program — fail fast with the state.
+            if self.retired_count != last_retired:
+                last_retired = self.retired_count
+                last_progress = cycle
+            elif cycle - last_progress >= watchdog:
+                raise SimulationHang(
+                    f"no instruction retired in {watchdog} cycles "
+                    "(forward-progress watchdog)",
+                    snapshot=self.snapshot(),
+                    kind="livelock",
+                )
+            if self.halted:
+                break
+
+            # -- issue and execute ----------------------------------------
+            if ready and ready[0][0] <= cycle:
+                budget = WIDTH
+                issued = 0
+                while ready and budget > 0:
+                    eligible, _, uid, h = ready[0]
+                    if eligible > cycle:
+                        break
+                    heappop(ready)
+                    if uids[h] != uid:
+                        # Slot recycled since the push: the entry belongs
+                        # to a dead instruction; the current occupant's
+                        # own in-ready flag must not be touched.
+                        continue
+                    s = state[h] & ~ST_IN_READY
+                    if s & ST_DEAD:
+                        state[h] = s
+                        continue
+                    budget -= 1
+                    issued += 1
+                    token = issue_count[h] + 1
+                    issue_count[h] = token
+                    if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
+                        s |= ST_REISSUED_MP
+                    state[h] = s | ST_INFLIGHT
+                    instr = instrs[h]
+                    t1 = src1_tag[h]
+                    t2 = src2_tag[h]
+                    a = t1.value if t1 is not None else 0
+                    b = t2.value if t2 is not None else 0
+                    # Straight to the per-opcode kernels (the single
+                    # definition of instruction semantics,
+                    # repro.isa.instructions), which allocate no result.
+                    opcode = instr.opcode
+                    if instr.is_mem:
+                        addr = effective_addr(instr, a)
+                        if instr.is_load:
+                            addrs[h] = addr
+                            latency = 1 + cache_access(addr)
+                        else:
+                            pool.prev_addr[h] = addrs[h]
+                            addrs[h] = addr
+                            store_value[h] = b
+                            latency = lat[opcode]
+                    elif instr.is_control:
+                        taken, next_pc, value = CONTROL_KERNELS[opcode](
+                            instr, pcs[h], a, b
+                        )
+                        pool.outcome_taken[h] = taken
+                        outcome_next_pc[h] = next_pc
+                        values[h] = value  # call link address
+                        latency = lat[opcode]
+                    else:
+                        values[h] = VALUE_KERNELS[opcode](instr, a, b)
+                        latency = lat[opcode]
+                    # File the completion on the wheel: its horizon covers
+                    # LATENCY_TABLE and the cache's miss latency, so no
+                    # latency wraps onto a slot holding another cycle.
+                    slot = (cycle + latency) & wheel_mask
+                    wheel_nodes[slot].append(refs[h])
+                    wheel_tokens[slot].append(token)
+                if issued:
+                    stats.issues_total += issued
+                    stats.stage_issue_cycles += 1
+
+            # -- sequencer: fetch, restart or redispatch -------------------
+            fetched_before = stats.fetched
+            sequence()
+            if stats.fetched != fetched_before:
+                stats.stage_dispatch_cycles += 1
+            for hook in hooks:
+                hook(self)
+            cycle += 1
+            self.cycle = cycle
+        stats.cycles = cycle + 1
+        return stats
 
 
 def simulate_core(

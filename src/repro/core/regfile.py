@@ -4,7 +4,8 @@ The paper assumes an unlimited pool of physical registers (Sec 2.2), so
 tags are simply objects.  Selective reissue makes a tag a *write-many*
 cell: the same physical register receives a new value each time its
 producer reissues, and consumers registered on the tag are woken to
-reissue whenever the broadcast value actually changes.
+reissue whenever the broadcast value actually changes (the broadcast
+is inlined in the completion loop of ``Processor.run``).
 
 Consumers and the producer are recorded as *packed pool references*
 (``InstrPool.ref`` values, ``(uid << 32) | handle``), not handles: a
@@ -31,10 +32,3 @@ class PhysReg:
         self.ready = False
         self.consumers: list = []  # packed refs to wake on broadcast
         self.producer = producer  # packed ref of the owner (None = arch)
-
-    def broadcast(self, value: int) -> bool:
-        """Publish a (possibly new) value; returns True if it changed."""
-        changed = not self.ready or self.value != value
-        self.value = value
-        self.ready = True
-        return changed

@@ -35,9 +35,13 @@ that matching asks for a position, far less often than instructions
 are dispatched and unlinked, and a sorted position index would have to
 be updated on every dispatch and every unlink.
 
-Dispatch and unlink are one call each: :meth:`ReorderBuffer.claim`
-takes a slot off the pool's free list, resets it, links it and keys it;
-:meth:`ReorderBuffer.remove` unlinks it and returns it to the free list.
+The detailed core's fetch loop (``SequencerStage._fetch``) claims,
+links and keys each dispatched slot in place: a tail append takes the
+next sequence number (``_next_order``), a restart insert asks
+:meth:`ReorderBuffer._place` for a key in its gap.  Retirement and
+squash return slots through the one unlink path,
+:meth:`ReorderBuffer.unlink`, which takes a contiguous run (a squash
+range, or the retiring head) and frees it youngest first.
 
 Segmentation (Appendix A.4) is modeled for capacity: instructions are
 allocated into segments of ``segment_size`` entries; a partially used or
@@ -48,8 +52,7 @@ has retired or been squashed.
 
 from __future__ import annotations
 
-from ..errors import PoolExhausted
-from .soa import HEAD, REF_SHIFT, TAIL, InstrPool
+from .soa import HEAD, TAIL, InstrPool
 
 _SPACING = 1 << 16
 
@@ -109,14 +112,6 @@ class ReorderBuffer:
     def full(self) -> bool:
         return self.slots_used >= self.window_size
 
-    def alloc_into(self, segment: Segment | None) -> Segment:
-        """Return the segment a new instruction should occupy, allocating a
-        fresh one when ``segment`` is missing or full."""
-        if segment is None or segment.live >= self.segment_size:
-            segment = Segment()
-            self.segments_allocated += 1
-        return segment
-
     # ------------------------------------------------------------------
     # order keys
 
@@ -136,8 +131,8 @@ class ReorderBuffer:
     def _place(self, h: int, after: int, succ: int) -> None:
         """Key a restart insert: slot ``h``, already linked between
         ``after`` and ``succ``, steps a small fraction into the gap.
-        (Tail appends take the next sequence number in :meth:`claim`
-        and never get here.)"""
+        (Tail appends take the next sequence number, ``_next_order``,
+        in the fetch loop and never get here.)"""
         order_col = self.pool.order
         # The low bias leaves room for the right-chaining dispatch order
         # of a restart sequence (each instruction inserted after the
@@ -154,115 +149,42 @@ class ReorderBuffer:
         order_col[h] = lo + ((gap >> 8) or 1)
 
     # ------------------------------------------------------------------
-    # list structure: the one dispatch and the one unlink path
+    # list structure: the one unlink path
 
-    def claim(
-        self,
-        uid: int,
-        pc: int,
-        instr,
-        cycle: int,
-        after: int | None,
-        segment: Segment | None,
-    ) -> int:
-        """Claim a free pool slot for a dispatched instruction, link it
-        after slot ``after`` (``None``: at the window tail), key it, and
-        return its handle.
+    def unlink(self, first: int, last: int) -> None:
+        """Unlink the run of linked slots from ``first`` to ``last``
+        (inclusive, in window order), release their window slots, and
+        return them to the pool's free list, youngest first.
 
-        Stamps identity (``uid``, ``ref``, ``pc``, ``instr``,
-        ``dispatch_cycle``) and resets every execution/control column.
-        The rename columns (``src1_tag``, ``src2_tag``, ``dest_arch``,
-        ``dest_tag``) are *not* reset: dispatch writes all four for every
-        instruction.  The segment the slot occupies (``None`` unless
-        ``segment_size > 1``) is left in the ``segment`` column for the
-        caller to carry forward.  Raises
-        :class:`~repro.errors.PoolExhausted` when no slot is free.
-        """
-        pool = self.pool
-        try:
-            h = pool._free.pop()
-        except IndexError:
-            raise PoolExhausted(
-                "instruction pool exhausted — a retired or squashed slot "
-                "was never freed",
-                capacity=pool.capacity,
-                live=pool.live,
-            ) from None
-        pool.allocated_total += 1
-        pool.uid[h] = uid
-        pool.ref[h] = (uid << REF_SHIFT) | h
-        pool.pc[h] = pc
-        pool.instr[h] = instr
-        pool.dispatch_cycle[h] = cycle
-        pool.state[h] = 0
-        pool.issue_count[h] = 0
-        pool.value[h] = None
-        pool.addr[h] = None
-        pool.prev_addr[h] = None
-        pool.store_value[h] = None
-        pool.fwd_store[h] = None
-        pool.predicted_next_pc[h] = 0
-        pool.history_used[h] = 0
-        pool.ras_snapshot[h] = None
-        pool.current_taken[h] = False
-        pool.current_next_pc[h] = 0
-        pool.outcome_taken[h] = False
-        pool.outcome_next_pc[h] = 0
-
-        prev_col = pool.prev
-        next_col = pool.next
-        if after is None:
-            after = prev_col[TAIL]
-        succ = next_col[after]
-        prev_col[h] = after
-        next_col[h] = succ
-        next_col[after] = h
-        prev_col[succ] = h
-        if succ == TAIL:
-            # Frontier dispatch: the next sequence number — no gap math,
-            # never a respace.
-            pool.order[h] = order = self._next_order
-            self._next_order = order + _SPACING
-        else:
-            self._place(h, after, succ)
-        self.count += 1
-        if self.segment_size == 1:
-            # One slot per instruction: capacity accounting is exactly
-            # ``count``, so allocating a Segment per dispatch would be
-            # pure bookkeeping overhead (``remove`` skips the column).
-            pool.segment[h] = None
-        else:
-            segment = self.alloc_into(segment)
-            segment.live += 1
-            pool.segment[h] = segment
-        return h
-
-    def remove(self, h: int) -> None:
-        """Unlink a dead slot, release its window slot, and return it to
-        the pool's free list.
-
-        The slot's ``uid``, ``ref`` and dead ``state`` bits survive
-        until it is claimed again, so stale heap/wheel references
-        validate (and skip) against them; its columns are reset by
-        :meth:`claim`, not here.
+        Retirement unlinks the head (``first == last``); a squash
+        unlinks its whole range in one call.  The slots' ``uid``,
+        ``ref`` and dead ``state`` bits survive until they are claimed
+        again, so stale heap/wheel references validate (and skip)
+        against them; fetch resets their columns when it claims them.
         """
         pool = self.pool
         prev_col = pool.prev
         next_col = pool.next
-        prev, nxt = prev_col[h], next_col[h]
-        next_col[prev] = nxt
-        prev_col[nxt] = prev
-        segment = pool.segment[h]
-        if segment is not None:
-            segment.live -= 1
-            if segment.live == 0:
-                self.segments_allocated -= 1
-        self.count -= 1
-        pool._free.append(h)
-
-    #: Unlink a retired instruction — same slot accounting as ``remove``,
-    #: aliased rather than delegated (one call frame per retirement).
-    retire = remove
+        before = prev_col[first]
+        after = next_col[last]
+        next_col[before] = after
+        prev_col[after] = before
+        free = pool._free
+        segments = pool.segment
+        h = last
+        released = 1
+        while True:
+            free.append(h)
+            segment = segments[h]
+            if segment is not None:
+                segment.live -= 1
+                if segment.live == 0:
+                    self.segments_allocated -= 1
+            if h == first:
+                break
+            h = prev_col[h]
+            released += 1
+        self.count -= released
 
     # ------------------------------------------------------------------
     # traversal
@@ -295,8 +217,8 @@ class ReorderBuffer:
         stops at whichever is reached first: ``k`` ``prev`` steps to the
         head mean position ``k``; ``k`` ``next`` steps to the tail mean
         position ``count - 1 - k``.  The cost is the distance to the
-        nearer end, and ``count`` must be current (it is, from the moment
-        :meth:`claim` returns).
+        nearer end, and ``count`` must be current (fetch bumps it as it
+        links each slot).
         """
         prev_col = self.pool.prev
         next_col = self.pool.next

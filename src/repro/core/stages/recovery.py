@@ -9,14 +9,16 @@ re-predicts control-independent branches against the repaired history.
 Rename maps are rebuilt forward from the commit-side map and memoized
 per window epoch.
 
-Squash ordering under the columnar pool: ``_squash_node`` recycles the
-victim's slot immediately (``rob.remove`` pushes it on the free list),
-so any handle that could name the victim must be repaired *before* the
-unlink — the redispatch walk cursors of suspended contexts are advanced
-eagerly here, which is what keeps every context handle live (see the
-sequencer module docstring).  Reads of a just-freed slot's columns
-remain valid until the next allocation, and allocation only happens in
-``_dispatch``, never inside a squash cascade.
+Squash ordering under the columnar pool: ``_squash_after`` is the one
+squash path, one backward loop over a range of the window.  It recycles
+the victims' slots as soon as it has marked them (``rob.unlink`` pushes
+them on the free list), so any handle that could name a victim is
+repaired right then — the redispatch walk cursors of suspended contexts
+are advanced eagerly here, which is what keeps every context handle
+live (see the sequencer module docstring).  Reads of a just-freed
+slot's columns remain valid until the next allocation, and allocation
+only happens in the sequencer's fetch loop, never inside a squash
+cascade.
 """
 
 from __future__ import annotations
@@ -138,15 +140,7 @@ class RecoveryStage:
         self.stats.reconverged_recoveries += 1
 
         # Selectively squash the incorrect control-dependent region.
-        removed = 0
-        prev_col = pool.prev
-        node = prev_col[reconv]
-        while node != branch:
-            prev = prev_col[node]
-            self._squash_node(node)
-            removed += 1
-            node = prev
-        self.stats.removed_cd_instructions += removed
+        self.stats.removed_cd_instructions += self._squash_after(branch, reconv)
 
         # Table 2/3 bookkeeping over the preserved CI region (direct link
         # traversal: this runs once per reconverged recovery over up to a
@@ -273,14 +267,7 @@ class RecoveryStage:
     def _full_squash(self, branch: int) -> None:
         pool = self.pool
         rmap = self._map_after(branch)
-        prev_col = pool.prev
-        node = self.rob.tail
-        while node is not None and node != branch:
-            prev = prev_col[node]
-            self._squash_node(node)
-            node = prev
-            if node == HEAD:
-                break
+        self._squash_after(branch)
         pool.current_taken[branch] = pool.outcome_taken[branch]
         pool.current_next_pc[branch] = pool.outcome_next_pc[branch]
         self.frontier.rmap = rmap
@@ -292,47 +279,63 @@ class RecoveryStage:
             self.frontend.ras.restore(pool.ras_snapshot[branch])
         self._prune_contexts()
 
-    def _squash_after(self, last_kept: int) -> None:
-        """Squash every instruction after ``last_kept`` (tail-first)."""
-        prev_col = self.pool.prev
-        node = self.rob.tail
-        while node is not None and node != last_kept:
-            prev = prev_col[node]
-            self._squash_node(node)
-            node = prev
-            if node == HEAD:
-                break
+    def _squash_after(self, last_kept: int, stop: int = TAIL) -> int:
+        """Squash every instruction between ``last_kept`` and ``stop``
+        (both exclusive; ``stop`` defaults to the window tail), youngest
+        first, and return how many were squashed — the one squash path.
 
-    def _squash_node(self, h: int) -> None:
+        Each victim is marked dead and leaves the LSQ (a completed
+        store's squash replays the younger loads that read it) and the
+        incomplete-branch set; then the whole range is unlinked in one
+        call (``ReorderBuffer.unlink``), which recycles its slots.
+        Nothing between the marking and the unlink reads the links, the
+        count or the free list, and reads of a freed slot's columns stay
+        valid until fetch claims it again, which never happens inside a
+        squash cascade.  A suspended redispatch walk parked in the range
+        resumes at ``stop``: the cursor must stay a live handle (or
+        TAIL) across the recycling.
+        """
+        pool = self.pool
+        prev_col = pool.prev
+        last = prev_col[stop]
+        if last == last_kept:
+            return 0
         self._needs_remap = True  # captured maps may now reference the dead
         self._map_epoch += 1
-        pool = self.pool
-        pool.state[h] |= ST_SQUASHED
-        instr = pool.instr[h]
-        # Advance any suspended redispatch walk parked on this slot
-        # *before* the unlink recycles it — the cursor must stay a live
-        # handle (or TAIL); historically dead nodes kept their links and
-        # the walk skipped them lazily, which a recycling pool cannot do.
-        if self.contexts:
-            nxt = pool.next[h]
-            for ctx in self.contexts:
-                if ctx.phase == "redispatch" and ctx.walk_cursor == h:
-                    ctx.walk_cursor = nxt
-        self.rob.remove(h)
-        if instr.is_mem:
-            # Drop from the LSQ first so the squashed store itself is out
-            # of the scan when affected loads are collected.
-            self.lsq.drop(h)
-            if instr.is_store and pool.state[h] & ST_COMPLETED:
-                for load in self.lsq.loads_affected_by(h, {pool.addr[h]}):
-                    self.stats.reissues_memory += 1
-                    self._wake(load, self.cycle + 1)
-        elif (instr.is_branch or instr.is_indirect) and (
-            self._incomplete_branches.pop(pool.uid[h], None) is not None
-        ):
-            if self._oldest_gate == h:
-                self._oldest_gate_valid = False
-                self._oldest_gate_events += 1
+        state = pool.state
+        instr_col = pool.instr
+        uids = pool.uid
+        lsq = self.lsq
+        incomplete = self._incomplete_branches
+        squashed = 0
+        h = last
+        while True:
+            state[h] |= ST_SQUASHED
+            squashed += 1
+            instr = instr_col[h]
+            if instr.is_mem:
+                # Drop from the LSQ first so the squashed store itself is
+                # out of the scan when affected loads are collected.
+                lsq.drop(h)
+                if instr.is_store and state[h] & ST_COMPLETED:
+                    for load in lsq.loads_affected_by(h, {pool.addr[h]}):
+                        self.stats.reissues_memory += 1
+                        self._wake(load, self.cycle + 1)
+            elif (instr.is_branch or instr.is_indirect) and (
+                incomplete.pop(uids[h], None) is not None
+            ):
+                if self._oldest_gate == h:
+                    self._oldest_gate_valid = False
+                    self._oldest_gate_events += 1
+            prev = prev_col[h]
+            if prev == last_kept:
+                break
+            h = prev
+        self.rob.unlink(h, last)
+        for ctx in self.contexts:
+            if ctx.phase == "redispatch" and state[ctx.walk_cursor] & ST_DEAD:
+                ctx.walk_cursor = stop
+        return squashed
 
     def _prune_contexts(self) -> None:
         """Drop contexts invalidated by a squash.
@@ -375,58 +378,65 @@ class RecoveryStage:
     # redispatch walk (Appendix A.3)
 
     def _redispatch_walk(self, ctx: _Context, instant: bool = False) -> None:
-        """Walk the CI region: remap sources, re-predict branches.
+        """Walk the CI region at dispatch bandwidth: remap each node's
+        sources through the walk's map (a changed tag is a rename repair
+        that reissues the node), carry its destination forward, replay
+        the RAS, and re-predict branches (Appendix A.3).
 
         The cursor is always live (or TAIL): squash repairs it eagerly,
         so the walk never meets a dead slot."""
         budget = self.rob.window_size if instant else WIDTH
         rmap = ctx.rmap
-        next_col = self.pool.next
+        pool = self.pool
+        next_col = pool.next
+        instr_col = pool.instr
+        src1_col = pool.src1_tag
+        src2_col = pool.src2_tag
+        refs = pool.ref
+        issue_count = pool.issue_count
+        dest_arch = pool.dest_arch
+        dest_tag = pool.dest_tag
+        stats = self.stats
+        ras = self.frontend.ras
+        wake = self._wake
+        wake_at = self.cycle + 1
         node = ctx.walk_cursor
         while node != TAIL and budget > 0:
-            overturned = self._redispatch_node(ctx, node, rmap)
+            instr = instr_col[node]
+            repaired = False
+            if instr.reads_rs1:
+                tag = rmap[instr.rs1]
+                if tag is not src1_col[node]:
+                    src1_col[node] = tag
+                    tag.consumers.append(refs[node])
+                    repaired = True
+            if instr.reads_rs2:
+                tag = rmap[instr.rs2]
+                if tag is not src2_col[node]:
+                    src2_col[node] = tag
+                    tag.consumers.append(refs[node])
+                    repaired = True
+            if repaired:
+                stats.ci_rename_repairs += 1
+                if issue_count[node] > 0:
+                    stats.reissues_register += 1
+                wake(node, wake_at)
+            arch = dest_arch[node]
+            if arch is not None:
+                rmap[arch] = dest_tag[node]
+            # RAS replay so the frontier stack is exact after the walk.
+            if instr.is_call:
+                ras.push(pool.pc[node] + 1)
+            elif instr.is_return:
+                ras.pop()
             budget -= 1
-            if overturned:
-                return  # context finished inside the overturn handler
+            if instr.is_branch and self._repredict(ctx, node):
+                return  # overturned: the context finished in _overturn
             node = next_col[node]
         if node == TAIL:
             self._finish_redispatch(ctx)
         else:
             ctx.walk_cursor = node
-
-    def _redispatch_node(self, ctx: _Context, h: int, rmap: list) -> bool:
-        pool = self.pool
-        instr = pool.instr[h]
-        repaired = False
-        if instr.reads_rs1:
-            tag = rmap[instr.rs1]
-            if tag is not pool.src1_tag[h]:
-                pool.src1_tag[h] = tag
-                tag.consumers.append(pool.ref[h])
-                repaired = True
-        if instr.reads_rs2:
-            tag = rmap[instr.rs2]
-            if tag is not pool.src2_tag[h]:
-                pool.src2_tag[h] = tag
-                tag.consumers.append(pool.ref[h])
-                repaired = True
-        if repaired:
-            self.stats.ci_rename_repairs += 1
-            if pool.issue_count[h] > 0:
-                self.stats.reissues_register += 1
-            self._wake(h, self.cycle + 1)
-        if pool.dest_arch[h] is not None:
-            rmap[pool.dest_arch[h]] = pool.dest_tag[h]
-
-        # RAS replay so the frontier stack is exact after the walk.
-        if instr.is_call:
-            self.frontend.ras.push(pool.pc[h] + 1)
-        elif instr.is_return:
-            self.frontend.ras.pop()
-
-        if instr.is_branch:
-            return self._repredict(ctx, h)
-        return False
 
     def _repredict(self, ctx: _Context, h: int) -> bool:
         """Re-predict one CI branch during redispatch (Appendix A.3.2).

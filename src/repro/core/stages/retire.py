@@ -81,7 +81,7 @@ class RetireStage:
             self._map_epoch += 1
             if instr.is_mem:
                 lsq.drop(h)
-            rob.remove(h)
+            rob.unlink(h, h)
             self.retired_count += 1
             stats.retired += 1
             budget -= 1

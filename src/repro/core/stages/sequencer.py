@@ -3,25 +3,28 @@
 The sequencer owns the machine's notion of "where fetch goes next": the
 frontier context during normal operation, and a stack of restart /
 redispatch contexts while mispredictions are being serviced (paper
-Sections 3.2, 4.1; Appendix A.1).  Dispatch allocates a pool slot,
-renames through the active context's map and links the slot into the
-reorder buffer either at the tail (frontier) or into a restart gap.
-Context fields that name instructions (``branch``, ``reconv``,
-``insert_point``, ``walk_cursor``) hold pool handles that are always
-live or None: every squash path prunes/repairs contexts before the next
-allocation can recycle a slot (the redispatch walk cursor is advanced
-eagerly at squash time — see ``RecoveryStage._squash_node``).
+Sections 3.2, 4.1; Appendix A.1).  One fetch loop,
+:meth:`SequencerStage._fetch`, serves the frontier and every restart:
+it claims a pool slot, links it into the reorder buffer either at the
+tail (frontier) or into a restart gap, renames through the context's
+map and predicts.  Context fields that name instructions (``branch``,
+``reconv``, ``insert_point``, ``walk_cursor``) hold pool handles that
+are always live or None: every squash path prunes/repairs contexts
+before the next allocation can recycle a slot (the redispatch walk
+cursor is advanced eagerly at squash time — see
+``RecoveryStage._squash_after``).
 """
 
 from __future__ import annotations
 
 from heapq import heappush
 
+from ...errors import PoolExhausted
 from ...ideal.models import WIDTH
 from ...isa import Op
 from ..regfile import PhysReg
-from ..rob import Segment
-from ..soa import ST_IN_READY
+from ..rob import _SPACING, Segment
+from ..soa import HEAD, REF_SHIFT, ST_DEAD, ST_IN_READY, ST_RECOVERING, TAIL
 
 
 class _Context:
@@ -63,129 +66,7 @@ class SequencerStage:
     """Fetch/dispatch methods mixed into the Processor facade."""
 
     # ==================================================================
-    # dispatch
-
-    def _dispatch(self, ctx: _Context, pc: int) -> int | None:
-        """Fetch + rename one instruction into ``ctx``; returns the pool
-        handle, or None when fetch must stall (HALT reached / out of
-        range)."""
-        # Inlined Program.fetch: one bounds check + list index per
-        # dispatched instruction (wrong-path fetch off the end of the
-        # program is an implicit HALT).
-        if 0 <= pc < self._code_len:
-            instr = self._code[pc]
-        else:
-            ctx.stalled = True
-            return None
-        pool = self.pool
-        uid = self.uid_counter
-        self.uid_counter = uid + 1
-        cycle = self.cycle
-        if ctx.phase == "frontier":
-            h = self.rob.claim(uid, pc, instr, cycle, None, ctx.segment)
-        else:
-            h = self.rob.claim(
-                uid, pc, instr, cycle, ctx.insert_point, ctx.segment
-            )
-            ctx.insert_point = h
-            ctx.inserted += 1
-        ctx.segment = pool.segment[h]
-        self.stats.fetched += 1
-        self._map_epoch += 1
-
-        # Rename.  All four rename columns are written for every
-        # instruction (None where unused): the claim leaves them to
-        # dispatch.
-        rmap = ctx.rmap
-        node_ref = pool.ref[h]
-        if instr.reads_rs1:
-            t1 = rmap[instr.rs1]
-            t1.consumers.append(node_ref)
-        else:
-            t1 = None
-        if instr.reads_rs2:
-            t2 = rmap[instr.rs2]
-            t2.consumers.append(node_ref)
-        else:
-            t2 = None
-        pool.src1_tag[h] = t1
-        pool.src2_tag[h] = t2
-        dest = instr.dest
-        pool.dest_arch[h] = dest
-        if dest is not None:
-            tag = PhysReg(node_ref)
-            rmap[dest] = tag
-            pool.dest_tag[h] = tag
-        else:
-            pool.dest_tag[h] = None
-
-        if instr.is_mem:
-            self.lsq.add(h)
-
-        if instr.is_control:
-            self._predict_control(ctx, h)
-            ctx.fetch_pc = pool.current_next_pc[h]
-            if instr.is_branch or instr.is_indirect:
-                self._incomplete_branches[uid] = h
-                if self._oldest_gate_valid:
-                    oldest = self._oldest_gate
-                    orders = pool.order
-                    if oldest is None or orders[h] < orders[oldest]:
-                        self._oldest_gate = h
-        else:
-            ctx.fetch_pc = pc + 1
-            if instr.op is Op.HALT:
-                ctx.stalled = True
-
-        # Ready bookkeeping: issue no earlier than fetch + 2 (dispatch
-        # stage); a fresh slot is never already in the heap, so the
-        # _push_ready guard is inlined away.
-        if (t1 is None or t1.ready) and (t2 is None or t2.ready):
-            pool.state[h] |= ST_IN_READY
-            orders = pool.order
-            uids = pool.uid
-            heappush(self._ready, (cycle + 2, orders[h], uids[h], h))
-        return h
-
-    def _predict_control(self, ctx: _Context, h: int) -> None:
-        cfg = self.config
-        frontend = self.frontend
-        pool = self.pool
-        pool.ras_snapshot[h] = frontend.ras.snapshot()
-        history = ctx.ghr
-        instr = pool.instr[h]
-        pc = pool.pc[h]
-        if instr.is_branch:
-            # Conditional-branch fast path: one gshare table read and an
-            # in-place history push — the FrontEnd.predict dispatch chain
-            # and its Prediction wrapper are pure overhead for the most
-            # common control instruction.
-            if cfg.oracle_global_history:
-                entry_index = self._golden_index(h)
-                if 0 <= entry_index < len(self.golden.history_before):
-                    history = self.golden.history_before[entry_index]
-            pool.history_used[h] = history
-            gshare = frontend.gshare
-            taken = gshare.table[(pc ^ history) & gshare._index_mask] >= 2
-            next_pc = instr.target if taken else pc + 1
-            pool.predicted_next_pc[h] = next_pc
-            pool.current_taken[h] = taken
-            pool.current_next_pc[h] = next_pc
-            ctx.ghr = ((ctx.ghr << 1) | (1 if taken else 0)) & gshare.history.mask
-            if instr.target <= pc:
-                # Backward branch: remember loop top / loop exit targets.
-                self._loop_targets.add(next_pc)
-            return
-        pool.history_used[h] = history
-        prediction = frontend.predict(instr, pc, history)
-        pool.predicted_next_pc[h] = prediction.next_pc
-        pool.current_taken[h] = prediction.taken
-        pool.current_next_pc[h] = prediction.next_pc
-        if instr.is_return:
-            self._return_targets.add(prediction.next_pc)
-
-    # ==================================================================
-    # sequencer: restart fetch, redispatch walk, frontier fetch
+    # sequencer: frontier fetch, restart fetch, redispatch walk
 
     def _sequencer_phase(self) -> None:
         if self.contexts:
@@ -195,26 +76,286 @@ class SequencerStage:
                 self._last_active = ctx
                 self._needs_remap = False
             if ctx.phase == "restart":
-                self._restart_fetch(ctx)
+                self._fetch(ctx)
             if ctx is self._active_context() and ctx.phase == "redispatch":
                 self._redispatch_walk(ctx)
             return
         self._last_active = None
-        self._frontier_fetch()
+        self._fetch(self.frontier)
+
+    def _fetch(self, ctx: _Context, budget: int = WIDTH) -> None:
+        """Fetch, claim, rename and dispatch up to ``budget`` instructions
+        into ``ctx`` — the one dispatch path.
+
+        The frontier appends at the window tail and stops when the
+        window is full or fetch stalls (HALT, or a pc off the program: an
+        implicit HALT).  A restart context inserts after its insert
+        point; when the window is full it squashes the youngest
+        instruction to make room (``_squash_youngest_ci``), and it
+        finishes (``_finish_restart``) once fetch reaches its
+        reconvergent point or stalls.
+
+        Each instruction claims a free pool slot in place: identity,
+        links and order key, then only the columns its class can read
+        before it writes them — ``state`` and ``issue_count`` always;
+        ``ras_snapshot`` (``None``) on non-control instructions, whose
+        retirement still reads it; ``fwd_store`` on loads and ``addr`` on
+        stores, which a store's replay and re-execution read.  Rename
+        writes all four rename columns, and a control instruction's
+        prediction writes its control columns; ``value`` and the outcome
+        columns are written at execution, before anything reads them.
+        """
+        pool = self.pool
+        state = pool.state
+        restart = ctx.phase == "restart"
+        if restart:
+            reconv = ctx.reconv
+            if reconv is not None and state[reconv] & ST_DEAD:
+                ctx.reconv = reconv = None
+            if reconv is None:
+                # The reconvergent point is gone: this restart is simply
+                # the window tail, so it continues as the frontier.
+                self._context_to_frontier(ctx)
+                return
+            reconv_pc = pool.pc[reconv]
+            after = ctx.insert_point
+        else:
+            if ctx.stalled:
+                return
+            reconv_pc = None
+            after = pool.prev[TAIL]
+        rob = self.rob
+        window = rob.window_size
+        seg_size = rob.segment_size
+        count = rob.count
+        next_order = rob._next_order
+        code = self._code
+        code_len = self._code_len
+        free_pop = pool._free.pop
+        uid_col = pool.uid
+        ref_col = pool.ref
+        pc_col = pool.pc
+        instr_col = pool.instr
+        dispatch_col = pool.dispatch_cycle
+        issue_count = pool.issue_count
+        prev_col = pool.prev
+        next_col = pool.next
+        order_col = pool.order
+        segment_col = pool.segment
+        src1_col = pool.src1_tag
+        src2_col = pool.src2_tag
+        dest_arch_col = pool.dest_arch
+        dest_tag_col = pool.dest_tag
+        ras_col = pool.ras_snapshot
+        predicted_col = pool.predicted_next_pc
+        history_col = pool.history_used
+        taken_col = pool.current_taken
+        next_pc_col = pool.current_next_pc
+        lsq_add = self.lsq.add
+        incomplete = self._incomplete_branches
+        frontend = self.frontend
+        ras_snapshot = frontend.ras.snapshot
+        gshare = frontend.gshare
+        gtable = gshare.table
+        gmask = gshare._index_mask
+        hmask = gshare.history.mask
+        oracle_history = self.config.oracle_global_history
+        ready = self._ready
+        cycle = self.cycle
+        eligible = cycle + 2
+        rmap = ctx.rmap
+        segment = ctx.segment
+        fetch_pc = ctx.fetch_pc
+        stalled = ctx.stalled
+        ghr = ctx.ghr
+        first_uid = uid = self.uid_counter
+        finish = False
+        while budget > 0:
+            if stalled:
+                finish = restart
+                break
+            if fetch_pc == reconv_pc:
+                finish = True
+                break
+            if (
+                count >= window
+                if seg_size == 1
+                else rob.segments_allocated * seg_size >= window
+            ):
+                if not restart:
+                    break
+                ctx.insert_point = after
+                rob.count = count
+                made_room = self._squash_youngest_ci(ctx)
+                count = rob.count
+                if not made_room:
+                    break
+                continue
+            if not 0 <= fetch_pc < code_len:
+                stalled = True
+                finish = restart
+                break
+            instr = code[fetch_pc]
+
+            # -- claim, link and key the slot
+            try:
+                h = free_pop()
+            except IndexError:
+                raise PoolExhausted(
+                    "instruction pool exhausted — a retired or squashed "
+                    "slot was never freed",
+                    capacity=pool.capacity,
+                    live=pool.live,
+                ) from None
+            ref = (uid << REF_SHIFT) | h
+            uid_col[h] = uid
+            ref_col[h] = ref
+            pc_col[h] = fetch_pc
+            instr_col[h] = instr
+            dispatch_col[h] = cycle
+            state[h] = 0
+            issue_count[h] = 0
+            succ = next_col[after]
+            prev_col[h] = after
+            next_col[h] = succ
+            next_col[after] = h
+            prev_col[succ] = h
+            if succ == TAIL:
+                # A tail append takes the next sequence number: no gap
+                # math, never a respace.
+                order_col[h] = next_order
+                next_order += _SPACING
+            else:
+                rob._next_order = next_order
+                rob._place(h, after, succ)
+                next_order = rob._next_order
+            count += 1
+            if seg_size == 1:
+                # Capacity is exactly ``count``: no Segment per slot.
+                segment_col[h] = None
+            else:
+                if segment is None or segment.live >= seg_size:
+                    segment = Segment()
+                    rob.segments_allocated += 1
+                segment.live += 1
+                segment_col[h] = segment
+            after = h
+
+            # -- rename
+            if instr.reads_rs1:
+                t1 = rmap[instr.rs1]
+                t1.consumers.append(ref)
+            else:
+                t1 = None
+            if instr.reads_rs2:
+                t2 = rmap[instr.rs2]
+                t2.consumers.append(ref)
+            else:
+                t2 = None
+            src1_col[h] = t1
+            src2_col[h] = t2
+            dest = instr.dest
+            dest_arch_col[h] = dest
+            if dest is not None:
+                tag = PhysReg(ref)
+                rmap[dest] = tag
+                dest_tag_col[h] = tag
+            else:
+                dest_tag_col[h] = None
+
+            if instr.is_mem:
+                lsq_add(h)
+                if instr.is_load:
+                    pool.fwd_store[h] = None
+                else:
+                    pool.addr[h] = None
+
+            # -- predict
+            if instr.is_control:
+                ras_col[h] = ras_snapshot()
+                if instr.is_branch:
+                    # Conditional branch: one gshare table read and an
+                    # in-place history push, without FrontEnd.predict's
+                    # dispatch chain and Prediction wrapper.
+                    history = ghr
+                    if oracle_history:
+                        rob.count = count
+                        entry_index = self._golden_index(h)
+                        if 0 <= entry_index < len(self.golden.history_before):
+                            history = self.golden.history_before[entry_index]
+                    history_col[h] = history
+                    taken = gtable[(fetch_pc ^ history) & gmask] >= 2
+                    next_pc = instr.target if taken else fetch_pc + 1
+                    predicted_col[h] = next_pc
+                    taken_col[h] = taken
+                    next_pc_col[h] = next_pc
+                    ghr = ((ghr << 1) | taken) & hmask
+                    if instr.target <= fetch_pc:
+                        # Backward branch: remember loop top / exit targets.
+                        self._loop_targets.add(next_pc)
+                else:
+                    history_col[h] = ghr
+                    prediction = frontend.predict(instr, fetch_pc, ghr)
+                    next_pc = prediction.next_pc
+                    predicted_col[h] = next_pc
+                    taken_col[h] = prediction.taken
+                    next_pc_col[h] = next_pc
+                    if instr.is_return:
+                        self._return_targets.add(next_pc)
+                fetch_pc = next_pc
+                if instr.is_branch or instr.is_indirect:
+                    incomplete[uid] = h
+                    if self._oldest_gate_valid:
+                        oldest = self._oldest_gate
+                        if oldest is None or order_col[h] < order_col[oldest]:
+                            self._oldest_gate = h
+            else:
+                ras_col[h] = None
+                fetch_pc += 1
+                if instr.op is Op.HALT:
+                    stalled = True
+
+            # Ready bookkeeping: issue no earlier than fetch + 2 (the
+            # dispatch stage); a fresh slot is never in the heap yet.
+            if (t1 is None or t1.ready) and (t2 is None or t2.ready):
+                state[h] = ST_IN_READY
+                heappush(ready, (eligible, order_col[h], uid, h))
+            uid += 1
+            budget -= 1
+        else:
+            finish = restart and fetch_pc == reconv_pc
+
+        fetched = uid - first_uid
+        rob.count = count
+        rob._next_order = next_order
+        ctx.fetch_pc = fetch_pc
+        ctx.stalled = stalled
+        ctx.ghr = ghr
+        ctx.segment = segment
+        if fetched:
+            self.uid_counter = uid
+            pool.allocated_total += fetched
+            self.stats.fetched += fetched
+            self._map_epoch += 1
+            if restart:
+                ctx.insert_point = after
+                ctx.inserted += fetched
+            else:
+                self.stats.stage_fetch_cycles += 1
+        if finish:
+            self._finish_restart(ctx)
 
     def _reactivate(self, ctx: _Context) -> None:
         """A context gained control of the sequencer: rebuild its rename
         map and global-history register, since recoveries serviced in
         between may have squashed, remapped or re-predicted instructions
         its captured state depends on."""
-        from ..soa import TAIL, HEAD
-
         if ctx.phase == "restart":
             ctx.rmap = self._map_after(ctx.insert_point)
             ctx.ghr = self._history_up_to(ctx, ctx.insert_point, inclusive=True)
         elif ctx.phase == "redispatch":
             # The walk cursor is advanced eagerly whenever its slot is
-            # squashed (see _squash_node), so it is always live or TAIL.
+            # squashed (see _squash_after), so it is always live or TAIL.
             cursor = ctx.walk_cursor
             if cursor == TAIL:
                 ctx.walk_cursor = TAIL
@@ -224,59 +365,6 @@ class SequencerStage:
                 ctx.walk_cursor = cursor
                 ctx.rmap = self._map_after(self.pool.prev[cursor])
                 ctx.ghr = self._history_up_to(ctx, cursor, inclusive=False)
-
-    def _frontier_fetch(self) -> None:
-        ctx = self.frontier
-        if ctx.stalled:
-            return
-        budget = WIDTH
-        fetched_before = self.stats.fetched
-        rob = self.rob
-        window = rob.window_size
-        dispatch = self._dispatch
-        if rob.segment_size == 1:
-            # slots_used == count: test the counter directly instead of
-            # paying two property calls per fetched instruction.
-            while budget > 0 and rob.count < window and not ctx.stalled:
-                if dispatch(ctx, ctx.fetch_pc) is None:
-                    break
-                budget -= 1
-        else:
-            while budget > 0 and not rob.full and not ctx.stalled:
-                if dispatch(ctx, ctx.fetch_pc) is None:
-                    break
-                budget -= 1
-        if self.stats.fetched != fetched_before:
-            self.stats.stage_fetch_cycles += 1
-
-    def _restart_fetch(self, ctx: _Context) -> None:
-        pool = self.pool
-        if ctx.reconv is not None and not pool.is_alive(ctx.reconv):
-            ctx.reconv = None
-        if ctx.reconv is None:
-            # The reconvergent point is gone: this restart is simply the
-            # window tail, so it continues as the frontier.
-            self._context_to_frontier(ctx)
-            return
-        budget = WIDTH
-        pc_col = pool.pc
-        while budget > 0:
-            if ctx.reconv is not None and ctx.fetch_pc == pc_col[ctx.reconv]:
-                self._finish_restart(ctx)
-                return
-            if ctx.stalled:
-                self._finish_restart(ctx)  # ran off the program: give up
-                return
-            if self.rob.full:
-                if not self._squash_youngest_ci(ctx):
-                    return  # cannot make room this cycle
-                continue
-            if self._dispatch(ctx, ctx.fetch_pc) is None:
-                self._finish_restart(ctx)
-                return
-            budget -= 1
-        if ctx.reconv is not None and ctx.fetch_pc == pc_col[ctx.reconv]:
-            self._finish_restart(ctx)
 
     def _squash_youngest_ci(self, ctx: _Context) -> bool:
         """Make room for a restart by squashing the youngest instruction
@@ -297,15 +385,13 @@ class SequencerStage:
         self.frontier.fetch_pc = self.pool.pc[victim]
         self.frontier.stalled = False
         self.frontier.segment = None
-        self._squash_node(victim)
+        self._squash_after(self.pool.prev[victim])
         self._prune_contexts()
         if ctx not in self.contexts or ctx.reconv is None:
             return False  # the restart itself was invalidated by the squash
         return True
 
     def _context_to_frontier(self, ctx: _Context) -> None:
-        from ..soa import HEAD, ST_RECOVERING
-
         if ctx.branch is not None:
             self.pool.state[ctx.branch] &= ~ST_RECOVERING
         self.frontier.fetch_pc = ctx.fetch_pc

@@ -5,9 +5,14 @@ ready heap breaks the tie by ``(eligible, order, uid)``; entries are
 ``(eligible, order, uid, handle)`` int tuples whose ``order`` and
 ``uid`` are read from the pool columns at push time.  Every ready-heap
 push and pop runs through an instrumented ``heapq`` shim (installed by
-monkeypatching the module globals the stages bind — no permanent
-hot-path hooks), which verifies:
+monkeypatching the ``heappush``/``heappop`` globals of the modules that
+touch the heap: the cycle loop in ``repro.core.processor``, the fetch
+loop in ``stages.sequencer`` and ``_wake`` in ``stages.backend`` — no
+permanent hot-path hooks), which verifies:
 
+* the shim sees every entry: a popped entry it never saw pushed means a
+  push site it does not patch, and every cell pops at least as many
+  entries as it issued instructions (``CoreStats.issues_total``);
 * every pushed entry has that layout, and its captured ``order`` and
   ``uid`` equal the pool columns at push time;
 * the epoch clause: a popped live entry whose captured ``order`` no
@@ -29,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import CoreConfig, Processor, ReconvPolicy, simulate_core
+from repro.core import processor as processor_mod
 from repro.core.rob import ReorderBuffer
 from repro.core.stages import backend as backend_mod
 from repro.core.stages import sequencer as sequencer_mod
@@ -102,7 +108,13 @@ class HeapRecorder:
     def heappop(self, heap):
         entry = real_heapq.heappop(heap)
         self.pops += 1
-        pushed_epoch, _ = self._entry_epoch[id(entry)]
+        record = self._entry_epoch.get(id(entry))
+        if record is None or record[1] is not entry:
+            self.violations.append(
+                f"popped {entry} that no patched push site pushed"
+            )
+            return entry
+        pushed_epoch = record[0]
         pool = self.pool
         h = entry[-1]
         if pool.uid[h] != entry[2]:
@@ -117,8 +129,10 @@ class HeapRecorder:
         return entry
 
     def install(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "heapq", self)
+        monkeypatch.setattr(processor_mod, "heappush", self.heappush)
+        monkeypatch.setattr(processor_mod, "heappop", self.heappop)
         monkeypatch.setattr(sequencer_mod, "heappush", self.heappush)
+        monkeypatch.setattr(backend_mod, "heappush", self.heappush)
         recorder = self
         orig_init = ReorderBuffer.__init__
         orig_respace = ReorderBuffer._respace
@@ -136,13 +150,16 @@ class HeapRecorder:
         monkeypatch.setattr(ReorderBuffer, "_respace", respace)
 
 
-def _check_epochs(recorder: HeapRecorder, what: str) -> None:
+def _check_epochs(recorder: HeapRecorder, stats, what: str) -> None:
     assert not recorder.violations, f"{what}: {recorder.violations[:5]}"
-    assert recorder.pops > 0, f"{what}: heap never popped"
+    # Every issue pops its entry: fewer pops means an unpatched pop site.
+    assert recorder.pops >= stats.issues_total > 0, (
+        f"{what}: {recorder.pops} pops for {stats.issues_total} issues"
+    )
 
 
-def _check_clauses(recorder: HeapRecorder, what: str) -> None:
-    _check_epochs(recorder, what)
+def _check_clauses(recorder: HeapRecorder, stats, what: str) -> None:
+    _check_epochs(recorder, stats, what)
     assert recorder.respaces == 0, f"{what}: _respace fired {recorder.respaces}x"
     assert recorder.stale_pops == 0, (
         f"{what}: {recorder.stale_pops} stale pops without rewrites"
@@ -162,8 +179,8 @@ def test_golden_cells_obey_contract(bundles, workload, machine, monkeypatch):
     recorder.install(monkeypatch)
     bundle = bundles[workload]
     config = CoreConfig(**CORE_MACHINES[machine])
-    simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
-    _check_clauses(recorder, f"{workload}/{machine}")
+    stats = simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
+    _check_clauses(recorder, stats, f"{workload}/{machine}")
 
 
 def test_corpus_obeys_contract():
@@ -181,10 +198,10 @@ def test_corpus_obeys_contract():
         recorder = HeapRecorder()
         with pytest.MonkeyPatch.context() as mp:
             recorder.install(mp)
-            Processor(
+            stats = Processor(
                 bundle.program, config, bundle.golden, bundle.reconv
             ).run()
-        _check_clauses(recorder, rep.name)
+        _check_clauses(recorder, stats, rep.name)
 
 
 @pytest.mark.parametrize(
@@ -202,8 +219,8 @@ def test_recovery_cells_obey_epoch_clause(name, machine, monkeypatch):
     recorder.install(monkeypatch)
     bundle = recovery_bundle(name)
     config = get_machine(machine).core_config()
-    simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
+    stats = simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
     if machine in NO_RESPACE_MACHINES:
-        _check_clauses(recorder, f"{name}/{machine}")
+        _check_clauses(recorder, stats, f"{name}/{machine}")
     else:
-        _check_epochs(recorder, f"{name}/{machine}")
+        _check_epochs(recorder, stats, f"{name}/{machine}")

@@ -14,9 +14,8 @@ from repro.core.rob import ReorderBuffer
 from repro.core.soa import ST_RECOVERING, ST_SQUASHED
 from repro.core.stages.recovery import RecoveryStage
 from repro.core.stages.sequencer import _Context
-from repro.isa import Instruction, Op
 
-_NOP = Instruction(Op.NOP)
+from fetch_bench import bench, dispatch
 
 
 class _Stack(RecoveryStage):
@@ -37,16 +36,17 @@ def _context(phase, branch, insert_point=None, reconv=None):
 
 
 def test_prune_keeps_order_and_clears_recovering_on_live_dropped_branches():
-    rob = ReorderBuffer(32)
+    proc = bench(32)
+    rob = proc.rob
     pool = rob.pool
-    slots = [rob.claim(uid, uid, _NOP, 0, None, None) for uid in range(12)]
+    slots = [dispatch(proc, uid) for uid in range(12)]
     (b_dead, b_ip, ip_dead, b_rc, ip_rc, rc_dead, b_self, b_walk, ip_walk,
      b_ok, ip_ok, rc_ok) = slots
     for h in (b_dead, b_ip, b_rc, b_self, b_walk, b_ok):
         pool.state[h] |= ST_RECOVERING
     for h in (b_dead, ip_dead, rc_dead, ip_walk):
         pool.state[h] |= ST_SQUASHED
-        rob.remove(h)
+        rob.unlink(h, h)
 
     dead_branch = _context("restart", b_dead, b_dead, rc_ok)
     dead_insert = _context("restart", b_ip, ip_dead, rc_ok)
@@ -76,11 +76,10 @@ def test_prune_keeps_order_and_clears_recovering_on_live_dropped_branches():
 
 
 def test_prune_of_a_clean_stack_changes_nothing():
-    rob = ReorderBuffer(8)
+    proc = bench(8)
+    rob = proc.rob
     pool = rob.pool
-    branch, insert, reconv = (
-        rob.claim(uid, uid, _NOP, 0, None, None) for uid in range(3)
-    )
+    branch, insert, reconv = (dispatch(proc, uid) for uid in range(3))
     pool.state[branch] |= ST_RECOVERING
     ctx = _context("restart", branch, insert, reconv)
     stack = _Stack(rob, [ctx])

@@ -2,9 +2,10 @@
 
 A pool's capacity is the window plus the two boundary slots, and the
 free list hands out handles from the bottom up, so the same dispatch /
-restart-insert / squash-and-recycle churn must leave the same window —
-same handles, links, order keys, states and refs — whatever the
-capacity, as long as the churn fits.  A capacity-dependent behavioral
+restart-insert / squash-and-recycle churn, driven through the core's
+fetch loop and squash path (``tests/fetch_bench.py``), must leave the
+same window — same handles, links, order keys, states and refs —
+whatever the capacity, as long as the churn fits.  A capacity-dependent behavioral
 difference would make window size silently change simulation results.
 These tests drive identical churn through reorder buffers at a
 paper-scale window and at large capacities (around 4k slots and
@@ -23,27 +24,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.rob import ReorderBuffer
-from repro.core.soa import TAIL, ST_COMPLETED, ST_SQUASHED
-from repro.isa import Instruction, Op
+from repro.core.soa import TAIL, ST_COMPLETED
 
-_NOP = Instruction(Op.NOP)
+from fetch_bench import bench, dispatch, squash
 
 #: dispatches per churn run: fits the 256-entry reference window
 CHURN = 250
 
 
-def _drive_pool(rob: ReorderBuffer, count: int) -> list:
-    """Deterministic claim/mutate/unlink churn through the ROB's one
-    dispatch and one unlink path; returns state snapshots of the slots
+def _drive_pool(proc, count: int) -> list:
+    """Deterministic claim/mutate/unlink churn through the core's one
+    dispatch and one squash path; returns state snapshots of the slots
     the churn can have touched."""
-    pool = rob.pool
+    pool = proc.pool
     handles = []
     uid = 0
     for _ in range(count):
         # every 7th dispatch is a restart-style insert after an older slot
         after = handles[len(handles) // 2] if uid % 7 == 6 else None
-        h = rob.claim(uid, uid * 4, _NOP, uid % 17, after, None)
+        h = dispatch(proc, uid, after=after, cycle=uid % 17)
         pool.state[h] = ST_COMPLETED if uid % 3 else 0
         handles.append(h)
         uid += 1
@@ -51,11 +50,10 @@ def _drive_pool(rob: ReorderBuffer, count: int) -> list:
     for wave in range(3):
         victims = handles[len(handles) // 4 : len(handles) // 2 : 2 + wave]
         for h in victims:
-            pool.state[h] |= ST_SQUASHED
-            rob.remove(h)
+            squash(proc, h)
             handles.remove(h)
         for _ in victims:
-            handles.append(rob.claim(uid, uid * 4, _NOP, uid % 17, None, None))
+            handles.append(dispatch(proc, uid, cycle=uid % 17))
             uid += 1
     touched = count + 2
     return [
@@ -65,13 +63,15 @@ def _drive_pool(rob: ReorderBuffer, count: int) -> list:
         pool.prev[:touched],
         pool.next[:touched],
         pool.ref[:touched],
-        list(rob.iter_all()),
+        pool.dispatch_cycle[:touched],
+        list(proc.rob.iter_all()),
         (pool.live, pool.allocated_total),
     ]
 
 
-def _assert_partition(rob: ReorderBuffer) -> None:
+def _assert_partition(proc) -> None:
     """Linked window and free list partition the real slots exactly."""
+    rob = proc.rob
     pool = rob.pool
     linked = list(rob.iter_all())
     assert len(linked) == rob.count == pool.live
@@ -80,28 +80,28 @@ def _assert_partition(rob: ReorderBuffer) -> None:
 
 @pytest.mark.parametrize("capacity", [4095, 4096, 4097, 8192])
 def test_churn_is_capacity_independent(capacity):
-    reference = ReorderBuffer(256)
+    reference = bench(256)
     expected = _drive_pool(reference, CHURN)
     _assert_partition(reference)
-    rob = ReorderBuffer(capacity - 2)  # the window plus two boundary slots
-    assert rob.pool.capacity == capacity
-    for phase, (got, want) in enumerate(zip(_drive_pool(rob, CHURN), expected)):
+    proc = bench(capacity - 2)  # the window plus two boundary slots
+    assert proc.pool.capacity == capacity
+    for phase, (got, want) in enumerate(zip(_drive_pool(proc, CHURN), expected)):
         assert got == want, f"phase {phase} diverged at capacity {capacity}"
-    _assert_partition(rob)
+    _assert_partition(proc)
 
 
 def test_full_window_churn_at_large_capacity():
     """Fill a large window to the brim, then churn: the pool never
     exhausts and the partition holds."""
     window = 4094
-    rob = ReorderBuffer(window)
-    _drive_pool(rob, window)
-    assert rob.full and not rob.pool._free
-    _assert_partition(rob)
+    proc = bench(window)
+    _drive_pool(proc, window)
+    assert proc.rob.full and not proc.pool._free
+    _assert_partition(proc)
 
 
 def test_columns_are_plain_lists():
-    pool = ReorderBuffer(64).pool
+    pool = bench(64).pool
     for name in ("uid", "order", "prev", "next", "state", "ref", "pc"):
         assert type(getattr(pool, name)) is list, name
 
