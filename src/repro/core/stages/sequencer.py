@@ -122,11 +122,12 @@ class SequencerStage:
         else:
             if ctx.stalled:
                 return
-            reconv_pc = None
+            reconv_pc = -1  # only a restart stops at a reconvergent point
             after = pool.prev[TAIL]
         rob = self.rob
         window = rob.window_size
         seg_size = rob.segment_size
+        unsegmented = seg_size == 1
         count = rob.count
         next_order = rob._next_order
         code = self._code
@@ -174,12 +175,12 @@ class SequencerStage:
             if stalled:
                 finish = restart
                 break
-            if fetch_pc == reconv_pc:
+            if restart and fetch_pc == reconv_pc:
                 finish = True
                 break
             if (
                 count >= window
-                if seg_size == 1
+                if unsegmented
                 else rob.segments_allocated * seg_size >= window
             ):
                 if not restart:
@@ -230,7 +231,7 @@ class SequencerStage:
                 rob._place(h, after, succ)
                 next_order = rob._next_order
             count += 1
-            if seg_size == 1:
+            if unsegmented:
                 # Capacity is exactly ``count``: no Segment per slot.
                 segment_col[h] = None
             else:

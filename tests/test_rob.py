@@ -127,7 +127,6 @@ class TestV2Scheme:
 class TestLinkedList:
     def test_append_order(self):
         proc = bench(16)
-        rob = proc.rob
         for uid in range(5):
             dispatch(proc, uid)
         assert window_uids(proc) == [0, 1, 2, 3, 4]
@@ -151,7 +150,6 @@ class TestLinkedList:
 
     def test_order_keys_survive_dense_insertion(self, monkeypatch):
         proc = bench(4096)
-        rob = proc.rob
         respaces = count_respaces(proc, monkeypatch)
         first = dispatch(proc, 0)
         for uid in range(1, 200):
@@ -166,7 +164,6 @@ class TestLinkedList:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=120))
     def test_random_ops_keep_order_consistent(self, ops):
         proc = bench(4096)
-        rob = proc.rob
         live = []  # (uid, handle) pairs mirroring the window
         uid = 0
         for op in ops:
@@ -212,7 +209,6 @@ class TestIndexOfParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parity_through_key_rewrites(self, monkeypatch, seed):
         proc = bench(512)
-        rob = proc.rob
         respaces = count_respaces(proc, monkeypatch)
         self._churn(proc, random.Random(seed), 600)
         assert respaces, "the churn never exercised a respace"
