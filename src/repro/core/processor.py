@@ -25,12 +25,29 @@ false mispredictions (Appendix A.2) arise naturally.  Retirement
 co-simulates against the golden architectural trace — any divergence is
 a simulator bug, not a statistic.
 
-This module is the *facade*: it owns the machine state, the cycle loop
-and the diagnostics surface, while the pipeline itself lives in the
-stage mixins of :mod:`repro.core.stages` (sequencer, backend, recovery,
-retire).  ``Processor``'s public API — construction, ``run``,
-``add_cycle_hook``, ``snapshot`` — is unchanged by the split, and so is
-every statistic.
+This module is the *facade*: it owns the machine state, the one cycle
+loop (:meth:`Processor.run`) and the diagnostics surface, while the
+rest of the pipeline lives in the stage mixins of
+:mod:`repro.core.stages` (sequencer, backend, recovery, retire).
+``Processor``'s public API is construction, ``run``,
+``add_cycle_hook`` and ``snapshot``.
+
+Host time goes to work done once per *fetched* instruction, and under
+restart and redispatch most fetched instructions never retire.  So each
+per-instruction path is one loop over locals, with no Python call per
+instruction on its common path:
+
+* ``run`` issues inline, and completes and broadcasts in one loop that
+  also retries gated branches; a wakeup goes through ``_wake`` only
+  when something patched it on the instance (the fault injectors);
+* ``SequencerStage._fetch`` claims, links, keys, renames and predicts
+  for the frontier and for every restart context;
+* ``RecoveryStage._squash_after`` squashes a whole range, backward, for
+  every squash caller;
+* ``RecoveryStage._redispatch_walk`` remaps each CI instruction inline.
+
+Recovery decisions (``_recover``, ``_repredict``/``_overturn``, the
+context stack), retirement and the per-cycle hooks stay methods.
 """
 
 from __future__ import annotations
@@ -275,9 +292,9 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
     def run(self) -> CoreStats:
         """Run to completion and return the sealed statistics.
 
-        The one cycle driver.  Each cycle, in order: complete and
-        broadcast the instructions due on the completion wheel (then
-        retry gated branches), retire, check the cycle budget's and the
+        The one cycle driver.  Each cycle, in order: check the cycle
+        budget, complete and broadcast the instructions due on the
+        completion wheel (then retry gated branches), retire, check the
         watchdog's forward progress, issue, run the sequencer (fetch or
         redispatch), and call the cycle hooks.  The ready heap, the
         completion wheel and the pool columns the issue and completion

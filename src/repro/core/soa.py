@@ -88,12 +88,12 @@ class InstrPool:
     """Preallocated columnar store of every in-flight instruction.
 
     One column per ``DynInstr`` field of the historical object model; an
-    instruction is an integer handle into them.  The owning
-    :class:`~repro.core.rob.ReorderBuffer` claims a slot off the LIFO
-    free list ``_free`` at dispatch (``ReorderBuffer.claim``) and pushes
-    it back when it unlinks the slot at retire/squash
-    (``ReorderBuffer.remove``) — one call each, so the slot claim and the
-    link (or the unlink and the free) never cost two frames.  Handles
+    instruction is an integer handle into them.  The detailed core's
+    fetch loop (``SequencerStage._fetch``) claims a slot off the LIFO
+    free list ``_free`` at dispatch and links it in place, and the
+    owning :class:`~repro.core.rob.ReorderBuffer` pushes it back when
+    retirement or a squash unlinks it (``ReorderBuffer.unlink``, one
+    call per retired instruction or per squashed range).  Handles
     :data:`HEAD` and :data:`TAIL` are the window's permanent boundary
     slots and are never claimed.
 
@@ -107,8 +107,10 @@ class InstrPool:
     A freed slot keeps its ``uid`` and dead ``state`` bits until the
     slot is claimed again, so stale references held by the ready heap or
     the completion wheel validate (and skip) exactly like the historical
-    dead-node checks.  The claim resets every stateful column except the
-    four rename columns, which dispatch writes for every instruction.
+    dead-node checks.  The claim resets only the columns the claiming
+    instruction's class can read before it writes them (see
+    ``SequencerStage._fetch``); dispatch writes the four rename columns
+    for every instruction.
     """
 
     __slots__ = (
@@ -219,10 +221,10 @@ class InstrPool:
 class CompletionWheel:
     """Preallocated ring buffer of completion events.
 
-    The issue phase files an event at an absolute cycle by appending to
-    slot ``cycle & _mask`` of the parallel ``_nodes``/``_tokens`` lists;
-    ``take(cycle)`` returns the slot's ``(refs, tokens)`` lists for
-    draining (caller clears them after iterating).  Events carry packed
+    The cycle loop (``Processor.run``) files an event at an absolute
+    cycle by appending to slot ``cycle & _mask`` of the parallel
+    ``_nodes``/``_tokens`` lists when it issues, and drains the current
+    cycle's slot (then clears it) when it completes.  Events carry packed
     pool references (``InstrPool.ref``) so an entry left behind by a
     squashed-and-recycled slot self-invalidates.  The horizon exceeds
     the largest possible completion latency, rounded up to a power of
@@ -241,10 +243,6 @@ class CompletionWheel:
         self._mask = horizon - 1
         self._nodes = [[] for _ in range(horizon)]
         self._tokens = [[] for _ in range(horizon)]
-
-    def take(self, cycle: int) -> tuple[list, list]:
-        slot = cycle & self._mask
-        return self._nodes[slot], self._tokens[slot]
 
 
 __all__ = [

@@ -2,15 +2,16 @@
 
 The :class:`~repro.core.processor.Processor` facade composes four
 stage mixins over one shared machine state (the attributes built in
-``Processor.__init__``); the split is purely structural, so behaviour
-and statistics are byte-identical to the former monolith:
+``Processor.__init__``) and drives them from its one cycle loop,
+``Processor.run``:
 
-* :mod:`.sequencer` — frontend: fetch, rename/dispatch, branch
-  prediction, and the context stack that services restart and
-  redispatch sequences (plus the :class:`~.sequencer._Context` record
-  itself).
-* :mod:`.backend` — issue, execute, value broadcast, load/store
-  replay, and the branch-completion gating models of Appendix A.2.
+* :mod:`.sequencer` — frontend: the one fetch loop (claim, link,
+  rename/dispatch, branch prediction) and the context stack that
+  services restart and redispatch sequences (plus the
+  :class:`~.sequencer._Context` record itself).
+* :mod:`.backend` — wakeups, load/store replay, and the
+  branch-completion gating models of Appendix A.2; the issue loop and
+  the fused complete-and-broadcast loop live in ``Processor.run``.
 * :mod:`.recovery` — misprediction recovery: reconvergent-point
   lookup, selective/full squash, rename-map reconstruction, the
   redispatch walk with re-prediction, and context pruning/preemption.

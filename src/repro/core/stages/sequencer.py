@@ -96,8 +96,9 @@ class SequencerStage:
         reconvergent point or stalls.
 
         Each instruction claims a free pool slot in place: identity,
-        links and order key, then only the columns its class can read
-        before it writes them — ``state`` and ``issue_count`` always;
+        links and order key (and its segment on a segmented ROB), then
+        only the columns its class can read before it writes them —
+        ``state`` and ``issue_count`` always;
         ``ras_snapshot`` (``None``) on non-control instructions, whose
         retirement still reads it; ``fwd_store`` on loads and ``addr`` on
         stores, which a store's replay and re-execution read.  Rename
@@ -161,6 +162,7 @@ class SequencerStage:
         gmask = gshare._index_mask
         hmask = gshare.history.mask
         oracle_history = self.config.oracle_global_history
+        halt = Op.HALT
         ready = self._ready
         cycle = self.cycle
         eligible = cycle + 2
@@ -214,7 +216,6 @@ class SequencerStage:
             pc_col[h] = fetch_pc
             instr_col[h] = instr
             dispatch_col[h] = cycle
-            state[h] = 0
             issue_count[h] = 0
             succ = next_col[after]
             prev_col[h] = after
@@ -231,10 +232,9 @@ class SequencerStage:
                 rob._place(h, after, succ)
                 next_order = rob._next_order
             count += 1
-            if unsegmented:
-                # Capacity is exactly ``count``: no Segment per slot.
-                segment_col[h] = None
-            else:
+            if not unsegmented:
+                # (Unsegmented, capacity is exactly ``count``: no Segment
+                # per slot, and every slot's segment column stays None.)
                 if segment is None or segment.live >= seg_size:
                     segment = Segment()
                     rob.segments_allocated += 1
@@ -313,14 +313,17 @@ class SequencerStage:
             else:
                 ras_col[h] = None
                 fetch_pc += 1
-                if instr.op is Op.HALT:
+                if instr.op is halt:
                     stalled = True
 
-            # Ready bookkeeping: issue no earlier than fetch + 2 (the
-            # dispatch stage); a fresh slot is never in the heap yet.
+            # The slot's state, written last (nothing above reads it):
+            # ready to issue no earlier than fetch + 2 (the dispatch
+            # stage) when its operands are, else waiting for a wakeup.
             if (t1 is None or t1.ready) and (t2 is None or t2.ready):
                 state[h] = ST_IN_READY
                 heappush(ready, (eligible, order_col[h], uid, h))
+            else:
+                state[h] = 0
             uid += 1
             budget -= 1
         else:
