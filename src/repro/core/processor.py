@@ -178,7 +178,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         # an event that opens a gate — the oldest-gate cache invalidated
         # (its branch completed or was squashed; counted here) or the
         # LSQ's unresolved-store subset shrinking (counted by the LSQ).
-        # The completion phase sweeps the pending list only when the
+        # The completion loop sweeps the pending lists only when the
         # counters its gates consult moved since the last sweep; a
         # skipped sweep would only have retried branches whose gates
         # were all still closed.  The false-misprediction oracle's delay

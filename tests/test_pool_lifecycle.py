@@ -35,36 +35,31 @@ from repro.harness.experiments import load_bundle
 from fetch_bench import bench, dispatch, squash
 
 
-def claim(proc, uid, pc=None, cycle=0):
-    """Dispatch one instruction at the window tail (pc = uid by default)."""
-    return dispatch(proc, uid, pc=pc, cycle=cycle)
-
-
 # ----------------------------------------------------------------------
 # free-list recycling
 
 
 def test_lifo_recycling_reuses_most_recent_slot():
     proc = bench(16)
-    a = claim(proc, 0)
-    b = claim(proc, 1)
+    a = dispatch(proc, 0)
+    b = dispatch(proc, 1)
     squash(proc, a)
     squash(proc, b)
     # LIFO: the most recently freed slot comes back first (cache-warm)
-    assert claim(proc, 2) == b
-    assert claim(proc, 3) == a
+    assert dispatch(proc, 2) == b
+    assert dispatch(proc, 3) == a
 
 
 def test_live_tracks_alloc_free_waves():
     proc = bench(32)
     pool = proc.pool
     assert pool.live == 0
-    handles = [claim(proc, u) for u in range(32)]
+    handles = [dispatch(proc, u) for u in range(32)]
     assert pool.live == 32
     for h in handles[10:30]:  # a deep squash wave
         squash(proc, h)
     assert pool.live == 12
-    redispatched = [claim(proc, 100 + i, pc=0, cycle=1) for i in range(20)]
+    redispatched = [dispatch(proc, 100 + i, pc=0, cycle=1) for i in range(20)]
     assert pool.live == 32
     assert set(redispatched) == set(handles[10:30])
     assert pool.allocated_total == 52
@@ -72,7 +67,7 @@ def test_live_tracks_alloc_free_waves():
 
 def test_boundary_slots_never_enter_the_free_list():
     proc = bench(6)
-    seen = {claim(proc, u) for u in range(6)}
+    seen = {dispatch(proc, u) for u in range(6)}
     assert HEAD not in seen and TAIL not in seen
     assert seen == set(range(2, 8))
 
@@ -80,14 +75,14 @@ def test_boundary_slots_never_enter_the_free_list():
 def test_rob_remove_returns_slot_to_the_pool():
     proc = bench(16)
     pool = proc.pool
-    handles = [claim(proc, uid) for uid in range(16)]
+    handles = [dispatch(proc, uid) for uid in range(16)]
     assert pool.live == proc.rob.count == 16
     for h in handles[4:12]:  # squash the middle of the window
         squash(proc, h)
     assert pool.live == proc.rob.count == 8
     # dispatch can refill the window entirely from recycled slots
     for uid in range(100, 108):
-        claim(proc, uid, cycle=1)
+        dispatch(proc, uid, cycle=1)
     assert pool.live == proc.rob.count == 16
 
 
@@ -97,19 +92,19 @@ def test_rob_remove_returns_slot_to_the_pool():
 
 def test_exhaustion_raises_structured_error():
     proc = bench(4)
-    handles = [claim(proc, uid) for uid in range(3)]
+    handles = [dispatch(proc, uid) for uid in range(3)]
     # A leaked slot (retired or squashed but never freed) is the only
     # way the free list runs dry below a full window: fetch's capacity
     # check passes, so the claim itself must fail loudly.
     proc.pool._free.pop()
     with pytest.raises(PoolExhausted) as err:
-        claim(proc, 3)
+        dispatch(proc, 3)
     assert not isinstance(err.value, IndexError)
     assert err.value.capacity == 6
     assert err.value.live == 4
     # unlinking a slot makes the claim work again
     squash(proc, handles[0])
-    assert claim(proc, 4) == handles[0] == 2
+    assert dispatch(proc, 4) == handles[0] == 2
 
 
 def test_full_window_never_exhausts_the_pool():
@@ -118,7 +113,7 @@ def test_full_window_never_exhausts_the_pool():
     before the claim, so exhaustion is unreachable in a healthy machine."""
     proc = bench(8)
     for uid in range(8):
-        claim(proc, uid)
+        dispatch(proc, uid)
     assert proc.rob.full
     assert proc.pool.live == 8
     assert len(proc.pool._free) == 0
@@ -131,7 +126,7 @@ def test_full_window_never_exhausts_the_pool():
 def test_uid_and_ref_survive_free_until_realloc():
     proc = bench(16)
     pool = proc.pool
-    h = claim(proc, 7, pc=3)
+    h = dispatch(proc, 7, pc=3)
     ref = pool.ref[h]
     squash(proc, h)
     # dead bits and identity survive the unlink
@@ -144,10 +139,10 @@ def test_uid_and_ref_survive_free_until_realloc():
 def test_recycle_invalidates_stale_refs_and_bumps_uid():
     proc = bench(16)
     pool = proc.pool
-    h = claim(proc, 7, pc=3)
+    h = dispatch(proc, 7, pc=3)
     stale = pool.ref[h]
     squash(proc, h)
-    h2 = claim(proc, 8, pc=4, cycle=1)
+    h2 = dispatch(proc, 8, pc=4, cycle=1)
     assert h2 == h  # recycled slot
     assert pool.uid[h] == 8
     assert not pool.valid_ref(stale)  # old ref no longer matches
@@ -166,7 +161,7 @@ def test_uids_monotonic_across_heavy_recycling():
     live: list[int] = []
     for wave in range(50):
         while pool.live < 8:
-            h = claim(proc, uid, cycle=wave)
+            h = dispatch(proc, uid, cycle=wave)
             seen_per_handle.setdefault(h, []).append(uid)
             live.append(h)
             uid += 1
