@@ -8,13 +8,22 @@ The cells cover the paths the Figure 3 sweep exercises:
   youngest correct instruction to make room) fires for every
   control-independence model at every window;
 * one variant of each ``fam:<family>:<seed>`` workload family at
-  windows 64 and 256.
+  windows 64 and 256;
+* Figure 3's 24 ``go`` cells (six models x windows 64/128/256/512) at
+  the figure's default scale of 0.4, keyed ``go@0.4/<model>/w<window>``:
+  the scale the ledger runs, with restart stacks far deeper than at
+  0.05.
 
-The golden was minted from the dict-and-method scheduler that preceded
-the inlined cycle loop; regenerate it only for a change that is meant
-to move ideal results::
+The 180 kernel and family cells were minted from the dict-and-method
+scheduler that preceded the inlined cycle loop, the Figure 3 cells from
+the ``_Slot``-and-heap scheduler that preceded the columnar one.
+Regenerate the golden only for a change that is meant to move ideal
+results::
 
     PYTHONPATH=src python tests/test_ideal_golden.py --mint
+
+The mint prints every added, moved or dropped cell with the fields that
+changed (or that nothing moved) before it writes the file.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.specs import IDEAL_WINDOWS
 from repro.ideal import IdealConfig, IdealModel, annotate, simulate
 from repro.workloads import WORKLOAD_NAMES, build_workload
 from repro.workloads.families import FAMILY_NAMES, family_workload_name
@@ -38,6 +48,8 @@ KERNEL_WINDOWS = (64, 128, 256, 512)
 FAMILY_VARIANT = 1
 FAMILY_SCALE = 1.0
 FAMILY_WINDOWS = (64, 256)
+FIGURE3_NAME = "go"
+FIGURE3_SCALE = 0.4
 
 
 def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
@@ -58,6 +70,12 @@ def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
                     f"{name}/{model.value}/w{window}",
                     name, FAMILY_SCALE, model, window,
                 ))
+    for model in IdealModel:
+        for window in IDEAL_WINDOWS:
+            cells.append((
+                f"{FIGURE3_NAME}@{FIGURE3_SCALE}/{model.value}/w{window}",
+                FIGURE3_NAME, FIGURE3_SCALE, model, window,
+            ))
     return cells
 
 
@@ -93,11 +111,49 @@ def test_ideal_result_matches_golden(golden, key, name, scale, model, window):
     assert result_fields(name, scale, model, window) == golden[key]
 
 
+def golden_changes(old: dict, new: dict) -> list[str]:
+    """One line per added, moved or dropped cell, naming what changed."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key), new.get(key)
+        if before == after:
+            continue
+        if before is None:
+            lines.append(f"added   {key}: {json.dumps(after, sort_keys=True)}")
+        elif after is None:
+            lines.append(f"dropped {key}")
+        else:
+            moved = ", ".join(
+                f"{field} {before.get(field)} -> {after.get(field)}"
+                for field in sorted(before.keys() | after.keys())
+                if before.get(field) != after.get(field)
+            )
+            lines.append(f"moved   {key}: {moved}")
+    return lines
+
+
+def test_golden_changes_lists_each_changed_cell():
+    old = {"a": {"cycles": 5, "retired": 9}, "b": {"cycles": 1}, "c": {"cycles": 2}}
+    new = {"a": {"cycles": 6, "retired": 9}, "b": {"cycles": 1}, "d": {"cycles": 3}}
+    assert golden_changes(old, new) == [
+        "moved   a: cycles 5 -> 6",
+        "dropped c",
+        'added   d: {"cycles": 3}',
+    ]
+    assert golden_changes(new, new) == []
+
+
 def mint() -> None:
     cells = {
         key: result_fields(name, scale, model, window)
         for key, name, scale, model, window in CELLS
     }
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    changes = golden_changes(old, cells)
+    for line in changes:
+        print(line)
+    if not changes:
+        print(f"no cell moved: all {len(cells)} cells match the golden")
     lines = [
         f"{json.dumps(key)}: {json.dumps(cells[key], sort_keys=True)}"
         for key in sorted(cells)
