@@ -17,6 +17,7 @@ cell and the shrinker can use "same violation" as its predicate.
 from __future__ import annotations
 
 from ..core.stats import CoreStats
+from ..ideal.models import WIDTH, IdealModel
 from ..ideal.scheduler import IdealResult
 
 
@@ -104,8 +105,8 @@ def check_ideal_result(
     )
     expect(r.cycles >= 1, "cycles >= 1", f"cycles={r.cycles}")
     expect(
-        r.retired <= r.cycles * r.window_size,
-        "retired <= cycles * window",
+        r.retired <= r.cycles * min(WIDTH, r.window_size),
+        "retired <= cycles * min(width, window)",
         f"retired={r.retired} cycles={r.cycles} window={r.window_size}",
     )
     for field_name in (
@@ -114,6 +115,23 @@ def check_ideal_result(
     ):
         value = getattr(r, field_name)
         expect(value >= 0, f"{field_name} >= 0", f"{field_name}={value}")
+    expect(
+        r.full_squashes + r.selective_squashes == r.detections,
+        "full + selective squashes == detections",
+        f"full={r.full_squashes} selective={r.selective_squashes} "
+        f"detections={r.detections}",
+    )
+    model = r.model
+    if model is IdealModel.ORACLE:
+        expect(r.detections == 0, "oracle detects no misprediction",
+               f"detections={r.detections}")
+    if not model.wastes_resources:  # oracle and the nWR models
+        expect(r.fetched_wrong_path == 0, f"{model.value} fetches no wrong path",
+               f"fetched_wrong_path={r.fetched_wrong_path}")
+    if not model.exploits_ci:  # oracle and base
+        expect(r.selective_squashes == 0,
+               f"{model.value} squashes no control-independent work selectively",
+               f"selective_squashes={r.selective_squashes}")
     return out
 
 

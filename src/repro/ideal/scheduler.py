@@ -24,23 +24,41 @@ independent work for them.
 
 Data layout
 -----------
-Each in-flight instruction is a :class:`_Slot` (``__slots__`` object,
-freed by refcount when squashed or retired).  Its ``key`` names the
-value it produces:
+An in-flight instruction instance lives in plain-list *slot columns*
+indexed by a slot id: the key of the value it produces, its latency,
+its earliest issue cycle so far, its count of producers not yet
+complete, and the ref that owns the id.  Ids come off a free list of
+``window_size`` ids; retire and squash push them back.  Every id taken
+or returned moves the window occupancy with it, and fetch never fills
+the window past its size, so the free list never runs dry and the
+scheduler's memory is bounded by the window, not by the number of
+instances fetched.
 
-* a correct-path slot's key is its trace sequence number (seq, >= 0).
-  The window, the producers' completion cycles and the consumers
-  waiting on each producer are lists indexed by seq
-  (``window``, ``done_at``, ``waiters``);
-* a wrong-path slot's key is ``~(mp_seq << 32 | index)`` (< 0), and a
-  misprediction's false-dependence repair is keyed by its seq (>= 0).
+* A correct-path instance's key is its trace sequence number (seq,
+  >= 0).  The window (``window[seq]``: slot id, or -1), the producers'
+  completion cycles and the consumers waiting on each producer are
+  lists indexed by seq (``window``, ``done_at``, ``waiters``); the
+  instance has completed iff ``done_at[seq] >= 0``.
+* A wrong-path instance's key is ``~(mp_seq << 32 | index)`` (< 0), and
+  a misprediction's false-dependence repair is keyed by its seq (>= 0).
   Both live in the ``aux_done``/``aux_waiters`` dicts, apart from the
   correct-path lists.
 
-Ready-heap entries are ``(ready << 32 | order, slot)``: earliest issue
-cycle first, then fetch order, which is unique per slot.  Squashed slots
-stay where they are (heap, completion buckets, waiter lists) and are
-skipped when reached.
+Every side structure (waiter lists, ``wp_slots``, the issue queue, the
+completion ring) holds a *packed ref* ``order << shift | id``, where
+``order`` is the instance's fetch order (unique, the issue tie-break)
+and ``shift`` is just wide enough for the ids.  A ref is live iff
+``ref_of[ref & mask] == ref``: freeing an id writes -1 there and
+reusing it writes a ref with a newer order, so squashed instances need
+no flag and are skipped wherever they are reached.
+
+Issue order is (ready cycle, fetch order).  The issue queue is a dict
+of ``ready cycle -> [refs]``: each cycle that cycle's bucket is sorted
+(refs sort by fetch order) and appended to a backlog, and up to
+``WIDTH`` live refs issue from its front.  Every push has ``ready >=
+cycle``, so the backlog stays sorted.  Issued refs wait on a ring of
+``RING`` lists indexed by completion cycle (latencies are below
+``RING``).
 
 Restart segments evict the youngest correct-path instruction when the
 window is full (paper Section 3.2.2).  ``run()`` keeps a pointer to the
@@ -59,13 +77,16 @@ slots they freed.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from operator import attrgetter
 
 from ..errors import SimulationHang
 from .models import FRONTEND_STAGES, LATENCY_TABLE, WIDTH, IdealConfig, IdealModel
 from .tracegen import NO_PRODUCER, AnnotatedTrace, Misprediction, decode_internal
+
+#: completion ring length: a power of two above every execution latency
+RING = 16
+assert max(LATENCY_TABLE) < RING
 
 
 @dataclass
@@ -86,21 +107,6 @@ class IdealResult:
         return self.retired / self.cycles if self.cycles else 0.0
 
 
-class _Slot:
-    """One in-flight instruction instance in the window."""
-
-    __slots__ = ("key", "lat", "order", "ready", "pending", "done", "squashed")
-
-    def __init__(self, key: int, lat: int, order: int, ready: int):
-        self.key = key  # correct seq, or ~(mp_seq << 32 | index) for wp
-        self.lat = lat  # execution latency
-        self.order = order  # fetch order: the issue tie-break
-        self.ready = ready  # earliest issue cycle seen so far
-        self.pending = 0  # producers not yet complete
-        self.done = False
-        self.squashed = False
-
-
 class _Segment:
     """A fetch source: a range of correct-trace seqs plus queued wrong-path
     runs, with optional stall on an unresolved full-squash branch."""
@@ -119,19 +125,6 @@ class _Segment:
 _by_pos = attrgetter("pos")
 
 
-def _wake(waiting: list[_Slot], cycle: int, heap: list) -> None:
-    """A producer completed at ``cycle``: release its waiting consumers."""
-    for slot in waiting:
-        if slot.squashed:
-            continue
-        if cycle > slot.ready:
-            slot.ready = cycle
-        pending = slot.pending - 1
-        slot.pending = pending
-        if not pending:
-            heapq.heappush(heap, (slot.ready << 32 | slot.order, slot))
-
-
 class IdealScheduler:
     """Simulates one (model, window) configuration over an annotated trace."""
 
@@ -143,13 +136,25 @@ class IdealScheduler:
         self._wastes = model.wastes_resources
 
         n = len(trace)
-        self.window: list[_Slot | None] = [None] * n  # unretired slot per seq
+        self.window: list[int] = [-1] * n  # slot id per unretired seq
         self.done_at: list[int] = [-1] * n  # completion cycle per seq
         self.aux_done: dict[int, int] = {}  # wrong-path / FD-repair keys
-        self.aux_waiters: dict[int, list[_Slot]] = {}
-        self.wp_slots: dict[int, list[_Slot]] = {}  # mp seq -> its wp slots
+        self.aux_waiters: dict[int, list[int]] = {}
+        self.wp_slots: dict[int, list[int]] = {}  # mp seq -> its wp refs
         self.outstanding: dict[int, Misprediction] = {}  # undetected mps
-        self.ready_heap: list[tuple[int, _Slot]] = []
+        # issue queue: ready cycle -> refs becoming ready then
+        self.ready_buckets: dict[int, list[int]] = {}
+
+        # slot columns, indexed by slot id (one id per window entry)
+        slots = config.window_size
+        self.shift = (slots - 1).bit_length()
+        self.mask = (1 << self.shift) - 1
+        self.ref_of: list[int] = [-1] * slots  # live ref owning the id
+        self.key_of: list[int] = [0] * slots  # seq, or ~(mp_seq << 32 | index)
+        self.lat_of: list[int] = [0] * slots  # execution latency
+        self.ready_of: list[int] = [0] * slots  # earliest issue cycle so far
+        self.pending_of: list[int] = [0] * slots  # producers not yet complete
+        self.free: list[int] = list(range(slots - 1, -1, -1))
 
         self.frontier = _Segment(0, n)
         self.segments: list[_Segment] = []  # pending/active restart segments
@@ -193,7 +198,7 @@ class IdealScheduler:
         frontend = FRONTEND_STAGES
         fd = self.model.false_dependences
         lat_table = LATENCY_TABLE
-        lat_of = [lat_table[entry.instr.opcode] for entry in trace.entries]
+        seq_lat = [lat_table[entry.instr.opcode] for entry in trace.entries]
         mp_at: list[Misprediction | None] = [None] * n
         for seq, mp in trace.mispredictions.items():
             mp_at[seq] = mp
@@ -201,17 +206,22 @@ class IdealScheduler:
 
         window = self.window
         done_at = self.done_at
-        # consumers waiting on each correct-path producer, by its seq
-        waiters: list[list[_Slot] | None] = [None] * n
+        # refs waiting on each correct-path producer, by its seq
+        waiters: list[list[int] | None] = [None] * n
         aux_done = self.aux_done
         aux_waiters = self.aux_waiters
         wp_slots = self.wp_slots
         outstanding = self.outstanding
-        completing: dict[int, list[_Slot]] = {}  # cycle -> slots finishing
-        heap = self.ready_heap
+        buckets = self.ready_buckets
+        backlog: list[int] = []  # ready refs, sorted by (ready, order)
+        ring: list[list[int]] = [[] for _ in range(RING)]  # by completion cycle
+        ring_mask = RING - 1
+        shift, mask = self.shift, self.mask
+        ref_of, key_of, lat_of = self.ref_of, self.key_of, self.lat_of
+        ready_of, pending_of = self.ready_of, self.pending_of
+        free = self.free
         frontier = self.frontier
         segments = self.segments
-        heappush, heappop = heapq.heappush, heapq.heappop
 
         cycle = retire_ptr = window_used = order = fetched_wrong = 0
         youngest = -1  # no seq above it is in the window
@@ -224,71 +234,74 @@ class IdealScheduler:
                 )
 
             # -- complete: publish results, wake consumers, detect mps
-            bucket = completing.pop(cycle, None)
-            if bucket:
-                for slot in bucket:
-                    if slot.squashed:
+            completing = ring[cycle & ring_mask]
+            if completing:
+                ring[cycle & ring_mask] = []
+                for ref in completing:
+                    sid = ref & mask
+                    if ref_of[sid] != ref:
                         continue
-                    slot.done = True
-                    key = slot.key
+                    key = key_of[sid]
                     if key >= 0:
                         done_at[key] = cycle
                         waiting = waiters[key]
-                        if waiting is not None:  # _wake inlined
-                            waiters[key] = None
-                            for waiter in waiting:
-                                if waiter.squashed:
-                                    continue
-                                if cycle > waiter.ready:
-                                    waiter.ready = cycle
-                                pending = waiter.pending - 1
-                                waiter.pending = pending
-                                if not pending:
-                                    heappush(
-                                        heap,
-                                        (waiter.ready << 32 | waiter.order, waiter),
-                                    )
-                        if key in outstanding:
-                            window_used -= self._detect(
-                                outstanding.pop(key), cycle, youngest
-                            )
+                        waiters[key] = None
                     else:
                         aux_done[key] = cycle
                         waiting = aux_waiters.pop(key, None)
-                        if waiting:
-                            _wake(waiting, cycle, heap)
+                    if waiting:  # _release inlined
+                        for waiter in waiting:
+                            sid = waiter & mask
+                            if ref_of[sid] != waiter:
+                                continue
+                            ready = ready_of[sid]
+                            if cycle > ready:
+                                ready_of[sid] = ready = cycle
+                            pending = pending_of[sid] - 1
+                            pending_of[sid] = pending
+                            if not pending:
+                                bucket = buckets.get(ready)
+                                if bucket is None:
+                                    buckets[ready] = [waiter]
+                                else:
+                                    bucket.append(waiter)
+                    if key >= 0 and key in outstanding:
+                        window_used -= self._detect(outstanding.pop(key), cycle)
 
-            # -- retire: in order, completed correct-path slots
+            # -- retire: in order, completed correct-path instances
             budget = width
             while budget and retire_ptr < n:
-                slot = window[retire_ptr]
-                if slot is None or not slot.done:
+                sid = window[retire_ptr]
+                if sid < 0 or done_at[retire_ptr] < 0:
                     break
-                window[retire_ptr] = None
+                window[retire_ptr] = -1
+                ref_of[sid] = -1
+                free.append(sid)
                 retire_ptr += 1
                 window_used -= 1
                 budget -= 1
 
             # -- issue: oldest ready first, up to the issue width
-            budget = width
-            limit = (cycle + 1) << 32
-            while heap:
-                key, slot = heap[0]
-                if slot.squashed:
-                    heappop(heap)
-                    continue
-                if key >= limit:
-                    break
-                heappop(heap)
-                done = cycle + slot.lat
-                issued = completing.get(done)
-                if issued is None:
-                    completing[done] = [slot]
+            bucket = buckets.pop(cycle, None)
+            if bucket is not None:
+                bucket.sort()  # refs of one ready cycle sort by fetch order
+                if backlog:
+                    backlog += bucket
                 else:
-                    issued.append(slot)
-                budget -= 1
-                if not budget:
-                    break
+                    backlog = bucket
+            if backlog:
+                budget = width
+                taken = 0
+                for ref in backlog:
+                    taken += 1
+                    sid = ref & mask
+                    if ref_of[sid] != ref:
+                        continue
+                    ring[(cycle + lat_of[sid]) & ring_mask].append(ref)
+                    budget -= 1
+                    if not budget:
+                        break
+                del backlog[:taken]
 
             # -- fetch: oldest source first; only it may evict younger
             # window contents to make room (paper Section 3.2.2).  Most
@@ -304,7 +317,7 @@ class IdealScheduler:
                     if window_used >= capacity:
                         if not may_evict:
                             break
-                        while youngest >= retire_ptr and window[youngest] is None:
+                        while youngest >= retire_ptr and window[youngest] < 0:
                             youngest -= 1
                         if youngest < retire_ptr or youngest <= source.pos:
                             break
@@ -319,18 +332,19 @@ class IdealScheduler:
                         else:
                             run[1] = index + 1
                         item = mp_at[mp_seq].wrong_path[index]
-                        slot = _Slot(
-                            ~(mp_seq << 32 | index),
-                            lat_table[item.entry.instr.opcode],
-                            order,
-                            cycle + frontend,
-                        )
+                        sid = free.pop()
+                        ref = order << shift | sid
                         order += 1
+                        ref_of[sid] = ref
+                        key_of[sid] = ~(mp_seq << 32 | index)
+                        lat_of[sid] = lat_table[item.entry.instr.opcode]
+                        ready = cycle + frontend
+                        pending = 0
                         mp_wp = wp_slots.get(mp_seq)
                         if mp_wp is None:
-                            wp_slots[mp_seq] = [slot]
+                            wp_slots[mp_seq] = [ref]
                         else:
-                            mp_wp.append(slot)
+                            mp_wp.append(ref)
                         window_used += 1
                         fetched_wrong += 1
                         for code in (item.src1, item.src2, item.mem):
@@ -342,55 +356,96 @@ class IdealScheduler:
                             else:
                                 done = done_at[code]
                             if done >= 0:
-                                if done > slot.ready:
-                                    slot.ready = done
+                                if done > ready:
+                                    ready = done
                                 continue
                             if code < 0:
-                                aux_waiters.setdefault(code, []).append(slot)
+                                aux_waiters.setdefault(code, []).append(ref)
                             else:
                                 waiting = waiters[code]
                                 if waiting is None:
-                                    waiters[code] = [slot]
+                                    waiters[code] = [ref]
                                 else:
-                                    waiting.append(slot)
-                            slot.pending += 1
+                                    waiting.append(ref)
+                            pending += 1
                     elif source.stalled_on is not None:
                         break
                     else:
                         seq = source.pos
                         end = source.end
-                        while seq < end and window[seq] is not None:
+                        while seq < end and window[seq] >= 0:
                             seq += 1  # skip seqs already in the window
                         if seq >= end:
                             source.pos = seq
                             break
                         source.pos = seq + 1
-                        slot = _Slot(seq, lat_of[seq], order, cycle + frontend)
+                        sid = free.pop()
+                        ref = order << shift | sid
                         order += 1
-                        window[seq] = slot
+                        ref_of[sid] = ref
+                        key_of[sid] = seq
+                        lat_of[sid] = seq_lat[seq]
+                        ready = cycle + frontend
+                        pending = 0
+                        window[seq] = sid
                         window_used += 1
                         if seq > youngest:
                             youngest = seq
-                        for code in (dep1[seq], dep2[seq], depm[seq]):
-                            if code != NO_PRODUCER:
-                                done = done_at[code]
-                                if done >= 0:
-                                    if done > slot.ready:
-                                        slot.ready = done
+                        # the three correct-path producers (NO_PRODUCER < 0)
+                        code = dep1[seq]
+                        if code >= 0:
+                            done = done_at[code]
+                            if done >= 0:
+                                if done > ready:
+                                    ready = done
+                            else:
+                                waiting = waiters[code]
+                                if waiting is None:
+                                    waiters[code] = [ref]
                                 else:
-                                    waiting = waiters[code]
-                                    if waiting is None:
-                                        waiters[code] = [slot]
-                                    else:
-                                        waiting.append(slot)
-                                    slot.pending += 1
+                                    waiting.append(ref)
+                                pending += 1
+                        code = dep2[seq]
+                        if code >= 0:
+                            done = done_at[code]
+                            if done >= 0:
+                                if done > ready:
+                                    ready = done
+                            else:
+                                waiting = waiters[code]
+                                if waiting is None:
+                                    waiters[code] = [ref]
+                                else:
+                                    waiting.append(ref)
+                                pending += 1
+                        code = depm[seq]
+                        if code >= 0:
+                            done = done_at[code]
+                            if done >= 0:
+                                if done > ready:
+                                    ready = done
+                            else:
+                                waiting = waiters[code]
+                                if waiting is None:
+                                    waiters[code] = [ref]
+                                else:
+                                    waiting.append(ref)
+                                pending += 1
                         if fd and outstanding:
-                            self._add_false_deps(slot, seq)
+                            ready, pending = self._add_false_deps(
+                                ref, seq, ready, pending
+                            )
                         mp = mp_at[seq]
                         if mp is not None:
                             self._on_fetch_misprediction(mp, source)
-                    if not slot.pending:
-                        heappush(heap, (slot.ready << 32 | slot.order, slot))
+                    ready_of[sid] = ready
+                    pending_of[sid] = pending
+                    if not pending:
+                        bucket = buckets.get(ready)
+                        if bucket is None:
+                            buckets[ready] = [ref]
+                        else:
+                            bucket.append(ref)
                     budget -= 1
                 if not budget:
                     break
@@ -409,9 +464,12 @@ class IdealScheduler:
     # ------------------------------------------------------------------
     # fetch-side helpers
 
-    def _add_false_deps(self, slot: _Slot, seq: int) -> None:
+    def _add_false_deps(
+        self, ref: int, seq: int, ready: int, pending: int
+    ) -> tuple[int, int]:
         """FD models: wrong-path writes of outstanding mispredictions
-        poison matching control-independent consumers until repair."""
+        poison matching control-independent consumers until repair.
+        Returns the consumer's updated ready cycle and pending count."""
         trace = self.trace
         entry = trace.entries[seq]
         instr = entry.instr
@@ -433,11 +491,12 @@ class IdealScheduler:
                 continue
             done = self.aux_done.get(mp_seq)
             if done is not None:
-                if done > slot.ready:
-                    slot.ready = done
+                if done > ready:
+                    ready = done
             else:
-                self.aux_waiters.setdefault(mp_seq, []).append(slot)
-                slot.pending += 1
+                self.aux_waiters.setdefault(mp_seq, []).append(ref)
+                pending += 1
+        return ready, pending
 
     def _on_fetch_misprediction(self, mp: Misprediction, source: _Segment) -> None:
         """A mispredicted control instruction was just fetched from ``source``."""
@@ -474,7 +533,7 @@ class IdealScheduler:
             return False
         window = self.window
         pos, end = segment.pos, segment.end
-        while pos < end and window[pos] is not None:
+        while pos < end and window[pos] >= 0:
             pos += 1
         segment.pos = pos
         return pos >= end
@@ -482,13 +541,31 @@ class IdealScheduler:
     # ------------------------------------------------------------------
     # recovery: each returns the number of window slots it freed
 
+    def _release(self, waiting: list[int], cycle: int) -> None:
+        """A producer completed at ``cycle``: wake its live waiting refs."""
+        mask, ref_of = self.mask, self.ref_of
+        ready_of, pending_of = self.ready_of, self.pending_of
+        buckets = self.ready_buckets
+        for ref in waiting:
+            sid = ref & mask
+            if ref_of[sid] != ref:
+                continue
+            ready = ready_of[sid]
+            if cycle > ready:
+                ready_of[sid] = ready = cycle
+            pending = pending_of[sid] - 1
+            pending_of[sid] = pending
+            if not pending:
+                buckets.setdefault(ready, []).append(ref)
+
     def _evict(self, seq: int) -> int:
         """Squash the youngest in-window correct instruction ``seq`` so a
         restart sequence can proceed.  The frontier is backed up so the
         victim is eventually refetched."""
-        slot = self.window[seq]
-        self.window[seq] = None
-        slot.squashed = True
+        sid = self.window[seq]
+        self.window[seq] = -1
+        self.ref_of[sid] = -1
+        self.free.append(sid)
         self.done_at[seq] = -1
         freed = 1
         if seq in self.outstanding:
@@ -501,11 +578,11 @@ class IdealScheduler:
         frontier.wp_queue = [run for run in frontier.wp_queue if run[0] < seq]
         return freed
 
-    def _detect(self, mp: Misprediction, cycle: int, youngest: int) -> int:
+    def _detect(self, mp: Misprediction, cycle: int) -> int:
         """Misprediction detected: recover according to the model."""
         self.result.detections += 1
         if mp.seq not in self._ci:
-            return self._full_squash(mp.seq, youngest)
+            return self._full_squash(mp.seq)
         freed = self._squash_wrong_path(mp.seq)
         self.result.selective_squashes += 1
         # Release the correct control-dependent path for fetch.
@@ -516,17 +593,20 @@ class IdealScheduler:
         self.aux_done[mp.seq] = cycle + 1
         waiting = self.aux_waiters.pop(mp.seq, None)
         if waiting:
-            _wake(waiting, cycle + 1, self.ready_heap)
+            self._release(waiting, cycle + 1)
         return freed
 
     def _squash_wrong_path(self, mp_seq: int) -> int:
         freed = 0
-        aux_done = self.aux_done
-        for slot in self.wp_slots.pop(mp_seq, ()):
-            if not slot.squashed:
-                slot.squashed = True
+        mask, ref_of, key_of = self.mask, self.ref_of, self.key_of
+        free, aux_done = self.free, self.aux_done
+        for ref in self.wp_slots.pop(mp_seq, ()):
+            sid = ref & mask
+            if ref_of[sid] == ref:
+                ref_of[sid] = -1
+                free.append(sid)
                 freed += 1
-                aux_done.pop(slot.key, None)
+                aux_done.pop(key_of[sid], None)
         # Drop any still-queued wrong-path fetch runs for this mp.
         for source in (*self.segments, self.frontier):
             if source.wp_queue:
@@ -535,18 +615,22 @@ class IdealScheduler:
                 ]
         return freed
 
-    def _full_squash(self, branch_seq: int, youngest: int) -> int:
+    def _full_squash(self, branch_seq: int) -> int:
         """Squash everything younger than ``branch_seq`` and refetch."""
         self.result.full_squashes += 1
         window, done_at = self.window, self.done_at
+        ref_of, key_of, free = self.ref_of, self.key_of, self.free
         freed = 0
-        for seq in range(branch_seq + 1, youngest + 1):
-            slot = window[seq]
-            if slot is not None:
-                window[seq] = None
-                slot.squashed = True
-                done_at[seq] = -1
-                freed += 1
+        # one pass over the slot ids: the window is sparse in seq space
+        for sid, ref in enumerate(ref_of):
+            if ref >= 0:
+                seq = key_of[sid]
+                if seq > branch_seq:
+                    window[seq] = -1
+                    ref_of[sid] = -1
+                    free.append(sid)
+                    done_at[seq] = -1
+                    freed += 1
         for mp_seq in [m for m in self.wp_slots if m >= branch_seq]:
             freed += self._squash_wrong_path(mp_seq)
         for mp_seq in [m for m in self.outstanding if m > branch_seq]:

@@ -22,10 +22,11 @@ from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.corpus import load_reproducer, program_source
 from repro.fuzz.mutants import MUTANT_NAMES, mutant_machine, run_mutant
 from repro.fuzz.shrink import divergence_predicate
-from repro.analysis.invariants import check_core_stats
+from repro.analysis.invariants import check_core_stats, check_ideal_result
 from repro.analysis.lint import check_program
 from repro.core import CoreStats
 from repro.functional import run as run_functional
+from repro.ideal import IdealModel, IdealResult
 from repro.isa import Op
 from repro.workloads import build_workload
 from repro.workloads.families import (
@@ -177,6 +178,34 @@ class TestOracle:
         stats.cycles = 1
         violations = check_core_stats("X", stats, golden_length=10)
         assert any("fetched" in v for v in violations)
+
+    @pytest.mark.parametrize(
+        "model,fields,rule",
+        [
+            (IdealModel.ORACLE, {"cycles": 10, "retired": 200},
+             "retired <= cycles * min(width, window)"),
+            (IdealModel.NWR_NFD,
+             {"detections": 3, "full_squashes": 1, "selective_squashes": 1},
+             "full + selective squashes == detections"),
+            (IdealModel.ORACLE, {"detections": 1, "full_squashes": 1},
+             "oracle detects no misprediction"),
+            (IdealModel.ORACLE, {"fetched_wrong_path": 5},
+             "oracle fetches no wrong path"),
+            (IdealModel.NWR_FD, {"fetched_wrong_path": 3},
+             "nWR-FD fetches no wrong path"),
+            (IdealModel.BASE, {"detections": 1, "selective_squashes": 1},
+             "base squashes no control-independent work selectively"),
+        ],
+        ids=["width-bound", "squash-sum", "oracle-detects", "oracle-wrong-path",
+             "nwr-wrong-path", "base-selective"],
+    )
+    def test_ideal_invariants_catch_each_planted_violation(self, model, fields, rule):
+        clean = {"window_size": 64, "cycles": 100, "retired": 200}
+        assert check_ideal_result("X", IdealResult(model, **clean), 200) == []
+        result = IdealResult(model, **{**clean, **fields})
+        violations = check_ideal_result("X", result, result.retired)
+        assert len(violations) == 1, violations
+        assert violations[0].startswith(f"X: {rule} violated (")
 
 
 class TestShrinker:
