@@ -31,7 +31,7 @@ complete, and the ref that owns the id.  Ids come off a free list of
 ``window_size`` ids; retire and squash push them back.  Every id taken
 or returned moves the window occupancy with it, and fetch never fills
 the window past its size, so the free list never runs dry and the
-scheduler's memory is bounded by the window, not by the number of
+per-instance state is bounded by the window, not by the number of
 instances fetched.
 
 * A correct-path instance's key is its trace sequence number (seq,
@@ -84,9 +84,8 @@ from ..errors import SimulationHang
 from .models import FRONTEND_STAGES, LATENCY_TABLE, WIDTH, IdealConfig, IdealModel
 from .tracegen import NO_PRODUCER, AnnotatedTrace, Misprediction, decode_internal
 
-#: completion ring length: a power of two above every execution latency
-RING = 16
-assert max(LATENCY_TABLE) < RING
+#: completion ring length: the power of two above every execution latency
+RING = 1 << max(LATENCY_TABLE).bit_length()
 
 
 @dataclass
