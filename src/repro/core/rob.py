@@ -17,15 +17,15 @@ never rewritten.  Mid-window restart inserts take a low-biased step into
 the local gap (``lo + max(1, gap/256)``), leaving room for the
 right-chaining dispatch order of a restart sequence.  A nested restart
 chain can still exhaust a gap, and then one full respace renumbers the
-window.  On the 25 recovery-golden cells (``tests/test_recovery_golden.py``)
-that happens 40 times, all on the 10 ``CI/loop`` and ``CI/return/loop``
-cells; it never happens on BASE, CI or CI-I there, nor on the kernel
-golden cells.  The ready heap captures key *values* at push time.
-Between respaces keys are stable, so same-cycle issue arbitration
-depends only on logical order.  Across a respace it does not: entries
-pushed before it keep their old, larger keys and are arbitrated
-against the new, smaller keys of entries pushed after it (136 such
-stale pops on those 10 cells).  The detailed goldens
+window.  On the 25 recovery cells of the core golden
+(``tests/test_core_golden.py``) that happens 40 times, all on the 10
+``CI/loop`` and ``CI/return/loop`` cells; it never happens on BASE, CI
+or CI-I there, nor on the kernel golden cells.  The ready heap
+captures key *values* at push time.  Between respaces keys are stable,
+so same-cycle issue arbitration depends only on logical order.  Across
+a respace it does not: entries pushed before it keep their old, larger
+keys and are arbitrated against the new, smaller keys of entries pushed
+after it (136 such stale pops on those 10 cells).  The detailed goldens
 (``tests/goldens/``) pin the current behaviour.
 
 A slot's window *position* (``index_of``, the golden-trace instance

@@ -19,11 +19,13 @@ permanent hot-path hooks), which verifies:
   longer equals the slot's live ``order`` (a stale pop) is preceded by
   a ``_respace`` since its push.
 
-On the kernel cells, the committed fuzz corpus and the BASE, CI and
-CI-I recovery-golden cells, ``_respace`` never fires, so no pop is
-stale.  On the ``CI/loop`` and ``CI/return/loop`` recovery-golden cells
-deeply nested restart chains exhaust the order gaps and ``_respace``
-does fire; there only the epoch clause holds.
+The golden cells come from the core golden's one table
+(``tests/test_core_golden.py``).  On its six seed cells, the committed
+fuzz corpus and its BASE, CI and CI-I recovery cells, ``_respace``
+never fires, so no pop is stale.  On its ``CI/loop`` and
+``CI/return/loop`` recovery cells deeply nested restart chains exhaust
+the order gaps and ``_respace`` does fire; there only the epoch clause
+holds.
 """
 
 from __future__ import annotations
@@ -33,33 +35,23 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CoreConfig, Processor, ReconvPolicy, simulate_core
+from repro.core import CoreConfig, Processor, ReconvPolicy
 from repro.core import processor as processor_mod
 from repro.core.rob import ReorderBuffer
 from repro.core.stages import backend as backend_mod
 from repro.core.stages import sequencer as sequencer_mod
 from repro.fuzz import load_corpus
 from repro.fuzz.oracle import program_bundle
-from repro.harness.experiments import load_bundle
-from repro.machines import get_machine
-from test_recovery_golden import CELLS as RECOVERY_CELLS
-from test_recovery_golden import _bundle as recovery_bundle
+from test_core_golden import CELLS, ROWS, SEED_SCALE, processor
 
-SCALE = 0.12
-WORKLOADS = ("compress", "go")
-CORE_MACHINES = {
-    "BASE": dict(window_size=256, reconv_policy=ReconvPolicy.NONE),
-    "CI": dict(window_size=256, reconv_policy=ReconvPolicy.POSTDOM),
-    "CI-I": dict(
-        window_size=256,
-        reconv_policy=ReconvPolicy.POSTDOM,
-        instant_redispatch=True,
-    ),
-}
+#: the core golden's six seed cells (go and compress on BASE, CI and CI-I)
+SEED_KEYS = [key for key, _, scale, *_ in CELLS if scale == SEED_SCALE]
+#: the core golden's 25 recovery cells, whose restart stacks nest deepest
+RECOVERY_KEYS = [key for key, name, *_ in CELLS if name.startswith("fam:")]
 CORPUS_DIR = Path(__file__).parent / "corpus"
 #: ready-heap entry layout, in tuple order
 KEY_FIELDS = ("eligible", "order", "uid", "handle")
-#: recovery-golden machines on which ``_respace`` must never fire
+#: recovery-cell machines on which ``_respace`` must never fire
 NO_RESPACE_MACHINES = ("BASE", "CI", "CI-I")
 
 
@@ -166,21 +158,13 @@ def _check_clauses(recorder: HeapRecorder, stats, what: str) -> None:
     )
 
 
-@pytest.fixture(scope="module")
-def bundles():
-    return {name: load_bundle(name, SCALE) for name in WORKLOADS}
-
-
-@pytest.mark.parametrize("machine", sorted(CORE_MACHINES))
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_golden_cells_obey_contract(bundles, workload, machine, monkeypatch):
-    """Instrumented tie-break logging over the 6 core golden cells."""
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_golden_cells_obey_contract(key, monkeypatch):
+    """Instrumented tie-break logging over the 6 core golden seed cells."""
     recorder = HeapRecorder()
     recorder.install(monkeypatch)
-    bundle = bundles[workload]
-    config = CoreConfig(**CORE_MACHINES[machine])
-    stats = simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
-    _check_clauses(recorder, stats, f"{workload}/{machine}")
+    stats = processor(key).run()
+    _check_clauses(recorder, stats, key)
 
 
 def test_corpus_obeys_contract():
@@ -204,23 +188,17 @@ def test_corpus_obeys_contract():
         _check_clauses(recorder, stats, rep.name)
 
 
-@pytest.mark.parametrize(
-    "name,machine",
-    [cell[1:] for cell in RECOVERY_CELLS],
-    ids=[cell[0] for cell in RECOVERY_CELLS],
-)
-def test_recovery_cells_obey_epoch_clause(name, machine, monkeypatch):
-    """The 25 recovery-golden cells, whose restart stacks nest deepest.
+@pytest.mark.parametrize("key", RECOVERY_KEYS)
+def test_recovery_cells_obey_epoch_clause(key, monkeypatch):
+    """The 25 recovery cells, whose restart stacks nest deepest.
 
     ``_respace`` fires on the loop-heuristic machines; the epoch clause
     must still hold there, and on BASE, CI and CI-I it must not fire.
     """
     recorder = HeapRecorder()
     recorder.install(monkeypatch)
-    bundle = recovery_bundle(name)
-    config = get_machine(machine).core_config()
-    stats = simulate_core(bundle.program, config, bundle.golden, bundle.reconv)
-    if machine in NO_RESPACE_MACHINES:
-        _check_clauses(recorder, stats, f"{name}/{machine}")
+    stats = processor(key).run()
+    if ROWS[key][3] in NO_RESPACE_MACHINES:
+        _check_clauses(recorder, stats, key)
     else:
-        _check_epochs(recorder, stats, f"{name}/{machine}")
+        _check_epochs(recorder, stats, key)

@@ -12,8 +12,14 @@ The cells cover the paths the Figure 3 sweep exercises:
 * Figure 3's 24 ``go`` cells (six models x windows 64/128/256/512) at
   the figure's default scale of 0.4, keyed ``go@0.4/<model>/w<window>``:
   the scale the ledger runs, with restart stacks far deeper than at
-  0.05.
+  0.05;
+* the seed cells, go and compress under the six models at window 256
+  and scale 0.12, keyed ``<workload>@0.12/<model>/w256``, next to the
+  detailed seed cells of ``tests/test_core_golden.py``.
 
+The seed cells anchor to the seed implementation: their six counters
+(all but ``model`` and ``window_size``) equal the seed's, and every
+scheduler rewrite since has reproduced them.
 The 180 kernel and family cells were minted from the dict-and-method
 scheduler that preceded the inlined cycle loop, the Figure 3 cells from
 the ``_Slot``-and-heap scheduler that preceded the columnar one.
@@ -23,25 +29,25 @@ results::
     PYTHONPATH=src python tests/test_ideal_golden.py --mint
 
 The mint prints every added, moved or dropped cell with the fields that
-changed (or that nothing moved) before it writes the file.
+changed (or that nothing moved) before it writes the file
+(``tests/golden_table.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
+import golden_table
 from repro.harness.specs import IDEAL_WINDOWS
 from repro.ideal import IdealConfig, IdealModel, annotate, simulate
 from repro.workloads import WORKLOAD_NAMES, build_workload
 from repro.workloads.families import FAMILY_NAMES, family_workload_name
 
-GOLDEN_PATH = Path(__file__).parent / "goldens" / "ideal_golden.json"
+GOLDEN_PATH = golden_table.GOLDEN_DIR / "ideal_golden.json"
 
 KERNEL_SCALE = 0.05
 KERNEL_WINDOWS = (64, 128, 256, 512)
@@ -50,6 +56,9 @@ FAMILY_SCALE = 1.0
 FAMILY_WINDOWS = (64, 256)
 FIGURE3_NAME = "go"
 FIGURE3_SCALE = 0.4
+SEED_NAMES = ("compress", "go")
+SEED_SCALE = 0.12
+SEED_WINDOW = 256
 
 
 def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
@@ -76,6 +85,12 @@ def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
                 f"{FIGURE3_NAME}@{FIGURE3_SCALE}/{model.value}/w{window}",
                 FIGURE3_NAME, FIGURE3_SCALE, model, window,
             ))
+    for name in SEED_NAMES:
+        for model in IdealModel:
+            cells.append((
+                f"{name}@{SEED_SCALE}/{model.value}/w{SEED_WINDOW}",
+                name, SEED_SCALE, model, SEED_WINDOW,
+            ))
     return cells
 
 
@@ -96,8 +111,7 @@ def result_fields(name: str, scale: float, model: IdealModel, window: int) -> di
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    with GOLDEN_PATH.open() as f:
-        return json.load(f)
+    return golden_table.load(GOLDEN_PATH)
 
 
 def test_golden_covers_every_cell(golden):
@@ -111,55 +125,12 @@ def test_ideal_result_matches_golden(golden, key, name, scale, model, window):
     assert result_fields(name, scale, model, window) == golden[key]
 
 
-def golden_changes(old: dict, new: dict) -> list[str]:
-    """One line per added, moved or dropped cell, naming what changed."""
-    lines = []
-    for key in sorted(old.keys() | new.keys()):
-        before, after = old.get(key), new.get(key)
-        if before == after:
-            continue
-        if before is None:
-            lines.append(f"added   {key}: {json.dumps(after, sort_keys=True)}")
-        elif after is None:
-            lines.append(f"dropped {key}")
-        else:
-            moved = ", ".join(
-                f"{field} {before.get(field)} -> {after.get(field)}"
-                for field in sorted(before.keys() | after.keys())
-                if before.get(field) != after.get(field)
-            )
-            lines.append(f"moved   {key}: {moved}")
-    return lines
-
-
-def test_golden_changes_lists_each_changed_cell():
-    old = {"a": {"cycles": 5, "retired": 9}, "b": {"cycles": 1}, "c": {"cycles": 2}}
-    new = {"a": {"cycles": 6, "retired": 9}, "b": {"cycles": 1}, "d": {"cycles": 3}}
-    assert golden_changes(old, new) == [
-        "moved   a: cycles 5 -> 6",
-        "dropped c",
-        'added   d: {"cycles": 3}',
-    ]
-    assert golden_changes(new, new) == []
-
-
 def mint() -> None:
     cells = {
         key: result_fields(name, scale, model, window)
         for key, name, scale, model, window in CELLS
     }
-    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    changes = golden_changes(old, cells)
-    for line in changes:
-        print(line)
-    if not changes:
-        print(f"no cell moved: all {len(cells)} cells match the golden")
-    lines = [
-        f"{json.dumps(key)}: {json.dumps(cells[key], sort_keys=True)}"
-        for key in sorted(cells)
-    ]
-    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(cells)} cells to {GOLDEN_PATH}")
+    golden_table.mint(GOLDEN_PATH, cells)
 
 
 if __name__ == "__main__":
