@@ -18,7 +18,7 @@ the local gap (``lo + max(1, gap/256)``), leaving room for the
 right-chaining dispatch order of a restart sequence.  A nested restart
 chain can still exhaust a gap, and then one full respace renumbers the
 window.  On the 25 recovery cells of the core golden
-(``tests/test_core_golden.py``) that happens 40 times, all on the 10
+(``tests/test_recovery_golden.py``) that happens 40 times, all on the 10
 ``CI/loop`` and ``CI/return/loop`` cells; it never happens on BASE, CI
 or CI-I there, nor on the kernel golden cells.  The ready heap
 captures key *values* at push time.  Between respaces keys are stable,

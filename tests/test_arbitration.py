@@ -158,7 +158,10 @@ def _check_clauses(recorder: HeapRecorder, stats, what: str) -> None:
     )
 
 
-@pytest.mark.parametrize("key", SEED_KEYS)
+@pytest.mark.parametrize(
+    "key", SEED_KEYS,
+    ids=[f"{ROWS[key][1]}-{ROWS[key][3]}" for key in SEED_KEYS],
+)
 def test_golden_cells_obey_contract(key, monkeypatch):
     """Instrumented tie-break logging over the 6 core golden seed cells."""
     recorder = HeapRecorder()

@@ -1,63 +1,28 @@
-"""Detailed-core golden: every :class:`~repro.core.CoreStats` field of
-136 cells, compared exactly against ``tests/goldens/core_golden.json``.
+"""Detailed-core golden: the one cell table of the detailed core and
+its golden file, ``tests/goldens/core_golden.json``, which pins every
+:class:`~repro.core.CoreStats` field of 136 cells exactly.
 
-There is one cell table.  Each row is ``(key, workload, scale, machine,
-overrides)``, the machine a registry name built through
-``get_machine(machine).core_config(**overrides)``.  It has four groups:
+Each row of the table is ``(key, workload, scale, machine, overrides)``,
+the machine a registry name built through
+``get_machine(machine).core_config(**overrides)``.  The rows fall into
+four groups, each pinned cell by cell by its own test module, which
+says why the group exists:
 
-* **Seed cells** (``<workload>@0.12/<machine>/w256``): go and compress
-  on BASE, CI and CI-I at window 256 and scale 0.12.  They anchor to the
-  seed implementation: they were minted under the dense ROB order
-  scheme by a mint that refused to run unless the seed-minted cells
-  still passed, they share ``cycles`` and ``retired`` with the seed's,
-  and every simulator optimization since has reproduced every field bit
-  for bit.  The spec registry is held to them too
-  (``test_registry_cells_match_goldens``).
-* **Kernel cells** (``<kernel>/<variant>``): the five kernels at scale
-  0.03 on the machine paths no other group pins on the kernels:
+* 6 seed cells, ``<workload>@0.12/<machine>/w256``
+  (``tests/test_equivalence.py``), anchored to the seed implementation;
+* 55 kernel cells, ``<kernel>/<variant>`` (``tests/test_kernel_golden.py``);
+* 50 completion cells, ``<kernel>/<machine>/<model>[/hfm]``
+  (``tests/test_completion_golden.py``);
+* 25 recovery cells, ``fam:<family>:<seed>/<machine>``
+  (``tests/test_recovery_golden.py``).
 
-  - CI-I, ``CI/loop`` and ``CI/return/loop/ltb`` at windows 64 and 512
-    (instant and paced redispatch walks, the hardware heuristics'
-    nested restarts, a window small enough to stall fetch and one large
-    enough to hold whole loops);
-  - CI with ROB segments of 4 and 16 (the segmented capacity check and
-    segment carry-over of fetch);
-  - CI with simple preemption (Appendix A.1.1's single-restart
-    sequencer);
-  - ``CI/loop`` with instant redispatch (overturns inside a one-cycle
-    walk on a heuristic machine);
-  - CI with oracle global history, the only configuration whose fetch
-    asks for a window position (``ReorderBuffer.index_of``).
-* **Completion cells** (``<kernel>/<machine>/<model>[/hfm]``): the
-  gating paths of Appendix A.2's completion models, which decide when a
-  computed branch may complete and trigger recovery.  The five kernels
-  x {BASE, CI} x the four :class:`~repro.core.CompletionModel`\\ s
-  (in-order branch gating, resolved-store gating, both, neither) at
-  scale 0.03, window 256, plus CI with the ``hide_false_mispredictions``
-  oracle under ``spec-C`` and ``spec``, the one configuration whose
-  completion condition is not a gate (it depends on repredicts and
-  window positions).  The seed cells run ``spec-C`` only; these pin the
-  other gates, so a change to how pending branches are retried (the
-  completion-phase sweep in :mod:`repro.core.stages.backend`) cannot
-  move any of them unnoticed.  They were minted before pending-branch
-  retries were tied to gate-opening events.
-* **Recovery cells** (``fam:<family>:<seed>/<machine>``): the kernels'
-  restart stacks stay shallow, so one generated ``fam:*`` program per
-  workload family runs at the fuzz campaign's scale (0.5) on the
-  machines that nest restart sequences (Appendix A.1) the deepest: BASE
-  as the no-control-independence reference, CI and CI-I with exact
-  post-dominator reconvergence, and ``CI/loop`` and ``CI/return/loop``,
-  whose restart stacks reach about 200 contexts.  Each program was
-  picked from campaign seed 0 because every one of these machines runs
-  it cleanly (its final architectural state matches the functional
-  reference) and because it nests restarts deeply.  So a change to
-  context pruning, squash order or per-instruction pool state that
-  moves any statistic fails here.
-
-Every cell also checks the counters the performance ledger reads off a
-finished machine: every fetched instruction claimed exactly one pool
-slot (``pool.allocated_total``, the ledger's ``core.pool_claims``), and
-the allocated slots are exactly the linked ones.
+Those modules hold no table, golden or mint of their own: each selects
+its group's rows from here and checks them through :func:`check_cell`.
+Every cell runs once per process (:func:`outcome`), and every cell also
+checks the counters the performance ledger reads off a finished
+machine: every fetched instruction claimed exactly one pool slot
+(``pool.allocated_total``, the ledger's ``core.pool_claims``), and the
+allocated slots are exactly the linked ones.
 
 Regenerate the golden only for a change that is meant to move
 detailed-core results::
@@ -72,16 +37,14 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
 import golden_table
 from repro.core import CompletionModel, Preemption, Processor
-from repro.harness import get_spec, run_spec
 from repro.harness.experiments import load_bundle
-from repro.ideal import IdealModel
 from repro.machines import get_machine
 from repro.workloads import WORKLOAD_NAMES
 
@@ -180,59 +143,53 @@ def processor(key: str) -> Processor:
     return Processor(cell.program, config, cell.golden, cell.reconv)
 
 
-@pytest.fixture(scope="module")
+class Outcome(NamedTuple):
+    stats: dict
+    pool_claims: int
+    pool_live: int
+    linked: int
+
+
+@lru_cache(maxsize=None)
+def outcome(key: str) -> Outcome:
+    """The cell's ``CoreStats`` fields and pool counters after one run."""
+    machine = processor(key)
+    stats = machine.run()
+    return Outcome(
+        dataclasses.asdict(stats),
+        machine.pool.allocated_total,
+        machine.pool.live,
+        machine.rob.count,
+    )
+
+
+@lru_cache(maxsize=None)
 def golden() -> dict:
     return golden_table.load(GOLDEN_PATH)
 
 
-def test_golden_covers_every_cell(golden):
-    assert sorted(golden) == sorted(key for key, *_ in CELLS)
+def check_pool_counters(key: str) -> None:
+    run = outcome(key)
+    assert run.pool_claims == run.stats["fetched"]
+    assert run.pool_live == run.linked
 
 
-@pytest.mark.parametrize("key", list(ROWS))
-def test_core_stats_match_golden(golden, key):
-    machine = processor(key)
-    stats = machine.run()
-    assert dataclasses.asdict(stats) == golden[key]
-    assert machine.pool.allocated_total == stats.fetched
-    assert machine.pool.live == machine.rob.count
+def check_cell(key: str) -> None:
+    """Every ``CoreStats`` field of the cell equals its golden, and its
+    pool counters match the window."""
+    assert outcome(key).stats == golden()[key]
+    check_pool_counters(key)
 
 
-def test_retired_env_knobs_do_not_change_results(golden, monkeypatch):
-    """``REPRO_ORDER`` and ``REPRO_BATCH`` once selected another ROB
-    order scheme and cycle driver; the core has one of each now, so
-    setting them must leave a golden cell untouched."""
-    monkeypatch.setenv("REPRO_ORDER", "v1")
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    key = f"go@{SEED_SCALE}/BASE/w256"
-    assert dataclasses.asdict(processor(key).run()) == golden[key]
+def check_group_covered(keys: list[str]) -> None:
+    """A group's cells are distinct rows of the table, each in the golden."""
+    assert len(set(keys)) == len(keys)
+    assert set(keys) <= ROWS.keys()
+    assert set(keys) <= golden().keys()
 
 
-def test_registry_cells_match_goldens(golden):
-    """Figure 5's ``CI/w256`` and Figure 3's twelve window-256 cells, run
-    through ``run_spec`` at the seed scale, reproduce the golden IPCs."""
-    ideal_golden = golden_table.load(golden_table.GOLDEN_DIR / "ideal_golden.json")
-
-    def at_256(name, keep=lambda cell: True):
-        spec = get_spec(name)
-        cells = tuple(c for c in spec.cells if c.key == 256 and keep(c))
-        return replace(spec, cells=cells)
-
-    detailed = run_spec(
-        at_256("figure5", lambda c: c.group == "CI"),
-        scale=SEED_SCALE, names="compress",
-    )
-    ideal = run_spec(at_256("figure3"), scale=SEED_SCALE, names=SEED_WORKLOADS)
-    key = f"compress@{SEED_SCALE}/CI/w256"
-    current = {key: detailed["compress"]["CI"][256]}
-    expected = {key: golden[key]["retired"] / golden[key]["cycles"]}
-    for workload in SEED_WORKLOADS:
-        for model in IdealModel:
-            key = f"{workload}@{SEED_SCALE}/{model.value}/w256"
-            current[key] = ideal[workload][model.value][256]
-            expected[key] = ideal_golden[key]["retired"] / ideal_golden[key]["cycles"]
-    assert len(current) == 13
-    assert current == expected
+def test_golden_covers_every_cell():
+    assert sorted(golden()) == sorted(key for key, *_ in CELLS)
 
 
 @pytest.mark.parametrize("name", ["core_golden.json", "ideal_golden.json"])
@@ -243,19 +200,8 @@ def test_golden_file_is_canonical(name):
     assert path.read_text() == golden_table.render(golden_table.load(path))
 
 
-def test_golden_changes_lists_each_changed_cell():
-    old = {"a": {"cycles": 5, "retired": 9}, "b": {"cycles": 1}, "c": {"cycles": 2}}
-    new = {"a": {"cycles": 6, "retired": 9}, "b": {"cycles": 1}, "d": {"cycles": 3}}
-    assert golden_table.golden_changes(old, new) == [
-        "moved   a: cycles 5 -> 6",
-        "dropped c",
-        'added   d: {"cycles": 3}',
-    ]
-    assert golden_table.golden_changes(new, new) == []
-
-
 def mint() -> None:
-    cells = {key: dataclasses.asdict(processor(key).run()) for key in ROWS}
+    cells = {key: outcome(key).stats for key in ROWS}
     golden_table.mint(GOLDEN_PATH, cells)
 
 

@@ -14,8 +14,9 @@ The cells cover the paths the Figure 3 sweep exercises:
   the scale the ledger runs, with restart stacks far deeper than at
   0.05;
 * the seed cells, go and compress under the six models at window 256
-  and scale 0.12, keyed ``<workload>@0.12/<model>/w256``, next to the
-  detailed seed cells of ``tests/test_core_golden.py``.
+  and scale 0.12, keyed ``<workload>@0.12/<model>/w256``.  They are
+  checked cell by cell in ``tests/test_equivalence.py``, next to the
+  detailed seed cells.
 
 The seed cells anchor to the seed implementation: their six counters
 (all but ``model`` and ``window_size``) equal the seed's, and every
@@ -62,7 +63,8 @@ SEED_WINDOW = 256
 
 
 def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
-    """Every golden cell as (key, workload, scale, model, window size)."""
+    """The kernel, family and Figure 3 cells as (key, workload, scale,
+    model, window size)."""
     cells = []
     for name in WORKLOAD_NAMES:
         for model in IdealModel:
@@ -85,16 +87,21 @@ def golden_cells() -> list[tuple[str, str, float, IdealModel, int]]:
                 f"{FIGURE3_NAME}@{FIGURE3_SCALE}/{model.value}/w{window}",
                 FIGURE3_NAME, FIGURE3_SCALE, model, window,
             ))
-    for name in SEED_NAMES:
-        for model in IdealModel:
-            cells.append((
-                f"{name}@{SEED_SCALE}/{model.value}/w{SEED_WINDOW}",
-                name, SEED_SCALE, model, SEED_WINDOW,
-            ))
     return cells
 
 
-CELLS = golden_cells()
+def seed_cells() -> list[tuple[str, str, float, IdealModel, int]]:
+    """The seed cells, pinned by ``tests/test_equivalence.py``."""
+    return [
+        (f"{name}@{SEED_SCALE}/{model.value}/w{SEED_WINDOW}",
+         name, SEED_SCALE, model, SEED_WINDOW)
+        for name in SEED_NAMES
+        for model in IdealModel
+    ]
+
+
+FIGURE_CELLS = golden_cells()
+CELLS = [*FIGURE_CELLS, *seed_cells()]
 
 
 @lru_cache(maxsize=None)
@@ -119,10 +126,22 @@ def test_golden_covers_every_cell(golden):
 
 
 @pytest.mark.parametrize(
-    "key,name,scale,model,window", CELLS, ids=[cell[0] for cell in CELLS]
+    "key,name,scale,model,window", FIGURE_CELLS,
+    ids=[cell[0] for cell in FIGURE_CELLS],
 )
 def test_ideal_result_matches_golden(golden, key, name, scale, model, window):
     assert result_fields(name, scale, model, window) == golden[key]
+
+
+def test_golden_changes_lists_each_changed_cell():
+    old = {"a": {"cycles": 5, "retired": 9}, "b": {"cycles": 1}, "c": {"cycles": 2}}
+    new = {"a": {"cycles": 6, "retired": 9}, "b": {"cycles": 1}, "d": {"cycles": 3}}
+    assert golden_table.golden_changes(old, new) == [
+        "moved   a: cycles 5 -> 6",
+        "dropped c",
+        'added   d: {"cycles": 3}',
+    ]
+    assert golden_table.golden_changes(new, new) == []
 
 
 def mint() -> None:
