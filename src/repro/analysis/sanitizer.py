@@ -2,9 +2,10 @@
 
 The detailed simulator maintains several redundant views of the same
 machine state: the ROB's doubly-linked list and its order keys and
-count, the fetch-frontier rename map and the commit-side map overlaid with the
-window's destination tags, the LSQ's store set and its unresolved
-subset.  A bug (or an injected fault) that breaks one view surfaces
+count, the fetch-frontier rename map and the commit-side map overlaid
+with the window's destination tags, the LSQ's store set and its
+unresolved subset, the incomplete-branch index and its oldest-gate
+cache.  A bug (or an injected fault) that breaks one view surfaces
 cycles later as a statistic drift or an unrelated cosimulation mismatch
 — expensive to trace back.  The sanitizer cross-checks the views every
 ``sanitize_stride`` cycles and raises a structured
@@ -34,6 +35,13 @@ Checked invariants, by ``SanitizerError.structure``:
   instructions; the unresolved-store set is a subset of the stores and
   contains every incomplete store (the branch-completion gate scans
   only this subset, so a dropped entry breaks memory ordering quietly).
+  The tables are keyed by pool handle: each store key names a store and
+  each load key a load.
+* ``branch-gates`` — the incomplete-branch index holds exactly the
+  window's branches and indirect jumps that have not completed, and a
+  valid oldest-gate cache names the oldest of them (the in-order
+  completion models gate on it).  The index is keyed by pool handle, so
+  a missed removal would alias the slot's next tenant.
 
 The sanitizer is attached by ``Processor.__init__`` as the *first*
 cycle hook when :meth:`repro.core.CoreConfig.sanitize_enabled` is true,
@@ -44,7 +52,7 @@ of cycle N and are caught by the check at the end of cycle N+1 (with
 
 from __future__ import annotations
 
-from ..core.soa import HEAD, TAIL, ST_DEAD, ST_RETIRED
+from ..core.soa import HEAD, TAIL, ST_COMPLETED, ST_DEAD, ST_RETIRED
 from ..errors import SanitizerError
 
 #: structures checked, in check order (stable for tests/docs)
@@ -54,6 +62,7 @@ STRUCTURES = (
     "rename-map",
     "commit-order",
     "lsq",
+    "branch-gates",
 )
 
 
@@ -89,6 +98,7 @@ class MachineSanitizer:
         self._check_rename_map(proc, linked)
         self._check_commit_order(proc)
         self._check_lsq(proc, linked)
+        self._check_branch_gates(proc, linked)
 
     def _fail(self, proc, structure: str, message: str) -> None:
         raise SanitizerError(
@@ -217,38 +227,74 @@ class MachineSanitizer:
         self._last_retired = retired
 
     def _check_lsq(self, proc, linked: list) -> None:
-        from ..core.soa import ST_COMPLETED
-
         lsq = proc.lsq
         pool = proc.pool
-        uid_col = pool.uid
-        window_uids = {uid_col[h] for h in linked}
+        window = set(linked)
         for kind, table in (("store", lsq._stores), ("load", lsq._loads)):
-            for uid, h in table.items():
-                if uid != uid_col[h]:
-                    self._fail(
-                        proc, "lsq",
-                        f"{kind} table key {uid} does not match slot uid "
-                        f"{uid_col[h]}",
-                    )
-                if uid not in window_uids:
+            for h in table:
+                if h not in window:
                     self._fail(
                         proc, "lsq",
                         f"{kind} {pool.describe(h)} is tracked by the LSQ "
                         "but no longer linked in the window",
                     )
-        for uid, h in lsq._unresolved_stores.items():
-            if uid not in lsq._stores:
+                if not getattr(pool.instr[h], "is_" + kind):
+                    self._fail(
+                        proc, "lsq",
+                        f"{kind} table key {pool.describe(h)} is not a {kind}",
+                    )
+        for h in lsq._unresolved_stores:
+            if h not in lsq._stores:
                 self._fail(
                     proc, "lsq",
                     f"unresolved store {pool.describe(h)} is not in the "
                     "store table (unresolved set must be a subset)",
                 )
-        for uid, h in lsq._stores.items():
-            if not pool.state[h] & ST_COMPLETED and uid not in lsq._unresolved_stores:
+        for h in lsq._stores:
+            if not pool.state[h] & ST_COMPLETED and h not in lsq._unresolved_stores:
                 self._fail(
                     proc, "lsq",
                     f"incomplete store {pool.describe(h)} is missing from "
                     "the unresolved-store subset (memory ordering gate "
                     "would ignore it)",
                 )
+
+    def _check_branch_gates(self, proc, linked: list) -> None:
+        pool = proc.pool
+        state = pool.state
+        instr_col = pool.instr
+        # ``linked`` runs oldest first, so ``expected`` does too.
+        expected = [
+            h
+            for h in linked
+            if (instr_col[h].is_branch or instr_col[h].is_indirect)
+            and not state[h] & ST_COMPLETED
+        ]
+        index = proc._incomplete_branches
+        for h in expected:
+            if h not in index:
+                self._fail(
+                    proc, "branch-gates",
+                    f"incomplete branch {pool.describe(h)} is missing from "
+                    "the incomplete-branch index",
+                )
+        if len(index) != len(expected):
+            members = set(expected)
+            extra = next(h for h in index if h not in members)
+            self._fail(
+                proc, "branch-gates",
+                f"incomplete-branch index holds {pool.describe(extra)}, "
+                "which is not an incomplete branch in the window",
+            )
+        if not proc._oldest_gate_valid:
+            return
+        oldest = expected[0] if expected else None
+        if proc._oldest_gate != oldest:
+            cached = proc._oldest_gate
+            self._fail(
+                proc, "branch-gates",
+                "oldest-gate cache names "
+                f"{'none' if cached is None else pool.describe(cached)} but "
+                f"the oldest incomplete branch is "
+                f"{'none' if oldest is None else pool.describe(oldest)}",
+            )

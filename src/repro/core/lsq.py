@@ -8,13 +8,13 @@ squashed out of the window, every younger load that already executed
 against an affected address is reissued — and its dependence chain
 follows through the register broadcast mechanism.
 
-Entries are pool handles into the shared columnar
+Entries are keyed by pool handle into the shared columnar
 :class:`~repro.core.soa.InstrPool`; the queue tracks only *live*
-instructions (``drop`` runs before the ROB recycles a slot), so handles
-here never dangle.  Order between entries comes from the pool's order
-column, so entries inserted into the middle of the window by a restart
-sequence compare correctly (paper Appendix A.4.3's physical-to-logical
-translation).
+instructions (``drop`` runs before the ROB recycles a slot), so a handle
+here never names a slot's next tenant.  Order between entries comes from
+the pool's order column, so entries inserted into the middle of the
+window by a restart sequence compare correctly (paper Appendix A.4.3's
+physical-to-logical translation).
 """
 
 from __future__ import annotations
@@ -27,43 +27,34 @@ class LoadStoreQueue:
 
     def __init__(self, pool: InstrPool):
         self.pool = pool
-        self._stores: dict[int, int] = {}
-        self._loads: dict[int, int] = {}
+        # Keyed by handle (values unused): dicts, not sets, so that the
+        # scans below run in insertion order.
+        self._stores: dict[int, None] = {}
+        self._loads: dict[int, None] = {}
         #: stores whose address is still unknown — kept in sync by
         #: :meth:`store_resolved` so the branch-completion gate scans the
         #: (usually tiny) unresolved subset, not every store in flight
-        self._unresolved_stores: dict[int, int] = {}
-        #: monotonic count of removals from the unresolved subset — the
-        #: only LSQ event that can open a store-gated branch-completion
-        #: gate, so the completion phase retries pending branches only
-        #: when it moved
-        self.unresolved_shrinks = 0
+        self._unresolved_stores: dict[int, None] = {}
 
     # ------------------------------------------------------------------
     def add(self, h: int) -> None:
-        pool = self.pool
-        instr = pool.instr[h]
-        uid = pool.uid[h]
+        instr = self.pool.instr[h]
         if instr.is_store:
-            self._stores[uid] = h
-            self._unresolved_stores[uid] = h
+            self._stores[h] = None
+            self._unresolved_stores[h] = None
         elif instr.is_load:
-            self._loads[uid] = h
+            self._loads[h] = None
 
     def drop(self, h: int) -> None:
-        pool = self.pool
-        if not pool.instr[h].is_mem:  # only memory ops are ever tracked
+        if not self.pool.instr[h].is_mem:  # only memory ops are ever tracked
             return
-        uid = pool.uid[h]
-        self._stores.pop(uid, None)
-        self._loads.pop(uid, None)
-        if self._unresolved_stores.pop(uid, None) is not None:
-            self.unresolved_shrinks += 1
+        self._stores.pop(h, None)
+        self._loads.pop(h, None)
+        self._unresolved_stores.pop(h, None)
 
     def store_resolved(self, h: int) -> None:
         """The store completed: its address is now known."""
-        if self._unresolved_stores.pop(self.pool.uid[h], None) is not None:
-            self.unresolved_shrinks += 1
+        self._unresolved_stores.pop(h, None)
 
     # ------------------------------------------------------------------
     def forward_source(self, load: int) -> int | None:
@@ -76,7 +67,7 @@ class LoadStoreQueue:
         best_order = 0
         addr = addr_col[load]
         order = order_col[load]
-        for sh in self._stores.values():
+        for sh in self._stores:
             store_order = order_col[sh]
             if (
                 state[sh] & ST_COMPLETED
@@ -94,7 +85,7 @@ class LoadStoreQueue:
         state = pool.state
         order_col = pool.order
         order = order_col[h]
-        for sh in self._unresolved_stores.values():
+        for sh in self._unresolved_stores:
             if not state[sh] & ST_COMPLETED and order_col[sh] < order:
                 return True
         return False
@@ -112,7 +103,7 @@ class LoadStoreQueue:
         issue_count = pool.issue_count
         order = order_col[store]
         out = []
-        for lh in self._loads.values():
+        for lh in self._loads:
             if order_col[lh] > order and addr_col[lh] in addrs and issue_count[lh] > 0:
                 out.append(lh)
         return out

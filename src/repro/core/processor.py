@@ -144,15 +144,16 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
 
         self._last_active: _Context | None = None
         self._needs_remap = False
-        #: ready heap of pure int tuples (eligible, order, uid, handle);
-        #: the uid self-validates popped entries against slot recycling
-        self._ready: list[tuple[int, int, int, int]] = []
+        #: ready heap of int tuples (eligible, order, ref); the packed ref
+        #: self-validates a popped entry against slot recycling
+        self._ready: list[tuple[int, int, int]] = []
         #: gated branches: packed refs and their issue tokens, in two
         #: parallel lists like a completion-wheel slot
         self._pending_refs: list[int] = []
         self._pending_tokens: list[int] = []
-        #: uid -> pool handle of every in-window incomplete branch
-        self._incomplete_branches: dict[int, int] = {}
+        #: pool handles of every in-window incomplete branch and indirect
+        #: jump (values unused; a dict iterates in insertion order)
+        self._incomplete_branches: dict[int, None] = {}
 
         # Completion events live in a preallocated ring sized past the
         # largest possible completion latency (op latency, or a load
@@ -173,27 +174,6 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         # incomplete branch in the window".
         self._oldest_gate: int | None = None
         self._oldest_gate_valid = True
-
-        # Pending-branch retries: a gated branch can only complete after
-        # an event that opens a gate — the oldest-gate cache invalidated
-        # (its branch completed or was squashed; counted here) or the
-        # LSQ's unresolved-store subset shrinking (counted by the LSQ).
-        # The completion loop sweeps the pending lists only when the
-        # counters its gates consult moved since the last sweep; a
-        # skipped sweep would only have retried branches whose gates
-        # were all still closed.  The false-misprediction oracle's delay
-        # depends on repredicts and window positions, which are not gate
-        # events, so under it every cycle sweeps.
-        self._oldest_gate_events = 0
-        self._swept_events = 0
-
-        # Rename-map memoization: _map_after results are valid until the
-        # window contents (or the commit-side map) change; the epoch
-        # stamps both.  Nested recoveries and the sequencer reactivation
-        # repeatedly rebuild the same anchor's map within one cycle.
-        self._map_epoch = 0
-        self._map_cache: dict[int, list] = {}
-        self._map_cache_epoch = -1
 
         # Per-cycle recovery flag for the cycle-accounting layer (set by
         # ``_recover``, counted and cleared by the cycle loop).
@@ -321,8 +301,6 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         cache_access = self.cache.access
         incomplete = self._incomplete_branches
         hfm = self.config.hide_false_mispredictions
-        gate_in_order = self._gate_in_order
-        gate_stores = self._gate_stores
         ready = self._ready
         wheel = self._completing
         wheel_mask = wheel._mask
@@ -330,7 +308,6 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         wheel_tokens = wheel._tokens
         pool = self.pool
         state = pool.state
-        uids = pool.uid
         refs = pool.ref
         orders = pool.order
         issue_count = pool.issue_count
@@ -357,11 +334,10 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                 )
 
             # -- complete and broadcast ----------------------------------
-            # One loop serves the events due this cycle and, when a
-            # gate-opening event moved since the last sweep, the
-            # pending-branch retry (see ``_oldest_gate_events`` in the
-            # constructor); the false-misprediction oracle's delay is
-            # not gate-driven, so under it every cycle sweeps.
+            # One loop serves the events due this cycle and then, when
+            # any branch is pending, one retry sweep of the pending
+            # lists; a branch whose gate is still closed re-appends in
+            # the same order.
             due = batch = wheel_nodes[cycle & wheel_mask]
             tokens = wheel_tokens[cycle & wheel_mask]
             completed_any = False
@@ -387,10 +363,9 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                             self._pending_tokens.append(token)
                             continue
                         state[h] = s | ST_COMPLETED
-                        incomplete.pop(uids[h], None)
+                        incomplete.pop(h, None)
                         if self._oldest_gate == h:
                             self._oldest_gate_valid = False
-                            self._oldest_gate_events += 1
                     else:
                         state[h] = s | ST_COMPLETED
                         if instr.is_store:
@@ -448,9 +423,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                                     if eligible < cycle:
                                         eligible = cycle
                                     state[ch] = cs | ST_IN_READY
-                                    heappush(
-                                        ready, (eligible, orders[ch], uids[ch], ch)
-                                    )
+                                    heappush(ready, (eligible, orders[ch], cref))
                             if dead > 8 and dead * 2 > len(consumers):
                                 tag.consumers = [
                                     r
@@ -466,12 +439,6 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                 tokens.clear()
                 if not self._pending_refs:
                     break
-                events = self._oldest_gate_events if gate_in_order else 0
-                if gate_stores:
-                    events += lsq.unresolved_shrinks
-                if events == self._swept_events and not hfm:
-                    break
-                self._swept_events = events
                 batch = self._pending_refs
                 tokens = self._pending_tokens
                 self._pending_refs = []
@@ -505,11 +472,12 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                 budget = WIDTH
                 issued = 0
                 while ready and budget > 0:
-                    eligible, _, uid, h = ready[0]
+                    eligible, _, ref = ready[0]
                     if eligible > cycle:
                         break
                     heappop(ready)
-                    if uids[h] != uid:
+                    h = ref & REF_MASK
+                    if refs[h] != ref:
                         # Slot recycled since the push: the entry belongs
                         # to a dead instruction; the current occupant's
                         # own in-ready flag must not be touched.
@@ -559,7 +527,7 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                     # LATENCY_TABLE and the cache's miss latency, so no
                     # latency wraps onto a slot holding another cycle.
                     slot = (cycle + latency) & wheel_mask
-                    wheel_nodes[slot].append(refs[h])
+                    wheel_nodes[slot].append(ref)
                     wheel_tokens[slot].append(token)
                 if issued:
                     stats.issues_total += issued

@@ -11,8 +11,7 @@ Consumers and the producer are recorded as *packed pool references*
 (``InstrPool.ref`` values, ``(uid << 32) | handle``), not handles: a
 consumer entry can outlive its instruction (retire/squash does not scrub
 registration lists), and a packed ref self-invalidates once the slot is
-recycled (``pool.ref[ref & REF_MASK] != ref``), exactly replacing the
-historical dead-node identity checks.
+recycled (``pool.ref[ref & REF_MASK] != ref``).
 
 A rename map is a plain list indexed by architectural register.  Recovery
 never undoes it backward: ``RecoveryStage._map_after`` rebuilds a map

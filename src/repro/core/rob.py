@@ -2,13 +2,11 @@
 
 The ROB is a doubly-linked window of dynamic instructions supporting
 insertion and removal at arbitrary points — the structure restart
-sequences need.  Since the columnar object model
-(:class:`repro.core.soa.InstrPool`), an instruction is an integer
-*handle* into the pool's columns and the links are two int columns
-(``prev``/``next``) indexed by handle; the window boundaries are the
-pool's permanent :data:`~repro.core.soa.HEAD` /
-:data:`~repro.core.soa.TAIL` slots, so there are no sentinel objects
-(and no uninitialized-``Instruction`` hack to fabricate them).
+sequences need.  An instruction is an integer *handle* into the
+columns of :class:`repro.core.soa.InstrPool` and the links are two int
+columns (``prev``/``next``) indexed by handle; the window boundaries
+are the pool's permanent :data:`~repro.core.soa.HEAD` /
+:data:`~repro.core.soa.TAIL` slots, so there are no sentinel objects.
 
 Logical order between any two entries is decided by integer keys in the
 pool's ``order`` column.  Tail appends (the hot path) take strictly
@@ -157,10 +155,10 @@ class ReorderBuffer:
         return them to the pool's free list, youngest first.
 
         Retirement unlinks the head (``first == last``); a squash
-        unlinks its whole range in one call.  The slots' ``uid``,
-        ``ref`` and dead ``state`` bits survive until they are claimed
-        again, so stale heap/wheel references validate (and skip)
-        against them; fetch resets their columns when it claims them.
+        unlinks its whole range in one call.  The slots' ``ref`` and
+        dead ``state`` bits survive until they are claimed again, so
+        stale heap/wheel references validate (and skip) against them;
+        fetch resets their columns when it claims them.
         """
         pool = self.pool
         prev_col = pool.prev

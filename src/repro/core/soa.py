@@ -17,8 +17,8 @@ preallocated columns rather than per-instruction Python objects:
 
 Deliberately *not* columnar (measured, not assumed):
 
-* the ready list stays a ``heapq`` of ``(eligible, order, uid, handle)``
-  int tuples — CPython's C-implemented heap beats any Python-level
+* the ready list stays a ``heapq`` of ``(eligible, order, ref)`` int
+  tuples — CPython's C-implemented heap beats any Python-level
   sift-up/down over parallel arrays at window-sized occupancies;
 * the rename map stays a list of ``PhysReg`` objects — tags are already
   shared write-many cells, and the broadcast network addresses them
@@ -33,9 +33,9 @@ Deliberately *not* columnar (measured, not assumed):
   ``int64`` buffer — CPython 3.11 specializes ``list`` subscripts in
   the interpreter but not those of other sequences, and a typed buffer
   boxes a fresh ``int`` on every read of a large value (order keys,
-  uids).  A read and a write of one 258-slot column cost ~28 ns from a
-  list, ~93 ns from ``array('q')`` and ~190 ns from numpy (Intel Xeon,
-  CPython 3.11).  Over the detailed cells of a paper study, list
+  packed refs).  A read and a write of one 258-slot column cost ~28 ns
+  from a list, ~93 ns from ``array('q')`` and ~190 ns from numpy (Intel
+  Xeon, CPython 3.11).  Over the detailed cells of a paper study, list
   columns cut core time ~13% against ``array('q')``; at windows of
   4096 and 8192, where numpy had been auto-selected, CI ran in less
   than half the time with lists.  No input measured favours a typed
@@ -74,12 +74,15 @@ ST_DEAD = ST_RETIRED | ST_SQUASHED
 #: "completed": not in the ready heap, not executing, not recovering
 ST_RETIRE_GATE = ST_COMPLETED | ST_IN_READY | ST_INFLIGHT | ST_RECOVERING
 
-#: packed slot references: ``ref = (uid << REF_SHIFT) | handle``.  A ref
-#: stored in a side structure (ready heap payloads validate by uid, the
-#: completion wheel, register consumer lists, ``fwd_store``) stays valid
-#: across slot recycling — a recycled slot rewrites its ``ref`` column
-#: entry, so ``pool.ref[ref & REF_MASK] == ref`` iff the referenced
-#: instruction still owns the slot.
+#: packed slot references: ``ref = (uid << REF_SHIFT) | handle``, where
+#: ``uid`` is the fetch sequence number (``Processor.uid_counter``).  An
+#: instruction has two names: its handle, used by the tables that only
+#: ever hold live instructions, and its ref, held by everything that can
+#: outlive it (the ready heap, the completion wheel, the pending-branch
+#: lists, register consumer lists, ``fwd_store``).  A recycled slot
+#: rewrites its ``ref`` column entry, so ``pool.ref[ref & REF_MASK] ==
+#: ref`` iff the referenced instruction still owns the slot, and ref
+#: order is fetch order.
 REF_SHIFT = 32
 REF_MASK = (1 << REF_SHIFT) - 1
 
@@ -87,10 +90,10 @@ REF_MASK = (1 << REF_SHIFT) - 1
 class InstrPool:
     """Preallocated columnar store of every in-flight instruction.
 
-    One column per ``DynInstr`` field of the historical object model; an
-    instruction is an integer handle into them.  The detailed core's
-    fetch loop (``SequencerStage._fetch``) claims a slot off the LIFO
-    free list ``_free`` at dispatch and links it in place, and the
+    One column per dynamic-instruction field; an instruction is an
+    integer handle into them.  The detailed core's fetch loop
+    (``SequencerStage._fetch``) claims a slot off the LIFO free list
+    ``_free`` at dispatch and links it in place, and the
     owning :class:`~repro.core.rob.ReorderBuffer` pushes it back when
     retirement or a squash unlinks it (``ReorderBuffer.unlink``, one
     call per retired instruction or per squashed range).  Handles
@@ -98,26 +101,24 @@ class InstrPool:
     slots and are never claimed.
 
     Every column is a plain ``list`` (see the module docstring for the
-    measurement): the link/ordering/liveness columns (``uid``,
-    ``order``, ``prev``, ``next``, ``state``) that every hot-path check
-    touches, and the tag, value, address and control-state columns,
-    which also hold Python objects and feed statistics and JSON
+    measurement): the link/ordering/liveness columns (``order``,
+    ``prev``, ``next``, ``state``) that every hot-path check touches, the
+    ``ref`` column, and the tag, value, address and control-state
+    columns, which also hold Python objects and feed statistics and JSON
     checkpoints as plain ints.
 
-    A freed slot keeps its ``uid`` and dead ``state`` bits until the
-    slot is claimed again, so stale references held by the ready heap or
-    the completion wheel validate (and skip) exactly like the historical
-    dead-node checks.  The claim resets only the columns the claiming
-    instruction's class can read before it writes them (see
-    ``SequencerStage._fetch``); dispatch writes the four rename columns
-    for every instruction.
+    A freed slot keeps its ``ref`` and dead ``state`` bits until the
+    slot is claimed again, so a stale ref held by the ready heap or the
+    completion wheel still names a dead instruction.  The claim resets
+    only the columns the claiming instruction's class can read before it
+    writes them (see ``SequencerStage._fetch``); dispatch writes the four
+    rename columns for every instruction.
     """
 
     __slots__ = (
         "capacity",
         "allocated_total",
         # link / ordering / liveness columns
-        "uid",
         "order",
         "prev",
         "next",
@@ -157,7 +158,6 @@ class InstrPool:
             raise ValueError("InstrPool needs the two boundary slots plus one")
         self.capacity = capacity
         self.allocated_total = 0
-        self.uid = [-1] * capacity
         self.order = [-1] * capacity
         self.prev = [-1] * capacity
         self.next = [-1] * capacity
@@ -187,9 +187,7 @@ class InstrPool:
         self.current_next_pc = [0] * capacity
         self.outcome_taken = [False] * capacity
         self.outcome_next_pc = [0] * capacity
-        # Boundary slots: alive (state 0), fixed uids, linked by the ROB.
-        self.uid[HEAD] = -1
-        self.uid[TAIL] = -2
+        # Boundary slots: alive (state 0), linked by the ROB.
         self.state[HEAD] = 0
         self.state[TAIL] = 0
         # LIFO free list over the real slots; popping from the end means
@@ -215,7 +213,7 @@ class InstrPool:
         """Diagnostic rendering of a slot (sanitizer/injector messages)."""
         instr = self.instr[h]
         op = instr.op.name if instr is not None else "?"
-        return f"<{self.uid[h]}:{self.pc[h]}:{op}>"
+        return f"<{self.ref[h] >> REF_SHIFT}:{self.pc[h]}:{op}>"
 
 
 class CompletionWheel:

@@ -17,16 +17,15 @@ loop, over its locals; this module holds what they call per event:
 * the completion-model gates: in-order models consult the
   event-maintained oldest-incomplete-branch cache, store-gated models
   the LSQ's unresolved-store subset.  A branch whose gate is closed
-  waits in the pending lists, which the completion loop retries only
-  after an event that can open a gate: the cached oldest branch
-  completing or being squashed, or the unresolved-store subset
-  shrinking.
+  waits in the pending lists, which the completion loop retries once
+  per cycle while they are non-empty; a retry whose gate is still
+  closed re-appends the branch in the same order.
 
-All instruction state lives in the columnar pool: the ready heap carries
-pure int tuples ``(eligible, order, uid, handle)`` — the uid in the
-tuple self-validates a popped entry against slot recycling — and the
-completion wheel plus the pending-branch lists carry packed refs that
-self-invalidate the same way (``pool.ref[ref & REF_MASK] != ref``).
+All instruction state lives in the columnar pool.  The ready heap
+carries int tuples ``(eligible, order, ref)``; the completion wheel and
+the pending-branch lists carry packed refs too, and every one of them
+self-invalidates once its slot is recycled (``pool.ref[ref & REF_MASK]
+!= ref``).
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class BackendStage:
         state[h] = s | ST_IN_READY
         heappush(
             self._ready,
-            (eligible if eligible > floor else floor, pool.order[h], pool.uid[h], h),
+            (eligible if eligible > floor else floor, pool.order[h], pool.ref[h]),
         )
 
     def _store_executed(self, h: int) -> None:
@@ -93,7 +92,7 @@ class BackendStage:
             state = pool.state
             orders = pool.order
             oldest = None
-            for oh in self._incomplete_branches.values():
+            for oh in self._incomplete_branches:
                 if not state[oh] & (ST_COMPLETED | ST_DEAD) and (
                     oldest is None or orders[oh] < orders[oldest]
                 ):

@@ -6,8 +6,7 @@ point, selectively squashes the incorrect control-dependent region (or
 fully squashes when no reconvergent point is in the window), and drives
 the redispatch walk that remaps source registers, replays the RAS and
 re-predicts control-independent branches against the repaired history.
-Rename maps are rebuilt forward from the commit-side map and memoized
-per window epoch.
+Rename maps are rebuilt forward from the commit-side map.
 
 Squash ordering under the columnar pool: ``_squash_after`` is the one
 squash path, one backward loop over a range of the window.  It recycles
@@ -236,33 +235,22 @@ class RecoveryStage:
     def _map_after(self, anchor: int) -> list:
         """Rename map just after ``anchor`` executes, rebuilt forward from
         the commit-side map over the live window contents.  Immune to any
-        amount of prior insertion, removal and redispatch.
-
-        Memoized per (window epoch, anchor): a recovery builds this map
-        and the sequencer's reactivation immediately rebuilds it for the
-        same anchor, so repeated walks within one epoch are one dict hit.
-        Callers mutate the returned map, so each call hands out a copy."""
+        amount of prior insertion, removal and redispatch.  Callers own
+        (and mutate) the returned list."""
         pool = self.pool
-        if self._map_cache_epoch != self._map_epoch:
-            self._map_cache.clear()
-            self._map_cache_epoch = self._map_epoch
-        key = pool.uid[anchor]
-        snap = self._map_cache.get(key)
-        if snap is None:
-            snap = list(self.retired_map)
-            next_col = pool.next
-            dest_arch = pool.dest_arch
-            dest_tag = pool.dest_tag
-            node = next_col[HEAD]
-            while node != TAIL:
-                arch = dest_arch[node]
-                if arch is not None:
-                    snap[arch] = dest_tag[node]
-                if node == anchor:
-                    break
-                node = next_col[node]
-            self._map_cache[key] = snap
-        return list(snap)
+        rmap = list(self.retired_map)
+        next_col = pool.next
+        dest_arch = pool.dest_arch
+        dest_tag = pool.dest_tag
+        node = next_col[HEAD]
+        while node != TAIL:
+            arch = dest_arch[node]
+            if arch is not None:
+                rmap[arch] = dest_tag[node]
+            if node == anchor:
+                break
+            node = next_col[node]
+        return rmap
 
     def _full_squash(self, branch: int) -> None:
         pool = self.pool
@@ -301,10 +289,8 @@ class RecoveryStage:
         if last == last_kept:
             return 0
         self._needs_remap = True  # captured maps may now reference the dead
-        self._map_epoch += 1
         state = pool.state
         instr_col = pool.instr
-        uids = pool.uid
         lsq = self.lsq
         incomplete = self._incomplete_branches
         squashed = 0
@@ -321,12 +307,10 @@ class RecoveryStage:
                     for load in lsq.loads_affected_by(h, {pool.addr[h]}):
                         self.stats.reissues_memory += 1
                         self._wake(load, self.cycle + 1)
-            elif (instr.is_branch or instr.is_indirect) and (
-                incomplete.pop(uids[h], None) is not None
-            ):
+            elif (instr.is_branch or instr.is_indirect) and h in incomplete:
+                del incomplete[h]
                 if self._oldest_gate == h:
                     self._oldest_gate_valid = False
-                    self._oldest_gate_events += 1
             prev = prev_col[h]
             if prev == last_kept:
                 break

@@ -78,7 +78,6 @@ class RetireStage:
             stats.issues_of_retired += pool.issue_count[h]
             state[h] |= ST_RETIRED
             retired_any = True
-            self._map_epoch += 1
             if instr.is_mem:
                 lsq.drop(h)
             rob.unlink(h, h)

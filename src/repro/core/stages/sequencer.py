@@ -134,7 +134,6 @@ class SequencerStage:
         code = self._code
         code_len = self._code_len
         free_pop = pool._free.pop
-        uid_col = pool.uid
         ref_col = pool.ref
         pc_col = pool.pc
         instr_col = pool.instr
@@ -211,7 +210,6 @@ class SequencerStage:
                     live=pool.live,
                 ) from None
             ref = (uid << REF_SHIFT) | h
-            uid_col[h] = uid
             ref_col[h] = ref
             pc_col[h] = fetch_pc
             instr_col[h] = instr
@@ -305,7 +303,7 @@ class SequencerStage:
                         self._return_targets.add(next_pc)
                 fetch_pc = next_pc
                 if instr.is_branch or instr.is_indirect:
-                    incomplete[uid] = h
+                    incomplete[h] = None
                     if self._oldest_gate_valid:
                         oldest = self._oldest_gate
                         if oldest is None or order_col[h] < order_col[oldest]:
@@ -321,7 +319,7 @@ class SequencerStage:
             # stage) when its operands are, else waiting for a wakeup.
             if (t1 is None or t1.ready) and (t2 is None or t2.ready):
                 state[h] = ST_IN_READY
-                heappush(ready, (eligible, order_col[h], uid, h))
+                heappush(ready, (eligible, order_col[h], ref))
             else:
                 state[h] = 0
             uid += 1
@@ -340,7 +338,6 @@ class SequencerStage:
             self.uid_counter = uid
             pool.allocated_total += fetched
             self.stats.fetched += fetched
-            self._map_epoch += 1
             if restart:
                 ctx.insert_point = after
                 ctx.inserted += fetched

@@ -46,6 +46,7 @@ from ..cfg import ReconvergenceTable
 from ..core import CoreConfig, CoreStats, GoldenTrace, Processor
 from ..core.soa import (
     HEAD,
+    REF_SHIFT,
     TAIL,
     ST_COMPLETED,
     ST_DEAD,
@@ -121,7 +122,7 @@ class RegisterValueFault(FaultInjector):
                 pool.value[h] ^= self.mask
                 pool.dest_tag[h].value = pool.value[h]
                 self.description = (
-                    f"xor value of pc {pool.pc[h]} (uid {pool.uid[h]}) "
+                    f"xor value of pc {pool.pc[h]} (uid {pool.ref[h] >> REF_SHIFT}) "
                     f"with {self.mask:#x} at cycle {proc.cycle}"
                 )
                 return True
@@ -160,7 +161,7 @@ class PredictorStateFault(FaultInjector):
                 )
                 self.description = (
                     f"flipped committed path of branch pc {pool.pc[h]} "
-                    f"(uid {pool.uid[h]}) to {pool.current_next_pc[h]} "
+                    f"(uid {pool.ref[h] >> REF_SHIFT}) to {pool.current_next_pc[h]} "
                     f"at cycle {proc.cycle}"
                 )
                 return True
@@ -247,7 +248,7 @@ class DroppedWakeupFault(FaultInjector):
         super().__init__(seed, trigger_retired)
         self.drop_index = drop_index
         self.require_issued = require_issued
-        self.victim_uid: int | None = None
+        self.victim_ref: int | None = None
         self.dropped = 0
         self._seen = 0
 
@@ -258,7 +259,7 @@ class DroppedWakeupFault(FaultInjector):
 
         def _wake(h, eligible):
             if self.fired:
-                if pool.uid[h] == self.victim_uid:
+                if pool.ref[h] == self.victim_ref:
                     self.dropped += 1
                     return
             elif processor.retired_count >= self.trigger_retired and (
@@ -266,11 +267,12 @@ class DroppedWakeupFault(FaultInjector):
             ):
                 if self._seen == self.drop_index:
                     self.fired = True
-                    self.victim_uid = pool.uid[h]
+                    self.victim_ref = pool.ref[h]
                     self.dropped = 1
                     self.description = (
                         f"dropping wakeups of pc {pool.pc[h]} "
-                        f"(uid {pool.uid[h]}) from cycle {processor.cycle}"
+                        f"(uid {self.victim_ref >> REF_SHIFT}) "
+                        f"from cycle {processor.cycle}"
                     )
                     return
                 self._seen += 1
@@ -309,7 +311,8 @@ class ROBOrderFault(FaultInjector):
         )
         self.description = (
             f"swapped order keys of pcs {pool.pc[older]}/{pool.pc[younger]} "
-            f"(uids {pool.uid[older]}/{pool.uid[younger]}) "
+            f"(uids {pool.ref[older] >> REF_SHIFT}/"
+            f"{pool.ref[younger] >> REF_SHIFT}) "
             f"at cycle {proc.cycle}"
         )
         return True
@@ -372,8 +375,8 @@ class TagAliasFault(FaultInjector):
         dest_tag[younger] = dest_tag[older]
         self.description = (
             f"aliased dest tag of pc {pool.pc[younger]} "
-            f"(uid {pool.uid[younger]}) onto pc {pool.pc[older]} "
-            f"(uid {pool.uid[older]}) at cycle {proc.cycle}"
+            f"(uid {pool.ref[younger] >> REF_SHIFT}) onto pc {pool.pc[older]} "
+            f"(uid {pool.ref[older] >> REF_SHIFT}) at cycle {proc.cycle}"
         )
         return True
 
@@ -385,8 +388,7 @@ class LSQDropFault(FaultInjector):
     subset, so the machine believes the store's address is resolved and
     lets younger loads and branches proceed against it.  The drop goes
     through :meth:`~repro.core.lsq.LoadStoreQueue.store_resolved`, the
-    LSQ's own removal path, so pending branches are retried just as
-    after a real resolution.  The victim has not issued, so it cannot
+    LSQ's own removal path.  The victim has not issued, so it cannot
     complete (and legitimately leave the subset) before the next
     sanitizer check.  Caught by ``sanitizer[lsq]``.
     """
@@ -396,17 +398,15 @@ class LSQDropFault(FaultInjector):
     def _inject(self, proc: Processor) -> bool:
         pool = proc.pool
         state = pool.state
-        for uid, h in proc.lsq._unresolved_stores.items():
+        for h in proc.lsq._unresolved_stores:
             if (
                 not state[h] & (ST_COMPLETED | ST_INFLIGHT)
                 and pool.issue_count[h] == 0
             ):
-                # Through the LSQ's own removal path, so the
-                # unresolved-subset shrink counter moves exactly as a
-                # real resolution would move it.
                 proc.lsq.store_resolved(h)
                 self.description = (
-                    f"dropped store pc {pool.pc[h]} (uid {uid}) from the "
+                    f"dropped store pc {pool.pc[h]} "
+                    f"(uid {pool.ref[h] >> REF_SHIFT}) from the "
                     f"unresolved subset at cycle {proc.cycle}"
                 )
                 return True

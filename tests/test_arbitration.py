@@ -1,9 +1,10 @@
 """Runtime check of the ready heap's same-cycle arbitration keys.
 
 When several instructions become issue-eligible in the same cycle, the
-ready heap breaks the tie by ``(eligible, order, uid)``; entries are
-``(eligible, order, uid, handle)`` int tuples whose ``order`` and
-``uid`` are read from the pool columns at push time.  Every ready-heap
+ready heap breaks the tie by ``(eligible, order, ref)``; entries are
+``(eligible, order, ref)`` int tuples whose ``order`` and packed
+``ref`` are read from the pool columns at push time (ref order is fetch
+order, ``ref = uid << REF_SHIFT | handle``).  Every ready-heap
 push and pop runs through an instrumented ``heapq`` shim (installed by
 monkeypatching the ``heappush``/``heappop`` globals of the modules that
 touch the heap: the cycle loop in ``repro.core.processor``, the fetch
@@ -14,7 +15,7 @@ permanent hot-path hooks), which verifies:
   push site it does not patch, and every cell pops at least as many
   entries as it issued instructions (``CoreStats.issues_total``);
 * every pushed entry has that layout, and its captured ``order`` and
-  ``uid`` equal the pool columns at push time;
+  ``ref`` equal the pool columns at push time;
 * the epoch clause: a popped live entry whose captured ``order`` no
   longer equals the slot's live ``order`` (a stale pop) is preceded by
   a ``_respace`` since its push.
@@ -38,6 +39,7 @@ import pytest
 from repro.core import CoreConfig, Processor, ReconvPolicy
 from repro.core import processor as processor_mod
 from repro.core.rob import ReorderBuffer
+from repro.core.soa import REF_MASK
 from repro.core.stages import backend as backend_mod
 from repro.core.stages import sequencer as sequencer_mod
 from repro.fuzz import load_corpus
@@ -50,7 +52,7 @@ SEED_KEYS = [key for key, _, scale, *_ in CELLS if scale == SEED_SCALE]
 RECOVERY_KEYS = [key for key, name, *_ in CELLS if name.startswith("fam:")]
 CORPUS_DIR = Path(__file__).parent / "corpus"
 #: ready-heap entry layout, in tuple order
-KEY_FIELDS = ("eligible", "order", "uid", "handle")
+KEY_FIELDS = ("eligible", "order", "ref")
 #: recovery-cell machines on which ``_respace`` must never fire
 NO_RESPACE_MACHINES = ("BASE", "CI", "CI-I")
 
@@ -58,11 +60,11 @@ NO_RESPACE_MACHINES = ("BASE", "CI", "CI-I")
 class HeapRecorder:
     """Key-checking ``heapq`` stand-in plus epoch bookkeeping.
 
-    Entries are pure int tuples whose payload is a pool handle; the
+    Entries are pure int tuples whose payload is a packed pool ref; the
     recorder latches the machine's :class:`~repro.core.soa.InstrPool`
     when the ReorderBuffer is built, and validates captured keys against
-    the pool's live columns.  A popped entry whose captured ``uid`` no
-    longer matches the slot's live ``uid`` is a *dead* entry (the slot
+    the pool's live columns.  A popped entry whose captured ``ref`` no
+    longer matches the slot's live ``ref`` is a *dead* entry (the slot
     was recycled) — the simulator discards it, so key staleness is
     vacuous there."""
 
@@ -86,13 +88,13 @@ class HeapRecorder:
     def heappush(self, heap, entry):
         self.pushes += 1
         pool = self.pool
-        h = entry[-1]
+        h = entry[-1] & REF_MASK
         if len(entry) != len(KEY_FIELDS):
             self.violations.append(f"push arity {len(entry)} != {len(KEY_FIELDS)}")
-        elif entry[1] != pool.order[h] or entry[2] != pool.uid[h]:
+        elif entry[1] != pool.order[h] or entry[2] != pool.ref[h]:
             self.violations.append(
                 f"push key ({entry[1]}, {entry[2]}) != pool columns "
-                f"({pool.order[h]}, {pool.uid[h]}) at push time"
+                f"({pool.order[h]}, {pool.ref[h]}) at push time"
             )
         self._entry_epoch[id(entry)] = (self.epoch, entry)
         real_heapq.heappush(heap, entry)
@@ -108,8 +110,8 @@ class HeapRecorder:
             return entry
         pushed_epoch = record[0]
         pool = self.pool
-        h = entry[-1]
-        if pool.uid[h] != entry[2]:
+        h = entry[-1] & REF_MASK
+        if pool.ref[h] != entry[2]:
             self.dead_pops += 1  # slot recycled: entry is self-invalidated
         elif entry[1] != pool.order[h]:
             self.stale_pops += 1

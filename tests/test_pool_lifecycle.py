@@ -26,6 +26,7 @@ from repro.core import CoreConfig, Processor, ReconvPolicy
 from repro.core.soa import (
     HEAD,
     REF_MASK,
+    REF_SHIFT,
     ST_DEAD,
     TAIL,
 )
@@ -130,7 +131,7 @@ def test_uid_and_ref_survive_free_until_realloc():
     ref = pool.ref[h]
     squash(proc, h)
     # dead bits and identity survive the unlink
-    assert pool.uid[h] == 7
+    assert pool.ref[h] >> REF_SHIFT == 7
     assert pool.state[h] & ST_DEAD
     assert pool.valid_ref(ref)  # still addresses the (dead) tenant
     assert not pool.is_alive(h)
@@ -144,7 +145,7 @@ def test_recycle_invalidates_stale_refs_and_bumps_uid():
     squash(proc, h)
     h2 = dispatch(proc, 8, pc=4, cycle=1)
     assert h2 == h  # recycled slot
-    assert pool.uid[h] == 8
+    assert pool.ref[h] >> REF_SHIFT == 8
     assert not pool.valid_ref(stale)  # old ref no longer matches
     assert pool.valid_ref(pool.ref[h])
     assert (stale & REF_MASK) == h  # same slot, different tenant

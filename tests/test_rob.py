@@ -12,14 +12,14 @@ from hypothesis import given, strategies as st
 
 from repro.core import ReorderBuffer
 from repro.core.rob import _SPACING, _TAIL_ORDER
-from repro.core.soa import TAIL
+from repro.core.soa import REF_SHIFT, TAIL
 
 from fetch_bench import bench, dispatch, squash
 
 
 def window_uids(proc):
     rob = proc.rob
-    return [rob.pool.uid[h] for h in rob.iter_all()]
+    return [rob.pool.ref[h] >> REF_SHIFT for h in rob.iter_all()]
 
 
 def window_orders(proc):

@@ -5,7 +5,14 @@ import pytest
 
 from repro.analysis import STRUCTURES, MachineSanitizer
 from repro.cfg import ReconvergenceTable
-from repro.core import CoreConfig, CoreStats, GoldenTrace, Processor, ReconvPolicy
+from repro.core import (
+    CompletionModel,
+    CoreConfig,
+    CoreStats,
+    GoldenTrace,
+    Processor,
+    ReconvPolicy,
+)
 from repro.errors import ConfigError, SanitizerError
 from repro.robustness import (
     LSQDropFault,
@@ -144,6 +151,62 @@ class TestFaultLocalization:
             pytest.fail("sanitizer ran while disabled")
         except Exception:
             pass  # any other checker may legitimately trip later
+
+
+class TestBranchGateIndex:
+    """Planted violations of the ``branch-gates`` clauses.  A test-local
+    cycle hook, registered after the sanitizer, corrupts the index at
+    the end of one cycle; the next cycle's check must name it."""
+
+    @staticmethod
+    def _run_with_hook(bundle, hook, **cfg_kwargs):
+        program, golden, table = bundle
+        cfg = CoreConfig(
+            window_size=128, sanitize=True, sanitize_stride=1, **cfg_kwargs
+        )
+        proc = Processor(program, cfg, golden, table)
+        proc.add_cycle_hook(hook)
+        with pytest.raises(SanitizerError) as excinfo:
+            proc.run()
+        return excinfo.value
+
+    def test_dropped_key_is_named(self, bundle):
+        dropped = []
+
+        def drop_one_key(proc):
+            # A never-issued branch cannot complete before the next
+            # check, so the hole is still there when it runs.
+            if dropped:
+                return
+            for h in proc._incomplete_branches:
+                if proc.pool.issue_count[h] == 0:
+                    del proc._incomplete_branches[h]
+                    dropped.append(h)
+                    return
+
+        err = self._run_with_hook(bundle, drop_one_key)
+        assert dropped
+        assert err.structure == "branch-gates"
+        assert "missing from the incomplete-branch index" in str(err)
+
+    def test_stale_oldest_gate_is_named(self, bundle):
+        planted = []
+
+        def misname_oldest(proc):
+            index = proc._incomplete_branches
+            if planted or not proc._oldest_gate_valid or len(index) < 2:
+                return
+            youngest = list(index)[-1]
+            if youngest != proc._oldest_gate:
+                proc._oldest_gate = youngest
+                planted.append(youngest)
+
+        err = self._run_with_hook(
+            bundle, misname_oldest, completion_model=CompletionModel.SPEC_D
+        )
+        assert planted
+        assert err.structure == "branch-gates"
+        assert "oldest-gate cache" in str(err)
 
 
 class TestFaultLocalizationOnGeneratedWorkloads:

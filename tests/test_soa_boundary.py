@@ -57,7 +57,6 @@ def _drive_pool(proc, count: int) -> list:
             uid += 1
     touched = count + 2
     return [
-        pool.uid[:touched],
         pool.order[:touched],
         pool.state[:touched],
         pool.prev[:touched],
@@ -102,7 +101,7 @@ def test_full_window_churn_at_large_capacity():
 
 def test_columns_are_plain_lists():
     pool = bench(64).pool
-    for name in ("uid", "order", "prev", "next", "state", "ref", "pc"):
+    for name in ("order", "prev", "next", "state", "ref", "pc"):
         assert type(getattr(pool, name)) is list, name
 
 
