@@ -3,7 +3,7 @@
 
 Fans the experiments × workloads grid across worker processes, checks
 the rows are identical to a serial run's, and prints how many
-distinct detailed cells the pool's cells-first wave simulated.  Timing
+distinct detailed cells the pool simulated.  Timing
 claims go through the performance ledger (``ledger/run.py``), not this
 script.
 
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     )
     print(f"  {time.perf_counter() - t0:.3f}s, {parallel_out['resumed']} resumed, "
           f"{len(parallel_out['failures'])} failed cells")
-    print(f"distinct detailed cells simulated by wave 1: "
+    print(f"distinct detailed cells simulated by the pool: "
           f"{parallel_out['wave1_cells']}")
 
     if serial_out is not None:

@@ -135,17 +135,18 @@ def run_study(
     8-17 all run is simulated once per workload and the other rows read
     a copy of its stats.  Failed cells are never memoized, TFR cells
     always simulate, and two ``run_study`` calls never share results.
-    Under ``jobs`` the pool runs cells first: wave 1 simulates each
-    distinct detailed cell of the pending rows once (no retries) into a
-    memo the parent holds, then wave 2 runs the rows, each shipped the
-    entries it needs, so the simulated-cell count equals the serial
-    path's whichever worker draws which task; a cell that failed in wave
-    1 is simulated by its rows with the usual retries.
+    Under ``jobs`` the pool only fills that memo: one pass simulates each
+    distinct detailed cell of the pending rows once (no retries) and runs
+    the rows that key no cell, then the parent folds every other row
+    through the serial loop, so the simulated-cell count and the rows
+    equal the serial path's whichever worker draws which task.  A cell
+    that failed on the pool is simulated by the first row that needs it,
+    with the usual retries, and memoized on success.
 
     Returns ``{"results": {experiment: {workload: row-or-error}},
     "failures": [CellResult...], "resumed": int, "jobs": int,
     "wave1_cells": int}``; ``wave1_cells`` counts the distinct detailed
-    cells the pool's wave 1 simulated, 0 when no wave 1 ran.
+    cells the pool simulated, 0 when no pool ran.
     """
     from .parallel import resolve_jobs, run_pool
     from .runner import CellRunner, CheckpointStore, run_keyed
@@ -172,15 +173,22 @@ def run_study(
     def run_pending(indices: list, settle) -> None:
         nonlocal wave1_cells
         pending = [cells[i] for i in indices]
-        if n_jobs > 1:
-            wave1_cells = run_pool(
-                pending, scale, timeout_seconds, n_jobs, cache_dir, settle
-            )
-            return
         # One cell memo per study: every row reads and fills it, so each
         # distinct detailed cell simulates once however many artifacts
         # share it.
         memo: dict = {}
+        if n_jobs > 1:
+            pooled: set = set()
+
+            def settle_pooled(result) -> None:
+                pooled.add(result.key)
+                settle(result)
+
+            memo = run_pool(
+                pending, scale, timeout_seconds, n_jobs, cache_dir, settle_pooled
+            )
+            wave1_cells = len(memo)
+            pending = [cell for cell in pending if cell.key not in pooled]
         for cell in pending:
             settle(runner.run_cell(
                 cell,

@@ -12,24 +12,25 @@ The study grid (experiments × workloads) is embarrassingly parallel —
 cells share nothing but the read-only workload artifacts and the
 detailed cells several artifacts run alike.  With ``jobs`` > 1,
 :func:`repro.harness.experiments.run_study` hands the pending part of
-the grid to :func:`run_pool`, which dispatches it to a
-:class:`concurrent.futures.ProcessPoolExecutor` in two waves:
+the grid to :func:`run_pool`, which only fills the study's cell memo.
+It makes one :func:`map_resilient` pass over a
+:class:`concurrent.futures.ProcessPoolExecutor`: one task per *distinct*
+memo-keyed detailed cell of the pending rows
+(:func:`~repro.harness.spec.plan_study_cells`), plus every row that keys
+no cell (Table 1, Figure 3, Figure 10's TFR row), dispatched
+longest-first by the workload's golden-trace length (ties in plan
+order).  Each cell runs once under the study's ``timeout_seconds``, with
+no retries; a success is stored in the memo the parent returns, and a
+failure or a crashed worker is simply not stored.  Keyless rows settle
+as they land.  Every task enters the worker through :func:`_run_cell`.
 
-* **wave 1, cells first** — one task per *distinct* memo-keyed detailed
-  cell of the pending rows (:func:`~repro.harness.spec.plan_study_cells`),
-  plus every row that keys no cell (Table 1, Figure 3), dispatched
-  longest-first by the workload's golden-trace length (ties in plan
-  order).  Each cell runs once under the study's ``timeout_seconds``,
-  with no retries; every success seeds a parent-side cell memo, and a
-  failure or a crashed worker is simply not stored.
-* **wave 2, rows** — every remaining row, each task carrying the memo
-  entries its own keys need.  A row whose cell is missing from the memo
-  simulates it on the row path, with the usual retry and degradation.
-
-So every distinct detailed cell simulates exactly once per study,
-whichever worker draws it — the same count as the serial path — and
-rows are byte-identical to the serial run's.  Every task, cell or row,
-enters the worker through :func:`_run_cell`.
+``run_study`` then folds every remaining row in the parent, through the
+same loop and memo as a serial study: a row whose cells are all in the
+memo reads copies of their stats (and loads no workload artifacts), and
+a row whose cell is missing simulates it there, with the usual retry and
+degradation, and memoizes it.  So every distinct detailed cell simulates
+exactly once per study, whichever worker draws it — the same count as
+the serial path — and rows are byte-identical to the serial run's.
 
 * **job count** — the ``jobs`` argument, else the ``REPRO_JOBS``
   environment variable, else 1; ``"auto"`` means the CPU count.
@@ -126,22 +127,20 @@ def _run_cell(
     knob_hash: str | None,
     scale: float,
     timeout_seconds: float | None,
-    memo: dict | None = None,
     machine=None,
 ) -> CellResult:
     """Execute one pool task inside a worker process.
 
-    A row task never raises for cell failures — the worker-side
-    :class:`CellRunner` degrades them.  The row body is the same
-    :func:`~repro.harness.spec.run_spec_row` the serial path runs,
-    reading ``memo``, the cell-memo entries the parent shipped for this
-    row, so rows are byte-identical.
-
     With ``machine`` (a :class:`~repro.harness.spec.MachineSpec`) the
-    task is one wave-1 detailed cell of ``experiment``'s row instead: it
+    task is one distinct detailed cell of ``experiment``'s row: it
     simulates once under ``timeout_seconds``, with no retries, and its
     value is the :class:`~repro.core.CoreStats` (a failure carries the
     error's type and message, not the exception, which need not pickle).
+
+    Without it the task is a keyless row, run by the same
+    :func:`~repro.harness.spec.run_spec_row` as the serial path; the
+    worker-side :class:`CellRunner` degrades its failures, so it never
+    raises.
     """
     from .spec import load_bundle, run_spec_row
 
@@ -162,10 +161,7 @@ def _run_cell(
                               error_type=type(exc).__name__, attempts=1)
         return CellResult(key=cell.key, status="ok", value=stats, attempts=1)
     return CellRunner(timeout_seconds).run_cell(
-        cell,
-        lambda: run_spec_row(
-            experiment, workload, scale=scale, memo=memo
-        ).to_payload(),
+        cell, lambda: run_spec_row(experiment, workload, scale=scale).to_payload()
     )
 
 
@@ -293,7 +289,7 @@ def map_resilient(
 def _prewarm_cache(cache, names, scale: float) -> dict:
     """Derive every workload's shared artifacts once, up front.
 
-    Returns each workload's golden-trace length, the cells-first wave's
+    Returns each workload's golden-trace length, the pool pass's
     deterministic cost proxy.  ``run_study`` has already rejected bad
     names and scales, so only a derivation failure (a golden trace past
     its step budget raises ``ExecutionLimitExceeded``) reaches the
@@ -331,91 +327,6 @@ def outcome_result(key: str, outcome: tuple) -> CellResult:
                       error_type="BudgetExpired", attempts=0)
 
 
-def _run_cells_first(
-    pending: list,
-    lengths: dict,
-    scale: float,
-    timeout_seconds: float | None,
-    jobs: int,
-    cache_dir: str,
-    settle: Callable[[CellResult], None],
-) -> int:
-    """Dispatch the ``pending`` rows in the two waves of the module
-    docstring, wave 1 longest-first by the workloads' golden-trace
-    ``lengths``; returns how many distinct detailed cells wave 1
-    memoized.
-    """
-    from .spec import plan_study_cells
-
-    row_keys = [
-        plan_study_cells([(cell.experiment, cell.workload)], scale)
-        for cell in pending
-    ]
-    plan: dict = {}
-    for keys in row_keys:
-        for key, planned in keys.items():
-            plan.setdefault(key, planned)
-
-    def row_task(cell: Cell, memo: dict | None) -> tuple:
-        return (
-            cell.experiment,
-            cell.workload,
-            cell.config_hash,
-            cell.scale,
-            timeout_seconds,
-            memo,
-        )
-
-    def dispatch(tasks: list, on_result: Callable[[int, tuple], None]) -> None:
-        if tasks:
-            map_resilient(
-                _run_cell,
-                tasks,
-                jobs,
-                initializer=_init_worker,
-                initargs=(cache_dir,),
-                on_result=on_result,
-            )
-
-    # Wave 1: (cost, task, target), target a memo key or a keyless row.
-    wave1 = [
-        (
-            lengths.get(p.workload, 0),
-            (p.experiment, p.workload, None, p.scale, timeout_seconds, None,
-             p.machine),
-            key,
-        )
-        for key, p in plan.items()
-    ] + [
-        (lengths.get(cell.workload, 0), row_task(cell, None), cell)
-        for cell, keys in zip(pending, row_keys)
-        if not keys
-    ]
-    wave1.sort(key=lambda item: -item[0])  # stable: ties keep plan order
-    memo: dict = {}
-
-    def on_wave1(index: int, outcome: tuple) -> None:
-        target = wave1[index][2]
-        if isinstance(target, Cell):
-            settle(outcome_result(target.key, outcome))
-            return
-        result = outcome_result(str(target), outcome)
-        if result.ok:
-            memo[target] = result.value
-        else:
-            _log.debug("wave-1 cell %r not memoized: %s", target, result.error)
-
-    dispatch([task for _, task, _ in wave1], on_wave1)
-
-    # Wave 2: every row that reads the memo, carrying its own entries.
-    wave2 = [(cell, keys) for cell, keys in zip(pending, row_keys) if keys]
-    dispatch(
-        [row_task(cell, {k: memo[k] for k in keys if k in memo}) for cell, keys in wave2],
-        lambda index, outcome: settle(outcome_result(wave2[index][0].key, outcome)),
-    )
-    return len(memo)
-
-
 def run_pool(
     pending: list,
     scale: float,
@@ -423,16 +334,17 @@ def run_pool(
     jobs: int,
     cache_dir,
     settle: Callable[[CellResult], None],
-) -> int:
-    """Run a study's ``pending`` rows on a ``jobs``-worker pool.
+) -> dict:
+    """Fill a study's cell memo on a ``jobs``-worker pool.
 
     The parent first derives every pending workload's artifacts into the
     shared disk cache (``cache_dir``, else a temporary directory removed
-    afterwards), then dispatches the two waves; each row's
-    :class:`~repro.harness.runner.CellResult` goes to ``settle`` as it
-    lands.  Returns how many distinct detailed cells wave 1 memoized.
+    afterwards), then makes the one pass of the module docstring.  Each
+    keyless row's :class:`~repro.harness.runner.CellResult` goes to
+    ``settle`` as it lands.  Returns the memo, ``{memo_key: CoreStats}``.
     """
     from .cache import ArtifactCache
+    from .spec import plan_study_cells
 
     tmpdir = None
     if cache_dir is None:
@@ -444,10 +356,45 @@ def run_pool(
             dict.fromkeys(c.workload for c in pending),
             scale,
         )
-        return _run_cells_first(
-            pending, lengths, scale, timeout_seconds, jobs, str(cache_dir),
-            settle,
+        # (cost, task, target): target a memo key or a keyless row.
+        tasks = [
+            (lengths.get(p.workload, 0),
+             (p.experiment, p.workload, None, scale, timeout_seconds, p.machine),
+             key)
+            for key, p in plan_study_cells(
+                [(cell.experiment, cell.workload) for cell in pending], scale
+            ).items()
+        ] + [
+            (lengths.get(cell.workload, 0),
+             (cell.experiment, cell.workload, cell.config_hash, scale,
+              timeout_seconds),
+             cell)
+            for cell in pending
+            if not plan_study_cells([(cell.experiment, cell.workload)], scale)
+        ]
+        tasks.sort(key=lambda item: -item[0])  # stable: ties keep plan order
+        memo: dict = {}
+
+        def on_result(index: int, outcome: tuple) -> None:
+            target = tasks[index][2]
+            if isinstance(target, Cell):
+                settle(outcome_result(target.key, outcome))
+                return
+            result = outcome_result(str(target), outcome)
+            if result.ok:
+                memo[target] = result.value
+            else:
+                _log.debug("pooled cell %r not memoized: %s", target, result.error)
+
+        map_resilient(
+            _run_cell,
+            [task for _, task, _ in tasks],
+            jobs,
+            initializer=_init_worker,
+            initargs=(str(cache_dir),),
+            on_result=on_result,
         )
+        return memo
     finally:
         if tmpdir is not None:
             tmpdir.cleanup()

@@ -45,7 +45,9 @@ from ..core import GoldenTrace
 from ..errors import ConfigError
 from ..ideal.tracegen import AnnotatedTrace, annotate
 from ..machines import get_machine
-from ..workloads import WORKLOAD_NAMES, build_workload, check_workload
+# ``build_workload`` is unused here but stays a module attribute: the
+# ledger's span probes (ledger/spans.py) patch ``spec.build_workload``.
+from ..workloads import WORKLOAD_NAMES, build_workload, check_workload  # noqa: F401
 from .runner import config_hash
 
 #: row shapes an :class:`ExperimentSpec` may fold its cells into
@@ -77,27 +79,16 @@ class WorkloadBundle:
         return self._annotated
 
 
-def load_bundle(name: str, scale: float, cache=None) -> WorkloadBundle:
+def load_bundle(name: str, scale: float) -> WorkloadBundle:
     """Assemble + trace one workload, served from the artifact cache.
 
     The program, golden trace and reconvergence table depend only on
     (name, scale), so every experiment in a study shares one derivation
-    per process — see :mod:`repro.harness.cache`.  Pass ``cache=False``
-    to force a fresh, private derivation (needed when the caller will
-    mutate the artifacts, e.g. fault injection).
+    per process — see :mod:`repro.harness.cache`.
     """
-    if cache is False:
-        program = build_workload(name, scale).program
-        return WorkloadBundle(
-            name=name,
-            scale=scale,
-            program=program,
-            golden=GoldenTrace(program),
-            reconv=ReconvergenceTable(program),
-        )
     from .cache import get_default_cache
 
-    return (cache or get_default_cache()).artifacts(name, scale)
+    return get_default_cache().artifacts(name, scale)
 
 
 # ======================================================================
@@ -417,13 +408,17 @@ def memo_key(workload: str, scale: float, cell: CellSpec, machine) -> tuple | No
 
 def _simulate_cells(
     workload: str,
-    bundle,
+    scale: float,
+    load: Callable[[], WorkloadBundle],
     plan: list,
     memo: dict | None = None,
 ) -> list:
     """Produce each planned cell's stats, in spec order.
 
     ``plan`` is ``[(cell, machine, collectors), ...]`` in spec order.
+    ``load()`` returns the workload bundle; it is called only when a
+    cell must simulate, so a row served wholly from the memo derives no
+    artifacts.
 
     ``memo`` is the study's cell memo, ``{memo_key: CoreStats}``.  A
     cell whose key is already there gets a ``copy.copy`` of the stored
@@ -431,15 +426,15 @@ def _simulate_cells(
     successfully is stored.  Failures are never stored, so a
     failing cell's duplicates simulate on their own.
     """
-    keys = [
-        None if memo is None else memo_key(workload, bundle.scale, cell, machine)
-        for cell, machine, _ in plan
-    ]
+    bundle = None
     results: list = []
-    for (cell, machine, collectors), key in zip(plan, keys):
+    for cell, machine, collectors in plan:
+        key = None if memo is None else memo_key(workload, scale, cell, machine)
         if key is not None and key in memo:
             result = copy.copy(memo[key])
         else:
+            if bundle is None:
+                bundle = load()
             result = machine.simulate(
                 bundle,
                 overrides=dict(cell.machine.overrides),
@@ -453,40 +448,32 @@ def _simulate_cells(
 
 class PlannedCell(NamedTuple):
     """One distinct memo-keyed detailed cell of a study, as planned by
-    :func:`plan_study_cells`: the workload and scale it runs at, its
-    machine, and the spec and cell label of the first row claiming it."""
+    :func:`plan_study_cells`: the workload it runs on, its machine, and
+    the spec of the first row claiming it."""
 
     workload: str
-    scale: float
     machine: MachineSpec
     experiment: str
-    label: str
 
 
-def plan_study_cells(pairs, scale: float | None = None) -> dict:
+def plan_study_cells(pairs, scale: float) -> dict:
     """The distinct memo-keyed detailed cells of a study's rows.
 
-    ``pairs`` is the pending ``(experiment, workload)`` rows.  Spec
-    resolution mirrors :func:`run_spec_row`: a derived view resolves to
-    its base spec.  Returns ``{memo_key: PlannedCell}`` in plan order:
+    ``pairs`` is the pending ``(experiment, workload)`` rows, each a
+    runnable spec.  Returns ``{memo_key: PlannedCell}`` in plan order:
     rows in ``pairs`` order, cells in spec order, each key claimed by
     its first cell.
 
-    The pool's cells-first wave (:func:`repro.harness.parallel.run_pool`)
-    plans through here.
+    The study's pool (:func:`repro.harness.parallel.run_pool`) plans
+    through here.
     """
     plan: dict = {}
     for experiment, workload in dict.fromkeys(pairs):
         spec = resolve_spec(experiment)
-        while spec.derives is not None:
-            spec = resolve_spec(spec.derives)
-        row_scale = spec.default_scale if scale is None else scale
         for cell in spec.cells:
-            key = memo_key(workload, row_scale, cell, cell.machine.resolve())
+            key = memo_key(workload, scale, cell, cell.machine.resolve())
             if key is not None and key not in plan:
-                plan[key] = PlannedCell(
-                    workload, row_scale, cell.machine, spec.name, cell.label
-                )
+                plan[key] = PlannedCell(workload, cell.machine, spec.name)
     return plan
 
 
@@ -518,7 +505,6 @@ def run_spec_row(
         return CellRow(experiment=spec.name, workload=workload, data=data)
     if scale is None:
         scale = spec.default_scale
-    bundle = _load_for(spec, workload, scale)
     plan = [
         (
             cell,
@@ -527,7 +513,9 @@ def run_spec_row(
         )
         for cell in spec.cells
     ]
-    results = _simulate_cells(workload, bundle, plan, memo)
+    results = _simulate_cells(
+        workload, scale, lambda: _load_for(spec, workload, scale), plan, memo
+    )
     outcomes = [
         (cell, cell.metric(result, collectors))
         for (cell, _, collectors), result in zip(plan, results)
@@ -575,12 +563,16 @@ def run_spec(name_or_spec, scale: float | None = None, names=None) -> Any:
 
 def derive(name_or_spec, base_result: dict) -> dict:
     """Apply a derived spec's transform to its base artifact's result
-    (e.g. Figure 6 from already-computed Figure 5 data)."""
+    (e.g. Figure 6 from already-computed Figure 5 data).
+
+    A study's error row (a failed base row) passes through unchanged, so
+    one degraded cell cannot take down the derived figure.
+    """
     spec = resolve_spec(name_or_spec)
     if spec.transform is None:
         raise ConfigError(f"spec {spec.name!r} declares no transform")
     return {
-        workload: spec.transform(data)
+        workload: data if "error_type" in data else spec.transform(data)
         for workload, data in base_result.items()
     }
 

@@ -136,13 +136,6 @@ class TestDefaultCache:
         b = load_bundle("go", 0.05)
         assert a.golden is b.golden and a.reconv is b.reconv
 
-    def test_load_bundle_cache_false_is_private(self):
-        from repro.harness import load_bundle
-
-        a = load_bundle("go", 0.05)
-        b = load_bundle("go", 0.05, cache=False)
-        assert a.golden is not b.golden
-
     def test_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cachedir"))
         reset_default_cache()

@@ -146,6 +146,13 @@ class TestEngine:
         assert set(out) == {"go"}
         assert set(out["go"]) == {128, 256, 512}
 
+    def test_failed_figure5_row_passes_through_figure6(self):
+        good = {"BASE": {256: 1.0}, "CI": {256: 1.5}}
+        failed = {"error": "injected", "error_type": "SimulationHang",
+                  "attempts": 1}
+        data = study_artifacts({"figure5": {"go": failed, "gcc": good}})
+        assert data["figure6"] == {"go": failed, "gcc": {256: 50.0}}
+
     def test_unknown_builder_param_rejected(self):
         # Registry entries are fixed specs: there are no builder knobs.
         with pytest.raises(TypeError, match="bogus"):

@@ -13,7 +13,7 @@ import pytest
 import repro.harness.parallel as parallel_mod
 from repro.core import Processor
 from repro.errors import CellTimeout, SimulationHang
-from repro.harness import run_study
+from repro.harness import ArtifactCache, run_study
 from repro.harness.spec import (
     get_spec,
     memo_key,
@@ -28,8 +28,7 @@ SCALE = 0.01
 DETAILED_CELLS = 42
 #: distinct materialized CoreConfigs among them, plus Figure 10's TFR
 #: cell, which always simulates: the ``Processor.run`` count of every
-#: execution mode (serial, and ``jobs`` through the pool's cells-first
-#: wave)
+#: execution mode (serial, and ``jobs`` through the pool's one pass)
 DISTINCT_RUNS = 28 + 1
 
 
@@ -164,16 +163,14 @@ def run_log(monkeypatch, tmp_path):
     return read
 
 
-def _reverse_wave1(monkeypatch) -> list[int]:
-    """Dispatch the pool's first wave in reverse order; returns the task
-    count of each wave as it is dispatched."""
+def _reverse_pool(monkeypatch) -> list[int]:
+    """Dispatch every pool pass in reverse order; returns the task count
+    of each pass as it is dispatched."""
     original = parallel_mod.map_resilient
-    waves: list[int] = []
+    passes: list[int] = []
 
-    def reversed_first(fn, tasks, jobs, *, on_result, **kwargs):
-        waves.append(len(tasks))
-        if len(waves) > 1:
-            return original(fn, tasks, jobs, on_result=on_result, **kwargs)
+    def reversed_pass(fn, tasks, jobs, *, on_result, **kwargs):
+        passes.append(len(tasks))
         last = len(tasks) - 1
         return original(
             fn,
@@ -183,8 +180,8 @@ def _reverse_wave1(monkeypatch) -> list[int]:
             **kwargs,
         )[::-1]
 
-    monkeypatch.setattr(parallel_mod, "map_resilient", reversed_first)
-    return waves
+    monkeypatch.setattr(parallel_mod, "map_resilient", reversed_pass)
+    return passes
 
 
 BASE256 = repr(get_machine("BASE").core_config(window_size=256))
@@ -195,9 +192,9 @@ _REAL_RUN_CELL = None
 
 
 def _kill_wave1_base_cell(experiment, workload, *args):
-    """Stand-in for ``parallel._run_cell`` that dies in the wave-1 task
-    of the BASE@256 cell; row tasks (no ``machine``) run normally."""
-    machine = args[4] if len(args) > 4 else None
+    """Stand-in for ``parallel._run_cell`` that dies in the pool task of
+    the BASE@256 cell; row tasks (no ``machine``) run normally."""
+    machine = args[3] if len(args) > 3 else None
     if machine is not None and machine.machine == "BASE":
         os.kill(os.getpid(), signal.SIGKILL)
     return _REAL_RUN_CELL(experiment, workload, *args)
@@ -215,16 +212,17 @@ class TestPoolMemo:
     def test_pool_runs_each_distinct_cell_once(self, monkeypatch, run_log, mode):
         serial = _study()
         assert len(run_log()) == DISTINCT_RUNS
-        waves = _reverse_wave1(monkeypatch) if mode == "reversed" else None
+        passes = _reverse_pool(monkeypatch) if mode == "reversed" else None
         pooled = _study(jobs=3 if mode == "jobs3" else 2)
         assert len(run_log()) == DISTINCT_RUNS
         assert pooled["failures"] == []
         assert pooled["results"] == serial["results"]
         assert pooled["wave1_cells"] == DISTINCT_RUNS - 1  # all but TFR
-        if waves is not None:
-            # Wave 1 also carries the keyless rows (Table 1, Figure 3,
-            # Figure 10's TFR-only row); wave 2 the ten that read the memo.
-            assert waves == [DISTINCT_RUNS - 1 + 3, 13 - 3]
+        if passes is not None:
+            # One pass: the distinct cells plus the keyless rows (Table 1,
+            # Figure 3, Figure 10's TFR-only row); the parent folds the
+            # ten rows that read the memo.
+            assert passes == [DISTINCT_RUNS - 1 + 3]
 
     @pytest.mark.parametrize("error", [SimulationHang, CellTimeout])
     def test_failed_wave1_cell_is_not_memoized(self, monkeypatch, run_log, error):
@@ -248,7 +246,7 @@ class TestPoolMemo:
         attempts = rows[0]["attempts"]
         assert attempts == (3 if error is CellTimeout else 1)
         assert serial_runs == 2 * attempts
-        # Wave 1 ran it once, then each row simulated it again.
+        # The pool ran it once, then each row simulated it again.
         assert pooled_runs == 1 + 2 * attempts
         assert pooled["wave1_cells"] == len(_keys("table4") | _keys("figure13")) - 1
 
@@ -263,5 +261,27 @@ class TestPoolMemo:
         pooled = _study(experiments=experiments, jobs=2)
         assert pooled["failures"] == []
         assert pooled["results"] == serial["results"]
-        # Both rows that need the killed cell simulated it themselves.
-        assert run_log().count(BASE256) == 2
+        # The first row that needs the killed cell simulates it in the
+        # parent and memoizes it, as on the serial path.
+        assert run_log().count(BASE256) == 1
+
+    def test_memo_reading_rows_load_no_artifacts(self, monkeypatch):
+        lookups: list = []
+        original_artifacts = ArtifactCache.artifacts
+        original_pool = parallel_mod.run_pool
+
+        def recorded(self, *args, **kwargs):
+            lookups.append(args)
+            return original_artifacts(self, *args, **kwargs)
+
+        def pool_then_clear(*args, **kwargs):
+            memo = original_pool(*args, **kwargs)
+            lookups.clear()  # the parent's pre-warm; workers log their own
+            return memo
+
+        monkeypatch.setattr(ArtifactCache, "artifacts", recorded)
+        monkeypatch.setattr(parallel_mod, "run_pool", pool_then_clear)
+        pooled = _study(jobs=2)
+        assert pooled["failures"] == []
+        assert pooled["wave1_cells"] == DISTINCT_RUNS - 1
+        assert lookups == []
