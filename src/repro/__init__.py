@@ -13,7 +13,6 @@ Public surface:
 * :mod:`repro.workloads` — the five synthetic SPEC95-like kernels
 * :mod:`repro.harness` — experiment runners for every table and figure
 * :mod:`repro.errors` — structured error taxonomy + failure diagnostics
-* :mod:`repro.robustness` — deterministic fault injection for the checkers
 * :mod:`repro.analysis` — workload lint, reconvergence cross-check, and
   the runtime machine-invariant sanitizer (``REPRO_SANITIZE=1``)
 """
@@ -29,7 +28,6 @@ from . import (
     ideal,
     isa,
     memsys,
-    robustness,
     workloads,
 )
 from .errors import ReproError
@@ -47,7 +45,6 @@ __all__ = [
     "ideal",
     "isa",
     "memsys",
-    "robustness",
     "workloads",
     "ReproError",
     "__version__",

@@ -8,7 +8,7 @@ unresolved subset, the incomplete-branch index and its oldest-gate
 cache.  A bug (or an injected fault) that breaks one view surfaces
 cycles later as a statistic drift or an unrelated cosimulation mismatch
 — expensive to trace back.  The sanitizer cross-checks the views every
-``sanitize_stride`` cycles and raises a structured
+``stride`` cycles and raises a structured
 :class:`~repro.errors.SanitizerError` *naming the corrupted structure*
 at (close to) the moment of corruption.
 
@@ -43,11 +43,11 @@ Checked invariants, by ``SanitizerError.structure``:
   completion models gate on it).  The index is keyed by pool handle, so
   a missed removal would alias the slot's next tenant.
 
-The sanitizer is attached by ``Processor.__init__`` as the *first*
-cycle hook when :meth:`repro.core.CoreConfig.sanitize_enabled` is true,
-so fault-injection hooks registered afterwards corrupt state at the end
-of cycle N and are caught by the check at the end of cycle N+1 (with
-``sanitize_stride=1``).
+With ``REPRO_SANITIZE=1`` in the environment, ``Processor.__init__``
+attaches one sanitizer at stride 64 as the *first* cycle hook.  A test
+that localizes a planted fault adds ``MachineSanitizer(stride=1)``
+itself, before its fault hook: a fault landing at the end of cycle N is
+then caught by the check at the end of cycle N+1.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class MachineSanitizer:
 
     def __init__(self, stride: int = 1):
         if stride < 1:
-            raise ValueError(f"sanitize_stride must be >= 1, got {stride!r}")
+            raise ValueError(f"stride must be >= 1, got {stride!r}")
         self.stride = stride
         self.checks_run = 0
         self._last_retired = 0

@@ -126,7 +126,7 @@ TRACKED_CLASSES = (
 )
 
 #: packages (and top-level modules) whose code determines architectural
-#: simulation results.  harness/fuzz/analysis/robustness are tooling:
+#: simulation results.  harness/fuzz/analysis are tooling:
 #: they may time things and draw entropy freely.
 SEMANTIC_SCOPE = (
     "bpred",

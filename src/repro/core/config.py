@@ -23,7 +23,6 @@ the 64KB 4-way data cache with 2-cycle hits and 14-cycle misses
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -117,20 +116,6 @@ class CoreConfig:
     #: to CosimulationError instead of silently healing (used by the
     #: fault-injection suite to expose corrupted reconvergence state)
     strict_commit: bool = False
-    #: machine-invariant sanitizer (repro.analysis.MachineSanitizer):
-    #: True/False force it on/off; None defers to the REPRO_SANITIZE
-    #: environment variable ("1"/"true"/"yes"/"on", case-insensitive)
-    sanitize: bool | None = None
-    #: cycles between sanitizer checks; 1 checks every cycle (used by
-    #: the fault-injection tests to localize corruption immediately)
-    sanitize_stride: int = 64
-
-    def sanitize_enabled(self) -> bool:
-        """Resolve the sanitizer knob against ``REPRO_SANITIZE``."""
-        if self.sanitize is not None:
-            return self.sanitize
-        value = os.environ.get("REPRO_SANITIZE", "")
-        return value.strip().lower() in ("1", "true", "yes", "on")
 
     def validate(self) -> "CoreConfig":
         """Reject inconsistent knob combinations before simulation.
@@ -152,10 +137,7 @@ class CoreConfig:
                     f"{knob} must be a positive integer, got {value!r}",
                 )
 
-        positive(
-            "window_size", "segment_size",
-            "max_cycles", "watchdog_cycles", "sanitize_stride",
-        )
+        positive("window_size", "segment_size", "max_cycles", "watchdog_cycles")
         # Boolean knobs are read by truthiness, so a string such as
         # "no" would silently turn one on.
         for knob in (
@@ -167,10 +149,6 @@ class CoreConfig:
                 isinstance(value, bool),
                 f"{knob} must be a bool, got {value!r}",
             )
-        require(
-            self.sanitize is None or isinstance(self.sanitize, bool),
-            f"sanitize must be None or a bool, got {self.sanitize!r}",
-        )
         require(
             self.window_size % self.segment_size == 0,
             f"window_size ({self.window_size}) must be a multiple of "

@@ -30,7 +30,11 @@ loop (:meth:`Processor.run`) and the diagnostics surface, while the
 rest of the pipeline lives in the stage mixins of
 :mod:`repro.core.stages` (sequencer, backend, recovery, retire).
 ``Processor``'s public API is construction, ``run``,
-``add_cycle_hook`` and ``snapshot``.
+``add_cycle_hook`` and ``snapshot``.  A cycle hook is the one seam for
+checks and faults: with ``REPRO_SANITIZE=1`` in the environment the
+constructor attaches :class:`~repro.analysis.MachineSanitizer` as the
+first hook, and tests attach their own checks and planted faults after
+it.
 
 Host time goes to work done once per *fetched* instruction, and under
 restart and redispatch most fetched instructions never retire.  So each
@@ -38,8 +42,7 @@ per-instruction path is one loop over locals, with no Python call per
 instruction on its common path:
 
 * ``run`` issues inline, and completes and broadcasts in one loop that
-  also retries gated branches; a wakeup goes through ``_wake`` only
-  when something patched it on the instance (the fault injectors);
+  also retries gated branches and wakes consumers inline;
 * ``SequencerStage._fetch`` claims, links, keys, renames and predicts
   for the frontier and for every restart context;
 * ``RecoveryStage._squash_after`` squashes a whole range, backward, for
@@ -52,6 +55,7 @@ context stack), retirement and the per-cycle hooks stay methods.
 
 from __future__ import annotations
 
+import os
 from heapq import heappop, heappush
 
 from ..bpred import FrontEnd
@@ -183,24 +187,26 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self._return_targets: set[int] = set()
         self._loop_targets: set[int] = set()
 
-        #: robustness hooks invoked once per cycle with the processor;
-        #: used by the fault-injection layer to corrupt state mid-run
+        #: callables run once per cycle with the processor: the
+        #: sanitizer, and the checks and faults tests attach
         self._cycle_hooks: list = []
-        if cfg.sanitize_enabled():
+        sanitize = os.environ.get("REPRO_SANITIZE", "").strip().lower()
+        if sanitize in ("1", "true", "yes", "on"):
             # Local import: repro.analysis is a consumer of repro.core
             # everywhere else; only the opt-in sanitizer flows back in.
             from ..analysis import MachineSanitizer
 
-            # First hook on purpose: fault injectors register afterwards,
-            # so a corruption landing at the end of cycle N is reported
-            # at the end of cycle N+1 (with sanitize_stride=1).
-            self.add_cycle_hook(MachineSanitizer(stride=cfg.sanitize_stride))
+            # The first hook, so hooks added later that corrupt state at
+            # the end of a cycle are caught by a later cycle's check.
+            # Every 64 cycles costs about 9% host time (stride 1: 31%).
+            self.add_cycle_hook(MachineSanitizer(stride=64))
 
     # ==================================================================
     # helpers
 
     def add_cycle_hook(self, hook) -> None:
-        """Register ``hook(processor)`` to run at the end of every cycle."""
+        """Register ``hook(processor)`` to run at the end of every cycle,
+        after the hooks registered before it."""
         self._cycle_hooks.append(hook)
 
     def snapshot(self) -> MachineSnapshot:
@@ -341,7 +347,6 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
             due = batch = wheel_nodes[cycle & wheel_mask]
             tokens = wheel_tokens[cycle & wheel_mask]
             completed_any = False
-            patched_wake = self.__dict__.get("_wake")
             while True:
                 for ref, token in zip(batch, tokens):
                     h = ref & REF_MASK
@@ -392,38 +397,29 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
                             tag.ready = True
                             consumers = tag.consumers
                             dead = 0
-                            if patched_wake is not None:
-                                for cref in consumers:
-                                    ch = cref & REF_MASK
-                                    if refs[ch] == cref and not state[ch] & ST_DEAD:
-                                        if cref != ref:
-                                            patched_wake(ch, cycle)
-                                    else:
-                                        dead += 1
-                            else:
-                                # ``_wake`` inlined: waking only pushes
-                                # onto the ready heap, never touches the
-                                # consumer list being iterated.
-                                for cref in consumers:
-                                    ch = cref & REF_MASK
-                                    cs = state[ch]
-                                    if refs[ch] != cref or cs & ST_DEAD:
-                                        dead += 1
+                            # ``_wake`` inlined: waking only pushes onto
+                            # the ready heap, never touches the consumer
+                            # list being iterated.
+                            for cref in consumers:
+                                ch = cref & REF_MASK
+                                cs = state[ch]
+                                if refs[ch] != cref or cs & ST_DEAD:
+                                    dead += 1
+                                    continue
+                                if cref == ref or cs & ST_IN_READY:
+                                    continue
+                                if issue_count[ch] == 0:
+                                    t1 = src1_tag[ch]
+                                    t2 = src2_tag[ch]
+                                    if (t1 is not None and not t1.ready) or (
+                                        t2 is not None and not t2.ready
+                                    ):
                                         continue
-                                    if cref == ref or cs & ST_IN_READY:
-                                        continue
-                                    if issue_count[ch] == 0:
-                                        t1 = src1_tag[ch]
-                                        t2 = src2_tag[ch]
-                                        if (t1 is not None and not t1.ready) or (
-                                            t2 is not None and not t2.ready
-                                        ):
-                                            continue
-                                    eligible = dispatch_cycle[ch] + 2
-                                    if eligible < cycle:
-                                        eligible = cycle
-                                    state[ch] = cs | ST_IN_READY
-                                    heappush(ready, (eligible, orders[ch], cref))
+                                eligible = dispatch_cycle[ch] + 2
+                                if eligible < cycle:
+                                    eligible = cycle
+                                state[ch] = cs | ST_IN_READY
+                                heappush(ready, (eligible, orders[ch], cref))
                             if dead > 8 and dead * 2 > len(consumers):
                                 tag.consumers = [
                                     r

@@ -210,7 +210,7 @@ class InstrPool:
         return self.ref[ref & REF_MASK] == ref
 
     def describe(self, h: int) -> str:
-        """Diagnostic rendering of a slot (sanitizer/injector messages)."""
+        """Diagnostic rendering of a slot (sanitizer and test-fault messages)."""
         instr = self.instr[h]
         op = instr.op.name if instr is not None else "?"
         return f"<{self.ref[h] >> REF_SHIFT}:{self.pc[h]}:{op}>"

@@ -18,10 +18,10 @@ stage mixins over one shared machine state (the attributes built in
 * :mod:`.retire` — in-order commit with golden-trace co-simulation,
   predictor training, and commit-time sequence repair.
 
-Robustness hooks attach at these seams unchanged: the sanitizer and
-fault injectors observe or patch the *instance* (``add_cycle_hook``,
-``processor._wake``), so they are agnostic to which module defines a
-method; the stage-cycle counters live where their stages do.
+Checks and test faults attach through one seam,
+``Processor.add_cycle_hook``: a hook reads or corrupts the machine
+state at the end of a cycle, so it does not depend on which module
+defines a method.  The stage-cycle counters live where their stages do.
 """
 
 from .sequencer import SequencerStage, _Context

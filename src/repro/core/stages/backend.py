@@ -9,10 +9,8 @@ complete-and-broadcast loop live in ``Processor.run``, the one cycle
 loop, over its locals; this module holds what they call per event:
 
 * :meth:`BackendStage._wake`, the one wakeup entry point outside that
-  loop (a store's replayed loads, a redispatch rename repair).  The
-  broadcast in ``Processor.run`` inlines it unless something patched
-  ``_wake`` on the instance — the fault injectors arm that way — in
-  which case every wakeup routes through the patched hook;
+  loop (a store's replayed loads, a redispatch rename repair); the
+  broadcast in ``Processor.run`` inlines the same rule;
 * store completion, which replays the younger loads it affects;
 * the completion-model gates: in-order models consult the
   event-maintained oldest-incomplete-branch cache, store-gated models

@@ -91,38 +91,29 @@ def run(
     program: Program, max_steps: int = 5_000_000, state: ArchState | None = None
 ) -> list[TraceEntry]:
     """Run ``program`` to HALT, returning the golden dynamic trace."""
+    return [entry for entry, _ in trace_iter(program, max_steps, state)]
+
+
+def trace_iter(
+    program: Program, max_steps: int = 5_000_000, state: ArchState | None = None
+):
+    """Step ``program`` to HALT from ``state`` (its entry point and data
+    image by default), the one functional run loop.
+
+    Yields ``(entry, state)`` pairs; ``state`` is the architectural state
+    *after* the instruction executed, which wrong-path forking uses.
+    """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
     if state is None:
         state = ArchState(pc=program.entry)
         for addr, value in program.data.items():
             state.mem.write(addr, value)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
-    trace: list[TraceEntry] = []
     seq = 0
     while not state.halted:
         if seq >= max_steps:
             # Never return a silently truncated trace: a partial golden
             # reference would turn co-simulation into false divergences.
-            raise ExecutionLimitExceeded(
-                f"{program.name}: exceeded {max_steps} dynamic instructions"
-            )
-        trace.append(step(state, program, seq))
-        seq += 1
-    return trace
-
-
-def trace_iter(program: Program, max_steps: int = 5_000_000):
-    """Generator variant of :func:`run` for streaming consumers.
-
-    Yields ``(entry, state)`` pairs; ``state`` is the architectural state
-    *after* the instruction executed, which wrong-path forking uses.
-    """
-    state = ArchState(pc=program.entry)
-    for addr, value in program.data.items():
-        state.mem.write(addr, value)
-    seq = 0
-    while not state.halted:
-        if seq >= max_steps:
             raise ExecutionLimitExceeded(
                 f"{program.name}: exceeded {max_steps} dynamic instructions"
             )

@@ -31,12 +31,9 @@ Only an unusable cache directory raises :class:`~repro.errors.CacheError`.
 memoizes its own annotated trace.
 
 Sharing hazard: cached artifacts are returned by reference and must be
-treated as immutable.  The simulators only read them; the fault
-injectors in :mod:`repro.robustness` deliberately corrupt reconvergence
-tables in place, so fault-injection harnesses must build their own
-tables rather than pull from a cache (they already do — the injectors
-construct machines directly, not through
-:func:`~repro.harness.spec.load_bundle`).
+treated as immutable.  The simulators only read them; a test fault that
+corrupts a reconvergence table in place must run on a table it built
+itself, never on one from :func:`~repro.harness.spec.load_bundle`.
 """
 
 from __future__ import annotations

@@ -491,18 +491,15 @@ def run_spec_row(
     study's cell memo (see :func:`memo_key`): the study creates one and
     threads it through every row, so each distinct detailed cell
     simulates once per study; direct callers normally leave it unset
-    and every cell simulates.
+    and every cell simulates.  A derived spec has no cells of its own:
+    run its base and apply :func:`derive`.
     """
     spec = resolve_spec(name_or_spec)
     if spec.derives is not None:
-        base = run_spec_row(
-            spec.derives,
-            workload,
-            scale=scale,
-            memo=memo,
+        raise ConfigError(
+            f"spec {spec.name!r} is derived from {spec.derives!r} and has no "
+            f"rows of its own: run {spec.derives!r} and apply derive()"
         )
-        data = spec.transform(base.data)
-        return CellRow(experiment=spec.name, workload=workload, data=data)
     if scale is None:
         scale = spec.default_scale
     plan = [

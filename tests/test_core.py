@@ -278,38 +278,3 @@ class TestStatsZeroDenominators:
 
         figure5 = {"go": {"BASE": {128: 0.0}, "CI": {128: 1.5}, "CI-I": {128: 1.6}}}
         assert derive("figure6", figure5) == {"go": {128: 0.0}}
-
-
-class TestPatchedWakeHook:
-    """The fault injectors hook the wakeup path by patching ``_wake`` on
-    the instance; the cycle loop's inlined broadcast then routes every
-    consumer wakeup through that hook.  A pass-through hook must leave
-    every statistic unchanged, and it must actually be called."""
-
-    @pytest.mark.parametrize("machine", ["BASE", "CI"])
-    def test_pass_through_wake_changes_nothing(self, machine):
-        from repro.core import Processor
-        from repro.harness.experiments import load_bundle
-        from repro.machines import get_machine
-
-        bundle = load_bundle("go", 0.03)
-        config = get_machine(machine).core_config()
-
-        def build():
-            return Processor(bundle.program, config, bundle.golden, bundle.reconv)
-
-        expected = build().run()
-        processor = build()
-        original = processor._wake
-        calls = 0
-
-        def _wake(h, eligible):
-            nonlocal calls
-            calls += 1
-            original(h, eligible)
-
-        processor._wake = _wake
-        assert processor.run() == expected
-        # Store replays and rename repairs call _wake too, one call per
-        # count; the rest of the calls came through the broadcast.
-        assert calls > expected.reissues_memory + expected.ci_rename_repairs

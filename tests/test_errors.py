@@ -142,7 +142,6 @@ class TestConfigValidation:
             ("segment_size", 1.0, "segment_size"),
             ("max_cycles", True, "max_cycles"),
             ("watchdog_cycles", 5e4, "watchdog_cycles"),
-            ("sanitize_stride", True, "sanitize_stride"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -159,16 +158,11 @@ class TestConfigValidation:
             ("instant_redispatch", "no"),
             ("oracle_global_history", "no"),
             ("strict_commit", "no"),
-            ("sanitize", "off"),
         ],
     )
     def test_rejects_non_bool_knob(self, knob, value):
         with pytest.raises(ConfigError, match=knob):
             CoreConfig(**{knob: value}).validate()
-
-    def test_sanitize_accepts_none_and_bools(self):
-        for value in (None, True, False):
-            CoreConfig(sanitize=value).validate()
 
     def test_processor_rejects_bad_config_up_front(self):
         program = assemble("li r1, 1\nhalt")

@@ -1,10 +1,11 @@
 """Fault injection: prove the checkers catch every divergence class.
 
-Each test corrupts live machine state with a seeded injector and asserts
-the retirement co-simulation checker (or the forward-progress watchdog)
-refuses to let the corruption retire.  Seeds are pinned to values whose
-victims demonstrably reach retirement — a fault whose victim gets
-squashed on the wrong path is legitimately harmless.
+Each test corrupts live machine state with a seeded fault hook
+(``faults.py``) and asserts the retirement co-simulation checker (or the
+forward-progress watchdog) refuses to let the corruption retire.  Seeds
+are pinned to values whose victims demonstrably reach retirement — a
+fault whose victim gets squashed on the wrong path is legitimately
+harmless.
 """
 
 import pytest
@@ -18,16 +19,23 @@ from repro.core import (
     ReconvPolicy,
     SimulationHang,
 )
-from repro.robustness import (
-    DroppedWakeupFault,
-    PredictorStateFault,
-    ReconvTableFault,
-    RegisterValueFault,
-    run_with_fault,
-)
 from repro.workloads import build_workload
 
+from faults import (
+    dropped_wakeup,
+    predictor_state,
+    reconv_table,
+    register_value,
+    run_with_hooks,
+)
+
 SCALE = 0.05
+
+
+@pytest.fixture(autouse=True)
+def no_env_sanitizer(monkeypatch):
+    # Every run here is plain unless a test adds the sanitizer itself.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +57,19 @@ class TestRegisterValueFault:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_check_catches_corrupted_register(self, bundle, seed):
         program, golden, table = bundle
-        fault = RegisterValueFault(seed=seed)
+        fault = register_value(seed=seed)
         with pytest.raises(CosimulationError) as excinfo:
-            run_with_fault(program, baseline_config(), fault, golden, table)
-        assert fault.fired and fault.description
+            run_with_hooks(program, baseline_config(), golden, table, fault)
+        assert fault.description
         assert excinfo.value.snapshot is not None
 
     def test_is_deterministic(self, bundle):
         program, golden, table = bundle
         messages = set()
         for _ in range(2):
-            fault = RegisterValueFault(seed=3)
+            fault = register_value(seed=3)
             with pytest.raises(CosimulationError) as excinfo:
-                run_with_fault(program, baseline_config(), fault, golden, table)
+                run_with_hooks(program, baseline_config(), golden, table, fault)
             messages.add(str(excinfo.value))
         assert len(messages) == 1  # same seed, same victim, same diagnosis
 
@@ -70,27 +78,27 @@ class TestPredictorStateFault:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_control_check_catches_flipped_branch_path(self, bundle, seed):
         program, golden, table = bundle
-        fault = PredictorStateFault(seed=seed)
+        fault = predictor_state(seed=seed)
         with pytest.raises(CosimulationError):
-            run_with_fault(program, baseline_config(), fault, golden, table)
-        assert fault.fired
+            run_with_hooks(program, baseline_config(), golden, table, fault)
+        assert fault.description
 
 
 class TestReconvTableFault:
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_strict_commit_catches_mis_splice(self, bundle, seed):
         program, golden, _ = bundle
-        # Fresh table per test: this injector corrupts it in place, and
+        # Fresh table per test: this fault corrupts it in place, and
         # the shared fixture table must stay pristine for other tests.
         table = ReconvergenceTable(program)
         # strict_commit: under exact post-dominator information, a
         # commit-time next-PC repair is by definition a reconvergence
         # bug, so the machine escalates instead of silently healing.
-        fault = ReconvTableFault(seed=seed)
+        fault = reconv_table(seed=seed)
         with pytest.raises(CosimulationError, match="next-PC"):
-            run_with_fault(program, baseline_config(strict_commit=True), fault,
-                           golden, table)
-        assert fault.fired
+            run_with_hooks(program, baseline_config(strict_commit=True),
+                           golden, table, fault)
+        assert fault.description
 
     def test_requires_a_reconvergence_table(self, bundle):
         program, golden, _ = bundle
@@ -98,7 +106,7 @@ class TestReconvTableFault:
 
         config = CoreConfig(reconv_policy=ReconvPolicy.NONE)
         with pytest.raises(ReproError, match="reconvergence table"):
-            run_with_fault(program, config, ReconvTableFault(seed=0), golden)
+            run_with_hooks(program, config, golden, None, reconv_table(seed=0))
 
 
 class TestDroppedWakeupFault:
@@ -107,10 +115,10 @@ class TestDroppedWakeupFault:
         program, golden, table = bundle
         # Victim already issued once; dropping its re-execution wakeups
         # makes it retire the stale first-issue value.
-        fault = DroppedWakeupFault(seed=seed, require_issued=True)
+        fault = dropped_wakeup(seed=seed, issued=True)
         with pytest.raises(CosimulationError):
-            run_with_fault(program, baseline_config(), fault, golden, table)
-        assert fault.fired and fault.dropped >= 1
+            run_with_hooks(program, baseline_config(), golden, table, fault)
+        assert fault.description and fault.dropped >= 1
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_never_issued_victim_trips_watchdog(self, bundle, seed):
@@ -118,10 +126,11 @@ class TestDroppedWakeupFault:
         # Victim never issues: retirement wedges behind it and the
         # forward-progress watchdog must diagnose the livelock (rather
         # than burning the whole max_cycles budget).
-        fault = DroppedWakeupFault(seed=seed, require_issued=False)
+        fault = dropped_wakeup(seed=seed, issued=False)
         config = baseline_config(watchdog_cycles=3000)
         with pytest.raises(SimulationHang) as excinfo:
-            run_with_fault(program, config, fault, golden, table)
+            run_with_hooks(program, config, golden, table, fault)
+        assert fault.description
         assert excinfo.value.kind == "livelock"
         assert "forward-progress watchdog" in str(excinfo.value)
         snap = excinfo.value.snapshot

@@ -13,20 +13,28 @@ from repro.core import (
     Processor,
     ReconvPolicy,
 )
-from repro.errors import ConfigError, SanitizerError
-from repro.robustness import (
-    LSQDropFault,
-    PredictorStateFault,
-    RegisterValueFault,
-    ROBOrderFault,
-    RenameMapFault,
-    TagAliasFault,
-    run_with_fault,
-)
+from repro.errors import SanitizerError
 from repro.core import CosimulationError
 from repro.workloads import build_workload
 
+from faults import (
+    lsq_drop,
+    predictor_state,
+    register_value,
+    rename_map,
+    rob_order,
+    run_with_hooks,
+    tag_alias,
+)
+
 SCALE = 0.05
+
+
+@pytest.fixture(autouse=True)
+def no_env_sanitizer(monkeypatch):
+    # Each test attaches exactly the sanitizer it means to, so the
+    # REPRO_SANITIZE switch must not add a second one.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +43,16 @@ def bundle():
     return program, GoldenTrace(program), ReconvergenceTable(program)
 
 
-def run(program, golden, table, **cfg_kwargs):
+def run(program, golden, table, *hooks, **cfg_kwargs):
     cfg = CoreConfig(window_size=128, **cfg_kwargs)
-    return Processor(program, cfg, golden, table).run()
+    return run_with_hooks(program, cfg, golden, table, *hooks)
+
+
+def run_checked(program, golden, table, fault, **cfg_kwargs):
+    """Run with a stride-1 sanitizer first, then ``fault``: a fault
+    landing at the end of cycle N is caught at the end of cycle N+1."""
+    return run(program, golden, table, MachineSanitizer(stride=1), fault,
+               **cfg_kwargs)
 
 
 class TestCleanRuns:
@@ -46,92 +61,88 @@ class TestCleanRuns:
     )
     def test_no_false_positives_at_stride_one(self, bundle, policy):
         program, golden, table = bundle
-        stats = run(program, golden, table, reconv_policy=policy,
-                    sanitize=True, sanitize_stride=1)
+        stats = run(program, golden, table, MachineSanitizer(stride=1),
+                    reconv_policy=policy)
         assert stats.retired == len(golden)
 
     def test_sanitizer_does_not_change_statistics(self, bundle):
         program, golden, table = bundle
-        plain = run(program, golden, table, sanitize=False)
-        checked = run(program, golden, table, sanitize=True, sanitize_stride=1)
+        plain = run(program, golden, table)
+        checked = run(program, golden, table, MachineSanitizer(stride=1))
         assert isinstance(plain, CoreStats)
         assert plain == checked  # dataclass equality over every counter
 
     def test_stride_skips_cycles(self, bundle):
         program, golden, table = bundle
         sanitizer = MachineSanitizer(stride=64)
-        cfg = CoreConfig(window_size=128)
-        proc = Processor(program, cfg, golden, table)
-        proc.add_cycle_hook(sanitizer)
-        stats = proc.run()
+        stats = run(program, golden, table, sanitizer)
         assert 0 < sanitizer.checks_run <= stats.cycles // 64 + 1
 
 
 class TestConfigWiring:
-    def test_env_opt_in(self, bundle, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert CoreConfig().sanitize_enabled()
-        monkeypatch.setenv("REPRO_SANITIZE", "off")
-        assert not CoreConfig().sanitize_enabled()
-        monkeypatch.delenv("REPRO_SANITIZE")
-        assert not CoreConfig().sanitize_enabled()
+    """``REPRO_SANITIZE`` is the one switch: it attaches one sanitizer,
+    at stride 64, as the processor's first cycle hook."""
 
-    def test_explicit_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert not CoreConfig(sanitize=False).sanitize_enabled()
-        monkeypatch.delenv("REPRO_SANITIZE")
-        assert CoreConfig(sanitize=True).sanitize_enabled()
-
-    def test_processor_attaches_sanitizer_hook(self, bundle):
+    @staticmethod
+    def _hooks(bundle):
         program, golden, table = bundle
-        proc = Processor(
-            program, CoreConfig(sanitize=True, sanitize_stride=8), golden, table
-        )
-        assert any(isinstance(h, MachineSanitizer) for h in proc._cycle_hooks)
-        plain = Processor(program, CoreConfig(sanitize=False), golden, table)
-        assert not plain._cycle_hooks
+        return Processor(program, CoreConfig(), golden, table)._cycle_hooks
+
+    def test_env_opt_in(self, bundle, monkeypatch):
+        for value in ("1", "true", " Yes ", "ON"):
+            monkeypatch.setenv("REPRO_SANITIZE", value)
+            assert len(self._hooks(bundle)) == 1, value
+        for value in ("off", "0", ""):
+            monkeypatch.setenv("REPRO_SANITIZE", value)
+            assert self._hooks(bundle) == [], value
+        monkeypatch.delenv("REPRO_SANITIZE")
+        assert self._hooks(bundle) == []
+
+    def test_processor_attaches_sanitizer_hook(self, bundle, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        hooks = self._hooks(bundle)
+        assert len(hooks) == 1
+        assert isinstance(hooks[0], MachineSanitizer)
+        assert hooks[0].stride == 64
 
     def test_bad_stride_rejected(self):
-        with pytest.raises(ConfigError):
-            CoreConfig(sanitize_stride=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
             MachineSanitizer(stride=0)
 
 
 class TestFaultLocalization:
-    """Each structural injector must be caught AND named correctly."""
+    """Each structural fault must be caught AND named correctly."""
 
     CASES = [
-        (ROBOrderFault, "rob-links"),
-        (TagAliasFault, "broadcast-network"),
-        (RenameMapFault, "rename-map"),
-        (LSQDropFault, "lsq"),
+        pytest.param(rob_order, "rob-links", id="ROBOrderFault-rob-links"),
+        pytest.param(tag_alias, "broadcast-network",
+                     id="TagAliasFault-broadcast-network"),
+        pytest.param(rename_map, "rename-map", id="RenameMapFault-rename-map"),
+        pytest.param(lsq_drop, "lsq", id="LSQDropFault-lsq"),
     ]
 
-    @pytest.mark.parametrize("cls,structure", CASES)
+    @pytest.mark.parametrize("make,structure", CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_structure_named(self, bundle, cls, structure, seed):
+    def test_structure_named(self, bundle, make, structure, seed):
         program, golden, table = bundle
-        fault = cls(seed=seed, trigger_retired=40)
-        cfg = CoreConfig(window_size=128, sanitize=True, sanitize_stride=1)
+        fault = make(seed=seed, trigger=40)
         with pytest.raises(SanitizerError) as excinfo:
-            run_with_fault(program, cfg, fault, golden, table)
-        assert fault.fired and fault.description
+            run_checked(program, golden, table, fault)
+        assert fault.description
         err = excinfo.value
         assert err.structure == structure
         assert structure in STRUCTURES
         assert f"sanitizer[{structure}]" in str(err)
         assert err.snapshot is not None  # diagnosable from the message alone
 
-    @pytest.mark.parametrize("cls,structure", CASES)
-    def test_fault_is_deterministic(self, bundle, cls, structure):
+    @pytest.mark.parametrize("make,structure", CASES)
+    def test_fault_is_deterministic(self, bundle, make, structure):
         program, golden, table = bundle
         messages = set()
         for _ in range(2):
-            fault = cls(seed=7, trigger_retired=40)
-            cfg = CoreConfig(window_size=128, sanitize=True, sanitize_stride=1)
+            fault = make(seed=7, trigger=40)
             with pytest.raises(SanitizerError) as excinfo:
-                run_with_fault(program, cfg, fault, golden, table)
+                run_checked(program, golden, table, fault)
             messages.add(str(excinfo.value))
         assert len(messages) == 1
 
@@ -143,10 +154,9 @@ class TestFaultLocalization:
         # sanitizer is the *localization*, so just document that the
         # structure name is only available with it on.
         program, golden, table = bundle
-        fault = ROBOrderFault(seed=0, trigger_retired=40)
-        cfg = CoreConfig(window_size=128, sanitize=False)
+        fault = rob_order(seed=0, trigger=40)
         try:
-            run_with_fault(program, cfg, fault, golden, table)
+            run(program, golden, table, fault)
         except SanitizerError:  # pragma: no cover - must not happen
             pytest.fail("sanitizer ran while disabled")
         except Exception:
@@ -160,14 +170,8 @@ class TestBranchGateIndex:
 
     @staticmethod
     def _run_with_hook(bundle, hook, **cfg_kwargs):
-        program, golden, table = bundle
-        cfg = CoreConfig(
-            window_size=128, sanitize=True, sanitize_stride=1, **cfg_kwargs
-        )
-        proc = Processor(program, cfg, golden, table)
-        proc.add_cycle_hook(hook)
         with pytest.raises(SanitizerError) as excinfo:
-            proc.run()
+            run_checked(*bundle, hook, **cfg_kwargs)
         return excinfo.value
 
     def test_dropped_key_is_named(self, bundle):
@@ -211,7 +215,7 @@ class TestBranchGateIndex:
 
 class TestFaultLocalizationOnGeneratedWorkloads:
     """The localization is not tuned to the paper benchmarks: every
-    structural injector is still caught and correctly named under
+    structural fault is still caught and correctly named under
     fuzz-generated family workloads (``fam:<family>:<seed>``)."""
 
     FAMILY_WORKLOADS = ["fam:branchy:0", "fam:aliasing:1"]
@@ -227,25 +231,22 @@ class TestFaultLocalizationOnGeneratedWorkloads:
     # every trip must name its own structure.
     ATTEMPTS = [(0, 30), (0, 150)]
 
-    @pytest.mark.parametrize("cls,structure", TestFaultLocalization.CASES)
+    @pytest.mark.parametrize("make,structure", TestFaultLocalization.CASES)
     def test_structure_named_on_generated_program(
-        self, generated, cls, structure
+        self, generated, make, structure
     ):
         program, golden, table = generated
         assert len(golden) > 200  # the faults need room to fire and trip
         tripped = 0
         for seed, trigger in self.ATTEMPTS:
-            fault = cls(seed=seed, trigger_retired=trigger)
-            cfg = CoreConfig(
-                window_size=128, sanitize=True, sanitize_stride=1
-            )
+            fault = make(seed=seed, trigger=trigger)
             try:
-                run_with_fault(program, cfg, fault, golden, table)
+                run_checked(program, golden, table, fault)
             except SanitizerError as err:
                 tripped += 1
                 assert err.structure == structure
                 assert err.snapshot is not None
-            assert fault.fired
+            assert fault.description
         assert tripped >= 1
 
 
@@ -257,14 +258,10 @@ class TestValueFaultsStillCaughtUnderSanitizer:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_register_value_fault(self, bundle, seed):
         program, golden, table = bundle
-        fault = RegisterValueFault(seed=seed)
-        cfg = CoreConfig(window_size=128, sanitize=True, sanitize_stride=1)
         with pytest.raises(CosimulationError):
-            run_with_fault(program, cfg, fault, golden, table)
+            run_checked(program, golden, table, register_value(seed=seed))
 
     def test_predictor_state_fault(self, bundle):
         program, golden, table = bundle
-        fault = PredictorStateFault(seed=1)
-        cfg = CoreConfig(window_size=128, sanitize=True, sanitize_stride=1)
         with pytest.raises(CosimulationError):
-            run_with_fault(program, cfg, fault, golden, table)
+            run_checked(program, golden, table, predictor_state(seed=1))

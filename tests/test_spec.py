@@ -153,6 +153,10 @@ class TestEngine:
         data = study_artifacts({"figure5": {"go": failed, "gcc": good}})
         assert data["figure6"] == {"go": failed, "gcc": {256: 50.0}}
 
+    def test_run_spec_row_rejects_a_derived_spec(self):
+        with pytest.raises(ConfigError, match="'figure5'.*derive"):
+            run_spec_row("figure6", "go", scale=SCALE)
+
     def test_unknown_builder_param_rejected(self):
         # Registry entries are fixed specs: there are no builder knobs.
         with pytest.raises(TypeError, match="bogus"):
